@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .novikov import NovikovSeries, format_series, parse_series, valuation
 from .polytopes import assoc_facet_parity
@@ -143,9 +143,8 @@ def _grade(value: int, modulus: int) -> int:
 
 def enumerate_words(d: AInftyDatum) -> Tuple[Word, ...]:
     """All composable chains, shortest first, in a deterministic order."""
-    gens = _gen_map(d)
     by_pair: Dict[Tuple[int, int], List[str]] = {}
-    for g in d.generators:
+    for g in _gen_map(d).values():
         by_pair.setdefault((g.i, g.j), []).append(g.id)
     for ids in by_pair.values():
         ids.sort()
@@ -173,10 +172,11 @@ def _tensor_index(entries: Iterable[TensorEntry]) -> Dict[Word, List[TensorEntry
     return idx
 
 
-def _validate_entries(entries, gens, out_gens, shift, modulus, what):
+def _validate_entries(entries, gens, out_gens, shift, modulus, ring, what):
     """Common well-formedness + degree validation for tensor entries.
 
-    ``shift`` is the required index change as a function of the arity.
+    ``shift`` is the required index change as a function of the arity;
+    every weight must lie in the coefficient ring ``ring``.
     """
     for e in entries:
         if not e.inputs:
@@ -196,6 +196,10 @@ def _validate_entries(entries, gens, out_gens, shift, modulus, what):
                 f"{what} output {e.output!r} does not bridge {e.inputs}")
         if not e.coeff:
             raise ValueError(f"{what} entry {e.inputs}->{e.output} has zero weight")
+        if e.coeff.ring != ring:
+            raise ValueError(
+                f"{what} entry {e.inputs}->{e.output} has a weight over "
+                f"{e.coeff.ring}, expected the datum ring {ring}")
         w = e.arity
         delta = out.mu - sum(g.mu for g in chain) - shift(w)
         if _grade(delta, modulus) != 0:
@@ -208,16 +212,21 @@ def _validate_entries(entries, gens, out_gens, shift, modulus, what):
 # matrices on the chain basis
 
 
+def _acc(row: dict, key, value: NovikovSeries) -> None:
+    """Add ``value`` into ``row[key]``, dropping the key when the sum is zero."""
+    s = row.get(key, 0) + value
+    if s:
+        row[key] = s
+    elif key in row:
+        del row[key]
+
+
 def _mat_add(a: Matrix, b: Matrix) -> Matrix:
     out: Matrix = {w: dict(cols) for w, cols in a.items()}
     for w, cols in b.items():
         row = out.setdefault(w, {})
         for u, c in cols.items():
-            s = row.get(u, 0) + c
-            if s:
-                row[u] = s
-            elif u in row:
-                del row[u]
+            _acc(row, u, c)
     return {w: cols for w, cols in out.items() if cols}
 
 
@@ -233,11 +242,7 @@ def _mat_compose(first: Matrix, second: Matrix) -> Matrix:
         row: Dict[Word, NovikovSeries] = {}
         for v, c in cols.items():
             for u, c2 in second.get(v, {}).items():
-                s = row.get(u, 0) + c * c2
-                if s:
-                    row[u] = s
-                elif u in row:
-                    del row[u]
+                _acc(row, u, c * c2)
         if row:
             out[w] = row
     return out
@@ -276,13 +281,10 @@ class FloerComplex:
     def modulus(self) -> int:
         return self.datum.modulus
 
-    def mu(self, word: Word) -> int:
-        gens = _gen_map(self.datum)
-        return _word_mu(word, gens)
-
-    def grade(self, word: Word) -> int:
-        gens = _gen_map(self.datum)
-        return _grade(_word_mu(word, gens) + len(word), self.datum.modulus)
+    @cached_property
+    def _gens(self) -> Dict[str, Generator]:
+        # assemble_differential validated the generators already
+        return {g.id: g for g in self.datum.generators}
 
 
 def assemble_differential(d: AInftyDatum) -> FloerComplex:
@@ -294,10 +296,9 @@ def assemble_differential(d: AInftyDatum) -> FloerComplex:
     """
     gens = _gen_map(d)
     _validate_entries(d.tensors, gens, gens, lambda w: 2 - w, d.modulus,
-                      "structure tensor")
+                      d.ring, "structure tensor")
     tindex = _tensor_index(d.tensors)
     words = enumerate_words(d)
-    word_set = set(words)
     matrix: Matrix = {}
     for word in words:
         q = len(word)
@@ -310,13 +311,7 @@ def assemble_differential(d: AInftyDatum) -> FloerComplex:
                     prefix_mu = _word_mu(word[:i - 1], gens)
                     exp = q * w + i * (w - 1) + w * prefix_mu
                     out_word = word[:i - 1] + (entry.output,) + word[i - 1 + w:]
-                    assert out_word in word_set
-                    c = entry.coeff.scale(-1 if exp % 2 else 1)
-                    s = row.get(out_word, 0) + c
-                    if s:
-                        row[out_word] = s
-                    elif out_word in row:
-                        del row[out_word]
+                    _acc(row, out_word, entry.coeff.scale(-1 if exp % 2 else 1))
         if row:
             matrix[word] = row
     return FloerComplex(d, words, matrix)
@@ -429,20 +424,28 @@ def _dual_word(word: Word) -> Word:
     return tuple(reversed(word))
 
 
-def _elementary_duals(c: FloerComplex) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
+def _elementary_duals(a: Matrix) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
     """Dual values on single generators: transposed one-output components."""
     out: Dict[str, List[Tuple[Word, NovikovSeries]]] = {}
-    for win, cols in c.differential.items():
+    for win, cols in a.items():
         for wout, coeff in cols.items():
             if len(wout) == 1:
                 out.setdefault(wout[0], []).append((_dual_word(win), coeff))
     return out
 
 
+def _dual_transpose(a: Matrix) -> Matrix:
+    """The transpose read on dual words: entry w -> u lands at u* -> w*."""
+    out: Matrix = {}
+    for win, wout, coeff in _mat_entries(a):
+        out.setdefault(_dual_word(wout), {})[_dual_word(win)] = coeff
+    return out
+
+
 def validate_axioms_A(c: FloerComplex) -> dict:
     """Check substring closure, degree bookkeeping, and the dual Leibniz
     expansion of the differential against its transpose."""
-    gens = _gen_map(c.datum)
+    gens = c._gens
     word_set = set(c.words)
     # A1: every contiguous subchain of a basis word is again a basis word.
     a1 = True
@@ -464,10 +467,7 @@ def validate_axioms_A(c: FloerComplex) -> dict:
     # elementary dual values into every slot with sign
     # (-1)^((i-1)w + Q - i) and the graded factor of the block against
     # the dual factors to its right.
-    transpose: Matrix = {}
-    for win, wout, coeff in _mat_entries(c.differential):
-        transpose.setdefault(_dual_word(wout), {})[_dual_word(win)] = coeff
-    eduals = _elementary_duals(c)
+    eduals = _elementary_duals(c.differential)
     predicted: Matrix = {}
     for word in c.words:
         dword = _dual_word(word)
@@ -478,15 +478,12 @@ def validate_axioms_A(c: FloerComplex) -> dict:
             for chunk, coeff in eduals.get(dword[i - 1], ()):
                 w = len(chunk)
                 exp = (i - 1) * w + (qq - i) + w * suffix_mu
-                out = dword[:i - 1] + chunk + dword[i:]
-                s = row.get(out, 0) + coeff.scale(-1 if exp % 2 else 1)
-                if s:
-                    row[out] = s
-                elif out in row:
-                    del row[out]
+                _acc(row, dword[:i - 1] + chunk + dword[i:],
+                     coeff.scale(-1 if exp % 2 else 1))
         if row:
             predicted[dword] = row
-    defect = _mat_add(transpose, _mat_scale(predicted, -1))
+    defect = _mat_add(_dual_transpose(c.differential),
+                      _mat_scale(predicted, -1))
     a3 = _mat_is_zero(defect)
     return {
         "a1": a1,
@@ -507,37 +504,64 @@ def identity_continuation(c: FloerComplex) -> MapDatum:
                             for g in c.datum.generators))
 
 
-def _compositions(total: int) -> Iterable[Tuple[int, ...]]:
-    """All ordered tuples of positive integers with the given sum."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
+def _expand(source: FloerComplex, index, k_index=None, after=None):
+    """Tensor-expand elementary blocks over every word of ``source``.
 
+    Each word is cut into consecutive blocks from left to right, only
+    through input chains found in the tensor indices; every block applies
+    one entry, and the sign is built one block at a time.  With D the sum
+    of (w-1) over the blocks already placed and m the index sum of the
+    factors to the block's left, an arity-w block adds to the exponent
 
-def _apply_blocks(word, parts, block_entries, block_parities, gens):
-    """Evaluate a tensor product of blocks on ``word``.
+    - D + (w+1)m for a continuation block (``index`` alone);
+    - 1 + D + (w+1)m for a block of ``index`` (h0) left of the homotopy
+      block, or of ``after`` (h1) right of it;
+    - 1 + w*m for the single homotopy block from ``k_index``: its two D
+      terms cancel mod 2.
 
-    ``block_entries[j]`` lists (output id, coeff) for block j's input
-    subchain; yields (output word, sign exponent, coefficient product).
-    Each block contributes its parity times the index sum of the
-    factors to its left.
+    Summed over the blocks these are the multiplihedron boundary
+    parities with the graded evaluation factors.  Yields (input word,
+    output word, signed coefficient product).
     """
-    offsets = [0]
-    for p in parts:
-        offsets.append(offsets[-1] + p)
-    koszul = 0
-    for j, parity in enumerate(block_parities):
-        if parity % 2:
-            koszul += _word_mu(word[:offsets[j]], gens)
-    for combo in itertools.product(*block_entries):
-        out = tuple(e.output for e in combo)
-        coeff = combo[0].coeff
-        for e in combo[1:]:
-            coeff = coeff * e.coeff
-        yield out, koszul % 2, coeff
+    hom = int(k_index is not None)
+    for word in source.words:
+        q = len(word)
+        prefix = [0]
+        for g in word:
+            prefix.append(prefix[-1] + source._gens[g].mu)
+        found: List[Tuple[Word, NovikovSeries]] = []
+
+        def walk(pos, d, exp, out, coeff, blocks, k_blocks):
+            if pos == q:
+                if k_blocks is None:
+                    found.append((out, coeff.scale(-1 if exp % 2 else 1)))
+                return
+            m = prefix[pos]
+            for end in range(pos + 1, q + 1):
+                block, w = word[pos:end], end - pos
+                for e in blocks.get(block, ()):
+                    walk(end, d + w - 1, exp + hom + d + (w + 1) * m,
+                         out + (e.output,),
+                         e.coeff if coeff is None else coeff * e.coeff,
+                         blocks, k_blocks)
+                if k_blocks is not None:
+                    for e in k_blocks.get(block, ()):
+                        walk(end, d + w - 1, exp + 1 + w * m,
+                             out + (e.output,),
+                             e.coeff if coeff is None else coeff * e.coeff,
+                             after, None)
+
+        walk(0, 0, 0, (), None, index, k_index)
+        for out, coeff in found:
+            yield word, out, coeff
+
+
+def _expand_matrix(source: FloerComplex, index, k_index=None,
+                   after=None) -> Matrix:
+    out: Matrix = {}
+    for word, oword, coeff in _expand(source, index, k_index, after):
+        _acc(out.setdefault(word, {}), oword, coeff)
+    return {w: row for w, row in out.items() if row}
 
 
 def assemble_continuation(c: FloerComplex, c_prime: FloerComplex,
@@ -548,49 +572,15 @@ def assemble_continuation(c: FloerComplex, c_prime: FloerComplex,
     (-1)^(sum_j (r-j)(w_j-1)) and graded evaluation factors; an arity-w
     entry must shift the index by 1-w.
     """
-    gens = _gen_map(c.datum)
-    gens_p = _gen_map(c_prime.datum)
-    _validate_entries(h.h, gens_p, gens, lambda w: 1 - w, c.modulus,
-                      "continuation tensor")
-    hindex = _tensor_index(h.h)
-    out: Matrix = {}
-    target_words = set(c.words)
-    for word in c_prime.words:
-        qq = len(word)
-        row: Dict[Word, NovikovSeries] = {}
-        for parts in _compositions(qq):
-            r = len(parts)
-            offsets = [0]
-            for p in parts:
-                offsets.append(offsets[-1] + p)
-            blocks = [hindex.get(word[offsets[j]:offsets[j + 1]], ())
-                      for j in range(r)]
-            if any(not b for b in blocks):
-                continue
-            base = sum((r - j) * (parts[j - 1] - 1) for j in range(1, r + 1))
-            parities = [p + 1 for p in parts]
-            for oword, koszul, coeff in _apply_blocks(word, parts, blocks,
-                                                      parities, gens_p):
-                assert oword in target_words
-                exp = (base + koszul) % 2
-                s = row.get(oword, 0) + coeff.scale(-1 if exp else 1)
-                if s:
-                    row[oword] = s
-                elif oword in row:
-                    del row[oword]
-        if row:
-            out[word] = row
-    return out
+    _validate_entries(h.h, c_prime._gens, c._gens, lambda w: 1 - w,
+                      c.modulus, c.datum.ring, "continuation tensor")
+    return _expand_matrix(c_prime, _tensor_index(h.h))
 
 
 def _remh_predicted(c, c_prime, fmat):
     """Dual expansion of a continuation from its one-output components."""
-    gens_p = _gen_map(c_prime.datum)
-    eduals: Dict[str, List[Tuple[Word, NovikovSeries]]] = {}
-    for win, cols in fmat.items():
-        for wout, coeff in cols.items():
-            if len(wout) == 1:
-                eduals.setdefault(wout[0], []).append((_dual_word(win), coeff))
+    gens_p = c_prime._gens
+    eduals = _elementary_duals(fmat)
     predicted: Matrix = {}
     for word in c.words:
         dword = _dual_word(word)
@@ -609,12 +599,8 @@ def _remh_predicted(c, c_prime, fmat):
             coeff = choices[0][1]
             for _, cf in choices[1:]:
                 coeff = coeff * cf
-            out = tuple(g for ch in chunks for g in ch)
-            s = row.get(out, 0) + coeff.scale(-1 if exp % 2 else 1)
-            if s:
-                row[out] = s
-            elif out in row:
-                del row[out]
+            _acc(row, tuple(g for ch in chunks for g in ch),
+                 coeff.scale(-1 if exp % 2 else 1))
         if row:
             predicted[dword] = row
     return predicted
@@ -629,10 +615,7 @@ def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
     defect = _mat_add(lhs, _mat_scale(rhs, -1))
     ok = _mat_is_zero(defect)
     # dual-side expansion agrees with the transpose (product rule check)
-    transpose: Matrix = {}
-    for win, wout, coeff in _mat_entries(fmat):
-        transpose.setdefault(_dual_word(wout), {})[_dual_word(win)] = coeff
-    dual_defect = _mat_add(transpose,
+    dual_defect = _mat_add(_dual_transpose(fmat),
                            _mat_scale(_remh_predicted(c, c_prime, fmat), -1))
     return {
         "chain_map": ok,
@@ -653,52 +636,10 @@ def assemble_homotopy(c: FloerComplex, c_prime: FloerComplex,
     blocks of ``h0`` on its left and ``h1`` on its right, with sign
     (-1)^(r + sum_j (r-j)(w_j-1) + sum_{j<i} (w_j-1)) on r blocks.
     """
-    gens = _gen_map(c.datum)
-    gens_p = _gen_map(c_prime.datum)
-    _validate_entries(k.k, gens_p, gens, lambda w: -w, c.modulus,
-                      "homotopy tensor")
-    h0index = _tensor_index(h0.h)
-    h1index = _tensor_index(h1.h)
-    kindex = _tensor_index(k.k)
-    target_words = set(c.words)
-    out: Matrix = {}
-    for word in c_prime.words:
-        qq = len(word)
-        row: Dict[Word, NovikovSeries] = {}
-        for parts in _compositions(qq):
-            r = len(parts)
-            offsets = [0]
-            for p in parts:
-                offsets.append(offsets[-1] + p)
-            for i in range(1, r + 1):
-                blocks = []
-                for j in range(1, r + 1):
-                    sub = word[offsets[j - 1]:offsets[j]]
-                    if j < i:
-                        blocks.append(h0index.get(sub, ()))
-                    elif j == i:
-                        blocks.append(kindex.get(sub, ()))
-                    else:
-                        blocks.append(h1index.get(sub, ()))
-                if any(not b for b in blocks):
-                    continue
-                base = r + sum((r - j) * (parts[j - 1] - 1)
-                               for j in range(1, r + 1))
-                base += sum(parts[j - 1] - 1 for j in range(1, i))
-                parities = [(p + 1 if j + 1 != i else p)
-                            for j, p in enumerate(parts)]
-                for oword, koszul, coeff in _apply_blocks(
-                        word, parts, blocks, parities, gens_p):
-                    assert oword in target_words
-                    exp = (base + koszul) % 2
-                    s = row.get(oword, 0) + coeff.scale(-1 if exp else 1)
-                    if s:
-                        row[oword] = s
-                    elif oword in row:
-                        del row[oword]
-        if row:
-            out[word] = row
-    return out
+    _validate_entries(k.k, c_prime._gens, c._gens, lambda w: -w, c.modulus,
+                      c.datum.ring, "homotopy tensor")
+    return _expand_matrix(c_prime, _tensor_index(h0.h), _tensor_index(k.k),
+                          _tensor_index(h1.h))
 
 
 def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
@@ -709,13 +650,11 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
     has a chance to hold: its arity-w entries are forced by the
     one-output components, which only involve lower arities of h1.
     """
-    gens = _gen_map(c.datum)
-    gens_p = _gen_map(c_prime.datum)
+    f0 = assemble_continuation(c, c_prime, h0)
     h1_entries: List[TensorEntry] = []
     max_arity = max((len(w) for w in c_prime.words), default=0)
     for w in range(1, max_arity + 1):
         partial = MapDatum(h=tuple(h1_entries))
-        f0 = assemble_continuation(c, c_prime, h0)
         kk = assemble_homotopy(c, c_prime, h0, partial, k)
         bracket = _mat_add(_mat_compose(kk, c.differential),
                            _mat_compose(c_prime.differential, kk))
@@ -760,35 +699,15 @@ def compose_continuations(c0: FloerComplex, c1: FloerComplex,
     and the first map to the r outputs, with sign
     (-1)^(sum_t (r-t)(k_t-1)) and the graded evaluation factors.
     """
-    gens1 = _gen_map(c1.datum)
-    gens2 = _gen_map(c2.datum)
+    _validate_entries(h12.h, c2._gens, c1._gens, lambda w: 1 - w,
+                      c1.modulus, c1.datum.ring, "continuation tensor")
+    _validate_entries(h01.h, c1._gens, c0._gens, lambda w: 1 - w,
+                      c0.modulus, c0.datum.ring, "continuation tensor")
     h01index = _tensor_index(h01.h)
-    h12index = _tensor_index(h12.h)
     acc: Dict[Tuple[Word, str], NovikovSeries] = {}
-    for word in c2.words:
-        qq = len(word)
-        for parts in _compositions(qq):
-            r = len(parts)
-            offsets = [0]
-            for p in parts:
-                offsets.append(offsets[-1] + p)
-            blocks = [h12index.get(word[offsets[j]:offsets[j + 1]], ())
-                      for j in range(r)]
-            if any(not b for b in blocks):
-                continue
-            base = sum((r - t) * (parts[t - 1] - 1) for t in range(1, r + 1))
-            parities = [p + 1 for p in parts]
-            for mid_word, koszul, coeff in _apply_blocks(word, parts, blocks,
-                                                         parities, gens2):
-                for outer in h01index.get(mid_word, ()):
-                    exp = (base + koszul) % 2
-                    key = (word, outer.output)
-                    c = (coeff * outer.coeff).scale(-1 if exp else 1)
-                    s = acc.get(key, 0) + c
-                    if s:
-                        acc[key] = s
-                    elif key in acc:
-                        del acc[key]
+    for word, mid_word, coeff in _expand(c2, _tensor_index(h12.h)):
+        for outer in h01index.get(mid_word, ()):
+            _acc(acc, (word, outer.output), coeff * outer.coeff)
     entries = tuple(TensorEntry(w, g, c)
                     for (w, g), c in sorted(acc.items()))
     return MapDatum(h=entries)
@@ -809,6 +728,16 @@ def check_composition(c0: FloerComplex, c1: FloerComplex, c2: FloerComplex,
         "entries": len(composite.h),
         "defects": [] if ok else _entry_report(defect),
     }
+
+
+def _compositions(total: int) -> Iterable[Tuple[int, ...]]:
+    """All ordered tuples of positive integers with the given sum."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
 
 
 def composition_sign_identity(q_max: int = 4) -> dict:
@@ -1022,7 +951,7 @@ def extend_augmentation(c: FloerComplex, a: Augmentation) -> Dict[Word, NovikovS
 
     The word value carries the sign (-1)^(sum_i (q-i) mu(lambda_i)).
     """
-    gens = _gen_map(c.datum)
+    gens = c._gens
     zero_ring = c.datum.ring
     out: Dict[Word, NovikovSeries] = {}
     for word in c.words:
@@ -1064,7 +993,7 @@ def check_augmentation(c: FloerComplex, a: Augmentation,
     augmentation is composed with the assembled continuation out of
     that complex and must again satisfy both conditions there.
     """
-    gens = _gen_map(c.datum)
+    gens = c._gens
     for gid, value in a.values.items():
         if gid not in gens:
             raise ValueError(f"augmentation value on unknown generator {gid!r}")
@@ -1121,7 +1050,7 @@ def euler_characteristic(c: FloerComplex) -> int:
             "euler characteristic needs a mod-two grading")
     if c.datum.l != 1:
         raise ValueError("euler characteristic is defined for a single pair")
-    gens = _gen_map(c.datum)
+    gens = c._gens
     total = 0
     for word in c.words:
         total += -1 if (_word_mu(word, gens) + len(word)) % 2 else 1
@@ -1226,7 +1155,7 @@ def cohomology(c: FloerComplex, ring: str = "Z") -> dict:
     if ring not in ("Z", "Q"):
         raise ValueError("ring must be 'Z' or 'Q'")
     integral = ring == "Z"
-    gens = _gen_map(c.datum)
+    gens = c._gens
     n = c.modulus
     classes: Dict[int, List[Word]] = {}
     for word in c.words:

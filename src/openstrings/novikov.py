@@ -17,21 +17,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Tuple, Union
 
 __all__ = [
     "NovikovSeries",
-    "RankOneModule",
-    "ModuleElement",
     "NotAUnit",
     "ParseError",
     "add",
     "mul",
     "valuation",
     "invert",
-    "coefficient_value",
     "parse_series",
     "format_series",
 ]
@@ -303,54 +299,6 @@ def invert(a: NovikovSeries, cutoff: ExponentLike) -> NovikovSeries:
                             ring=a.ring)
     return NovikovSeries(tuple(t for t in shifted.terms if t[0] < body_cut),
                          ring=a.ring, cutoff=a.cutoff)
-
-
-# ---------------------------------------------------------------------------
-# rank-one local-coefficient modules
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RankOneModule:
-    """A free rank-one module presented by two generators g, g-bar with
-    g + g-bar = 0.  ``flipped`` selects which of the two is "the" generator;
-    flipping twice is the identity and negates every coefficient expression.
-    """
-
-    generator_label: str
-    flipped: bool = False
-
-    def flip(self) -> "RankOneModule":
-        return RankOneModule(self.generator_label, not self.flipped)
-
-
-@dataclass(frozen=True)
-class ModuleElement:
-    """A series coefficient attached to a module generator label."""
-
-    series: NovikovSeries
-    generator: str
-
-    def __neg__(self) -> "ModuleElement":
-        return ModuleElement(-self.series, self.generator)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.series == other.series and self.generator == other.generator
-
-
-def coefficient_value(m: RankOneModule, energy: ExponentLike,
-                      sign_choice: bool = True) -> ModuleElement:
-    """The element (+-1) * t^energy written in the canonical generator of ``m``.
-
-    ``sign_choice`` picks the sign of the raw element; a flipped module
-    negates the expression (the two generators satisfy g + g-bar = 0).
-    """
-    sign = 1 if sign_choice else -1
-    if m.flipped:
-        sign = -sign
-    series = NovikovSeries.monomial(sign, energy, ring="Z")
-    return ModuleElement(series, m.generator_label)
 
 
 # ---------------------------------------------------------------------------

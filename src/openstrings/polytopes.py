@@ -233,12 +233,13 @@ def _painted_trees(l: int) -> tuple:
 
 def _max_l(polytope: str) -> int:
     env = os.environ.get(_BUDGET_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return _DEFAULT_MAX[polytope]
+    if env is None:
+        return _DEFAULT_MAX[polytope]
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(
+            f"{_BUDGET_ENV} must be an integer, got {env!r}") from None
 
 
 def _check_polytope(polytope: str) -> str:

@@ -3,8 +3,11 @@ conjugate, and an augmentation example reused across the suite."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+import openstrings
 from openstrings.ainfty import (
     AInftyDatum,
     Augmentation,
@@ -24,6 +27,16 @@ def S(text):
 
 def T(inputs, output, coeff=ONE):
     return TensorEntry(tuple(inputs), output, coeff)
+
+
+def child_env(**extra) -> dict:
+    """Environment for a subprocess: PATH, the import path of the
+    openstrings copy this process imported, and ``extra``; nothing else
+    from the caller leaks in."""
+    env = {"PATH": "/usr/bin:/bin",
+           "PYTHONPATH": str(Path(openstrings.__file__).resolve().parents[1])}
+    env.update(extra)
+    return env
 
 
 def make_chain_datum() -> AInftyDatum:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from openstrings.ainfty import (
@@ -448,3 +451,262 @@ def test_entry_validation():
         assemble_differential(AInftyDatum(
             l=1, generators=gens,
             tensors=(T(["y"], "x"),), modulus=0))
+
+
+# ---------------------------------------------------------------------------
+# input validation at the boundary
+
+
+def test_compose_validates_both_inputs():
+    # a continuation entry must keep the index (shift 1 - w = 0 at arity
+    # one); x -> y raises it by one
+    gens = (Generator("x", 0, 1, 0), Generator("y", 0, 1, 1))
+    c = assemble_differential(AInftyDatum(l=1, generators=gens, tensors=()))
+    ident = identity_continuation(c)
+    bad = MapDatum(h=(T(["x"], "y"),))
+    with pytest.raises(DegreeViolation, match="continuation tensor"):
+        compose_continuations(c, c, c, ident, bad)
+    with pytest.raises(DegreeViolation, match="continuation tensor"):
+        compose_continuations(c, c, c, bad, ident)
+    assert compose_continuations(c, c, c, ident, ident).h == ident.h
+
+
+def test_tensor_weights_must_lie_in_the_datum_ring():
+    # built through the API: Q weights on a datum over Z used to assemble,
+    # then die inside the elimination with "mixed coefficient rings"
+    gens = (Generator("x1", 0, 1, 0), Generator("x2", 0, 1, 0),
+            Generator("y1", 0, 1, 1), Generator("y2", 0, 1, 1))
+    q_one = NovikovSeries.one(ring="Q")
+    tensors = (T(["x1"], "y1", q_one), T(["x2"], "y1", q_one),
+               T(["x2"], "y2", q_one))
+    datum = AInftyDatum(l=1, generators=gens, tensors=tensors, ring="Z")
+    with pytest.raises(ValueError, match=r"\('x1',\)->y1 .* over Q"):
+        assemble_differential(datum)
+    over_q = AInftyDatum(l=1, generators=gens, tensors=tensors, ring="Q")
+    assert cohomology(assemble_differential(over_q), ring="Q")[
+        "total_rank"] == 0
+    c = assemble_differential(AInftyDatum(l=1, generators=gens, tensors=()))
+    with pytest.raises(ValueError, match="continuation tensor"):
+        assemble_continuation(c, c, MapDatum(h=(T(["x1"], "x1", q_one),)))
+    with pytest.raises(ValueError, match="homotopy tensor"):
+        assemble_homotopy(c, c, identity_continuation(c),
+                          identity_continuation(c),
+                          MapDatum(k=(T(["y1"], "x1", q_one),)))
+
+
+# ---------------------------------------------------------------------------
+# the block-expansion kernel against the composition-by-composition
+# expansion it replaced
+
+
+def _ref_compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _ref_compositions(total - first):
+            yield (first,) + rest
+
+
+def _ref_apply_blocks(word, parts, block_entries, block_parities, gens):
+    offsets = [0]
+    for p in parts:
+        offsets.append(offsets[-1] + p)
+    koszul = 0
+    for j, parity in enumerate(block_parities):
+        if parity % 2:
+            koszul += sum(gens[g].mu for g in word[:offsets[j]])
+    for combo in itertools.product(*block_entries):
+        out = tuple(e.output for e in combo)
+        coeff = combo[0].coeff
+        for e in combo[1:]:
+            coeff = coeff * e.coeff
+        yield out, koszul % 2, coeff
+
+
+def _ref_accumulate(row, key, value):
+    s = row.get(key, 0) + value
+    if s:
+        row[key] = s
+    elif key in row:
+        del row[key]
+
+
+def _ref_continuation(c_prime, h):
+    gens_p = _gen_index(c_prime.datum)
+    hindex = {}
+    for e in h.h:
+        hindex.setdefault(e.inputs, []).append(e)
+    out = {}
+    for word in c_prime.words:
+        row = {}
+        for parts in _ref_compositions(len(word)):
+            r = len(parts)
+            offsets = [0]
+            for p in parts:
+                offsets.append(offsets[-1] + p)
+            blocks = [hindex.get(word[offsets[j]:offsets[j + 1]], ())
+                      for j in range(r)]
+            if any(not b for b in blocks):
+                continue
+            base = sum((r - j) * (parts[j - 1] - 1) for j in range(1, r + 1))
+            parities = [p + 1 for p in parts]
+            for oword, koszul, coeff in _ref_apply_blocks(
+                    word, parts, blocks, parities, gens_p):
+                exp = (base + koszul) % 2
+                _ref_accumulate(row, oword, coeff.scale(-1 if exp else 1))
+        if row:
+            out[word] = row
+    return out
+
+
+def _ref_homotopy(c_prime, h0, h1, k):
+    gens_p = _gen_index(c_prime.datum)
+    index = {}
+    for name, entries in (("h0", h0.h), ("h1", h1.h), ("k", k.k)):
+        for e in entries:
+            index.setdefault((name, e.inputs), []).append(e)
+    out = {}
+    for word in c_prime.words:
+        row = {}
+        for parts in _ref_compositions(len(word)):
+            r = len(parts)
+            offsets = [0]
+            for p in parts:
+                offsets.append(offsets[-1] + p)
+            for i in range(1, r + 1):
+                blocks = []
+                for j in range(1, r + 1):
+                    name = "h0" if j < i else "k" if j == i else "h1"
+                    blocks.append(index.get(
+                        (name, word[offsets[j - 1]:offsets[j]]), ()))
+                if any(not b for b in blocks):
+                    continue
+                base = r + sum((r - j) * (parts[j - 1] - 1)
+                               for j in range(1, r + 1))
+                base += sum(parts[j - 1] - 1 for j in range(1, i))
+                parities = [(p + 1 if j + 1 != i else p)
+                            for j, p in enumerate(parts)]
+                for oword, koszul, coeff in _ref_apply_blocks(
+                        word, parts, blocks, parities, gens_p):
+                    exp = (base + koszul) % 2
+                    _ref_accumulate(row, oword, coeff.scale(-1 if exp else 1))
+        if row:
+            out[word] = row
+    return out
+
+
+def _ref_compose(c2, h01, h12):
+    gens2 = _gen_index(c2.datum)
+    h01index, h12index = {}, {}
+    for e in h01.h:
+        h01index.setdefault(e.inputs, []).append(e)
+    for e in h12.h:
+        h12index.setdefault(e.inputs, []).append(e)
+    acc = {}
+    for word in c2.words:
+        for parts in _ref_compositions(len(word)):
+            r = len(parts)
+            offsets = [0]
+            for p in parts:
+                offsets.append(offsets[-1] + p)
+            blocks = [h12index.get(word[offsets[j]:offsets[j + 1]], ())
+                      for j in range(r)]
+            if any(not b for b in blocks):
+                continue
+            base = sum((r - t) * (parts[t - 1] - 1) for t in range(1, r + 1))
+            parities = [p + 1 for p in parts]
+            for mid_word, koszul, coeff in _ref_apply_blocks(
+                    word, parts, blocks, parities, gens2):
+                for outer in h01index.get(mid_word, ()):
+                    exp = (base + koszul) % 2
+                    _ref_accumulate(acc, (word, outer.output),
+                                    (coeff * outer.coeff).scale(-1 if exp else 1))
+    return tuple(TensorEntry(w, g, c) for (w, g), c in sorted(acc.items()))
+
+
+def _assert_kernel_matches(c0, c1, c2, h01, h12, h0, h1, k):
+    """Continuation, homotopy and composite of the kernel equal the
+    reference expansion on the given data."""
+    fmat = assemble_continuation(c0, c1, h01)
+    assert fmat == _ref_continuation(c1, h01)
+    assert assemble_continuation(c1, c2, h12) == _ref_continuation(c2, h12)
+    kk = assemble_homotopy(c0, c1, h0, h1, k)
+    assert kk == _ref_homotopy(c1, h0, h1, k)
+    composite = compose_continuations(c0, c1, c2, h01, h12)
+    assert composite.h == _ref_compose(c2, h01, h12)
+    return fmat, kk, composite
+
+
+def test_kernel_matches_reference_on_fixtures(chain_datum, conjugated_datum,
+                                              chain_units):
+    c0 = assemble_differential(chain_datum)
+    c1 = assemble_differential(conjugated_datum)
+    gens = chain_datum.generators
+    h01 = MapDatum(h=diagonal_map(chain_datum, chain_units).h + (
+        T(["g01", "g12"], "z02", S("t^4")),
+        T(["g12", "g23"], "z13", S("-t^1"))))
+    h12 = MapDatum(h=tuple(T([g.id], g.id, ONE) for g in gens) + (
+        T(["g12", "g23"], "z13", S("-2t^1")),
+        T(["g01", "g12"], "z02", S("7t^0"))))
+    k = MapDatum(k=(T(["ap"], "a"), T(["cp"], "c", S("5t^1")),
+                    T(["g01", "g12"], "w02")))
+    h0 = identity_continuation(c0)
+    h1 = homotopic_map(c0, c0, h0, k)
+    fmat, kk, composite = _assert_kernel_matches(
+        c0, c1, c1, h01, h12, h0, h1, k)
+    assert fmat and kk and composite.h
+    assert assemble_homotopy(c0, c0, h0, h1, k) == _ref_homotopy(c0, h0, h1, k)
+
+
+def _random_case(rng, l):
+    """Three unit conjugates of one random datum and random map data.
+
+    Generator a_ij has index f(j) - f(i) + 1, so every composable pair
+    (a_ij, a_jk) may map to a_ik (continuation, shift -1) or to b_ik
+    (homotopy, shift -2); b_ij has index one less than a_ij and the
+    structure tensor b_ij -> a_ij."""
+    f = [rng.randint(-2, 2) for _ in range(l + 1)]
+    pairs = [(i, j) for i in range(l + 1) for j in range(i + 1, l + 1)]
+    gens, tensors, has_b = [], [], set()
+    for i, j in pairs:
+        gens.append(Generator(f"a{i}{j}", i, j, f[j] - f[i] + 1))
+        if rng.random() < 0.5:
+            has_b.add((i, j))
+            gens.append(Generator(f"b{i}{j}", i, j, f[j] - f[i]))
+            tensors.append(T([f"b{i}{j}"], f"a{i}{j}", _random_unit(rng)))
+    base = AInftyDatum(l=l, generators=tuple(gens), tensors=tuple(tensors))
+    triples = [(i, j, k) for i, j in pairs for k in range(j + 1, l + 1)]
+
+    def units():
+        return {g.id: _random_unit(rng) for g in gens}
+
+    def continuation():
+        extra = tuple(T([f"a{i}{j}", f"a{j}{k}"], f"a{i}{k}", _random_unit(rng))
+                      for i, j, k in rng.sample(triples, min(4, len(triples))))
+        return MapDatum(h=diagonal_map(base, units()).h + extra)
+
+    datums = [base] + [conjugate_datum(base, units()) for _ in range(2)]
+    c0, c1, c2 = (assemble_differential(d) for d in datums)
+    k = MapDatum(k=tuple(
+        T([f"a{i}{j}"], f"b{i}{j}", _random_unit(rng))
+        for i, j in sorted(has_b) if rng.random() < 0.5) + tuple(
+        T([f"a{i}{j}", f"a{j}{k}"], f"b{i}{k}", _random_unit(rng))
+        for i, j, k in triples if (i, k) in has_b and rng.random() < 0.3))
+    h01, h12, h0, h1 = (continuation() for _ in range(4))
+    return c0, c1, c2, h01, h12, h0, h1, k
+
+
+def _random_unit(rng):
+    sign = rng.choice(("", "-"))
+    return S(f"{sign}{rng.choice(('', '2', '3'))}t^{rng.randint(-2, 3)}"
+             f"/{rng.choice((1, 2, 3))}")
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 6])
+def test_kernel_matches_reference_on_random_corpus(l):
+    rng = random.Random(8100 + l)
+    for _ in range(2):
+        fmat, kk, composite = _assert_kernel_matches(*_random_case(rng, l))
+        assert any(len(u) < len(w) for w, row in fmat.items() for u in row)
+        assert any(e.arity > 1 for e in composite.h)

@@ -21,7 +21,14 @@ from openstrings.ainfty import (
 )
 from openstrings.novikov import format_series
 
-from conftest import CHAIN_UNITS, ONE, S, conjugate_datum, make_chain_datum
+from conftest import (
+    CHAIN_UNITS,
+    ONE,
+    S,
+    child_env,
+    conjugate_datum,
+    make_chain_datum,
+)
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
@@ -331,6 +338,54 @@ def test_ainfty_augment(tmp_path):
     code, out, _ = run("ainfty", "augment", badpath)
     assert code == FAIL
     assert json.loads(out)["condition_1"] is False
+
+
+def test_ainfty_same_reports_under_optimize(tmp_path, chain_json, conj_json,
+                                            diag_entries, ident_entries):
+    # no check of the library may vanish under ``python -O``: passing,
+    # failing and rejected bundles give the same stdout and exit code
+    c = assemble_differential(make_chain_datum())
+    k = [{"inputs": ["ap"], "output": "a", "coeff": "t^0"}]
+    h1 = homotopic_map(c, c, identity_continuation(c),
+                       MapDatum(k=(TensorEntry(("ap",), "a", ONE),)))
+    broken = json.loads(json.dumps(chain_json))
+    for e in broken["tensors"]:
+        if e["output"] == "g03" and e["inputs"][0] == "g02":
+            e["coeff"] = "-3t^2"
+    bad_sign = [dict(e, coeff="-" + e["coeff"]) if e["output"] == "g12"
+                else e for e in diag_entries]
+    raising = [{"inputs": ["a"], "output": "ap", "coeff": "t^0"}]
+    cases = [
+        ("check", chain_json, PASS),
+        ("check", broken, FAIL),
+        ("map", {"source": conj_json, "target": chain_json,
+                 "map": diag_entries}, PASS),
+        ("map", {"source": conj_json, "target": chain_json,
+                 "map": bad_sign}, FAIL),
+        ("map", {"source": chain_json, "target": chain_json,
+                 "map": raising}, BAD_INPUT),
+        ("homotopy", {"source": chain_json, "target": chain_json,
+                      "h0": ident_entries, "h1": _entries_json(h1.h),
+                      "k": k}, PASS),
+        ("homotopy", {"source": chain_json, "target": chain_json,
+                      "h0": ident_entries, "h1": ident_entries, "k": k}, FAIL),
+        ("compose", {"c0": chain_json, "c1": conj_json, "c2": conj_json,
+                     "h01": diag_entries, "h12": ident_entries + [
+                         {"inputs": ["g12", "g23"], "output": "z13",
+                          "coeff": "-2t^1"}]}, PASS),
+        ("compose", {"c0": chain_json, "c1": chain_json, "c2": chain_json,
+                     "h01": ident_entries, "h12": raising}, BAD_INPUT),
+    ]
+    for n, (action, bundle, code) in enumerate(cases):
+        path = write(tmp_path, f"bundle{n}.json", bundle)
+        results = [
+            subprocess.run([sys.executable, *flags, "-m", "openstrings.cli",
+                            "ainfty", action, path], env=child_env(),
+                           capture_output=True, text=True)
+            for flags in ([], ["-O"])]
+        plain, optimized = ((r.returncode, r.stdout) for r in results)
+        assert plain[0] == code, (action, n, results[0].stderr)
+        assert optimized == plain, (action, n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openstrings.novikov import (
-    ModuleElement,
     NotAUnit,
     NovikovSeries,
     ParseError,
-    RankOneModule,
     add,
-    coefficient_value,
     format_series,
     invert,
     mul,
@@ -197,20 +194,3 @@ def test_terms_sorted_and_leading():
     assert exps == sorted(exps)
     assert a.terms[0] == (Fraction(0), 5)
 
-
-class TestRankOneModule:
-    def test_flip_is_involution(self):
-        m = RankOneModule("g")
-        assert m.flip().flip() == m
-
-    def test_flip_negates_expression(self):
-        m = RankOneModule("g")
-        for sign_choice in (True, False):
-            e = coefficient_value(m, Fraction(1, 2), sign_choice)
-            f = coefficient_value(m.flip(), Fraction(1, 2), sign_choice)
-            assert f == -e
-            assert e.generator == f.generator == "g"
-
-    def test_module_element_negation(self):
-        m = ModuleElement(NovikovSeries.one(ring="Z"), "g")
-        assert (-(-m)) == m

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import openstrings
+from openstrings import cli
 from openstrings.polytopes import (
     UnsupportedL,
     assoc_facet_parity,
@@ -23,6 +22,8 @@ from openstrings.polytopes import (
     serialize_face,
     signed_boundary,
 )
+
+from conftest import child_env
 
 
 def _ballot_count(m: int) -> int:
@@ -173,9 +174,8 @@ def _run_capped(cap: str) -> subprocess.CompletedProcess:
     this process imported."""
     code = ("from openstrings import polytopes as P\n"
             "P.f_vector('K', 7)\n")
-    env = {"OPENSTRINGS_MAX_L": cap, "PATH": "/usr/bin:/bin",
-           "PYTHONPATH": str(Path(openstrings.__file__).resolve().parents[1])}
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code],
+                          env=child_env(OPENSTRINGS_MAX_L=cap),
                           capture_output=True, text=True)
 
 
@@ -187,3 +187,11 @@ def test_budget_env_cap():
     assert "UnsupportedL" in r.stderr
     ok = _run_capped("7")
     assert ok.returncode == 0, ok.stderr
+
+
+def test_budget_env_malformed(monkeypatch, capsys):
+    monkeypatch.setenv("OPENSTRINGS_MAX_L", "abc")
+    with pytest.raises(ValueError, match="OPENSTRINGS_MAX_L.*'abc'"):
+        f_vector("K", 4)
+    assert cli.main(["polytope", "assoc", "--l", "4"]) == 2
+    assert "invalid input" in capsys.readouterr().err
