@@ -633,11 +633,15 @@ def assemble_homotopy(c: FloerComplex, c_prime: FloerComplex,
     """Assemble the degree -1 operator of a homotopy.
 
     Terms have one arity-w block from ``k`` (index shift -w) framed by
-    blocks of ``h0`` on its left and ``h1`` on its right, with sign
+    blocks of ``h0`` on its left and ``h1`` on its right (continuation
+    entries, index shift 1-w), with sign
     (-1)^(r + sum_j (r-j)(w_j-1) + sum_{j<i} (w_j-1)) on r blocks.
     """
     _validate_entries(k.k, c_prime._gens, c._gens, lambda w: -w, c.modulus,
                       c.datum.ring, "homotopy tensor")
+    for h in (h0, h1):
+        _validate_entries(h.h, c_prime._gens, c._gens, lambda w: 1 - w,
+                          c.modulus, c.datum.ring, "continuation tensor")
     return _expand_matrix(c_prime, _tensor_index(h0.h), _tensor_index(k.k),
                           _tensor_index(h1.h))
 

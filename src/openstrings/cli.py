@@ -107,7 +107,9 @@ def _cmd_maslov(args) -> int:
     report = _mas.rs_index_report(ref, path)
     out = _mas.report_to_json(report)
     try:
-        out["string_index"] = _mas.string_index(path)
+        # without a reference the report is already the one against A(start)
+        out["string_index"] = (_mas.string_index(path) if "reference" in obj
+                               else _mas._string_index(path, report.total))
     except _mas.NonTransverseEndpoints:
         out["string_index"] = None
     si = out["string_index"]

@@ -17,11 +17,15 @@ under concatenation (the two junction halves reassemble an interior
 crossing).
 
 Crossings are handled exactly: determinants of polynomial matrices are
-computed by interpolation, roots are isolated with Sturm chains, and linear
-algebra at an irrational crossing runs over Q[x]/(g) for a squarefree g
-with dynamic splitting of g whenever a zero test requires it.  Signs of
-algebraic numbers are decided by shrinking the isolating interval until the
-quantity has no root inside, then evaluating at a rational endpoint.
+computed by interpolation and roots are isolated with Sturm chains.  A
+crossing at a rational start, end or junction uses linear algebra over Q
+at that point.  A crossing inside a piece is decided without leaving Q:
+its kernel dimension equals the multiplicity m of the root exactly when
+every principal minor of A(t) - B of size n-m+1 .. n-1 vanishes there
+(gcd with the root's squarefree factor, one Sturm count), and then the
+signature of its crossing form is half the jump of the signature of
+A(t) - B between rational points on either side with no other root of
+the determinant in between (Robbin-Salamon).
 
 A crossing is rejected (``DegenerateCrossing``) when det(A(t) - B)
 vanishes identically on a piece, or when the multiplicity of the root does
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -156,19 +162,6 @@ def _pgcd(p: Poly, q: Poly) -> Poly:
     while b:
         a, b = b, _pdivmod(a, b)[1]
     return _pmonic(a)
-
-
-def _pxgcd(p: Poly, q: Poly) -> Tuple[Poly, Poly, Poly]:
-    """Extended gcd: returns (d, s, t) with s*p + t*q = d."""
-    r0, r1 = p, q
-    s0, s1 = _pconst(1), ()
-    t0, t1 = (), _pconst(1)
-    while r1:
-        quo, rem = _pdivmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _psub(s0, _pmul(quo, s1))
-        t0, t1 = t1, _psub(t0, _pmul(quo, t1))
-    return r0, s0, t0
 
 
 def _yun_squarefree(p: Poly) -> List[Tuple[Poly, int]]:
@@ -362,149 +355,6 @@ def _signature_q(G: List[List[Fraction]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over Q[x]/(g) at an isolated root
-# ---------------------------------------------------------------------------
-
-class _RootCtx:
-    """Arithmetic at one real root t* of a squarefree polynomial g, located
-    in the isolating interval (lo, hi].  Zero tests may replace g by the
-    factor still vanishing at t*; sign queries shrink the interval."""
-
-    def __init__(self, g: Poly, lo: Fraction, hi: Fraction):
-        self.g = _pmonic(g)
-        self.lo = lo
-        self.hi = hi
-
-    def reduce(self, h: Poly) -> Poly:
-        return _pdivmod(h, self.g)[1] if len(h) >= len(self.g) else h
-
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return self.reduce(_pmul(a, b))
-
-    def sub(self, a: Poly, b: Poly) -> Poly:
-        return _psub(a, b)
-
-    def neg(self, a: Poly) -> Poly:
-        return _pneg(a)
-
-    def is_zero(self, h: Poly) -> bool:
-        h = self.reduce(h)
-        if not h:
-            return True
-        if len(self.g) == 1:
-            return False
-        c = _pgcd(h, self.g)
-        if len(c) == 1:
-            return False
-        # does t* lie among the roots of c?  c divides g, so it has 0 or 1
-        # roots in the isolating interval.
-        if _sturm_count(c, self.lo, self.hi) == 1:
-            self.g = c
-            return True
-        self.g = _pdivmod(self.g, c)[0]
-        return False
-
-    def inv(self, h: Poly) -> Poly:
-        h = self.reduce(h)
-        d, s, _t = _pxgcd(h, self.g)
-        if len(d) != 1:
-            raise AssertionError("inverting a zero divisor without a split")
-        return self.reduce(_pscale(s, 1 / d[0]))
-
-    def _refine(self) -> None:
-        mid = (self.lo + self.hi) / 2
-        if _peval(self.g, mid) == 0:
-            self.lo = (self.lo + mid) / 2
-            return
-        if _sturm_count(self.g, self.lo, mid) == 1:
-            self.hi = mid
-        else:
-            self.lo = mid
-
-    def sign_at(self, h: Poly) -> int:
-        if self.is_zero(h):
-            return 0
-        h = self.reduce(h)
-        while True:
-            if _peval(h, self.lo) != 0 and _sturm_count(h, self.lo, self.hi) == 0:
-                v = _peval(h, self.hi)
-                return 1 if v > 0 else -1
-            self._refine()
-
-
-def _kernel_ctx(ctx: _RootCtx, M: List[List[Poly]]) -> List[List[Poly]]:
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    R = [[ctx.reduce(e) for e in row] for row in M]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((rr for rr in range(r, rows) if not ctx.is_zero(R[rr][c])), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        inv = ctx.inv(R[r][c])
-        R[r] = [ctx.mul(inv, e) for e in R[r]]
-        for rr in range(rows):
-            if rr != r and not ctx.is_zero(R[rr][c]):
-                f = R[rr][c]
-                R[rr] = [ctx.sub(e, ctx.mul(f, R[r][j]))
-                         for j, e in enumerate(R[rr])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    basis = []
-    one = _pconst(1)
-    for fc in range(cols):
-        if fc in piv_cols:
-            continue
-        v: List[Poly] = [()] * cols
-        v[fc] = one
-        for k, pc in enumerate(piv_cols):
-            v[pc] = ctx.neg(R[k][fc])
-        basis.append(v)
-    return basis
-
-
-def _signature_ctx(ctx: _RootCtx, G: List[List[Poly]]) -> int:
-    k = len(G)
-    A = [[ctx.reduce(e) for e in row] for row in G]
-    sig = 0
-    for i in range(k):
-        if ctx.is_zero(A[i][i]):
-            j = next((jj for jj in range(i + 1, k) if not ctx.is_zero(A[i][jj])), None)
-            if j is None:
-                raise DegenerateCrossing("singular crossing form")
-            for s in (1, -1):
-                cand = _padd(_padd(A[i][i], _pscale(A[i][j], Fraction(2 * s))), A[j][j])
-                if not ctx.is_zero(cand):
-                    sc = _pconst(s)
-                    for col in range(k):
-                        A[i][col] = _padd(A[i][col], ctx.mul(sc, A[j][col]))
-                    for row in range(k):
-                        A[row][i] = _padd(A[row][i], ctx.mul(sc, A[row][j]))
-                    break
-        d = A[i][i]
-        sg = ctx.sign_at(d)
-        if sg == 0:
-            raise DegenerateCrossing("singular crossing form")
-        sig += sg
-        dinv = ctx.inv(d)
-        factors = {}
-        for r in range(i + 1, k):
-            if not ctx.is_zero(A[r][i]):
-                factors[r] = ctx.mul(A[r][i], dinv)
-        for r, f in factors.items():
-            for col in range(i, k):
-                A[r][col] = ctx.sub(A[r][col], ctx.mul(f, A[i][col]))
-        for r in range(i + 1, k):
-            A[r][i] = ()
-            A[i][r] = ()
-    return sig
-
-
-# ---------------------------------------------------------------------------
 # path data
 # ---------------------------------------------------------------------------
 
@@ -522,9 +372,7 @@ class PathPiece:
 
 
 def _as_poly(entry) -> Poly:
-    if isinstance(entry, tuple):
-        return _pnorm([Fraction(c) for c in entry])
-    return _pnorm([Fraction(c) for c in list(entry)])
+    return _pnorm([Fraction(c) for c in entry])
 
 
 def make_piece(start, end, matrix) -> PathPiece:
@@ -655,47 +503,58 @@ def _root_multiplicity(d: Poly, t0: Fraction) -> int:
     return m
 
 
-def _irrational_crossing(piece: PathPiece, Bpoly: List[List[Poly]],
-                         g: Poly, lo: Fraction, hi: Fraction) -> Tuple[int, int]:
-    n = len(piece.matrix)
-    ctx = _RootCtx(g, lo, hi)
-    M = [[ctx.reduce(_psub(piece.matrix[i][j], Bpoly[i][j])) for j in range(n)]
-         for i in range(n)]
-    kernel = _kernel_ctx(ctx, M)
-    k = len(kernel)
-    if k == 0:
-        raise AssertionError("crossing with trivial kernel")
-    Ap = [[ctx.reduce(_pderiv(piece.matrix[i][j])) for j in range(n)]
-          for i in range(n)]
-    G = []
-    for r in range(k):
-        row = []
-        for s in range(k):
-            acc: Poly = ()
-            for u in range(n):
-                if not kernel[r][u]:
-                    continue
-                for v in range(n):
-                    if not kernel[s][v] or not Ap[u][v]:
-                        continue
-                    acc = _padd(acc, ctx.mul(ctx.mul(kernel[r][u], Ap[u][v]),
-                                             kernel[s][v]))
-            row.append(acc)
-        G.append(row)
-    return k, _signature_ctx(ctx, G)
+def _interior_crossing(P: List[List[Poly]], f: Poly, m: int, lo: Fraction,
+                       hi: Fraction, sqf_chain: List[Poly]) -> int:
+    """Signature of the crossing form at the root t* of the squarefree
+    factor f isolated in (lo, hi], where det P has a root of order m;
+    ``sqf_chain`` is the Sturm chain of the squarefree part of det P.
+
+    The kernel dimension k at t* is at most m, with equality exactly when
+    the crossing form is nondegenerate (take the Schur complement onto the
+    kernel).  A symmetric matrix has rank r iff some principal r x r minor
+    is nonzero and no larger one is, so k = m iff every principal minor of
+    P of size n-m+1 .. n-1 vanishes at t* (size n is det P itself).  At
+    such a regular crossing the k small eigenvalues of P(t) change sign
+    with the crossing form, so its signature is half the jump of the
+    signature of P between rational points on either side of t* with no
+    other root of det P between them.
+    """
+    n = len(P)
+    if m > n:
+        raise DegenerateCrossing("singular crossing form")
+    if m > 1:
+        g = f
+        for size in range(n - m + 1, n):
+            for idx in combinations(range(n), size):
+                g = _pgcd(g, _det_poly([[P[i][j] for j in idx] for i in idx]))
+        if _sturm_count(g, lo, hi) != 1:
+            raise DegenerateCrossing("singular crossing form")
+    sqf = sqf_chain[0]
+    chain = _sturm_chain(f)
+    while not (_peval(sqf, lo) and _peval(sqf, hi)
+               and _sturm_count(sqf, lo, hi, sqf_chain) == 1):
+        mid = (lo + hi) / 2
+        if _peval(f, mid) == 0:
+            lo = (lo + mid) / 2
+        elif _sturm_count(f, lo, mid, chain) == 1:
+            hi = mid
+        else:
+            lo = mid
+    before, after = ([[_peval(e, t) for e in row] for row in P]
+                     for t in (lo, hi))
+    return (_signature_q(after) - _signature_q(before)) // 2
 
 
 def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
     n = path.n
     B = _reference_matrix(reference, n)
-    Bpoly = [[_pconst(B[i][j]) for j in range(n)] for i in range(n)]
 
     # per-boundary-point contributions keyed by parameter value
     boundary: Dict[Fraction, List[Tuple[int, int, int]]] = {}
     crossings: List[Crossing] = []
 
     for p_idx, piece in enumerate(path.pieces):
-        P = [[_psub(piece.matrix[i][j], Bpoly[i][j]) for j in range(n)]
+        P = [[_psub(piece.matrix[i][j], _pconst(B[i][j])) for j in range(n)]
              for i in range(n)]
         d = _det_poly(P)
         if not d:
@@ -709,7 +568,10 @@ def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
                     raise DegenerateCrossing(
                         f"root multiplicity {m} != kernel dimension {k} at t={t0}")
                 boundary.setdefault(t0, []).append((p_idx, k, sig))
-        for factor, mult in _yun_squarefree(d):
+        factors = _yun_squarefree(d)
+        sqf_chain = _sturm_chain(
+            reduce(_pmul, (f for f, _m in factors), _pconst(1)))
+        for factor, mult in factors:
             f = factor
             for t0 in (piece.start, piece.end):
                 lin = _pnorm([-t0, Fraction(1)])
@@ -718,11 +580,8 @@ def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
             if len(f) <= 1:
                 continue
             for lo, hi in _isolate_roots(f, piece.start, piece.end):
-                k, sig = _irrational_crossing(piece, Bpoly, f, lo, hi)
-                if mult != k:
-                    raise DegenerateCrossing(
-                        f"root multiplicity {mult} != kernel dimension {k}")
-                crossings.append(Crossing(lo, hi, "interior", k,
+                sig = _interior_crossing(P, f, mult, lo, hi, sqf_chain)
+                crossings.append(Crossing(lo, hi, "interior", mult,
                                           ((Fraction(1), sig),)))
 
     half = Fraction(1, 2)
@@ -754,6 +613,13 @@ def rs_index(reference, path: LagrangianPath) -> Fraction:
 def string_index(path: LagrangianPath) -> int:
     """n/2 minus the index of the path relative to its own starting point.
     Requires the endpoints to be transverse to each other."""
+    return _string_index(path)
+
+
+def _string_index(path: LagrangianPath,
+                  start_total: Optional[Fraction] = None) -> int:
+    """``string_index``, reusing ``start_total`` when the caller already
+    holds the index of the path against A(start)."""
     n = path.n
     A0 = path.pieces[0].value(path.start)
     A1 = path.pieces[-1].value(path.end)
@@ -761,7 +627,9 @@ def string_index(path: LagrangianPath) -> int:
     if _det_q(diff) == 0:
         raise NonTransverseEndpoints(
             "endpoint Lagrangians are not transverse")
-    total = Fraction(n, 2) - rs_index(A0, path)
+    if start_total is None:
+        start_total = rs_index(A0, path)
+    total = Fraction(n, 2) - start_total
     if total.denominator != 1:
         raise AssertionError("index of a transverse path must be an integer")
     return int(total)

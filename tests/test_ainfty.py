@@ -471,6 +471,20 @@ def test_compose_validates_both_inputs():
     assert compose_continuations(c, c, c, ident, ident).h == ident.h
 
 
+def test_homotopy_validates_both_continuations():
+    # the frames h0 and h1 of a homotopy are continuations (shift 1 - w),
+    # so x -> y is rejected on either side, even when k is empty
+    gens = (Generator("x", 0, 1, 0), Generator("y", 0, 1, 1))
+    c = assemble_differential(AInftyDatum(l=1, generators=gens, tensors=()))
+    ident = identity_continuation(c)
+    bad = MapDatum(h=(T(["x"], "y"),))
+    with pytest.raises(DegreeViolation, match="continuation tensor"):
+        assemble_homotopy(c, c, bad, ident, MapDatum())
+    with pytest.raises(DegreeViolation, match="continuation tensor"):
+        assemble_homotopy(c, c, ident, bad, MapDatum())
+    assert assemble_homotopy(c, c, ident, ident, MapDatum()) == {}
+
+
 def test_tensor_weights_must_lie_in_the_datum_ring():
     # built through the API: Q weights on a datum over Z used to assemble,
     # then die inside the elimination with "mixed coefficient rings"

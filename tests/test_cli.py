@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from openstrings import cli
+from openstrings import cli, maslov
 from openstrings.ainfty import (
     MapDatum,
     TensorEntry,
@@ -215,6 +215,21 @@ def test_maslov_non_transverse_reports_null(tmp_path):
     assert obj["string_index"] is None and obj["rs_index"] == "0"
     _, text, _ = run("maslov", "index", path, "--text")
     assert text == "rs_index=0 string_index=none crossings=2\n"
+
+
+def test_maslov_builds_each_report_once(tmp_path, monkeypatch):
+    # without a reference the report against A(start) also gives the
+    # string index; with one, the string index needs a second report
+    built = []
+    real = maslov.rs_index_report
+    monkeypatch.setattr(maslov, "rs_index_report",
+                        lambda ref, path: built.append(ref) or real(ref, path))
+    no_ref = {k: v for k, v in LINE_PATH_JSON.items() if k != "reference"}
+    for obj, reports in ((no_ref, 1), (LINE_PATH_JSON, 2)):
+        built.clear()
+        code, out, _ = run("maslov", "index", write(tmp_path, "p.json", obj))
+        assert (code, json.loads(out)["string_index"]) == (PASS, 1)
+        assert len(built) == reports
 
 
 def test_maslov_malformed_json(tmp_path):

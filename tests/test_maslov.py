@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from openstrings import maslov as _m
 from openstrings.maslov import (
     ChartMismatch,
     DegenerateCrossing,
@@ -168,3 +169,351 @@ class TestJson:
         c = blob["crossings"][0]
         assert set(c) == {"interval", "location", "kernel_dimension",
                           "parts"}
+
+
+# ---------------------------------------------------------------------------
+# interior crossings with a kernel of dimension > 1
+
+
+def _diag_path(entries, start, end):
+    n = len(entries)
+    rows = [[entries[i] if i == j else (0,) for j in range(n)]
+            for i in range(n)]
+    return make_path([make_piece(start, end, rows)])
+
+
+def _zero(n):
+    return [[0] * n for _ in range(n)]
+
+
+DOUBLE_ROOT = _diag_path([(-2, 0, 1)] * 2, 0, 2)
+SPLIT_DOUBLE_ROOT = _diag_path([(-2, 0, 1), (2, 0, -1)], 0, 2)
+ORDER_ABOVE_N = _diag_path([(0, 0, 1)], -1, 1)
+TANGENTIAL = _diag_path([(0, 0, 1), (2, 1)], -1, 1)
+# det = -t^3 with a 1-dimensional kernel at 0: every 1 x 1 principal minor
+# vanishes there, but the 2 x 2 minor on the first block does not
+RANK_JUMP = make_path([make_piece(-1, 1, [[(0,), (1,), (0,)],
+                                          [(1,), (0,), (0,)],
+                                          [(0,), (0,), (0, 0, 0, 1)]])])
+
+
+def test_double_root_with_full_kernel():
+    # t^2 - 2 twice: a root of order 2 at sqrt(2) with a 2-dimensional
+    # kernel and crossing form 2 sqrt(2) I
+    assert report_to_json(rs_index_report(_zero(2), DOUBLE_ROOT)) == {
+        "n": 2, "rs_index": "-2",
+        "crossings": [{"interval": ["0", "2"], "location": "interior",
+                       "kernel_dimension": 2, "parts": [["1", 2]]}]}
+
+
+def test_double_root_with_split_signature():
+    rep = rs_index_report(_zero(2), SPLIT_DOUBLE_ROOT)
+    assert rep.total == 0
+    (c,) = rep.crossings
+    assert (c.location, c.kernel_dimension, c.parts) == (
+        "interior", 2, ((Fraction(1), 0),))
+
+
+@pytest.mark.parametrize("path", [ORDER_ABOVE_N, TANGENTIAL, RANK_JUMP],
+                         ids=["order-above-n", "tangential", "rank-jump"])
+def test_singular_interior_crossings_raise(path):
+    with pytest.raises(DegenerateCrossing, match="^singular crossing form$"):
+        rs_index_report(_zero(path.n), path)
+
+
+# ---------------------------------------------------------------------------
+# differential test: interior crossings against the linear algebra over
+# Q[x]/(g) that the inertia rule replaced, swapped in at its one call site
+
+
+def _pxgcd(p, q):
+    """Extended gcd: returns (d, s, t) with s*p + t*q = d."""
+    r0, r1 = p, q
+    s0, s1 = _m._pconst(1), ()
+    t0, t1 = (), _m._pconst(1)
+    while r1:
+        quo, rem = _m._pdivmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _m._psub(s0, _m._pmul(quo, s1))
+        t0, t1 = t1, _m._psub(t0, _m._pmul(quo, t1))
+    return r0, s0, t0
+
+
+class _RootCtx:
+    """Arithmetic at one real root t* of a squarefree polynomial g, located
+    in the isolating interval (lo, hi].  Zero tests may replace g by the
+    factor still vanishing at t*; sign queries shrink the interval."""
+
+    def __init__(self, g, lo, hi):
+        self.g = _m._pmonic(g)
+        self.lo = lo
+        self.hi = hi
+
+    def reduce(self, h):
+        return _m._pdivmod(h, self.g)[1] if len(h) >= len(self.g) else h
+
+    def mul(self, a, b):
+        return self.reduce(_m._pmul(a, b))
+
+    def is_zero(self, h):
+        h = self.reduce(h)
+        if not h:
+            return True
+        if len(self.g) == 1:
+            return False
+        c = _m._pgcd(h, self.g)
+        if len(c) == 1:
+            return False
+        if _m._sturm_count(c, self.lo, self.hi) == 1:
+            self.g = c
+            return True
+        self.g = _m._pdivmod(self.g, c)[0]
+        return False
+
+    def inv(self, h):
+        h = self.reduce(h)
+        d, s, _t = _pxgcd(h, self.g)
+        if len(d) != 1:
+            raise AssertionError("inverting a zero divisor without a split")
+        return self.reduce(_m._pscale(s, 1 / d[0]))
+
+    def _refine(self):
+        mid = (self.lo + self.hi) / 2
+        if _m._peval(self.g, mid) == 0:
+            self.lo = (self.lo + mid) / 2
+            return
+        if _m._sturm_count(self.g, self.lo, mid) == 1:
+            self.hi = mid
+        else:
+            self.lo = mid
+
+    def sign_at(self, h):
+        if self.is_zero(h):
+            return 0
+        h = self.reduce(h)
+        while True:
+            if (_m._peval(h, self.lo) != 0
+                    and _m._sturm_count(h, self.lo, self.hi) == 0):
+                return 1 if _m._peval(h, self.hi) > 0 else -1
+            self._refine()
+
+
+def _kernel_ctx(ctx, M):
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    R = [[ctx.reduce(e) for e in row] for row in M]
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        piv = next((rr for rr in range(r, rows)
+                    if not ctx.is_zero(R[rr][c])), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = ctx.inv(R[r][c])
+        R[r] = [ctx.mul(inv, e) for e in R[r]]
+        for rr in range(rows):
+            if rr != r and not ctx.is_zero(R[rr][c]):
+                f = R[rr][c]
+                R[rr] = [_m._psub(e, ctx.mul(f, R[r][j]))
+                         for j, e in enumerate(R[rr])]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    basis = []
+    for fc in range(cols):
+        if fc in piv_cols:
+            continue
+        v = [()] * cols
+        v[fc] = _m._pconst(1)
+        for k, pc in enumerate(piv_cols):
+            v[pc] = _m._pneg(R[k][fc])
+        basis.append(v)
+    return basis
+
+
+def _signature_ctx(ctx, G):
+    k = len(G)
+    A = [[ctx.reduce(e) for e in row] for row in G]
+    sig = 0
+    for i in range(k):
+        if ctx.is_zero(A[i][i]):
+            j = next((jj for jj in range(i + 1, k)
+                      if not ctx.is_zero(A[i][jj])), None)
+            if j is None:
+                raise DegenerateCrossing("singular crossing form")
+            for s in (1, -1):
+                cand = _m._padd(_m._padd(
+                    A[i][i], _m._pscale(A[i][j], Fraction(2 * s))), A[j][j])
+                if not ctx.is_zero(cand):
+                    sc = _m._pconst(s)
+                    for col in range(k):
+                        A[i][col] = _m._padd(A[i][col], ctx.mul(sc, A[j][col]))
+                    for row in range(k):
+                        A[row][i] = _m._padd(A[row][i], ctx.mul(sc, A[row][j]))
+                    break
+        d = A[i][i]
+        sg = ctx.sign_at(d)
+        if sg == 0:
+            raise DegenerateCrossing("singular crossing form")
+        sig += sg
+        dinv = ctx.inv(d)
+        factors = {r: ctx.mul(A[r][i], dinv) for r in range(i + 1, k)
+                   if not ctx.is_zero(A[r][i])}
+        for r, f in factors.items():
+            for col in range(i, k):
+                A[r][col] = _m._psub(A[r][col], ctx.mul(f, A[i][col]))
+        for r in range(i + 1, k):
+            A[r][i] = ()
+            A[i][r] = ()
+    return sig
+
+
+def _reference_interior(P, g, mult, lo, hi, _sqf_chain):
+    """Kernel and crossing form over Q[x]/(g), then the multiplicity check
+    the report used to make after it."""
+    n = len(P)
+    ctx = _RootCtx(g, lo, hi)
+    kernel = _kernel_ctx(ctx, P)
+    k = len(kernel)
+    if k == 0:
+        raise AssertionError("crossing with trivial kernel")
+    Ap = [[ctx.reduce(_m._pderiv(e)) for e in row] for row in P]
+    G = []
+    for r in range(k):
+        row = []
+        for s in range(k):
+            acc = ()
+            for u in range(n):
+                if not kernel[r][u]:
+                    continue
+                for v in range(n):
+                    if not kernel[s][v] or not Ap[u][v]:
+                        continue
+                    acc = _m._padd(acc, ctx.mul(
+                        ctx.mul(kernel[r][u], Ap[u][v]), kernel[s][v]))
+            row.append(acc)
+        G.append(row)
+    sig = _signature_ctx(ctx, G)
+    if mult != k:
+        raise DegenerateCrossing(
+            f"root multiplicity {mult} != kernel dimension {k}")
+    return sig
+
+
+def _outcome(reference, path):
+    try:
+        return report_to_json(rs_index_report(reference, path))
+    except (DegenerateCrossing, ChartMismatch) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _outcomes(reference, path, monkeypatch):
+    new = _outcome(reference, path)
+    with monkeypatch.context() as mp:
+        mp.setattr(_m, "_interior_crossing", _reference_interior)
+        old = _outcome(reference, path)
+    return new, old
+
+
+# squarefree factors of diagonal entries: rational, irrational, close and
+# repeated roots on [-2, 2]; a triple root at 0 and a tangency at 1/2
+_ENTRY_POOL = [
+    (1,), (-2,), (Fraction(1, 2), 1), (Fraction(-1, 3), -1), (-1, 1),
+    (-2, 0, 1), (3, 0, -1), (-1, -1, 1), (0, 0, 0, 1),
+    (Fraction(1, 4), -1, 1),                               # (t - 1/2)^2
+    _m._pmul((-2, 0, 1), (Fraction(-7, 5), 1)),            # roots 1.4, 1.414..
+]
+
+
+def _unimodular(rng, n):
+    low = [[Fraction(int(i == j)) if i <= j else Fraction(rng.randint(-1, 1))
+            for j in range(n)] for i in range(n)]
+    up = [[Fraction(int(i == j)) if i >= j else Fraction(rng.randint(-1, 1))
+           for j in range(n)] for i in range(n)]
+    return [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _structured_path(rng):
+    """Q^T D(t) Q on [-2, 2], cut at a rational point: D is diagonal with
+    entries from the pool, repeated at random, or has a constant or
+    polynomial hyperbolic block [[0, h], [h, 0]] in front."""
+    n = rng.randint(1, 5)
+    pick = [rng.choice(_ENTRY_POOL) for _ in range(rng.randint(1, n))]
+    diag = [rng.choice(pick) for _ in range(n)]
+    D = [[diag[i] if i == j else () for j in range(n)] for i in range(n)]
+    if n >= 2 and rng.random() < 0.3:
+        h = rng.choice([(1,), (-2, 0, 1), (Fraction(1, 2), 1)])
+        D[0][0] = D[1][1] = ()
+        D[0][1] = D[1][0] = h
+    q = _unimodular(rng, n)
+    rows = [[_m._pnorm([sum((Fraction(D[a][b][d]) * q[a][i] * q[b][j]
+                             for a in range(n) for b in range(n)
+                             if d < len(D[a][b])), Fraction(0))
+                        for d in range(4)])
+             for j in range(n)] for i in range(n)]
+    cut = Fraction(rng.randint(-7, 7), 4)
+    return make_path([make_piece(-2, cut, rows), make_piece(cut, 2, rows)])
+
+
+def _random_pq_path(rng):
+    """A continuous piecewise linear path, with a quadratic bump
+    (t - t0)(t - t1) S on some pieces."""
+    _, path = _random_pl_path(rng)
+    pieces = []
+    for p in path.pieces:
+        if rng.random() < 0.5:
+            pieces.append(p)
+            continue
+        bump = _m._pmul((-p.start, 1), (-p.end, 1))
+        n = len(p.matrix)
+        s = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+        rows = [[_m._padd(p.matrix[i][j],
+                          _m._pscale(bump, Fraction(s[i][j] + s[j][i])))
+                 for j in range(n)] for i in range(n)]
+        pieces.append(make_piece(p.start, p.end, rows))
+    return make_path(pieces)
+
+
+def _corpus(seed, count):
+    """Seeded (reference, path) pairs: structured and random paths, each
+    against its start point or against a random symmetric reference."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.5:
+            path = _structured_path(rng)
+        else:
+            path = _random_pq_path(rng)
+        n = path.n
+        if rng.random() < 0.5:
+            ref = path.value(path.start)
+        elif kind < 0.5:
+            ref = _zero(n)
+        else:
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            ref = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        yield ref, path
+
+
+@pytest.mark.parametrize("path", [
+    DOUBLE_ROOT, SPLIT_DOUBLE_ROOT, ORDER_ABOVE_N, TANGENTIAL, RANK_JUMP,
+    line_path()])
+def test_interior_crossings_match_reference_on_fixtures(path, monkeypatch):
+    new, old = _outcomes(_zero(path.n), path, monkeypatch)
+    assert new == old
+
+
+def test_interior_crossings_match_reference_on_random_corpus(monkeypatch):
+    kinds = {"regular k > 1": 0, "rejected": 0}
+    for ref, path in _corpus(20261018, 200):
+        new, old = _outcomes(ref, path, monkeypatch)
+        assert new == old, (ref, path)
+        if isinstance(new, tuple):
+            kinds["rejected"] += 1
+        elif any(c["location"] == "interior" and c["kernel_dimension"] > 1
+                 for c in new["crossings"]):
+            kinds["regular k > 1"] += 1
+    assert kinds["regular k > 1"] > 10 and kinds["rejected"] > 10, kinds
