@@ -11,11 +11,13 @@ sign conventions cancel the way the concrete checks assume.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .novikov import NovikovSeries, format_series, parse_series, valuation
+from .novikov import NovikovSeries, format_series, parse_series
 from .polytopes import assoc_facet_parity
 
 __all__ = [
@@ -68,6 +70,10 @@ class NonUnitPivot(ValueError):
 
 class RequiresModTwoGrading(ValueError):
     """The operation needs a complex graded modulo two."""
+
+
+class InexactDivision(ArithmeticError):
+    """A fraction-free elimination step left a nonzero remainder."""
 
 
 # ---------------------------------------------------------------------------
@@ -1061,103 +1067,145 @@ def euler_characteristic(c: FloerComplex) -> int:
     return total
 
 
-class _SeriesFraction:
-    """Quotients of Novikov series, enough for exact elimination."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: NovikovSeries, den: NovikovSeries):
-        if not den:
-            raise ZeroDivisionError("series fraction with zero denominator")
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def of(cls, s: NovikovSeries) -> "_SeriesFraction":
-        return cls(s, NovikovSeries.one(ring=s.ring))
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def val(self):
-        return valuation(self.num) - valuation(self.den)
-
-    def __sub__(self, other: "_SeriesFraction") -> "_SeriesFraction":
-        return _SeriesFraction(self.num * other.den - other.num * self.den,
-                               self.den * other.den)
-
-    def __mul__(self, other: "_SeriesFraction") -> "_SeriesFraction":
-        return _SeriesFraction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "_SeriesFraction") -> "_SeriesFraction":
-        if other.is_zero():
-            raise ZeroDivisionError
-        return _SeriesFraction(self.num * other.den, self.den * other.num)
+# Boundary blocks are eliminated over Laurent polynomials {int: int} in
+# s = t^(1/N), N the common denominator of the block's exponents.  Bareiss's
+# step keeps every entry a polynomial: after k pivots an entry below them is
+# the (k+1)-minor through it, i.e. the field entry of plain elimination times
+# the k-th pivot p_k, so valuations and pivot choices are those of
+# elimination over the fraction field.
 
 
-def _leading_coeff(s: NovikovSeries):
-    return s.terms[0][1] if s.terms else 0
+def _exact_div(a: dict, b: dict) -> dict:
+    """Quotient a / b of Laurent polynomials, by long division from the
+    lowest term up; raises InexactDivision on a nonzero remainder."""
+    if len(b) == 1:
+        (eb, cb), = b.items()
+        q = {}
+        for e, c in a.items():
+            q[e - eb], rem = divmod(c, cb)
+            if rem:
+                raise InexactDivision(f"{c} is not divisible by {cb}")
+        return q
+    rest = dict(a)
+    low = min(b)
+    lead = b[low]
+    top = max(a) - max(b)
+    q = {}
+    while rest:
+        least = min(rest)
+        e = least - low
+        c, rem = divmod(rest[least], lead)
+        if rem or e > top:
+            raise InexactDivision("Bareiss step left a remainder")
+        q[e] = c
+        for eb, cb in b.items():
+            k = e + eb
+            v = rest.get(k, 0) - c * cb
+            if v:
+                rest[k] = v
+            else:
+                rest.pop(k, None)
+    return q
 
 
-def _rank(rows: List[List[_SeriesFraction]], integral: bool) -> int:
-    """Rank by elimination, picking the lowest-valuation pivot first."""
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    row0 = 0
+def _bareiss_entry(p: dict, a: dict, x: dict, y: dict, prev: dict) -> dict:
+    """(p*a - x*y) / prev, the fraction-free update of one entry."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in a.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) - c1 * c2
+    out = {e: c for e, c in out.items() if c}
+    return _exact_div(out, prev) if out else out
+
+
+def _laurent_block(src, dst, differential):
+    """The boundary block src -> dst as rows of Laurent polynomials, each
+    row cleared of coefficient denominators by a positive integer scale."""
+    col = {w: j for j, w in enumerate(dst)}
+    entries = [(r, col[u], s) for r, w in enumerate(src)
+               for u, s in differential.get(w, {}).items() if u in col]
+    n = math.lcm(*(e.denominator for _, _, s in entries for e, _ in s.terms))
+    rows = [[{} for _ in dst] for _ in src]
+    scales = [1] * len(src)
+    for r, _, s in entries:
+        scales[r] = math.lcm(scales[r], *(c.denominator for _, c in s.terms))
+    for r, j, s in entries:
+        m = scales[r]
+        rows[r][j] = {e.numerator * (n // e.denominator): int(c * m)
+                      for e, c in s.terms}
+    return rows, scales
+
+
+def _rank(rows, scales, integral: bool, src, dst, g: int) -> int:
+    """Rank by Bareiss elimination, picking the pivot of least
+    (valuation, row position, column) first.
+
+    With ``integral`` the field pivot p_k / p_(k-1) must have a unit
+    leading coefficient: lead(p_k) = +-lead(p_(k-1)), p_0 = 1, where the
+    minors p_k are taken before the row scales (so every accepted minor
+    has leading coefficient +-1).
+    """
+    ncols = len(dst)
+    order = list(range(len(rows)))
     used = [False] * ncols
-    while row0 < len(rows):
+    prev = {0: 1}
+    prev_lead = Fraction(1)
+    scale = 1
+    for step in range(len(rows)):
         best = None
-        for r in range(row0, len(rows)):
-            for cidx in range(ncols):
-                if used[cidx]:
-                    continue
-                e = rows[r][cidx]
-                if e.is_zero():
-                    continue
-                key = (e.val(), r, cidx)
-                if best is None or key < best[0]:
-                    best = (key, r, cidx)
+        for r in range(step, len(rows)):
+            for j, e in enumerate(rows[r]):
+                if e and not used[j]:
+                    key = (min(e), r, j)
+                    if best is None or key < best:
+                        best = key
         if best is None:
-            break
+            return step
         _, pr, pc = best
-        pivot = rows[pr][pc]
-        if integral:
-            lead = _leading_coeff(pivot.num)
-            lead_d = _leading_coeff(pivot.den)
-            unit = lead == lead_d or lead == -lead_d
-            if not unit:
-                raise NonUnitPivot(
-                    "pivot with non-invertible leading coefficient; "
-                    "run the elimination over rational coefficients")
-        rows[row0], rows[pr] = rows[pr], rows[row0]
-        for r in range(row0 + 1, len(rows)):
-            e = rows[r][pc]
-            if e.is_zero():
-                continue
-            factor = e / pivot
-            for cidx in range(ncols):
-                if used[cidx] or cidx == pc:
-                    continue
-                rows[r][cidx] = rows[r][cidx] - factor * rows[row0][cidx]
-            rows[r][pc] = _SeriesFraction.of(
-                NovikovSeries.zero(ring=pivot.num.ring))
+        rows[step], rows[pr] = rows[pr], rows[step]
+        order[step], order[pr] = order[pr], order[step]
+        prow = rows[step]
+        p = prow[pc]
+        scale *= scales[order[step]]
+        lead = Fraction(p[min(p)], scale)
+        if integral and abs(lead) != abs(prev_lead):
+            raise NonUnitPivot(
+                "pivot with non-invertible leading coefficient; "
+                "run the elimination over rational coefficients "
+                f"(grading class {g}, step {step + 1}, source word "
+                f"{src[order[step]]}, target word {dst[pc]}, "
+                f"lead(p_{step + 1}) = {lead}, lead(p_{step}) = {prev_lead})")
+        for row in rows[step + 1:]:
+            x = row[pc]
+            for j in range(ncols):
+                if not used[j] and j != pc:
+                    row[j] = _bareiss_entry(p, row[j], x, prow[j], prev)
+            row[pc] = {}
         used[pc] = True
-        rank += 1
-        row0 += 1
-    return rank
+        prev, prev_lead = p, lead
+    return len(rows)
 
 
 def cohomology(c: FloerComplex, ring: str = "Z") -> dict:
     """Free rank of the homology per grading class.
 
-    Elimination happens in the quotient field of the series ring with
-    valuation-minimizing pivots; with ``ring='Z'`` any pivot whose
-    leading coefficient is not a unit aborts with NonUnitPivot.
+    Each boundary block is eliminated fraction-free (Bareiss) with
+    valuation-minimizing pivots, which decides the ranks of elimination
+    over the quotient field of the series ring; with ``ring='Z'`` any
+    pivot whose leading coefficient is not a unit aborts with
+    NonUnitPivot.  Series with a cutoff are rejected: exact division and
+    rank are undefined on truncated series.
     """
     if ring not in ("Z", "Q"):
         raise ValueError("ring must be 'Z' or 'Q'")
+    for e in c.datum.tensors:
+        if e.coeff.cutoff is not None:
+            raise ValueError(
+                f"structure tensor entry {e.inputs}->{e.output} has a weight "
+                f"with cutoff {e.coeff.cutoff}; cohomology needs exact series")
     integral = ring == "Z"
     gens = c._gens
     n = c.modulus
@@ -1167,23 +1215,14 @@ def cohomology(c: FloerComplex, ring: str = "Z") -> dict:
         classes.setdefault(g, []).append(word)
     for ws in classes.values():
         ws.sort(key=lambda w: (len(w), w))
-    zero = NovikovSeries.zero(ring=c.datum.ring)
 
     def boundary_rank(g: int) -> int:
         src = classes.get(g, [])
-        dst_class = _grade(g + 1, n)
-        dst = classes.get(dst_class, [])
+        dst = classes.get(_grade(g + 1, n), [])
         if not src or not dst:
             return 0
-        col = {w: idx for idx, w in enumerate(dst)}
-        rows = []
-        for w in src:
-            row = [ _SeriesFraction.of(zero) for _ in dst ]
-            for u, coeff in c.differential.get(w, {}).items():
-                if u in col:
-                    row[col[u]] = _SeriesFraction.of(coeff)
-            rows.append(row)
-        return _rank(rows, integral)
+        rows, scales = _laurent_block(src, dst, c.differential)
+        return _rank(rows, scales, integral, src, dst, g)
 
     ranks: Dict[int, int] = {}
     seen = sorted(classes)

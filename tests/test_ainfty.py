@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from openstrings.ainfty import (
     Augmentation,
     DegreeViolation,
     Generator,
+    InexactDivision,
     MapDatum,
     NonUnitPivot,
     RequiresModTwoGrading,
@@ -41,10 +44,21 @@ from openstrings.ainfty import (
     pair_subcomplex,
     symbolic_delta_squared,
     validate_axioms_A,
+    _exact_div,
+    _grade,
     _mat_add,
     _mat_compose,
     _mat_is_zero,
     _mat_scale,
+    _word_mu,
+)
+from openstrings.morse import (
+    CriticalPoint,
+    Flow,
+    MorseDatum,
+    Triple,
+    build_floer_complex,
+    sphere_fixture,
 )
 from openstrings.novikov import NovikovSeries
 
@@ -724,3 +738,330 @@ def test_kernel_matches_reference_on_random_corpus(l):
         fmat, kk, composite = _assert_kernel_matches(*_random_case(rng, l))
         assert any(len(u) < len(w) for w, row in fmat.items() for u in row)
         assert any(e.arity > 1 for e in composite.h)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination against the field elimination it replaced
+
+
+class _RefSeriesFraction:
+    """Quotients of Novikov series, enough for exact elimination."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        if not den:
+            raise ZeroDivisionError("series fraction with zero denominator")
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def of(cls, s):
+        return cls(s, NovikovSeries.one(ring=s.ring))
+
+    def is_zero(self):
+        return not self.num
+
+    def val(self):
+        return self.num.valuation() - self.den.valuation()
+
+    def __sub__(self, other):
+        return _RefSeriesFraction(self.num * other.den - other.num * self.den,
+                                  self.den * other.den)
+
+    def __mul__(self, other):
+        return _RefSeriesFraction(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError
+        return _RefSeriesFraction(self.num * other.den, self.den * other.num)
+
+
+def _ref_leading_coeff(s):
+    return s.terms[0][1] if s.terms else 0
+
+
+def _ref_rank(rows, integral):
+    """Rank by elimination, picking the lowest-valuation pivot first."""
+    if not rows or not rows[0]:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    row0 = 0
+    used = [False] * ncols
+    while row0 < len(rows):
+        best = None
+        for r in range(row0, len(rows)):
+            for cidx in range(ncols):
+                if used[cidx]:
+                    continue
+                e = rows[r][cidx]
+                if e.is_zero():
+                    continue
+                key = (e.val(), r, cidx)
+                if best is None or key < best[0]:
+                    best = (key, r, cidx)
+        if best is None:
+            break
+        _, pr, pc = best
+        pivot = rows[pr][pc]
+        if integral:
+            lead = _ref_leading_coeff(pivot.num)
+            lead_d = _ref_leading_coeff(pivot.den)
+            unit = lead == lead_d or lead == -lead_d
+            if not unit:
+                raise NonUnitPivot(
+                    "pivot with non-invertible leading coefficient; "
+                    "run the elimination over rational coefficients")
+        rows[row0], rows[pr] = rows[pr], rows[row0]
+        for r in range(row0 + 1, len(rows)):
+            e = rows[r][pc]
+            if e.is_zero():
+                continue
+            factor = e / pivot
+            for cidx in range(ncols):
+                if used[cidx] or cidx == pc:
+                    continue
+                rows[r][cidx] = rows[r][cidx] - factor * rows[row0][cidx]
+            rows[r][pc] = _RefSeriesFraction.of(
+                NovikovSeries.zero(ring=pivot.num.ring))
+        used[pc] = True
+        rank += 1
+        row0 += 1
+    return rank
+
+
+def _ref_cohomology(c, ring):
+    """The field elimination ``cohomology`` ran before Bareiss."""
+    integral = ring == "Z"
+    gens = c._gens
+    n = c.modulus
+    classes = {}
+    for word in c.words:
+        g = _grade(_word_mu(word, gens) + len(word) - 1, n)
+        classes.setdefault(g, []).append(word)
+    for ws in classes.values():
+        ws.sort(key=lambda w: (len(w), w))
+    zero = NovikovSeries.zero(ring=c.datum.ring)
+
+    def boundary_rank(g):
+        src = classes.get(g, [])
+        dst = classes.get(_grade(g + 1, n), [])
+        if not src or not dst:
+            return 0
+        col = {w: idx for idx, w in enumerate(dst)}
+        rows = []
+        for w in src:
+            row = [_RefSeriesFraction.of(zero) for _ in dst]
+            for u, coeff in c.differential.get(w, {}).items():
+                if u in col:
+                    row[col[u]] = _RefSeriesFraction.of(coeff)
+            rows.append(row)
+        return _ref_rank(rows, integral)
+
+    rank_cache = {g: boundary_rank(g) for g in sorted(classes)}
+    ranks = {g: len(classes[g]) - rank_cache[g]
+             - rank_cache.get(_grade(g - 1, n), 0) for g in sorted(classes)}
+    return {
+        "ring": ring,
+        "modulus": n,
+        "ranks": {str(g): r for g, r in sorted(ranks.items())},
+        "total_rank": sum(ranks.values()),
+        "degrees": sorted(g for g, r in ranks.items() if r > 0),
+    }
+
+
+def _assert_cohomology_matches(c):
+    """Equal ``cohomology`` dicts, or the same exception, in both modes;
+    returns the outcomes (a dict or ``NonUnitPivot``) by mode."""
+    outcomes = {}
+    for ring in ("Z", "Q"):
+        try:
+            want = _ref_cohomology(c, ring)
+        except NonUnitPivot:
+            with pytest.raises(NonUnitPivot):
+                cohomology(c, ring=ring)
+            outcomes[ring] = NonUnitPivot
+        else:
+            assert cohomology(c, ring=ring) == want, ring
+            outcomes[ring] = want
+    return outcomes
+
+
+def _morse_fixture():
+    """Fractional actions, a count-2 strand pair and one product."""
+    pts = (CriticalPoint("p", 2, Fraction(7, 2)),
+           CriticalPoint("q", 1, Fraction(1)),
+           CriticalPoint("r", 1, Fraction(5, 3)),
+           CriticalPoint("s", 0, Fraction(0)))
+    flows = (Flow("p", "q", 2), Flow("p", "r", -2),
+             Flow("q", "s", 1), Flow("r", "s", 1))
+    triples = (Triple("s", "s", "s", 1, Fraction(1, 2)),)
+    return build_floer_complex(MorseDatum(2, pts, flows, triples))
+
+
+def test_cohomology_matches_reference_on_fixtures(chain_datum,
+                                                  conjugated_datum):
+    aug_datum, _ = make_augmentation_datum()
+    datums = [chain_datum, conjugated_datum, aug_datum, _morse_fixture()]
+    datums += [pair_subcomplex(d, 0, 1) for d in datums]
+    for n in (2, 3, 4, 5):
+        datums += [sphere_fixture(n), pair_subcomplex(sphere_fixture(n), 0, 1)]
+    outcomes = [_assert_cohomology_matches(assemble_differential(d))
+                for d in datums]
+    assert {o["Z"] is NonUnitPivot for o in outcomes} == {True, False}
+
+
+_CORPUS_EXPONENTS = [Fraction(e) for e in
+                     ("-2", "-1/2", "0", "1/3", "1/2", "1", "3/2", "2", "5/3")]
+
+
+def _corpus_weight(rng, ring, terms=None):
+    coeffs = [1, 1, 1, 2, 3] + ([Fraction(1, 2), Fraction(2, 3)]
+                                if ring == "Q" else [])
+    exps = rng.sample(_CORPUS_EXPONENTS,
+                      terms or (2 if rng.random() < 0.15 else 1))
+    return NovikovSeries([(e, rng.choice((1, -1)) * rng.choice(coeffs))
+                          for e in exps], ring=ring)
+
+
+def _corpus_complex(rng):
+    """Random x -> y (-> z) blocks of at most 6 x 6: Z or Q weights,
+    negative and mixed-denominator exponents, leading coefficients 2 and
+    3, zero rows and columns, and rows that are monomial combinations of
+    earlier rows.  At most three rows per block are drawn freely: the
+    replaced elimination never reduces its fractions and takes seconds
+    per block beyond that depth."""
+    ring = rng.choice(("Z", "Q"))
+    sizes = [rng.randint(1, 6) for _ in range(rng.choice((2, 3)))]
+    gens = tuple(Generator(f"{'xyz'[mu]}{i}", 0, 1, mu)
+                 for mu, size in enumerate(sizes) for i in range(size))
+    tensors = []
+    for mu in range(len(sizes) - 1):
+        density = rng.choice((0.3, 0.6, 1.0))
+        free = rng.randint(1, 3)
+        rows = []
+        for i in range(sizes[mu]):
+            if free and rng.random() < 0.8:
+                free -= 1
+                row = {j: _corpus_weight(rng, ring)
+                       for j in range(sizes[mu + 1]) if rng.random() < density}
+            elif len(rows) >= 2:
+                a, b = rng.sample(rows, 2)
+                u, v = (_corpus_weight(rng, ring, 1) for _ in "uv")
+                row = {j: a.get(j, 0) * u + b.get(j, 0) * v
+                       for j in set(a) | set(b)}
+            else:
+                row = {}
+            row = {j: s for j, s in row.items() if s}
+            rows.append(row)
+            tensors += [T([f"{'xyz'[mu]}{i}"], f"{'xyz'[mu + 1]}{j}", s)
+                        for j, s in sorted(row.items())]
+    return assemble_differential(AInftyDatum(
+        l=1, generators=gens, tensors=tuple(tensors), ring=ring))
+
+
+def test_cohomology_matches_reference_on_random_corpus():
+    rng = random.Random(5150)
+    seen = set()
+    for _ in range(200):
+        c = _corpus_complex(rng)
+        for ring, out in _assert_cohomology_matches(c).items():
+            if out is NonUnitPivot:
+                seen.add((c.datum.ring, ring, "non-unit"))
+            else:
+                full = all(r == 0 for r in out["ranks"].values())
+                seen.add((c.datum.ring, ring, "acyclic" if full else "ranks"))
+    assert seen >= {(dr, ring, "ranks") for dr in "ZQ" for ring in "ZQ"}
+    assert seen >= {("Z", "Z", "non-unit"), ("Q", "Z", "non-unit")}
+
+
+def test_non_unit_pivot_says_where(chain_complex):
+    with pytest.raises(NonUnitPivot) as err:
+        cohomology(chain_complex, ring="Z")
+    assert str(err.value) == (
+        "pivot with non-invertible leading coefficient; run the elimination "
+        "over rational coefficients (grading class 0, step 2, source word "
+        "('c',), target word ('cp',), lead(p_2) = 2, lead(p_1) = -1)")
+
+
+def test_cohomology_rejects_cutoffs_before_elimination(chain_datum):
+    # the cutoff entry cancels out of the differential together with its
+    # cutoff, and the datum's non-unit strand would stop a Z elimination
+    cut = S("t^1").restrict(5)
+    tensors = chain_datum.tensors + (T(["b"], "g12", cut),
+                                     T(["b"], "g12", S("-t^1")))
+    datum = AInftyDatum(l=3, generators=chain_datum.generators,
+                        tensors=tensors)
+    c = assemble_differential(datum)
+    assert c.differential == assemble_differential(chain_datum).differential
+    for ring in ("Z", "Q"):
+        with pytest.raises(ValueError, match=r"\('b',\)->g12 .*cutoff 5"):
+            cohomology(c, ring=ring)
+
+
+def test_exact_division_rejects_remainders():
+    # (1 + s)(1 - s + 2s^2) = 1 + s^2 + 2s^3; a Bareiss step never
+    # leaves a remainder on exact input, so one is a named error
+    assert _exact_div({0: 1, 2: 1, 3: 2}, {0: 1, 1: 1}) == {0: 1, 1: -1, 2: 2}
+    assert _exact_div({-1: 6, 2: -4}, {-3: 2}) == {2: 3, 5: -2}
+    for a, b in (({0: 1, 1: 1}, {0: 1, 2: 1}), ({0: 3}, {0: 2}),
+                 ({0: 2, 1: 3}, {0: 2, 1: 2})):
+        with pytest.raises(InexactDivision):
+            _exact_div(a, b)
+
+
+def _two_term_block(rng, nrows, ncols):
+    return [{j: NovikovSeries([(e, rng.choice((1, -1)) * Fraction(
+                 rng.randint(1, 9), rng.randint(1, 3)))
+                 for e in rng.sample((0, 1, 2), 2)], ring="Q")
+             for j in range(ncols)} for _ in range(nrows)]
+
+
+def _block_complex(rows, ncols):
+    gens = tuple(Generator(f"x{i}", 0, 1, 0) for i in range(len(rows))) + \
+        tuple(Generator(f"y{j}", 0, 1, 1) for j in range(ncols))
+    tensors = tuple(T([f"x{i}"], f"y{j}", s) for i, row in enumerate(rows)
+                    for j, s in row.items() if s)
+    return assemble_differential(AInftyDatum(
+        l=1, generators=gens, tensors=tensors, ring="Q"))
+
+
+def _rank_at(rows, ncols, t):
+    """Rank of the block evaluated at t; never above the rank over the
+    series ring, since evaluating is a ring map."""
+    m = [[sum((c * t ** e for e, c in row[j].terms), Fraction(0))
+          if j in row else Fraction(0) for j in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_dense_twelve_block_reaches_full_rank_fast():
+    rows = _two_term_block(random.Random(12), 12, 12)
+    assert _rank_at(rows, 12, Fraction(2)) == 12
+    c = _block_complex(rows, 12)
+    start = time.perf_counter()
+    coh = cohomology(c, ring="Q")
+    elapsed = time.perf_counter() - start
+    assert coh["total_rank"] == 0
+    assert elapsed < 1.0, elapsed
+
+
+def test_rank_deficient_ten_by_eleven_block():
+    rng = random.Random(1011)
+    rows = _two_term_block(rng, 9, 11)
+    u, v = S("2t^1 - t^0").to_ring("Q"), S("3t^2").to_ring("Q")
+    rows.append({j: rows[2][j] * u - rows[5][j] * v for j in range(11)})
+    assert _rank_at(rows, 11, Fraction(2)) == 9
+    coh = cohomology(_block_complex(rows, 11), ring="Q")
+    assert coh["ranks"] == {"0": 1, "1": 2}

@@ -455,6 +455,26 @@ def test_floer_sphere():
     assert code == BAD_INPUT and "need n >= 2" in err
 
 
+def test_floer_same_reports_under_optimize(tmp_path, chain_json):
+    # the elimination checks raise rather than assert: the Q pass, the Z
+    # stop at a non-unit pivot and the sphere agree under ``python -O``
+    chain = write(tmp_path, "chain.json", chain_json)
+    morse = write(tmp_path, "morse.json", MORSE_JSON)
+    cases = [(["hf", chain, "--rational"], PASS), (["hf", chain], BAD_INPUT),
+             (["hf", morse], PASS), (["sphere", "--n", "3"], PASS),
+             (["sphere", "--n", "4", "--text"], PASS)]
+    for argv, code in cases:
+        results = [
+            subprocess.run([sys.executable, *flags, "-m", "openstrings.cli",
+                            "floer", *argv], env=child_env(),
+                           capture_output=True, text=True)
+            for flags in ([], ["-O"])]
+        plain, optimized = ((r.returncode, r.stdout, r.stderr)
+                            for r in results)
+        assert plain[0] == code, (argv, plain[2])
+        assert optimized == plain, argv
+
+
 # ---------------------------------------------------------------------------
 # sft
 
