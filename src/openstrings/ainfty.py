@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ._poly import InexactDivision, _bareiss_entry  # noqa: F401
 from .novikov import NovikovSeries, format_series, parse_series
 from .polytopes import assoc_facet_parity
 
@@ -70,10 +71,6 @@ class NonUnitPivot(ValueError):
 
 class RequiresModTwoGrading(ValueError):
     """The operation needs a complex graded modulo two."""
-
-
-class InexactDivision(ArithmeticError):
-    """A fraction-free elimination step left a nonzero remainder."""
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +567,17 @@ def _expand_matrix(source: FloerComplex, index, k_index=None,
     return {w: row for w, row in out.items() if row}
 
 
+def _validate_maps(c, c_prime, *hs: MapDatum, k: Optional[MapDatum] = None):
+    """Validate the continuations ``hs`` CF' -> CF (index shift 1-w) in
+    order, then the homotopy ``k`` (index shift -w)."""
+    for h in hs:
+        _validate_entries(h.h, c_prime._gens, c._gens, lambda w: 1 - w,
+                          c.modulus, c.datum.ring, "continuation tensor")
+    if k is not None:
+        _validate_entries(k.k, c_prime._gens, c._gens, lambda w: -w,
+                          c.modulus, c.datum.ring, "homotopy tensor")
+
+
 def assemble_continuation(c: FloerComplex, c_prime: FloerComplex,
                           h: MapDatum) -> Matrix:
     """Tensor-expand map data into a matrix CF' -> CF.
@@ -578,8 +586,7 @@ def assemble_continuation(c: FloerComplex, c_prime: FloerComplex,
     (-1)^(sum_j (r-j)(w_j-1)) and graded evaluation factors; an arity-w
     entry must shift the index by 1-w.
     """
-    _validate_entries(h.h, c_prime._gens, c._gens, lambda w: 1 - w,
-                      c.modulus, c.datum.ring, "continuation tensor")
+    _validate_maps(c, c_prime, h)
     return _expand_matrix(c_prime, _tensor_index(h.h))
 
 
@@ -643,11 +650,8 @@ def assemble_homotopy(c: FloerComplex, c_prime: FloerComplex,
     entries, index shift 1-w), with sign
     (-1)^(r + sum_j (r-j)(w_j-1) + sum_{j<i} (w_j-1)) on r blocks.
     """
-    _validate_entries(k.k, c_prime._gens, c._gens, lambda w: -w, c.modulus,
-                      c.datum.ring, "homotopy tensor")
-    for h in (h0, h1):
-        _validate_entries(h.h, c_prime._gens, c._gens, lambda w: 1 - w,
-                          c.modulus, c.datum.ring, "continuation tensor")
+    _validate_maps(c, c_prime, k=k)
+    _validate_maps(c, c_prime, h0, h1)
     return _expand_matrix(c_prime, _tensor_index(h0.h), _tensor_index(k.k),
                           _tensor_index(h1.h))
 
@@ -660,12 +664,14 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
     has a chance to hold: its arity-w entries are forced by the
     one-output components, which only involve lower arities of h1.
     """
-    f0 = assemble_continuation(c, c_prime, h0)
+    _validate_maps(c, c_prime, h0, k=k)
+    h0_index, k_index = _tensor_index(h0.h), _tensor_index(k.k)
+    f0 = _expand_matrix(c_prime, h0_index)
     h1_entries: List[TensorEntry] = []
     max_arity = max((len(w) for w in c_prime.words), default=0)
     for w in range(1, max_arity + 1):
-        partial = MapDatum(h=tuple(h1_entries))
-        kk = assemble_homotopy(c, c_prime, h0, partial, k)
+        kk = _expand_matrix(c_prime, h0_index, k_index,
+                            _tensor_index(h1_entries))
         bracket = _mat_add(_mat_compose(kk, c.differential),
                            _mat_compose(c_prime.differential, kk))
         want = _mat_add(f0, _mat_scale(bracket, -1))
@@ -681,9 +687,11 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
 def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
                    h1: MapDatum, k: MapDatum) -> dict:
     """Verify F(h0) - F(h1) equals the graded commutator of k."""
-    f0 = assemble_continuation(c, c_prime, h0)
-    f1 = assemble_continuation(c, c_prime, h1)
-    kk = assemble_homotopy(c, c_prime, h0, h1, k)
+    _validate_maps(c, c_prime, h0, h1, k=k)
+    h0_index, h1_index = _tensor_index(h0.h), _tensor_index(h1.h)
+    f0 = _expand_matrix(c_prime, h0_index)
+    f1 = _expand_matrix(c_prime, h1_index)
+    kk = _expand_matrix(c_prime, h0_index, _tensor_index(k.k), h1_index)
     bracket = _mat_add(_mat_compose(kk, c.differential),
                        _mat_compose(c_prime.differential, kk))
     defect = _mat_add(_mat_add(f0, _mat_scale(f1, -1)),
@@ -709,10 +717,8 @@ def compose_continuations(c0: FloerComplex, c1: FloerComplex,
     and the first map to the r outputs, with sign
     (-1)^(sum_t (r-t)(k_t-1)) and the graded evaluation factors.
     """
-    _validate_entries(h12.h, c2._gens, c1._gens, lambda w: 1 - w,
-                      c1.modulus, c1.datum.ring, "continuation tensor")
-    _validate_entries(h01.h, c1._gens, c0._gens, lambda w: 1 - w,
-                      c0.modulus, c0.datum.ring, "continuation tensor")
+    _validate_maps(c1, c2, h12)
+    _validate_maps(c0, c1, h01)
     h01index = _tensor_index(h01.h)
     acc: Dict[Tuple[Word, str], NovikovSeries] = {}
     for word, mid_word, coeff in _expand(c2, _tensor_index(h12.h)):
@@ -1068,69 +1074,29 @@ def euler_characteristic(c: FloerComplex) -> int:
 
 
 # Boundary blocks are eliminated over Laurent polynomials {int: int} in
-# s = t^(1/N), N the common denominator of the block's exponents.  Bareiss's
-# step keeps every entry a polynomial: after k pivots an entry below them is
-# the (k+1)-minor through it, i.e. the field entry of plain elimination times
-# the k-th pivot p_k, so valuations and pivot choices are those of
-# elimination over the fraction field.
-
-
-def _exact_div(a: dict, b: dict) -> dict:
-    """Quotient a / b of Laurent polynomials, by long division from the
-    lowest term up; raises InexactDivision on a nonzero remainder."""
-    if len(b) == 1:
-        (eb, cb), = b.items()
-        q = {}
-        for e, c in a.items():
-            q[e - eb], rem = divmod(c, cb)
-            if rem:
-                raise InexactDivision(f"{c} is not divisible by {cb}")
-        return q
-    rest = dict(a)
-    low = min(b)
-    lead = b[low]
-    top = max(a) - max(b)
-    q = {}
-    while rest:
-        least = min(rest)
-        e = least - low
-        c, rem = divmod(rest[least], lead)
-        if rem or e > top:
-            raise InexactDivision("Bareiss step left a remainder")
-        q[e] = c
-        for eb, cb in b.items():
-            k = e + eb
-            v = rest.get(k, 0) - c * cb
-            if v:
-                rest[k] = v
-            else:
-                rest.pop(k, None)
-    return q
-
-
-def _bareiss_entry(p: dict, a: dict, x: dict, y: dict, prev: dict) -> dict:
-    """(p*a - x*y) / prev, the fraction-free update of one entry."""
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in a.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    for e1, c1 in x.items():
-        for e2, c2 in y.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) - c1 * c2
-    out = {e: c for e, c in out.items() if c}
-    return _exact_div(out, prev) if out else out
+# s = t^(1/N), N the common denominator of the block's exponents, by
+# Bareiss's fraction-free step (``_poly._bareiss_entry``), which keeps every
+# entry a polynomial: after k pivots an entry below them is the (k+1)-minor
+# through it, i.e. the field entry of plain elimination times the k-th
+# pivot p_k, so valuations and pivot choices are those of elimination over
+# the fraction field.
 
 
 def _laurent_block(src, dst, differential):
     """The boundary block src -> dst as rows of Laurent polynomials, each
-    row cleared of coefficient denominators by a positive integer scale."""
+    row cleared of coefficient denominators by a positive integer scale;
+    an entry with a cutoff raises ValueError."""
     col = {w: j for j, w in enumerate(dst)}
     entries = [(r, col[u], s) for r, w in enumerate(src)
                for u, s in differential.get(w, {}).items() if u in col]
     n = math.lcm(*(e.denominator for _, _, s in entries for e, _ in s.terms))
     rows = [[{} for _ in dst] for _ in src]
     scales = [1] * len(src)
-    for r, _, s in entries:
+    for r, j, s in entries:
+        if s.cutoff is not None:
+            raise ValueError(
+                f"differential entry {src[r]}->{dst[j]} has cutoff "
+                f"{s.cutoff}; cohomology needs exact series")
         scales[r] = math.lcm(scales[r], *(c.denominator for _, c in s.terms))
     for r, j, s in entries:
         m = scales[r]
@@ -1155,13 +1121,9 @@ def _rank(rows, scales, integral: bool, src, dst, g: int) -> int:
     prev_lead = Fraction(1)
     scale = 1
     for step in range(len(rows)):
-        best = None
-        for r in range(step, len(rows)):
-            for j, e in enumerate(rows[r]):
-                if e and not used[j]:
-                    key = (min(e), r, j)
-                    if best is None or key < best:
-                        best = key
+        best = min(((min(e), r, j) for r in range(step, len(rows))
+                    for j, e in enumerate(rows[r]) if e and not used[j]),
+                   default=None)
         if best is None:
             return step
         _, pr, pc = best
@@ -1224,20 +1186,14 @@ def cohomology(c: FloerComplex, ring: str = "Z") -> dict:
         rows, scales = _laurent_block(src, dst, c.differential)
         return _rank(rows, scales, integral, src, dst, g)
 
-    ranks: Dict[int, int] = {}
-    seen = sorted(classes)
-    rank_cache: Dict[int, int] = {}
-    for g in seen:
-        rank_cache[g] = boundary_rank(g)
-    for g in seen:
-        prev = rank_cache.get(_grade(g - 1, n), 0)
-        ranks[g] = len(classes[g]) - rank_cache.get(g, 0) - prev
-    total = sum(ranks.values())
+    rank = {g: boundary_rank(g) for g in sorted(classes)}
+    ranks = {g: len(classes[g]) - rank[g] - rank.get(_grade(g - 1, n), 0)
+             for g in sorted(classes)}
     return {
         "ring": ring,
         "modulus": n,
-        "ranks": {str(g): r for g, r in sorted(ranks.items())},
-        "total_rank": total,
+        "ranks": {str(g): r for g, r in ranks.items()},
+        "total_rank": sum(ranks.values()),
         "degrees": sorted(g for g, r in ranks.items() if r > 0),
     }
 

@@ -16,16 +16,19 @@ and the total is weighted by the global calibration constant
 under concatenation (the two junction halves reassemble an interior
 crossing).
 
-Crossings are handled exactly: determinants of polynomial matrices are
-computed by interpolation and roots are isolated with Sturm chains.  A
-crossing at a rational start, end or junction uses linear algebra over Q
-at that point.  A crossing inside a piece is decided without leaving Q:
-its kernel dimension equals the multiplicity m of the root exactly when
-every principal minor of A(t) - B of size n-m+1 .. n-1 vanishes there
-(gcd with the root's squarefree factor, one Sturm count), and then the
-signature of its crossing form is half the jump of the signature of
-A(t) - B between rational points on either side with no other root of
-the determinant in between (Robbin-Salamon).
+Crossings are handled exactly.  On each piece A(t) - B is cleared of
+denominators by one positive integer; its determinant and principal
+minors are taken by fraction-free Bareiss elimination over Z[t], the
+kernel ``ainfty.cohomology`` uses, and roots are isolated by Sturm chains
+of sign-preserving primitive remainders over Z.  A crossing at a rational
+start, end or junction uses linear algebra over Q at that point.  One
+inside a piece is decided without leaving Q: its kernel dimension equals
+the multiplicity m of the root exactly when every principal minor of
+A(t) - B of size n-m+1 .. n-1 vanishes there (gcd with the root's
+squarefree factor, one Sturm count), and then the signature of its
+crossing form is half the jump of the signature of A(t) - B between
+rational points on either side with no other root of the determinant in
+between (Robbin-Salamon).
 
 A crossing is rejected (``DegenerateCrossing``) when det(A(t) - B)
 vanishes identically on a piece, or when the multiplicity of the root does
@@ -34,11 +37,15 @@ not equal the kernel dimension, or when the crossing form is singular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, count
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from ._poly import (IntPoly, _exact_div, degree, derivative, det, gcd, mul,
+                    neg_prem, sign_at, sub, value)
 
 __all__ = [
     "ChartMismatch",
@@ -75,148 +82,67 @@ class NonTransverseEndpoints(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial arithmetic
+# roots of integer polynomials
 # ---------------------------------------------------------------------------
 
-def _pnorm(cs: Sequence[Fraction]) -> Poly:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _integer_difference(matrix, B: List[List[Fraction]]) -> List[List[IntPoly]]:
+    """A(t) - B times one positive integer that clears every denominator,
+    so it stays symmetric with the same roots, minors and signatures."""
+    scale = math.lcm(*(c.denominator for row in matrix for e in row for c in e),
+                     *(b.denominator for row in B for b in row))
+    return [[sub({k: int(c * scale) for k, c in enumerate(e) if c},
+                 {0: int(b * scale)} if b else {})
+             for e, b in zip(row, brow)] for row, brow in zip(matrix, B)]
 
 
-def _pconst(c) -> Poly:
-    return _pnorm([Fraction(c)])
+def _linear(t0: Fraction) -> IntPoly:
+    """The primitive factor b t - a of a root t0 = a/b."""
+    return {k: c for k, c in ((0, -t0.numerator), (1, t0.denominator)) if c}
 
 
-def _padd(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return _pnorm([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                   for i in range(n)])
-
-
-def _pneg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def _psub(p: Poly, q: Poly) -> Poly:
-    return _padd(p, _pneg(q))
-
-
-def _pmul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _pnorm(out)
-
-
-def _pscale(p: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(a * c for a in p)
-
-
-def _peval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _pderiv(p: Poly) -> Poly:
-    return _pnorm([p[i] * i for i in range(1, len(p))])
-
-
-def _pdivmod(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        f = rem[-1] / lead
-        shift = len(rem) - 1 - dq
-        quo[shift] = f
-        for i, c in enumerate(q):
-            rem[shift + i] -= f * c
-        rem.pop()
-    return _pnorm(quo), _pnorm(rem)
-
-
-def _pmonic(p: Poly) -> Poly:
-    if not p:
-        return ()
-    return tuple(c / p[-1] for c in p)
-
-
-def _pgcd(p: Poly, q: Poly) -> Poly:
-    a, b = p, q
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
-
-
-def _yun_squarefree(p: Poly) -> List[Tuple[Poly, int]]:
-    """Squarefree decomposition: list of (monic factor, multiplicity)."""
-    if len(p) <= 1:
-        return []
-    dp = _pderiv(p)
-    u = _pgcd(p, dp)
-    v = _pdivmod(p, u)[0]
-    w = _pdivmod(dp, u)[0]
+def _yun_squarefree(p: IntPoly) -> List[Tuple[IntPoly, int]]:
+    """Squarefree decomposition of a nonzero p: list of (primitive factor,
+    multiplicity)."""
+    dp = derivative(p)
+    u = gcd(p, dp)
+    v = _exact_div(p, u)
+    w = _exact_div(dp, u)
     out = []
     i = 1
-    while len(v) > 1:
-        diff = _psub(w, _pderiv(v))
-        s = _pgcd(v, diff) if diff else _pmonic(v)
-        if len(s) > 1:
+    while degree(v) > 0:
+        diff = sub(w, derivative(v))
+        s = gcd(v, diff)
+        if degree(s) > 0:
             out.append((s, i))
-        v = _pdivmod(v, s)[0]
-        w = _pdivmod(diff, s)[0] if diff else ()
-        if not diff:
-            w = ()
+        v = _exact_div(v, s)
+        w = _exact_div(diff, s) if diff else {}
         i += 1
     return out
 
 
-def _sturm_chain(p: Poly) -> List[Poly]:
-    chain = [p, _pderiv(p)]
+def _sturm_chain(p: IntPoly) -> List[IntPoly]:
+    chain = [p, derivative(p)]
     while chain[-1]:
-        rem = _pdivmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(_pneg(rem))
+        chain.append(neg_prem(chain[-2], chain[-1]))
     return [c for c in chain if c]
 
 
-def _sign_changes(chain: List[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _peval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_changes(chain: List[IntPoly], x: Fraction) -> int:
+    signs = [s for s in (sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_count(p: Poly, lo: Fraction, hi: Fraction,
-                 chain: Optional[List[Poly]] = None) -> int:
+def _sturm_count(p: IntPoly, lo: Fraction, hi: Fraction,
+                 chain: Optional[List[IntPoly]] = None) -> int:
     """Distinct roots of p in (lo, hi]; requires p(lo) != 0."""
-    if _peval(p, lo) == 0:
+    if sign_at(p, lo) == 0:
         raise AssertionError("sturm count with root at left endpoint")
     if chain is None:
         chain = _sturm_chain(p)
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
-def _isolate_roots(f: Poly, lo: Fraction, hi: Fraction) -> List[Tuple[Fraction, Fraction]]:
+def _isolate_roots(f: IntPoly, lo: Fraction, hi: Fraction) -> List[Tuple[Fraction, Fraction]]:
     """Isolating intervals (l, h] for the roots of squarefree f strictly
     inside (lo, hi); requires f(lo) != 0 and f(hi) != 0."""
     chain = _sturm_chain(f)
@@ -227,70 +153,18 @@ def _isolate_roots(f: Poly, lo: Fraction, hi: Fraction) -> List[Tuple[Fraction, 
             return []
         if k == 1:
             return [(a, b)]
-        span = b - a
-        split = None
-        num, den = 1, 2
-        while split is None:
-            for j in range(1, den, 2):
-                cand = a + span * Fraction(j, den)
-                if _peval(f, cand) != 0:
-                    split = cand
-                    break
-            den *= 2
+        # split at the first of a + (b-a)(1/2, 1/4, 3/4, 1/8, ...) not a root
+        split = next(x for x in (a + (b - a) * Fraction(j, 2 ** e)
+                                 for e in count(1) for j in range(1, 2 ** e, 2))
+                     if sign_at(f, x))
         return rec(a, split) + rec(split, b)
 
     return rec(lo, hi)
 
 
 # ---------------------------------------------------------------------------
-# determinants and rational-point linear algebra
+# rational-point linear algebra
 # ---------------------------------------------------------------------------
-
-def _det_q(M: List[List[Fraction]]) -> Fraction:
-    n = len(M)
-    A = [row[:] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det *= A[c][c]
-        inv = 1 / A[c][c]
-        for r in range(c + 1, n):
-            if A[r][c] != 0:
-                f = A[r][c] * inv
-                for j in range(c, n):
-                    A[r][j] -= f * A[c][j]
-    return det
-
-
-def _det_poly(M: List[List[Poly]]) -> Poly:
-    n = len(M)
-    if n == 0:
-        return _pconst(1)
-    bound = 0
-    for row in M:
-        degs = [len(e) - 1 for e in row if e]
-        if not degs:
-            return ()
-        bound += max(degs)
-    xs = [Fraction(k) for k in range(bound + 1)]
-    ys = [_det_q([[_peval(e, x) for e in row] for row in M]) for x in xs]
-    # Newton divided differences
-    coef = ys[:]
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - level])
-    poly: Poly = ()
-    basis: Poly = _pconst(1)
-    for i, c in enumerate(coef):
-        poly = _padd(poly, _pscale(basis, c))
-        basis = _pmul(basis, _pnorm([-xs[i], Fraction(1)]))
-    return poly
-
 
 def _kernel_q(M: List[List[Fraction]]) -> List[List[Fraction]]:
     rows = len(M)
@@ -357,6 +231,24 @@ def _signature_q(G: List[List[Fraction]]) -> int:
 # ---------------------------------------------------------------------------
 # path data
 # ---------------------------------------------------------------------------
+
+def _pnorm(cs: Sequence[Fraction]) -> Poly:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _peval(p: Poly, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _pderiv(p: Poly) -> Poly:
+    return _pnorm([p[i] * i for i in range(1, len(p))])
+
 
 @dataclass(frozen=True)
 class PathPiece:
@@ -494,17 +386,9 @@ def _rational_crossing(piece: PathPiece, B: List[List[Fraction]],
     return k, _signature_q(G)
 
 
-def _root_multiplicity(d: Poly, t0: Fraction) -> int:
-    m = 0
-    lin = _pnorm([-t0, Fraction(1)])
-    while d and _peval(d, t0) == 0:
-        d = _pdivmod(d, lin)[0]
-        m += 1
-    return m
-
-
-def _interior_crossing(P: List[List[Poly]], f: Poly, m: int, lo: Fraction,
-                       hi: Fraction, sqf_chain: List[Poly]) -> int:
+def _interior_crossing(P: List[List[IntPoly]], f: IntPoly, m: int,
+                       lo: Fraction, hi: Fraction,
+                       sqf_chain: List[IntPoly]) -> int:
     """Signature of the crossing form at the root t* of the squarefree
     factor f isolated in (lo, hi], where det P has a root of order m;
     ``sqf_chain`` is the Sturm chain of the squarefree part of det P.
@@ -526,21 +410,21 @@ def _interior_crossing(P: List[List[Poly]], f: Poly, m: int, lo: Fraction,
         g = f
         for size in range(n - m + 1, n):
             for idx in combinations(range(n), size):
-                g = _pgcd(g, _det_poly([[P[i][j] for j in idx] for i in idx]))
+                g = gcd(g, det([[P[i][j] for j in idx] for i in idx]))
         if _sturm_count(g, lo, hi) != 1:
             raise DegenerateCrossing("singular crossing form")
     sqf = sqf_chain[0]
     chain = _sturm_chain(f)
-    while not (_peval(sqf, lo) and _peval(sqf, hi)
+    while not (sign_at(sqf, lo) and sign_at(sqf, hi)
                and _sturm_count(sqf, lo, hi, sqf_chain) == 1):
         mid = (lo + hi) / 2
-        if _peval(f, mid) == 0:
+        if sign_at(f, mid) == 0:
             lo = (lo + mid) / 2
         elif _sturm_count(f, lo, mid, chain) == 1:
             hi = mid
         else:
             lo = mid
-    before, after = ([[_peval(e, t) for e in row] for row in P]
+    before, after = ([[value(e, t) for e in row] for row in P]
                      for t in (lo, hi))
     return (_signature_q(after) - _signature_q(before)) // 2
 
@@ -554,30 +438,27 @@ def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
     crossings: List[Crossing] = []
 
     for p_idx, piece in enumerate(path.pieces):
-        P = [[_psub(piece.matrix[i][j], _pconst(B[i][j])) for j in range(n)]
-             for i in range(n)]
-        d = _det_poly(P)
+        P = _integer_difference(piece.matrix, B)
+        d = det(P)
         if not d:
             raise DegenerateCrossing(
                 "determinant vanishes identically on a piece")
+        factors = _yun_squarefree(d)
         for t0 in (piece.start, piece.end):
-            if _peval(d, t0) == 0:
-                m = _root_multiplicity(d, t0)
+            if sign_at(d, t0) == 0:
+                m = next(i for f, i in factors if sign_at(f, t0) == 0)
                 k, sig = _rational_crossing(piece, B, t0)
                 if m != k:
                     raise DegenerateCrossing(
                         f"root multiplicity {m} != kernel dimension {k} at t={t0}")
                 boundary.setdefault(t0, []).append((p_idx, k, sig))
-        factors = _yun_squarefree(d)
-        sqf_chain = _sturm_chain(
-            reduce(_pmul, (f for f, _m in factors), _pconst(1)))
+        sqf_chain = _sturm_chain(reduce(mul, (f for f, _m in factors), {0: 1}))
         for factor, mult in factors:
             f = factor
             for t0 in (piece.start, piece.end):
-                lin = _pnorm([-t0, Fraction(1)])
-                if _peval(f, t0) == 0:
-                    f = _pdivmod(f, lin)[0]
-            if len(f) <= 1:
+                if sign_at(f, t0) == 0:
+                    f = _exact_div(f, _linear(t0))
+            if degree(f) < 1:
                 continue
             for lo, hi in _isolate_roots(f, piece.start, piece.end):
                 sig = _interior_crossing(P, f, mult, lo, hi, sqf_chain)
@@ -623,8 +504,7 @@ def _string_index(path: LagrangianPath,
     n = path.n
     A0 = path.pieces[0].value(path.start)
     A1 = path.pieces[-1].value(path.end)
-    diff = [[A1[i][j] - A0[i][j] for j in range(n)] for i in range(n)]
-    if _det_q(diff) == 0:
+    if not det(_integer_difference([[(a,) for a in row] for row in A1], A0)):
         raise NonTransverseEndpoints(
             "endpoint Lagrangians are not transverse")
     if start_total is None:

@@ -19,11 +19,6 @@ __all__ = [
     "dual",
     "tensor",
     "shift",
-    "mu",
-    "cardinality",
-    "graded_class",
-    "to_json",
-    "from_json",
 ]
 
 
@@ -66,14 +61,6 @@ class OpenString:
 EMPTY = OpenString()
 
 
-def cardinality(s: OpenString) -> int:
-    return s.cardinality
-
-
-def mu(s: OpenString) -> int:
-    return s.mu
-
-
 def dual(s: OpenString, n: int) -> OpenString:
     """The dual string: factor order reversed, each factor dualized.
 
@@ -103,29 +90,3 @@ def shift(s: OpenString, e: int, n_modulus: int = 0) -> OpenString:
         total %= n_modulus
     return OpenString(s.factors, total)
 
-
-def graded_class(s: OpenString, n_modulus: int) -> int:
-    """The grading mu + q, reduced mod N when N > 0."""
-    value = s.mu + s.cardinality
-    if n_modulus > 0:
-        value %= n_modulus
-    return value
-
-
-def to_json(s: OpenString) -> dict:
-    return {
-        "factors": [
-            {"id": f.id, "from": f.source_lagrangian,
-             "to": f.target_lagrangian, "mu": f.index}
-            for f in s.factors
-        ],
-        "shift": s.shift,
-    }
-
-
-def from_json(data: dict) -> OpenString:
-    factors = tuple(
-        ElementaryString(d["id"], d["from"], d["to"], int(d["mu"]))
-        for d in data.get("factors", ())
-    )
-    return OpenString(factors, int(data.get("shift", 0)))

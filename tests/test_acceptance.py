@@ -6,11 +6,16 @@ also enforce their wall-clock budget.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+
+import openstrings
 
 from openstrings.ainfty import (
     MapDatum,
@@ -286,3 +291,23 @@ def test_criterion_7_series_arithmetic_properties():
             window = cutoff - valuation(a)
             assert all(e >= window for e, _ in defect.terms), (a, inv)
         assert seen >= 1000
+
+
+def test_library_imports_only_the_standard_library():
+    # "no runtime dependencies beyond the standard library", read off the
+    # import statements of every module of the package
+    package = Path(openstrings.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "_poly.py" in modules
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert (top in sys.stdlib_module_names
+                        or top == "openstrings"), (module.name, name)

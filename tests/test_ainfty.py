@@ -9,10 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+from openstrings import ainfty
 from openstrings.ainfty import (
     AInftyDatum,
     Augmentation,
     DegreeViolation,
+    FloerComplex,
     Generator,
     InexactDivision,
     MapDatum,
@@ -44,7 +46,6 @@ from openstrings.ainfty import (
     pair_subcomplex,
     symbolic_delta_squared,
     validate_axioms_A,
-    _exact_div,
     _grade,
     _mat_add,
     _mat_compose,
@@ -52,6 +53,7 @@ from openstrings.ainfty import (
     _mat_scale,
     _word_mu,
 )
+from openstrings._poly import _exact_div
 from openstrings.morse import (
     CriticalPoint,
     Flow,
@@ -60,7 +62,7 @@ from openstrings.morse import (
     build_floer_complex,
     sphere_fixture,
 )
-from openstrings.novikov import NovikovSeries
+from openstrings.novikov import NovikovSeries, parse_series
 
 from conftest import (
     ONE,
@@ -497,6 +499,25 @@ def test_homotopy_validates_both_continuations():
     with pytest.raises(DegreeViolation, match="continuation tensor"):
         assemble_homotopy(c, c, ident, bad, MapDatum())
     assert assemble_homotopy(c, c, ident, ident, MapDatum()) == {}
+
+
+def test_each_frame_is_validated_once_per_request(chain_complex, monkeypatch):
+    # check_homotopy validates h0, h1 and k once each, in that order, and
+    # homotopic_map validates h0 and k once, not once per arity
+    seen = []
+    real = ainfty._validate_entries
+    monkeypatch.setattr(ainfty, "_validate_entries",
+                        lambda entries, *rest: seen.append((rest[-1], entries))
+                        or real(entries, *rest))
+    c = chain_complex
+    h0, k = identity_continuation(c), MapDatum()
+    assert max(len(w) for w in c.words) > 1
+    h1 = homotopic_map(c, c, h0, k)
+    assert seen == [("continuation tensor", h0.h), ("homotopy tensor", k.k)]
+    seen.clear()
+    assert check_homotopy(c, c, h0, h1, k)["homotopy"]
+    assert seen == [("continuation tensor", h0.h),
+                    ("continuation tensor", h1.h), ("homotopy tensor", k.k)]
 
 
 def test_tensor_weights_must_lie_in_the_datum_ring():
@@ -999,6 +1020,19 @@ def test_cohomology_rejects_cutoffs_before_elimination(chain_datum):
     for ring in ("Z", "Q"):
         with pytest.raises(ValueError, match=r"\('b',\)->g12 .*cutoff 5"):
             cohomology(c, ring=ring)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_cohomology_rejects_cutoffs_in_a_hand_built_differential(ring):
+    # no datum entry carries the cutoff, so only the differential shows it
+    gens = (Generator("x", 0, 1, 0), Generator("y", 0, 1, 1))
+    datum = AInftyDatum(l=1, generators=gens, tensors=(), ring=ring)
+    cut = parse_series("t^1", ring=ring).restrict(3)
+    c = FloerComplex(datum, (("x",), ("y",)), {("x",): {("y",): cut}})
+    with pytest.raises(ValueError,
+                       match=r"^differential entry \('x',\)->\('y',\) has "
+                             r"cutoff 3; cohomology needs exact series$"):
+        cohomology(c, ring=ring)
 
 
 def test_exact_division_rejects_remainders():

@@ -232,6 +232,34 @@ def test_maslov_builds_each_report_once(tmp_path, monkeypatch):
         assert len(built) == reports
 
 
+def test_maslov_same_reports_under_optimize(tmp_path):
+    # root isolation and the crossing checks raise rather than assert: a
+    # report, a report against a reference, a rejected degenerate path, a
+    # non-transverse path and an interior double root agree under
+    # ``python -O``
+    no_ref = {k: v for k, v in LINE_PATH_JSON.items() if k != "reference"}
+    degenerate = {"n": 1, "reference": [["3"]],
+                  "pieces": [{"t0": "0", "t1": "1", "A": [[["3"]]]}]}
+    closed = {"n": 1, "pieces": [{"t0": "-1", "t1": "1", "A": [[["0", "1"]]]},
+                                 {"t0": "1", "t1": "3", "A": [[["2", "-1"]]]}]}
+    double_root = {"n": 2, "reference": [["0", "0"], ["0", "0"]], "pieces": [
+        {"t0": "1", "t1": "2", "A": [[["-2", "0", "1"], ["0"]],
+                                     [["0"], ["-2", "0", "1"]]]}]}
+    cases = [(no_ref, PASS), (LINE_PATH_JSON, PASS), (degenerate, BAD_INPUT),
+             (closed, PASS), (double_root, PASS)]
+    for k, (obj, code) in enumerate(cases):
+        path = write(tmp_path, f"path{k}.json", obj)
+        results = [
+            subprocess.run([sys.executable, *flags, "-m", "openstrings.cli",
+                            "maslov", "index", path], env=child_env(),
+                           capture_output=True, text=True)
+            for flags in ([], ["-O"])]
+        plain, optimized = ((r.returncode, r.stdout, r.stderr)
+                            for r in results)
+        assert plain[0] == code, (obj, plain[2])
+        assert optimized == plain, obj
+
+
 def test_maslov_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 1,\n  "oops"')

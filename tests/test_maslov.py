@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from openstrings import maslov as _m
 from openstrings.maslov import (
     ChartMismatch,
     DegenerateCrossing,
@@ -21,6 +20,8 @@ from openstrings.maslov import (
     rs_index_report,
     string_index,
 )
+
+import maslov_reference as ref
 
 
 def line_path():
@@ -224,18 +225,19 @@ def test_singular_interior_crossings_raise(path):
 # ---------------------------------------------------------------------------
 # differential test: interior crossings against the linear algebra over
 # Q[x]/(g) that the inertia rule replaced, swapped in at its one call site
+# in the reference copy of the Fraction polynomial path
 
 
 def _pxgcd(p, q):
     """Extended gcd: returns (d, s, t) with s*p + t*q = d."""
     r0, r1 = p, q
-    s0, s1 = _m._pconst(1), ()
-    t0, t1 = (), _m._pconst(1)
+    s0, s1 = ref._pconst(1), ()
+    t0, t1 = (), ref._pconst(1)
     while r1:
-        quo, rem = _m._pdivmod(r0, r1)
+        quo, rem = ref._pdivmod(r0, r1)
         r0, r1 = r1, rem
-        s0, s1 = s1, _m._psub(s0, _m._pmul(quo, s1))
-        t0, t1 = t1, _m._psub(t0, _m._pmul(quo, t1))
+        s0, s1 = s1, ref._psub(s0, ref._pmul(quo, s1))
+        t0, t1 = t1, ref._psub(t0, ref._pmul(quo, t1))
     return r0, s0, t0
 
 
@@ -245,15 +247,15 @@ class _RootCtx:
     factor still vanishing at t*; sign queries shrink the interval."""
 
     def __init__(self, g, lo, hi):
-        self.g = _m._pmonic(g)
+        self.g = ref._pmonic(g)
         self.lo = lo
         self.hi = hi
 
     def reduce(self, h):
-        return _m._pdivmod(h, self.g)[1] if len(h) >= len(self.g) else h
+        return ref._pdivmod(h, self.g)[1] if len(h) >= len(self.g) else h
 
     def mul(self, a, b):
-        return self.reduce(_m._pmul(a, b))
+        return self.reduce(ref._pmul(a, b))
 
     def is_zero(self, h):
         h = self.reduce(h)
@@ -261,13 +263,13 @@ class _RootCtx:
             return True
         if len(self.g) == 1:
             return False
-        c = _m._pgcd(h, self.g)
+        c = ref._pgcd(h, self.g)
         if len(c) == 1:
             return False
-        if _m._sturm_count(c, self.lo, self.hi) == 1:
+        if ref._sturm_count(c, self.lo, self.hi) == 1:
             self.g = c
             return True
-        self.g = _m._pdivmod(self.g, c)[0]
+        self.g = ref._pdivmod(self.g, c)[0]
         return False
 
     def inv(self, h):
@@ -275,14 +277,14 @@ class _RootCtx:
         d, s, _t = _pxgcd(h, self.g)
         if len(d) != 1:
             raise AssertionError("inverting a zero divisor without a split")
-        return self.reduce(_m._pscale(s, 1 / d[0]))
+        return self.reduce(ref._pscale(s, 1 / d[0]))
 
     def _refine(self):
         mid = (self.lo + self.hi) / 2
-        if _m._peval(self.g, mid) == 0:
+        if ref._peval(self.g, mid) == 0:
             self.lo = (self.lo + mid) / 2
             return
-        if _m._sturm_count(self.g, self.lo, mid) == 1:
+        if ref._sturm_count(self.g, self.lo, mid) == 1:
             self.hi = mid
         else:
             self.lo = mid
@@ -292,9 +294,9 @@ class _RootCtx:
             return 0
         h = self.reduce(h)
         while True:
-            if (_m._peval(h, self.lo) != 0
-                    and _m._sturm_count(h, self.lo, self.hi) == 0):
-                return 1 if _m._peval(h, self.hi) > 0 else -1
+            if (ref._peval(h, self.lo) != 0
+                    and ref._sturm_count(h, self.lo, self.hi) == 0):
+                return 1 if ref._peval(h, self.hi) > 0 else -1
             self._refine()
 
 
@@ -315,7 +317,7 @@ def _kernel_ctx(ctx, M):
         for rr in range(rows):
             if rr != r and not ctx.is_zero(R[rr][c]):
                 f = R[rr][c]
-                R[rr] = [_m._psub(e, ctx.mul(f, R[r][j]))
+                R[rr] = [ref._psub(e, ctx.mul(f, R[r][j]))
                          for j, e in enumerate(R[rr])]
         piv_cols.append(c)
         r += 1
@@ -326,9 +328,9 @@ def _kernel_ctx(ctx, M):
         if fc in piv_cols:
             continue
         v = [()] * cols
-        v[fc] = _m._pconst(1)
+        v[fc] = ref._pconst(1)
         for k, pc in enumerate(piv_cols):
-            v[pc] = _m._pneg(R[k][fc])
+            v[pc] = ref._pneg(R[k][fc])
         basis.append(v)
     return basis
 
@@ -344,14 +346,14 @@ def _signature_ctx(ctx, G):
             if j is None:
                 raise DegenerateCrossing("singular crossing form")
             for s in (1, -1):
-                cand = _m._padd(_m._padd(
-                    A[i][i], _m._pscale(A[i][j], Fraction(2 * s))), A[j][j])
+                cand = ref._padd(ref._padd(
+                    A[i][i], ref._pscale(A[i][j], Fraction(2 * s))), A[j][j])
                 if not ctx.is_zero(cand):
-                    sc = _m._pconst(s)
+                    sc = ref._pconst(s)
                     for col in range(k):
-                        A[i][col] = _m._padd(A[i][col], ctx.mul(sc, A[j][col]))
+                        A[i][col] = ref._padd(A[i][col], ctx.mul(sc, A[j][col]))
                     for row in range(k):
-                        A[row][i] = _m._padd(A[row][i], ctx.mul(sc, A[row][j]))
+                        A[row][i] = ref._padd(A[row][i], ctx.mul(sc, A[row][j]))
                     break
         d = A[i][i]
         sg = ctx.sign_at(d)
@@ -363,7 +365,7 @@ def _signature_ctx(ctx, G):
                    if not ctx.is_zero(A[r][i])}
         for r, f in factors.items():
             for col in range(i, k):
-                A[r][col] = _m._psub(A[r][col], ctx.mul(f, A[i][col]))
+                A[r][col] = ref._psub(A[r][col], ctx.mul(f, A[i][col]))
         for r in range(i + 1, k):
             A[r][i] = ()
             A[i][r] = ()
@@ -379,7 +381,7 @@ def _reference_interior(P, g, mult, lo, hi, _sqf_chain):
     k = len(kernel)
     if k == 0:
         raise AssertionError("crossing with trivial kernel")
-    Ap = [[ctx.reduce(_m._pderiv(e)) for e in row] for row in P]
+    Ap = [[ctx.reduce(ref._pderiv(e)) for e in row] for row in P]
     G = []
     for r in range(k):
         row = []
@@ -391,7 +393,7 @@ def _reference_interior(P, g, mult, lo, hi, _sqf_chain):
                 for v in range(n):
                     if not kernel[s][v] or not Ap[u][v]:
                         continue
-                    acc = _m._padd(acc, ctx.mul(
+                    acc = ref._padd(acc, ctx.mul(
                         ctx.mul(kernel[r][u], Ap[u][v]), kernel[s][v]))
             row.append(acc)
         G.append(row)
@@ -402,9 +404,9 @@ def _reference_interior(P, g, mult, lo, hi, _sqf_chain):
     return sig
 
 
-def _outcome(reference, path):
+def _outcome(reference, path, report=rs_index_report):
     try:
-        return report_to_json(rs_index_report(reference, path))
+        return report_to_json(report(reference, path))
     except (DegenerateCrossing, ChartMismatch) as exc:
         return type(exc).__name__, str(exc)
 
@@ -412,8 +414,8 @@ def _outcome(reference, path):
 def _outcomes(reference, path, monkeypatch):
     new = _outcome(reference, path)
     with monkeypatch.context() as mp:
-        mp.setattr(_m, "_interior_crossing", _reference_interior)
-        old = _outcome(reference, path)
+        mp.setattr(ref, "_interior_crossing", _reference_interior)
+        old = _outcome(reference, path, ref.rs_index_report)
     return new, old
 
 
@@ -423,7 +425,7 @@ _ENTRY_POOL = [
     (1,), (-2,), (Fraction(1, 2), 1), (Fraction(-1, 3), -1), (-1, 1),
     (-2, 0, 1), (3, 0, -1), (-1, -1, 1), (0, 0, 0, 1),
     (Fraction(1, 4), -1, 1),                               # (t - 1/2)^2
-    _m._pmul((-2, 0, 1), (Fraction(-7, 5), 1)),            # roots 1.4, 1.414..
+    ref._pmul((-2, 0, 1), (Fraction(-7, 5), 1)),            # roots 1.4, 1.414..
 ]
 
 
@@ -449,7 +451,7 @@ def _structured_path(rng):
         D[0][0] = D[1][1] = ()
         D[0][1] = D[1][0] = h
     q = _unimodular(rng, n)
-    rows = [[_m._pnorm([sum((Fraction(D[a][b][d]) * q[a][i] * q[b][j]
+    rows = [[ref._pnorm([sum((Fraction(D[a][b][d]) * q[a][i] * q[b][j]
                              for a in range(n) for b in range(n)
                              if d < len(D[a][b])), Fraction(0))
                         for d in range(4)])
@@ -467,11 +469,11 @@ def _random_pq_path(rng):
         if rng.random() < 0.5:
             pieces.append(p)
             continue
-        bump = _m._pmul((-p.start, 1), (-p.end, 1))
+        bump = ref._pmul((-p.start, 1), (-p.end, 1))
         n = len(p.matrix)
         s = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
-        rows = [[_m._padd(p.matrix[i][j],
-                          _m._pscale(bump, Fraction(s[i][j] + s[j][i])))
+        rows = [[ref._padd(p.matrix[i][j],
+                          ref._pscale(bump, Fraction(s[i][j] + s[j][i])))
                  for j in range(n)] for i in range(n)]
         pieces.append(make_piece(p.start, p.end, rows))
     return make_path(pieces)
@@ -517,3 +519,46 @@ def test_interior_crossings_match_reference_on_random_corpus(monkeypatch):
                  for c in new["crossings"]):
             kinds["regular k > 1"] += 1
     assert kinds["regular k > 1"] > 10 and kinds["rejected"] > 10, kinds
+
+
+# ---------------------------------------------------------------------------
+# differential test: the integer polynomial path against the Fraction
+# polynomial path it replaced (interpolated determinants, monic Sturm
+# chains), on reports, string indices and exceptions
+
+
+def _string_outcome(index, path):
+    try:
+        return index(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_matches_fraction_reference(reference, path):
+    assert _outcome(reference, path) == _outcome(
+        reference, path, ref.rs_index_report), (reference, path)
+    assert _string_outcome(string_index, path) == _string_outcome(
+        ref.string_index, path), path
+
+
+_NAMED_PATHS = [
+    DOUBLE_ROOT, SPLIT_DOUBLE_ROOT, ORDER_ABOVE_N, TANGENTIAL, RANK_JUMP,
+    line_path(), _graph_path([-1, 1, 1]), _graph_path([-1, -1]),
+    make_path([make_piece(0, 2, [[(1, 2), (0, 1)], [(0, 1), (-1, 1)]])]),
+    make_path([make_piece(0, 1, [[(0, 1)]]), make_piece(1, 2, [[(2, -1)]])]),
+    make_path([make_piece(0, 1, [[(3,)]])]),
+    path_from_json({"pieces": [{"t0": "0", "t1": "1/2",
+                                "A": [[["1/3", "2"]]]}]}),
+]
+
+
+@pytest.mark.parametrize("path", _NAMED_PATHS)
+def test_integer_polynomials_match_fraction_reference_on_fixtures(path):
+    n = path.n
+    for reference in (_zero(n), path.value(path.start), [[5] * n] * n):
+        _assert_matches_fraction_reference(reference, path)
+
+
+def test_integer_polynomials_match_fraction_reference_on_random_corpus():
+    for reference, path in _corpus(20261018, 200):
+        _assert_matches_fraction_reference(reference, path)

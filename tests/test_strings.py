@@ -1,4 +1,4 @@
-"""Words of elementary generators: duality, tensor, shifts, grading."""
+"""Words of elementary generators: duality, tensor, shifts."""
 
 from __future__ import annotations
 
@@ -11,14 +11,9 @@ from openstrings.strings import (
     EMPTY,
     ElementaryString,
     OpenString,
-    cardinality,
     dual,
-    from_json,
-    graded_class,
-    mu,
     shift,
     tensor,
-    to_json,
 )
 
 _LABELS = ["L0", "L1", "L2", "L3"]
@@ -53,12 +48,12 @@ def test_dual_is_involution(s, n):
 
 @given(words, st.integers(1, 5))
 def test_dual_index_sum(s, n):
-    q = cardinality(s)
+    q = s.cardinality
     if q == 0:
         # the empty word is its own special case: indices sum to n
-        assert mu(s) + mu(dual(s, n)) == n
+        assert s.mu + dual(s, n).mu == n
     else:
-        assert mu(s) + mu(dual(s, n)) == n * q
+        assert s.mu + dual(s, n).mu == n * q
 
 
 def test_dual_reverses_factors():
@@ -92,8 +87,8 @@ def test_tensor_unit(a):
 @given(words, words)
 def test_tensor_additivity(a, b):
     t = tensor(a, b)
-    assert cardinality(t) == cardinality(a) + cardinality(b)
-    assert mu(t) == mu(a) + mu(b)
+    assert t.cardinality == a.cardinality + b.cardinality
+    assert t.mu == a.mu + b.mu
 
 
 def test_shift_changes_mu():
@@ -101,7 +96,7 @@ def test_shift_changes_mu():
     for _ in range(50):
         s = _random_word(rng)
         e = rng.randint(-5, 5)
-        assert mu(shift(s, e)) == mu(s) + e
+        assert shift(s, e).mu == s.mu + e
 
 
 def test_shift_modulus_identifies():
@@ -109,19 +104,3 @@ def test_shift_modulus_identifies():
     assert shift(s, 5, n_modulus=2) == shift(s, 7, n_modulus=2)
     assert shift(s, 5, n_modulus=1).shift == 0
 
-
-def test_graded_class():
-    e = ElementaryString("u", "L0", "L1", 3)
-    s = OpenString((e, e), 1)  # mu = 7, q = 2
-    assert graded_class(s, 0) == 9
-    assert graded_class(s, 4) == 1
-    assert graded_class(EMPTY, 0) == 0
-
-
-def test_json_round_trip():
-    rng = random.Random(5)
-    for _ in range(50):
-        s = _random_word(rng)
-        assert from_json(to_json(s)) == s
-    blob = to_json(_random_word(rng))
-    assert set(blob) == {"factors", "shift"}
