@@ -216,9 +216,12 @@ def _validate_entries(entries, gens, out_gens, shift, modulus, ring, what):
 
 
 def _acc(row: dict, key, value: NovikovSeries) -> None:
-    """Add ``value`` into ``row[key]``, dropping the key when the sum is zero."""
+    """Add ``value`` into ``row[key]``, dropping the key when the sum is zero
+    and exact.  A cancelled sum with a cutoff stays as a zero series with
+    that cutoff, so an entry's cutoff is the minimum over every term summed
+    into it, whatever the order; consumers read a zero series as zero."""
     s = row.get(key, 0) + value
-    if s:
+    if s or s.cutoff is not None:
         row[key] = s
     elif key in row:
         del row[key]
@@ -258,12 +261,14 @@ def _mat_entries(a: Matrix):
 
 
 def _mat_is_zero(a: Matrix) -> bool:
-    return all(not cols for cols in a.values())
+    return not any(c for cols in a.values() for c in cols.values())
 
 
 def _entry_report(a: Matrix, limit: int = 16) -> List[dict]:
     out = []
     for w, u, c in _mat_entries(a):
+        if not c:
+            continue
         out.append({"in": list(w), "out": list(u), "coeff": format_series(c)})
         if len(out) >= limit:
             break
@@ -679,7 +684,7 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
             if len(word) != w:
                 continue
             for wout, coeff in want.get(word, {}).items():
-                if len(wout) == 1:
+                if len(wout) == 1 and coeff:
                     h1_entries.append(TensorEntry(word, wout[0], coeff))
     return MapDatum(h=tuple(h1_entries))
 
@@ -725,7 +730,7 @@ def compose_continuations(c0: FloerComplex, c1: FloerComplex,
         for outer in h01index.get(mid_word, ()):
             _acc(acc, (word, outer.output), coeff * outer.coeff)
     entries = tuple(TensorEntry(w, g, c)
-                    for (w, g), c in sorted(acc.items()))
+                    for (w, g), c in sorted(acc.items()) if c)
     return MapDatum(h=entries)
 
 

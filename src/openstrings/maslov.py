@@ -20,19 +20,21 @@ Crossings are handled exactly.  On each piece A(t) - B is cleared of
 denominators by one positive integer; its determinant and principal
 minors are taken by fraction-free Bareiss elimination over Z[t], the
 kernel ``ainfty.cohomology`` uses, and roots are isolated by Sturm chains
-of sign-preserving primitive remainders over Z.  A crossing at a rational
-start, end or junction uses linear algebra over Q at that point.  One
-inside a piece is decided without leaving Q: its kernel dimension equals
-the multiplicity m of the root exactly when every principal minor of
-A(t) - B of size n-m+1 .. n-1 vanishes there (gcd with the root's
-squarefree factor, one Sturm count), and then the signature of its
-crossing form is half the jump of the signature of A(t) - B between
-rational points on either side with no other root of the determinant in
-between (Robbin-Salamon).
+of sign-preserving primitive remainders over Z.  Every crossing, rational
+or not, is decided by one rule without leaving Q (Robbin-Salamon).  At a
+root of the determinant of order m the kernel dimension k is at most m,
+with equality exactly when the crossing form is nonsingular.  At a
+rational start, end or junction k is the nullity of A(t0) - B; inside a
+piece k = m exactly when every principal minor of A(t) - B of size
+n-m+1 .. n-1 vanishes there (gcd with the root's squarefree factor, one
+Sturm count).  The signature of a regular crossing form is half the jump
+of the signature of A(t) - B between rational points on either side with
+no other root of the determinant in between; the piece's polynomial is
+evaluated past the ends of the piece, so each side of a junction uses
+its own derivative.
 
 A crossing is rejected (``DegenerateCrossing``) when det(A(t) - B)
-vanishes identically on a piece, or when the multiplicity of the root does
-not equal the kernel dimension, or when the crossing form is singular.
+vanishes identically on a piece, or when its crossing form is singular.
 """
 
 from __future__ import annotations
@@ -166,48 +168,18 @@ def _isolate_roots(f: IntPoly, lo: Fraction, hi: Fraction) -> List[Tuple[Fractio
 # rational-point linear algebra
 # ---------------------------------------------------------------------------
 
-def _kernel_q(M: List[List[Fraction]]) -> List[List[Fraction]]:
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    R = [row[:] for row in M]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((rr for rr in range(r, rows) if R[rr][c] != 0), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        inv = 1 / R[r][c]
-        R[r] = [e * inv for e in R[r]]
-        for rr in range(rows):
-            if rr != r and R[rr][c] != 0:
-                f = R[rr][c]
-                R[rr] = [e - f * R[r][j] for j, e in enumerate(R[rr])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    basis = []
-    for fc in range(cols):
-        if fc in piv_cols:
-            continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for k, pc in enumerate(piv_cols):
-            v[pc] = -R[k][fc]
-        basis.append(v)
-    return basis
-
-
-def _signature_q(G: List[List[Fraction]]) -> int:
-    k = len(G)
-    A = [row[:] for row in G]
-    sig = 0
+def _inertia(M: List[List[Fraction]]) -> Tuple[int, int]:
+    """(signature, nullity) of a symmetric rational matrix, by symmetric
+    Gaussian elimination (congruence)."""
+    k = len(M)
+    A = [row[:] for row in M]
+    sig = nullity = 0
     for i in range(k):
         if A[i][i] == 0:
             j = next((jj for jj in range(i + 1, k) if A[i][jj] != 0), None)
             if j is None:
-                raise DegenerateCrossing("singular crossing form")
+                nullity += 1
+                continue
             for s in (1, -1):
                 if 2 * s * A[i][j] + A[j][j] != 0:
                     for col in range(k):
@@ -225,7 +197,7 @@ def _signature_q(G: List[List[Fraction]]) -> int:
         for r in range(i + 1, k):
             A[i][r] = Fraction(0)
             A[r][i] = Fraction(0)
-    return sig
+    return sig, nullity
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +218,11 @@ def _peval(p: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def _pderiv(p: Poly) -> Poly:
-    return _pnorm([p[i] * i for i in range(1, len(p))])
-
-
 @dataclass(frozen=True)
 class PathPiece:
     start: Fraction
     end: Fraction
     matrix: Tuple[Tuple[Poly, ...], ...]     # symmetric n x n, polynomial entries
-
-    def derivative(self) -> Tuple[Tuple[Poly, ...], ...]:
-        return tuple(tuple(_pderiv(e) for e in row) for row in self.matrix)
 
     def value(self, t: Fraction) -> List[List[Fraction]]:
         return [[_peval(e, t) for e in row] for row in self.matrix]
@@ -368,51 +333,13 @@ def _reference_matrix(reference, n: int) -> List[List[Fraction]]:
     return B
 
 
-def _rational_crossing(piece: PathPiece, B: List[List[Fraction]],
-                       t0: Fraction) -> Tuple[int, int]:
-    """(kernel dimension, signature of the crossing form) at a rational t0."""
-    n = len(piece.matrix)
-    M = [[_peval(piece.matrix[i][j], t0) - B[i][j] for j in range(n)]
-         for i in range(n)]
-    kernel = _kernel_q(M)
-    k = len(kernel)
-    if k == 0:
-        raise AssertionError("crossing with trivial kernel")
-    Ap = [[_peval(_pderiv(piece.matrix[i][j]), t0) for j in range(n)]
-          for i in range(n)]
-    G = [[sum(kernel[r][u] * Ap[u][v] * kernel[s][v]
-              for u in range(n) for v in range(n))
-          for s in range(k)] for r in range(k)]
-    return k, _signature_q(G)
-
-
-def _interior_crossing(P: List[List[IntPoly]], f: IntPoly, m: int,
-                       lo: Fraction, hi: Fraction,
-                       sqf_chain: List[IntPoly]) -> int:
-    """Signature of the crossing form at the root t* of the squarefree
-    factor f isolated in (lo, hi], where det P has a root of order m;
-    ``sqf_chain`` is the Sturm chain of the squarefree part of det P.
-
-    The kernel dimension k at t* is at most m, with equality exactly when
-    the crossing form is nondegenerate (take the Schur complement onto the
-    kernel).  A symmetric matrix has rank r iff some principal r x r minor
-    is nonzero and no larger one is, so k = m iff every principal minor of
-    P of size n-m+1 .. n-1 vanishes at t* (size n is det P itself).  At
-    such a regular crossing the k small eigenvalues of P(t) change sign
-    with the crossing form, so its signature is half the jump of the
-    signature of P between rational points on either side of t* with no
-    other root of det P between them.
+def _signature_jump(P: List[List[IntPoly]], f: IntPoly, lo: Fraction,
+                    hi: Fraction, sqf_chain: List[IntPoly]) -> int:
+    """Signature of the crossing form at a regular crossing t*, the one
+    root of the squarefree factor f in (lo, hi]: half the jump of the
+    signature of P across a bracket of t* shrunk until it holds no other
+    root of det P, whose squarefree part has the Sturm chain ``sqf_chain``.
     """
-    n = len(P)
-    if m > n:
-        raise DegenerateCrossing("singular crossing form")
-    if m > 1:
-        g = f
-        for size in range(n - m + 1, n):
-            for idx in combinations(range(n), size):
-                g = gcd(g, det([[P[i][j] for j in idx] for i in idx]))
-        if _sturm_count(g, lo, hi) != 1:
-            raise DegenerateCrossing("singular crossing form")
     sqf = sqf_chain[0]
     chain = _sturm_chain(f)
     while not (sign_at(sqf, lo) and sign_at(sqf, hi)
@@ -426,7 +353,32 @@ def _interior_crossing(P: List[List[IntPoly]], f: IntPoly, m: int,
             lo = mid
     before, after = ([[value(e, t) for e in row] for row in P]
                      for t in (lo, hi))
-    return (_signature_q(after) - _signature_q(before)) // 2
+    return (_inertia(after)[0] - _inertia(before)[0]) // 2
+
+
+def _interior_crossing(P: List[List[IntPoly]], f: IntPoly, m: int,
+                       lo: Fraction, hi: Fraction,
+                       sqf_chain: List[IntPoly]) -> int:
+    """Signature of the crossing form at a root t* inside a piece: the
+    root of the squarefree factor f isolated in (lo, hi], of order m in
+    det P.
+
+    The crossing is regular iff its kernel dimension k equals m.  A
+    symmetric matrix has rank r iff some principal r x r minor is nonzero
+    and no larger one is, so k = m iff every principal minor of P of size
+    n-m+1 .. n-1 vanishes at t* (size n is det P itself).
+    """
+    n = len(P)
+    if m > n:
+        raise DegenerateCrossing("singular crossing form")
+    if m > 1:
+        g = f
+        for size in range(n - m + 1, n):
+            for idx in combinations(range(n), size):
+                g = gcd(g, det([[P[i][j] for j in idx] for i in idx]))
+        if _sturm_count(g, lo, hi) != 1:
+            raise DegenerateCrossing("singular crossing form")
+    return _signature_jump(P, f, lo, hi, sqf_chain)
 
 
 def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
@@ -444,15 +396,15 @@ def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
             raise DegenerateCrossing(
                 "determinant vanishes identically on a piece")
         factors = _yun_squarefree(d)
+        sqf_chain = _sturm_chain(reduce(mul, (f for f, _m in factors), {0: 1}))
         for t0 in (piece.start, piece.end):
             if sign_at(d, t0) == 0:
                 m = next(i for f, i in factors if sign_at(f, t0) == 0)
-                k, sig = _rational_crossing(piece, B, t0)
-                if m != k:
-                    raise DegenerateCrossing(
-                        f"root multiplicity {m} != kernel dimension {k} at t={t0}")
-                boundary.setdefault(t0, []).append((p_idx, k, sig))
-        sqf_chain = _sturm_chain(reduce(mul, (f for f, _m in factors), {0: 1}))
+                if _inertia([[value(e, t0) for e in row] for row in P])[1] != m:
+                    raise DegenerateCrossing("singular crossing form")
+                sig = _signature_jump(P, _linear(t0), t0 - 1, t0 + 1,
+                                      sqf_chain)
+                boundary.setdefault(t0, []).append((p_idx, m, sig))
         for factor, mult in factors:
             f = factor
             for t0 in (piece.start, piece.end):

@@ -1,9 +1,11 @@
-"""The crossing-form polynomial path of ``openstrings.maslov`` as it was
-before its polynomial arithmetic moved to integer polynomials: tuples of
-``Fraction`` coefficients, determinants by Newton interpolation, Sturm
-chains of monic remainders.  Kept only as a reference for the
-differential tests; the path data, the rational-point linear algebra and
-the exceptions are the library's own."""
+"""The crossing-form path of ``openstrings.maslov`` as it was before its
+polynomial arithmetic moved to integer polynomials and its crossings at
+rational points moved to the inertia rule: tuples of ``Fraction``
+coefficients, determinants by Newton interpolation, Sturm chains of monic
+remainders, and at a rational start, end or junction a kernel over Q and
+the crossing form built on it.  Kept only as a reference for the
+differential tests; the path data and the exceptions are the library's
+own."""
 
 from __future__ import annotations
 
@@ -19,9 +21,8 @@ from openstrings.maslov import (
     DegenerateCrossing,
     LagrangianPath,
     NonTransverseEndpoints,
-    _rational_crossing,
+    PathPiece,
     _reference_matrix,
-    _signature_q,
 )
 
 Poly = Tuple[Fraction, ...]          # coefficients, constant term first
@@ -189,6 +190,86 @@ def _isolate_roots(f: Poly, lo: Fraction, hi: Fraction) -> List[Tuple[Fraction, 
 
     return rec(lo, hi)
 
+
+
+def _kernel_q(M: List[List[Fraction]]) -> List[List[Fraction]]:
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    R = [row[:] for row in M]
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        piv = next((rr for rr in range(r, rows) if R[rr][c] != 0), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = 1 / R[r][c]
+        R[r] = [e * inv for e in R[r]]
+        for rr in range(rows):
+            if rr != r and R[rr][c] != 0:
+                f = R[rr][c]
+                R[rr] = [e - f * R[r][j] for j, e in enumerate(R[rr])]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    basis = []
+    for fc in range(cols):
+        if fc in piv_cols:
+            continue
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for k, pc in enumerate(piv_cols):
+            v[pc] = -R[k][fc]
+        basis.append(v)
+    return basis
+
+
+def _signature_q(G: List[List[Fraction]]) -> int:
+    k = len(G)
+    A = [row[:] for row in G]
+    sig = 0
+    for i in range(k):
+        if A[i][i] == 0:
+            j = next((jj for jj in range(i + 1, k) if A[i][jj] != 0), None)
+            if j is None:
+                raise DegenerateCrossing("singular crossing form")
+            for s in (1, -1):
+                if 2 * s * A[i][j] + A[j][j] != 0:
+                    for col in range(k):
+                        A[i][col] += s * A[j][col]
+                    for row in range(k):
+                        A[row][i] += s * A[row][j]
+                    break
+        d = A[i][i]
+        sig += 1 if d > 0 else -1
+        # congruence clearing of row/column i below the pivot
+        factors = {r: A[r][i] / d for r in range(i + 1, k) if A[r][i] != 0}
+        for r, f in factors.items():
+            for col in range(i, k):
+                A[r][col] -= f * A[i][col]
+        for r in range(i + 1, k):
+            A[i][r] = Fraction(0)
+            A[r][i] = Fraction(0)
+    return sig
+
+
+def _rational_crossing(piece: PathPiece, B: List[List[Fraction]],
+                       t0: Fraction) -> Tuple[int, int]:
+    """(kernel dimension, signature of the crossing form) at a rational t0."""
+    n = len(piece.matrix)
+    M = [[_peval(piece.matrix[i][j], t0) - B[i][j] for j in range(n)]
+         for i in range(n)]
+    kernel = _kernel_q(M)
+    k = len(kernel)
+    if k == 0:
+        raise AssertionError("crossing with trivial kernel")
+    Ap = [[_peval(_pderiv(piece.matrix[i][j]), t0) for j in range(n)]
+          for i in range(n)]
+    G = [[sum(kernel[r][u] * Ap[u][v] * kernel[s][v]
+              for u in range(n) for v in range(n))
+          for s in range(k)] for r in range(k)]
+    return k, _signature_q(G)
 
 
 def _det_q(M: List[List[Fraction]]) -> Fraction:

@@ -1007,16 +1007,44 @@ def test_non_unit_pivot_says_where(chain_complex):
         "('c',), target word ('cp',), lead(p_2) = 2, lead(p_1) = -1)")
 
 
+def test_accumulated_cutoff_does_not_depend_on_summation_order():
+    # an entry's cutoff is the minimum over every term summed into it; a
+    # cancelled sum keeps its cutoff as a zero series, which reads as zero
+    a = S("t^1 + t^4").restrict(3)
+    b = S("2t^2 + t^5")
+    sums = set()
+    for order in itertools.permutations([a, -a, b]):
+        row = {}
+        for term in order:
+            ainfty._acc(row, "x", term)
+        sums.add(row["x"])
+    assert sums == {b.restrict(3)}
+    row = {}
+    ainfty._acc(row, "x", a)
+    ainfty._acc(row, "x", -a)
+    assert row == {"x": S("0").restrict(3)}
+    assert _mat_is_zero({"w": row})
+    assert ainfty._entry_report({"w": row}) == []
+
+
 def test_cohomology_rejects_cutoffs_before_elimination(chain_datum):
-    # the cutoff entry cancels out of the differential together with its
-    # cutoff, and the datum's non-unit strand would stop a Z elimination
+    # the cutoff entry cancels out of the differential but leaves a zero
+    # series with its cutoff wherever b becomes g12, and the datum's
+    # non-unit strand would stop a Z elimination
     cut = S("t^1").restrict(5)
     tensors = chain_datum.tensors + (T(["b"], "g12", cut),
                                      T(["b"], "g12", S("-t^1")))
     datum = AInftyDatum(l=3, generators=chain_datum.generators,
                         tensors=tensors)
     c = assemble_differential(datum)
-    assert c.differential == assemble_differential(chain_datum).differential
+    expected = {w: dict(cols) for w, cols
+                in assemble_differential(chain_datum).differential.items()}
+    for w in c.words:
+        if "b" in w:
+            i = w.index("b")
+            expected.setdefault(w, {})[w[:i] + ("g12",) + w[i + 1:]] = \
+                S("0").restrict(5)
+    assert c.differential == expected
     for ring in ("Z", "Q"):
         with pytest.raises(ValueError, match=r"\('b',\)->g12 .*cutoff 5"):
             cohomology(c, ring=ring)

@@ -120,6 +120,15 @@ def test_subdivision_invariance():
     halves = make_path([make_piece(0, 1, rows), make_piece(1, 2, rows)])
     ref = [[5, 0], [0, 5]]
     assert rs_index(ref, whole) == rs_index(ref, halves)
+    # diag(t-1, +-(t-1)): a crossing with a 2-dimensional kernel at the cut
+    half = Fraction(1, 2)
+    for entry, sig in (((-1, 1), 2), ((1, -1), 0)):
+        whole = _diag_path([(-1, 1), entry], 0, 2)
+        halves = _repiece(whole, 0, 1, 2)
+        assert rs_index(_zero(2), whole) == rs_index(_zero(2), halves)
+        (c,) = rs_index_report(_zero(2), halves).crossings
+        assert (c.location, c.kernel_dimension, c.parts) == (
+            "junction", 2, ((half, sig), (half, sig)))
 
 
 def test_non_transverse_endpoints_raise():
@@ -187,6 +196,13 @@ def _zero(n):
     return [[0] * n for _ in range(n)]
 
 
+def _repiece(path, *points):
+    """The polynomial of a one-piece path on the pieces between ``points``."""
+    (p,) = path.pieces
+    return make_path([make_piece(a, b, p.matrix)
+                      for a, b in zip(points, points[1:])])
+
+
 DOUBLE_ROOT = _diag_path([(-2, 0, 1)] * 2, 0, 2)
 SPLIT_DOUBLE_ROOT = _diag_path([(-2, 0, 1), (2, 0, -1)], 0, 2)
 ORDER_ABOVE_N = _diag_path([(0, 0, 1)], -1, 1)
@@ -215,9 +231,18 @@ def test_double_root_with_split_signature():
         "interior", 2, ((Fraction(1), 0),))
 
 
-@pytest.mark.parametrize("path", [ORDER_ABOVE_N, TANGENTIAL, RANK_JUMP],
-                         ids=["order-above-n", "tangential", "rank-jump"])
-def test_singular_interior_crossings_raise(path):
+# each singular crossing at 0 inside the piece, at the start, at the end
+# and at a junction
+_SINGULAR = [("order-above-n", ORDER_ABOVE_N), ("tangential", TANGENTIAL),
+             ("rank-jump", RANK_JUMP)]
+_PLACES = [("", (-1, 1)), ("-start", (0, 1)), ("-end", (-1, 0)),
+           ("-junction", (-1, 0, 1))]
+
+
+@pytest.mark.parametrize(
+    "path", [_repiece(p, *pts) for _n, p in _SINGULAR for _s, pts in _PLACES],
+    ids=[n + s for n, _p in _SINGULAR for s, _pts in _PLACES])
+def test_singular_crossings_raise(path):
     with pytest.raises(DegenerateCrossing, match="^singular crossing form$"):
         rs_index_report(_zero(path.n), path)
 
