@@ -14,12 +14,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ._poly import InexactDivision, _bareiss_entry  # noqa: F401
 from .novikov import NovikovSeries, format_series, parse_series
-from .polytopes import assoc_facet_parity
+from .polytopes import _compositions, assoc_facet_parity
 
 __all__ = [
     "DegreeViolation",
@@ -215,30 +216,34 @@ def _validate_entries(entries, gens, out_gens, shift, modulus, ring, what):
 # matrices on the chain basis
 
 
+def _signed(c: NovikovSeries, exp: int) -> NovikovSeries:
+    """(-1)^exp * c; an even exponent returns ``c`` itself."""
+    return c.scale(-1) if exp % 2 else c
+
+
 def _acc(row: dict, key, value: NovikovSeries) -> None:
     """Add ``value`` into ``row[key]``, dropping the key when the sum is zero
-    and exact.  A cancelled sum with a cutoff stays as a zero series with
+    and exact.  The first term for a key is stored as it is (series are
+    immutable).  A cancelled sum with a cutoff stays as a zero series with
     that cutoff, so an entry's cutoff is the minimum over every term summed
     into it, whatever the order; consumers read a zero series as zero."""
-    s = row.get(key, 0) + value
+    s = row[key] + value if key in row else value
     if s or s.cutoff is not None:
         row[key] = s
     elif key in row:
         del row[key]
 
 
-def _mat_add(a: Matrix, b: Matrix) -> Matrix:
+def _mat_add(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
+    """``a + b``, or ``a - b`` with ``sign=-1``: the entries of ``b`` are
+    negated as they are summed."""
+    exp = int(sign < 0)
     out: Matrix = {w: dict(cols) for w, cols in a.items()}
     for w, cols in b.items():
         row = out.setdefault(w, {})
         for u, c in cols.items():
-            _acc(row, u, c)
+            _acc(row, u, _signed(c, exp))
     return {w: cols for w, cols in out.items() if cols}
-
-
-def _mat_scale(a: Matrix, scalar: int) -> Matrix:
-    return {w: {u: c.scale(scalar) for u, c in cols.items()}
-            for w, cols in a.items()}
 
 
 def _mat_compose(first: Matrix, second: Matrix) -> Matrix:
@@ -319,7 +324,7 @@ def assemble_differential(d: AInftyDatum) -> FloerComplex:
                     prefix_mu = _word_mu(word[:i - 1], gens)
                     exp = q * w + i * (w - 1) + w * prefix_mu
                     out_word = word[:i - 1] + (entry.output,) + word[i - 1 + w:]
-                    _acc(row, out_word, entry.coeff.scale(-1 if exp % 2 else 1))
+                    _acc(row, out_word, _signed(entry.coeff, exp))
         if row:
             matrix[word] = row
     return FloerComplex(d, words, matrix)
@@ -487,11 +492,10 @@ def validate_axioms_A(c: FloerComplex) -> dict:
                 w = len(chunk)
                 exp = (i - 1) * w + (qq - i) + w * suffix_mu
                 _acc(row, dword[:i - 1] + chunk + dword[i:],
-                     coeff.scale(-1 if exp % 2 else 1))
+                     _signed(coeff, exp))
         if row:
             predicted[dword] = row
-    defect = _mat_add(_dual_transpose(c.differential),
-                      _mat_scale(predicted, -1))
+    defect = _mat_add(_dual_transpose(c.differential), predicted, sign=-1)
     a3 = _mat_is_zero(defect)
     return {
         "a1": a1,
@@ -542,7 +546,7 @@ def _expand(source: FloerComplex, index, k_index=None, after=None):
         def walk(pos, d, exp, out, coeff, blocks, k_blocks):
             if pos == q:
                 if k_blocks is None:
-                    found.append((out, coeff.scale(-1 if exp % 2 else 1)))
+                    found.append((out, _signed(coeff, exp)))
                 return
             m = prefix[pos]
             for end in range(pos + 1, q + 1):
@@ -614,11 +618,8 @@ def _remh_predicted(c, c_prime, fmat):
                 if (len(chunks[i]) + 1) % 2:
                     exp += sum(gens_p[g].mu
                                for ch in chunks[i + 1:] for g in ch)
-            coeff = choices[0][1]
-            for _, cf in choices[1:]:
-                coeff = coeff * cf
             _acc(row, tuple(g for ch in chunks for g in ch),
-                 coeff.scale(-1 if exp % 2 else 1))
+                 _signed(reduce(mul, (cf for _, cf in choices)), exp))
         if row:
             predicted[dword] = row
     return predicted
@@ -630,11 +631,11 @@ def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
     fmat = assemble_continuation(c, c_prime, h)
     lhs = _mat_compose(fmat, c.differential)
     rhs = _mat_compose(c_prime.differential, fmat)
-    defect = _mat_add(lhs, _mat_scale(rhs, -1))
+    defect = _mat_add(lhs, rhs, sign=-1)
     ok = _mat_is_zero(defect)
     # dual-side expansion agrees with the transpose (product rule check)
     dual_defect = _mat_add(_dual_transpose(fmat),
-                           _mat_scale(_remh_predicted(c, c_prime, fmat), -1))
+                           _remh_predicted(c, c_prime, fmat), sign=-1)
     return {
         "chain_map": ok,
         "dual_expansion": _mat_is_zero(dual_defect),
@@ -679,7 +680,7 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
                             _tensor_index(h1_entries))
         bracket = _mat_add(_mat_compose(kk, c.differential),
                            _mat_compose(c_prime.differential, kk))
-        want = _mat_add(f0, _mat_scale(bracket, -1))
+        want = _mat_add(f0, bracket, sign=-1)
         for word in c_prime.words:
             if len(word) != w:
                 continue
@@ -699,8 +700,7 @@ def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
     kk = _expand_matrix(c_prime, h0_index, _tensor_index(k.k), h1_index)
     bracket = _mat_add(_mat_compose(kk, c.differential),
                        _mat_compose(c_prime.differential, kk))
-    defect = _mat_add(_mat_add(f0, _mat_scale(f1, -1)),
-                      _mat_scale(bracket, -1))
+    defect = _mat_add(_mat_add(f0, f1, sign=-1), bracket, sign=-1)
     ok = _mat_is_zero(defect)
     return {
         "homotopy": ok,
@@ -742,23 +742,13 @@ def check_composition(c0: FloerComplex, c1: FloerComplex, c2: FloerComplex,
     f01 = assemble_continuation(c0, c1, h01)
     f12 = assemble_continuation(c1, c2, h12)
     rhs = _mat_compose(f12, f01)
-    defect = _mat_add(lhs, _mat_scale(rhs, -1))
+    defect = _mat_add(lhs, rhs, sign=-1)
     ok = _mat_is_zero(defect)
     return {
         "composition": ok,
         "entries": len(composite.h),
         "defects": [] if ok else _entry_report(defect),
     }
-
-
-def _compositions(total: int) -> Iterable[Tuple[int, ...]]:
-    """All ordered tuples of positive integers with the given sum."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
 
 
 def composition_sign_identity(q_max: int = 4) -> dict:
@@ -772,9 +762,10 @@ def composition_sign_identity(q_max: int = 4) -> dict:
     failures = []
     cases = 0
     for q in range(1, q_max + 1):
-        for inner in _compositions(q):
+        for inner in (c for n in range(1, q + 1) for c in _compositions(q, n)):
             s = len(inner)
-            for grouping in _compositions(s):
+            for grouping in (c for n in range(1, s + 1)
+                             for c in _compositions(s, n)):
                 p = len(grouping)
                 # split the inner arities by the outer grouping
                 shapes: List[Tuple[int, ...]] = []
@@ -971,9 +962,14 @@ def extend_augmentation(c: FloerComplex, a: Augmentation) -> Dict[Word, NovikovS
     """Extend elementary values multiplicatively over grading-zero words.
 
     The word value carries the sign (-1)^(sum_i (q-i) mu(lambda_i)).
+    Every value must lie in the datum's coefficient ring.
     """
     gens = c._gens
-    zero_ring = c.datum.ring
+    for gid, value in a.values.items():
+        if value.ring != c.datum.ring:
+            raise ValueError(
+                f"augmentation value on generator {gid!r} is over "
+                f"{value.ring}, expected the datum ring {c.datum.ring}")
     out: Dict[Word, NovikovSeries] = {}
     for word in c.words:
         q = len(word)
@@ -983,10 +979,7 @@ def extend_augmentation(c: FloerComplex, a: Augmentation) -> Dict[Word, NovikovS
         if any(v is None for v in vals):
             continue
         exp = sum((q - (i + 1)) * gens[word[i]].mu for i in range(q))
-        coeff = NovikovSeries.one(ring=zero_ring)
-        for v in vals:
-            coeff = coeff * v
-        coeff = coeff.scale(-1 if exp % 2 else 1)
+        coeff = _signed(reduce(mul, vals), exp)
         if coeff:
             out[word] = coeff
     return out
@@ -996,11 +989,8 @@ def _functional_pullback(vec: Dict[Word, NovikovSeries], m: Matrix) -> Dict[Word
     """Compose a functional on output words with a matrix: (vec∘m)(w)."""
     out: Dict[Word, NovikovSeries] = {}
     for w, cols in m.items():
-        s: object = 0
-        for u, coeff in cols.items():
-            v = vec.get(u)
-            if v is not None:
-                s = s + coeff * v
+        terms = [coeff * vec[u] for u, coeff in cols.items() if u in vec]
+        s = reduce(add, terms) if terms else None
         if s:
             out[w] = s
     return out
@@ -1036,7 +1026,7 @@ def check_augmentation(c: FloerComplex, a: Augmentation,
                 cond2 = False
                 continue
             exp = (q - cut) * _word_mu(left, gens)
-            if coeff != (lv * rv).scale(-1 if exp % 2 else 1):
+            if coeff != _signed(lv * rv, exp):
                 cond2 = False
     report = {"condition_1": cond1, "condition_2": cond2,
               "supported_words": len(vec)}

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from operator import methodcaller
 
 from . import ainfty as _ai
 from . import conductors as _cond
@@ -197,17 +198,12 @@ def _cmd_floer_sphere(args) -> int:
     coh = _ai.cohomology(_ai.assemble_differential(sub), ring="Z")
     # the fixture has no arity-1 tensors, so generators represent classes
     degrees = sorted(g.mu for g in sub.generators)
-    products = []
-    for e in datum.tensors:
-        if e.arity != 2:
-            continue
-        products.append({
-            "a": e.inputs[0].split(".")[0],
-            "b": e.inputs[1].split(".")[0],
-            "out": e.output.split(".")[0],
-            "coefficient": _nov.format_series(e.coeff),
-        })
-    products.sort(key=lambda r: (r["a"], r["b"]))
+    products = sorted(({
+        "a": e.inputs[0].split(".")[0],
+        "b": e.inputs[1].split(".")[0],
+        "out": e.output.split(".")[0],
+        "coefficient": _nov.format_series(e.coeff),
+    } for e in datum.tensors if e.arity == 2), key=lambda r: (r["a"], r["b"]))
     out = {
         "n": args.n,
         "total_rank": coh["total_rank"],
@@ -254,91 +250,94 @@ def _cmd_conductor(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="openstrings",
-        description="Polytope, Novikov, Maslov and Floer-complex reports.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("polytope", help="face lattices and boundary signs")
+def _polytope_args(p) -> None:
     p.add_argument("family", choices=sorted(_FAMILY))
     p.add_argument("--l", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--faces", action="store_true")
-    mode.add_argument("--f-vector", action="store_true")
-    mode.add_argument("--facet-signs", dest="facet_signs",
-                      action="store_true")
-    mode.add_argument("--boundary-check", dest="boundary_check",
-                      action="store_true")
-    p.add_argument("--text", action="store_true")
-    p.set_defaults(run=_cmd_polytope)
+    for flag in ("--faces", "--f-vector", "--facet-signs", "--boundary-check"):
+        mode.add_argument(flag, action="store_true")
 
-    p = sub.add_parser("novikov", help="formal series arithmetic")
-    nsub = p.add_subparsers(dest="action", required=True)
-    pe = nsub.add_parser("eval", help="parse and normalize a series")
-    pe.add_argument("expr")
-    pe.add_argument("--ring", choices=["Z", "Q"], default="Z")
-    pe.add_argument("--cutoff", default=None)
-    pe.add_argument("--text", action="store_true")
-    pe.set_defaults(run=_cmd_novikov)
 
-    p = sub.add_parser("maslov", help="crossing-form path indices")
-    msub = p.add_subparsers(dest="action", required=True)
-    mi = msub.add_parser("index", help="index report for a path file")
-    mi.add_argument("file")
-    mi.add_argument("--text", action="store_true")
-    mi.set_defaults(run=_cmd_maslov)
+def _eval_args(p) -> None:
+    p.add_argument("expr")
+    p.add_argument("--ring", choices=["Z", "Q"], default="Z")
+    p.add_argument("--cutoff", default=None)
 
-    p = sub.add_parser("ainfty", help="differential, map and homotopy checks")
-    asub = p.add_subparsers(dest="action", required=True)
-    for name, helptext in (
+
+def _hf_args(p) -> None:
+    p.add_argument("file")
+    p.add_argument("--rational", action="store_true",
+                   help="use field coefficients instead of integers")
+
+
+def _sft_args(p) -> None:
+    for flag in ("--n", "--g", "--v"):
+        p.add_argument(flag, type=int, required=True)
+    p.add_argument("--m", required=True,
+                   help="comma-separated multiplicities, one per point")
+
+
+_FILE = methodcaller("add_argument", "file")
+# command -> (help, (handler, add_arguments)) for a command without actions,
+# else (help, {action: (help or None, handler, add_arguments)})
+_COMMANDS = {
+    "polytope": ("face lattices and boundary signs",
+                 (_cmd_polytope, _polytope_args)),
+    "novikov": ("formal series arithmetic", {
+        "eval": ("parse and normalize a series", _cmd_novikov, _eval_args)}),
+    "maslov": ("crossing-form path indices", {
+        "index": ("index report for a path file", _cmd_maslov, _FILE)}),
+    "ainfty": ("differential, map and homotopy checks", {
+        name: (helptext, _cmd_ainfty, _FILE) for name, helptext in (
             ("check", "does the assembled differential square to zero"),
             ("map", "chain-map check for a continuation bundle"),
             ("homotopy", "homotopy identity for a five-part bundle"),
             ("compose", "functoriality of composed continuations"),
-            ("augment", "augmentation conditions, optionally pushed forward")):
-        ap = asub.add_parser(name, help=helptext)
-        ap.add_argument("file")
-        ap.add_argument("--text", action="store_true")
-        ap.set_defaults(run=_cmd_ainfty, action=name)
+            ("augment", "augmentation conditions, optionally pushed forward"))}),
+    "floer": ("cohomology of assembled complexes", {
+        "hf": ("cohomology ranks from a datum file", _cmd_floer_hf, _hf_args),
+        "sphere": ("built-in two-point fixture", _cmd_floer_sphere,
+                   methodcaller("add_argument", "--n", type=int,
+                                required=True))}),
+    "sft": ("transversality index bound", {
+        "bound": (None, _cmd_sft, _sft_args)}),
+    "conductor": ("exactness of continuation pairs", {
+        "exact": (None, _cmd_conductor, _FILE)}),
+}
 
-    p = sub.add_parser("floer", help="cohomology of assembled complexes")
-    fsub = p.add_subparsers(dest="action", required=True)
-    fh = fsub.add_parser("hf", help="cohomology ranks from a datum file")
-    fh.add_argument("file")
-    fh.add_argument("--rational", action="store_true",
-                    help="use field coefficients instead of integers")
-    fh.add_argument("--text", action="store_true")
-    fh.set_defaults(run=_cmd_floer_hf)
-    fs = fsub.add_parser("sphere", help="built-in two-point fixture")
-    fs.add_argument("--n", type=int, required=True)
-    fs.add_argument("--text", action="store_true")
-    fs.set_defaults(run=_cmd_floer_sphere)
 
-    p = sub.add_parser("sft", help="transversality index bound")
-    ssub = p.add_subparsers(dest="action", required=True)
-    sb = ssub.add_parser("bound")
-    sb.add_argument("--n", type=int, required=True)
-    sb.add_argument("--g", type=int, required=True)
-    sb.add_argument("--v", type=int, required=True)
-    sb.add_argument("--m", required=True,
-                    help="comma-separated multiplicities, one per point")
-    sb.add_argument("--text", action="store_true")
-    sb.set_defaults(run=_cmd_sft)
+def _leaf(p, run, add_arguments) -> None:
+    add_arguments(p)
+    p.add_argument("--text", action="store_true")
+    p.set_defaults(run=run)
 
-    p = sub.add_parser("conductor", help="exactness of continuation pairs")
-    csub = p.add_subparsers(dest="action", required=True)
-    ce = csub.add_parser("exact")
-    ce.add_argument("file")
-    ce.add_argument("--text", action="store_true")
-    ce.set_defaults(run=_cmd_conductor)
 
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``openstrings`` parser.  Usage lists every command; given
+    ``argv``, only the first command named in it (options may come before
+    the command) gets its arguments."""
+    top = argparse.ArgumentParser(
+        prog="openstrings",
+        description="Polytope, Novikov, Maslov and Floer-complex reports.")
+    sub = top.add_subparsers(dest="command", required=True)
+    wanted = next((a for a in argv or () if a in _COMMANDS), None)
+    for name, (helptext, leaves) in _COMMANDS.items():
+        p = sub.add_parser(name, help=helptext)
+        if argv is not None and name != wanted:
+            continue
+        if isinstance(leaves, tuple):
+            _leaf(p, *leaves)
+            continue
+        actions = p.add_subparsers(dest="action", required=True)
+        for action, (ahelp, run, add_arguments) in leaves.items():
+            kw = {"help": ahelp} if ahelp else {}
+            _leaf(actions.add_parser(action, **kw), run, add_arguments)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.run(args)
     except json.JSONDecodeError as e:

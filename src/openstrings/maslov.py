@@ -426,13 +426,11 @@ def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
             (_p, k, sig), = contribs
             crossings.append(Crossing(t0, t0, "end", k, ((half, sig),)))
         else:
-            ks = {k for _p, k, _s in contribs}
-            if len(contribs) != 2 or len(ks) != 1:
-                raise DegenerateCrossing(
-                    f"inconsistent junction crossing at t={t0}")
-            parts = tuple((half, sig) for _p, _k, sig in
-                          sorted(contribs, key=lambda c: c[0]))
-            crossings.append(Crossing(t0, t0, "junction", ks.pop(), parts))
+            # both pieces see P(t0) up to a positive scale, so both report
+            # its nullity; contributions are in piece order
+            (_p, k, before), (_q, _k, after) = contribs
+            crossings.append(Crossing(t0, t0, "junction", k,
+                                      ((half, before), (half, after))))
 
     crossings.sort(key=lambda c: (c.lower, c.upper))
     total = CROSSING_SIGN * sum((c.weighted for c in crossings), Fraction(0))

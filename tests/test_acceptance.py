@@ -23,7 +23,6 @@ from openstrings.ainfty import (
     _mat_add,
     _mat_compose,
     _mat_is_zero,
-    _mat_scale,
     assemble_continuation,
     assemble_differential,
     check_a_infinity,
@@ -197,8 +196,8 @@ def test_criterion_4_chain_maps_homotopies_composition():
             TensorEntry(e.inputs, e.output,
                         e.coeff.scale(-1) if e.arity == 2 else e.coeff)
             for e in composite.h))
-        defect = _mat_add(assemble_continuation(c, cp, mutated),
-                          _mat_scale(rhs, -1))
+        defect = _mat_add(assemble_continuation(c, cp, mutated), rhs,
+                          sign=-1)
         assert not _mat_is_zero(defect)
 
         # the underlying exponent identity on all patterns up to q = 4

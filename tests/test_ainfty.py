@@ -50,7 +50,6 @@ from openstrings.ainfty import (
     _mat_add,
     _mat_compose,
     _mat_is_zero,
-    _mat_scale,
     _word_mu,
 )
 from openstrings._poly import _exact_div
@@ -93,6 +92,25 @@ def test_differential_squares_to_zero(chain_datum):
     assert rep["square_zero"]
     assert rep["words"] == 59
     assert rep["nonzero_entries"] == []
+
+
+def test_differential_builds_at_most_one_series_per_term(chain_datum,
+                                                        monkeypatch):
+    # a term's weight is stored as it is, or negated once for an odd sign;
+    # no sum starts from 0 and no sign is applied by scaling with +1
+    tindex = ainfty._tensor_index(chain_datum.tensors)
+    terms = sum(len(tindex.get(word[i:i + w], ()))
+                for word in enumerate_words(chain_datum)
+                for w in range(1, len(word) + 1)
+                for i in range(len(word) - w + 1))
+    built = []
+    real = NovikovSeries.__init__
+    monkeypatch.setattr(NovikovSeries, "__init__",
+                        lambda self, *a, **kw: built.append(1)
+                        or real(self, *a, **kw))
+    c = assemble_differential(chain_datum)
+    assert terms == sum(len(row) for row in c.differential.values()) == 33
+    assert len(built) <= terms
 
 
 def test_broken_associativity_detected(chain_datum):
@@ -302,13 +320,13 @@ def test_composition_sign_flip_detected(chain_datum, conjugated_datum,
     rhs = _mat_compose(assemble_continuation(c1, c1, h12),
                        assemble_continuation(c0, c1, h01))
     lhs = assemble_continuation(c0, c1, composite)
-    assert _mat_is_zero(_mat_add(lhs, _mat_scale(rhs, -1)))
+    assert _mat_is_zero(_mat_add(lhs, rhs, sign=-1))
     mutated = tuple(
         TensorEntry(e.inputs, e.output,
                     e.coeff.scale(-1) if e.arity == 2 else e.coeff)
         for e in composite.h)
     lhs_bad = assemble_continuation(c0, c1, MapDatum(h=mutated))
-    assert not _mat_is_zero(_mat_add(lhs_bad, _mat_scale(rhs, -1)))
+    assert not _mat_is_zero(_mat_add(lhs_bad, rhs, sign=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +374,27 @@ def test_augmentation_word_extension():
     # two odd factors pick up the transposition sign
     assert vals[("y", "p")] == (aug.values["y"] * aug.values["p"]).scale(-1)
     assert vals[("z", "p")] == (aug.values["z"] * aug.values["p"]).scale(-1)
+
+
+def test_augmentation_values_must_lie_in_the_datum_ring():
+    datum, aug = make_augmentation_datum()
+    c = assemble_differential(datum)
+    over_q = Augmentation(values={**aug.values,
+                                  "p": aug.values["p"].to_ring("Q")})
+    for call in (extend_augmentation, check_augmentation):
+        with pytest.raises(ValueError, match="generator 'p' is over Q, "
+                                             "expected the datum ring Z"):
+            call(c, over_q)
+    # the pushforward re-extends the pushed values on the domain complex
+    q_datum = AInftyDatum(
+        l=datum.l, generators=datum.generators, modulus=datum.modulus,
+        ring="Q", tensors=tuple(TensorEntry(e.inputs, e.output,
+                                            e.coeff.to_ring("Q"))
+                                for e in datum.tensors))
+    push = (assemble_differential(q_datum), identity_continuation(c))
+    with pytest.raises(ValueError, match="generator '[yzp]' is over Z, "
+                                         "expected the datum ring Q"):
+        check_augmentation(c, aug, push)
 
 
 def test_broken_augmentation_reported():

@@ -21,6 +21,7 @@ from openstrings.ainfty import (
 )
 from openstrings.novikov import format_series
 
+import cli_reference
 from conftest import (
     CHAIN_UNITS,
     ONE,
@@ -577,6 +578,59 @@ def test_top_level_usage_errors():
     assert code == BAD_INPUT and "invalid choice" in err
     code, _, err = run()
     assert code == BAD_INPUT and "required: command" in err
+
+
+_LEAVES = (
+    ("polytope", "assoc", "--l", "5"),
+    ("novikov", "eval", "t^1"),
+    ("maslov", "index", "p.json"),
+    *(("ainfty", action, "d.json")
+      for action in ("check", "map", "homotopy", "compose", "augment")),
+    ("floer", "hf", "d.json"),
+    ("floer", "sphere", "--n", "2"),
+    ("sft", "bound", "--n", "5", "--g", "3", "--v", "4", "--m", "2,1"),
+    ("conductor", "exact", "c.json"),
+)
+
+_PARSER_CASES = (
+    (), ("-h",), ("nope",), ("nope", "floer", "hf", "d.json"),
+    *((cmd, *rest) for cmd in ("polytope", "novikov", "maslov", "ainfty",
+                               "floer", "sft", "conductor")
+      for rest in (("-h",), (), ("nope",))),
+    *(leaf[:n] + rest for leaf in _LEAVES
+      for n, rest in ((2, ("-h",)), (2, ()), (len(leaf), ()),
+                      (len(leaf), ("--text",)), (len(leaf), ("--bogus",)),
+                      (len(leaf), ("extra",)))),
+    ("polytope", "assoc", "--l", "5", "--faces", "--f-vector"),
+    ("polytope", "assoc", "--l", "5", "--facet-signs", "--boundary-check"),
+    ("polytope", "nope", "--l", "3"), ("polytope", "assoc", "--l", "x"),
+    ("novikov", "eval", "t^1", "--ring", "R"),
+    ("floer", "sphere", "--n", "x"), ("floer", "hf", "d.json", "--rational"),
+    ("sft", "bound", "--n", "x", "--g", "3", "--v", "4", "--m", "2"),
+    ("--text", "floer", "hf", "d.json"), ("--l", "3", "polytope", "assoc"),
+    ("-x", "maslov", "index", "p.json"), ("--", "sft", "bound"),
+)
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = sorted(vars(parser.parse_args(argv)).items())
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=" ".join)
+def test_parser_matches_the_full_reference_parser(argv, monkeypatch):
+    # the parser declares only the requested command's arguments; usage,
+    # help, errors and parsed values must be those of the parser that
+    # declared every command
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = list(argv)
+    assert _parse(cli.build_parser(argv), argv) == _parse(
+        cli_reference.build_parser(), argv)
 
 
 def test_repeat_invocations_are_byte_identical(tmp_path, chain_json):
