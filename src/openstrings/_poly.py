@@ -1,5 +1,6 @@
 """Integer polynomials {exponent: nonzero int} (zero is {}), Laurent in
-``ainfty.cohomology`` and ordinary in ``maslov``: Bareiss determinants,
+``ainfty.cohomology``, ordinary in ``maslov`` and as face-counting
+polynomials in ``polytopes``: Bareiss determinants,
 exact division (exact in Z[t] by Gauss's lemma for primitive divisors),
 sign-preserving primitive pseudo-remainders, and signs at rationals by
 homogeneous Horner evaluation, all without leaving Z."""
@@ -94,6 +95,13 @@ def mul(p: IntPoly, q: IntPoly) -> IntPoly:
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def add(p: IntPoly, q: IntPoly) -> IntPoly:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 
 

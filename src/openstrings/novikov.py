@@ -267,6 +267,8 @@ def invert(a: NovikovSeries, cutoff: ExponentLike) -> NovikovSeries:
     Returns ``b`` with ``mul(a, b) == 1`` modulo terms with exponent
     >= cutoff - valuation(a).  The leading coefficient of ``a`` must be a
     unit of the coefficient ring (+-1 over Z, any nonzero rational over Q).
+    If ``a`` is known only below its cutoff C, then ``b`` is known only
+    below C - 2*valuation(a), and that is the cutoff ``b`` carries.
     """
     cut = _as_exponent(cutoff)
     if a.is_zero():
@@ -282,6 +284,8 @@ def invert(a: NovikovSeries, cutoff: ExponentLike) -> NovikovSeries:
 
     # a = lc * t^v * (1 + r) with valuation(r) > 0; invert the unit part by
     # the geometric series, which stabilizes below any fixed precision.
+    # Every term of r has a positive exponent, so a term of a power at or
+    # above the target only feeds terms at or above it: drop them at once.
     target = cut - v          # product must be 1 below this exponent
     body_cut = target - v     # equivalently: b's support lives below cut - 2v
     unit = NovikovSeries(tuple((e - v, c * lc_inv) for e, c in a.terms), ring=a.ring)
@@ -289,16 +293,22 @@ def invert(a: NovikovSeries, cutoff: ExponentLike) -> NovikovSeries:
     acc = NovikovSeries.one(a.ring)
     power = NovikovSeries.one(a.ring)
     if not r.is_zero():
+        minus_r = -r
         step = r.valuation()
         k = 1
         while k * step < target:
-            power = NovikovSeries(((-r) * power).terms, ring=a.ring)
+            power = NovikovSeries(
+                tuple(t for t in (minus_r * power).terms if t[0] < target),
+                ring=a.ring)
             acc = acc + power
             k += 1
     shifted = NovikovSeries(tuple((e - v, c * lc_inv) for e, c in acc.terms),
                             ring=a.ring)
+    # a is known below a.cutoff, so 1 + r below a.cutoff - v, and b below
+    # a.cutoff - 2v
+    known = None if a.cutoff is None else a.cutoff - 2 * v
     return NovikovSeries(tuple(t for t in shifted.terms if t[0] < body_cut),
-                         ring=a.ring, cutoff=a.cutoff)
+                         ring=a.ring, cutoff=known)
 
 
 # ---------------------------------------------------------------------------

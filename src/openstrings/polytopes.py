@@ -44,6 +44,8 @@ from functools import lru_cache
 from itertools import product as _iproduct
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ._poly import IntPoly, add, degree, mul
+
 __all__ = [
     "UnsupportedL",
     "FacetFactorization",
@@ -249,17 +251,25 @@ def _check_polytope(polytope: str) -> str:
     return p
 
 
+def _check_budget(polytope: str, l: int) -> str:
+    """The family letter, after checking l against the budget (env var
+    OPENSTRINGS_MAX_L overrides the default)."""
+    p = _check_polytope(polytope)
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    cap = _max_l(p)
+    if l > cap:
+        raise UnsupportedL(
+            f"{p}_{l} exceeds the enumeration budget (max {cap}; "
+            f"set {_BUDGET_ENV} to raise it)")
+    return p
+
+
 def enumerate_faces(polytope: str, l: int, dim: Optional[int] = None) -> list:
     """All faces (top cell included), or only those of the given dimension,
     sorted by serialization.  Raises UnsupportedL above the enumeration
     budget (env var OPENSTRINGS_MAX_L overrides the default)."""
-    p = _check_polytope(polytope)
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    if l > _max_l(p):
-        raise UnsupportedL(
-            f"{p}_{l} exceeds the enumeration budget (max {_max_l(p)}; "
-            f"set {_BUDGET_ENV} to raise it)")
+    p = _check_budget(polytope, l)
     if p == "K":
         faces = [0] if l <= 1 else list(_plain_trees(l, "k"))
     else:
@@ -271,16 +281,47 @@ def enumerate_faces(polytope: str, l: int, dim: Optional[int] = None) -> list:
     return faces
 
 
+# ---------------------------------------------------------------------------
+# counting: face polynomials, coefficient of x^d = number of faces of
+# dimension d, following _plain_trees / _painted_trees term by term
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _parts_poly(family: str, l: int, m: int) -> IntPoly:
+    """Sum over compositions of l into m parts of the product of the parts'
+    face polynomials, by convolution over the first part."""
+    if m == 1:
+        return _faces_poly(family, l)
+    out: IntPoly = {}
+    for first in range(1, l - m + 2):
+        out = add(out, mul(_faces_poly(family, first),
+                           _parts_poly(family, l - first, m - 1)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _faces_poly(family: str, l: int) -> IntPoly:
+    """Face polynomial of the plain trees ('T') or painted trees ('P')
+    with l leaves."""
+    if family == "T" and l == 1:
+        return {0: 1}
+    out: IntPoly = {}
+    if family == "P":
+        for m in range(1, l + 1):                  # front-rooted
+            out = add(out, mul({m - 1: 1}, _parts_poly("T", l, m)))
+    for m in range(2, l + 1):                      # plain- or painted-rooted
+        out = add(out, mul({m - 2: 1}, _parts_poly(family, l, m)))
+    return out
+
+
 def f_vector(polytope: str, l: int) -> List[int]:
-    """Counts of proper faces by dimension 0 .. d-1."""
-    p = _check_polytope(polytope)
-    top = (l - 2 if p == "K" else l - 1) if l >= 2 else (0 if p == "K" else 1)
-    counts = [0] * max(top, 0)
-    for face in enumerate_faces(p, l):
-        d = face_dimension(face)
-        if d < top:
-            counts[d] += 1
-    return counts
+    """Counts of proper faces by dimension 0 .. d-1, from the face
+    polynomials; the budget applies as for :func:`enumerate_faces`."""
+    p = _check_budget(polytope, l)
+    if l <= 1:
+        return [] if p == "K" else [2]
+    poly = _faces_poly("T" if p == "K" else "P", l)
+    return [poly[d] for d in range(degree(poly))]
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +488,21 @@ def boundary_map_consistency(polytope: str, l: int) -> dict:
     over the integers."""
     p = _check_polytope(polytope)
     faces = enumerate_faces(p, l)
+    boundaries: Dict[object, Dict[tuple, int]] = {}
+
+    def boundary(face):
+        if face not in boundaries:
+            boundaries[face] = signed_boundary(face)
+        return boundaries[face]
+
     bad = []
     entries = 0
     for face in faces:
         square: Dict[tuple, int] = {}
-        b = signed_boundary(face)
+        b = boundary(face)
         entries += len(b)
         for g, cg in b.items():
-            for h, ch in signed_boundary(g).items():
+            for h, ch in boundary(g).items():
                 square[h] = square.get(h, 0) + cg * ch
         residual = {h: c for h, c in square.items() if c != 0}
         if residual:

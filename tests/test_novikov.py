@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from openstrings.novikov import (
     parse_series,
     valuation,
 )
+
+import novikov_reference as ref
 
 _EXPONENTS = [Fraction(n, d) for d in (1, 2, 3, 4, 6) for n in range(-6, 13)]
 
@@ -145,6 +148,57 @@ class TestInversion:
             invert(parse_series("2t^0 + t^1", ring="Z"), 3)
         with pytest.raises(NotAUnit):
             invert(NovikovSeries.zero(ring="Z"), 2)
+
+    def test_truncated_series_inverse_knows_only_below_shifted_cutoff(self):
+        # a = t(1 + t) known below 3: only 1 + t is known, below 2, and
+        # a^-1 = t^-1 (1 + t)^-1 only below 1
+        a = parse_series("t^1 + t^2", ring="Z", cutoff=3)
+        inv = invert(a, 10)
+        assert inv.cutoff == 1
+        assert inv == parse_series("t^-1 - t^0", ring="Z", cutoff=1)
+        # a series agreeing with a below 3 has an inverse agreeing below 1
+        other = invert(parse_series("t^1 + t^2 + t^3", ring="Z", cutoff=4), 10)
+        assert other.restrict(inv.cutoff) == inv
+        # negative valuation: a^-1 is known beyond a's own cutoff
+        b = parse_series("t^-1 + t^0", ring="Z", cutoff=2)
+        assert invert(b, 10) == parse_series("t^1 - t^2 + t^3", ring="Z",
+                                             cutoff=4)
+
+    @pytest.mark.parametrize("ring", ["Z", "Q"])
+    def test_invert_matches_untruncated_reference(self, ring):
+        rng = random.Random(17 if ring == "Z" else 18)
+        cases = units = 0
+        while cases < 200:
+            a = random_series(rng, ring=ring, max_terms=5)
+            if a and ring == "Z" and rng.random() < 0.7:
+                # mostly units over Z, so most cases reach the series
+                (e0, c0) = a.terms[0]
+                a = a + NovikovSeries.monomial(
+                    (1 if c0 >= 0 else -1) - c0, e0, ring="Z")
+            if a and rng.random() < 0.5:
+                a = a.restrict(valuation(a) + Fraction(rng.randint(1, 12), 4))
+            v = valuation(a) if a else 0
+            cutoff = v + Fraction(rng.randint(-2, 12), 4)
+            try:
+                want = ref.invert(a, cutoff)
+            except NotAUnit as exc:
+                with pytest.raises(NotAUnit) as got:
+                    invert(a, cutoff)
+                assert str(got.value) == str(exc)
+            else:
+                assert invert(a, cutoff) == want, (format_series(a), cutoff)
+                units += 1
+            cases += 1
+        assert units >= 100
+
+    def test_invert_truncates_the_geometric_series(self):
+        # untruncated powers reach ~1000 terms here (about 3 s)
+        a = parse_series("1 - t^1/20 + t^1/3 - t^5/7", ring="Z")
+        start = time.perf_counter()
+        inv = invert(a, 3)
+        elapsed = time.perf_counter() - start
+        assert len(inv.terms) == 391
+        assert elapsed < 1.0, elapsed
 
 
 class TestLiterals:

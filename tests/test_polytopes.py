@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from collections import Counter
+from math import comb
 
 import pytest
 
-from openstrings import cli
+from openstrings import cli, polytopes
 from openstrings.polytopes import (
     UnsupportedL,
     assoc_facet_parity,
@@ -161,11 +163,59 @@ class TestSignConventions:
                 assert f.orientation_sign == multi_upper_sign(tuple(parts))
 
 
+@pytest.mark.parametrize("family,lmax", [("K", 10), ("J", 8)])
+def test_counted_f_vector_matches_enumeration(family, lmax):
+    for l in range(lmax + 1):
+        dims = Counter(face_dimension(f) for f in enumerate_faces(family, l))
+        top = max(dims)
+        assert f_vector(family, l) == [dims[d] for d in range(top)], (family, l)
+
+
+def _kirkman_cayley(l: int) -> list:
+    """Dissections of an (l+1)-gon by k = l-2-d diagonals, d = 0 .. l-3."""
+    n = l + 1
+    return [comb(n - 3, k) * comb(n + k - 1, k) // (k + 1)
+            for k in range(l - 2, 0, -1)]
+
+
+def test_counted_f_vector_beyond_the_budget(monkeypatch):
+    monkeypatch.setenv("OPENSTRINGS_MAX_L", "30")
+    for l in range(2, 31):
+        assert f_vector("K", l) == _kirkman_cayley(l), l
+    # multiplihedron vertices (OEIS A121988)
+    vertices = [2, 6, 21, 80, 322, 1348, 5814, 25674, 115566, 528528]
+    assert [f_vector("J", l)[0] for l in range(2, 12)] == vertices
+    for l in range(2, 21):
+        fv = f_vector("J", l)
+        assert len(fv) == l - 1
+        # Euler: proper faces plus the top cell of dimension l-1
+        chi = sum((-1) ** d * n for d, n in enumerate(fv)) + (-1) ** (l - 1)
+        assert chi == 1, l
+
+
+def test_boundary_check_computes_each_boundary_once(monkeypatch):
+    calls = []
+    real = polytopes.signed_boundary
+
+    def counting(face):
+        calls.append(face)
+        return real(face)
+
+    monkeypatch.setattr(polytopes, "signed_boundary", counting)
+    for family, l in (("K", 6), ("J", 5)):
+        calls.clear()
+        report = boundary_map_consistency(family, l)
+        assert report["dd_zero"]
+        assert len(calls) == report["faces"], (family, l)
+
+
 def test_budget_errors():
     with pytest.raises(UnsupportedL):
         f_vector("K", 99)
     with pytest.raises(ValueError):
         f_vector("X", 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        f_vector("K", -1)
 
 
 def _run_capped(cap: str) -> subprocess.CompletedProcess:
