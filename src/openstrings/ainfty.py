@@ -516,8 +516,10 @@ def identity_continuation(c: FloerComplex) -> MapDatum:
                             for g in c.datum.generators))
 
 
-def _expand(source: FloerComplex, index, k_index=None, after=None):
-    """Tensor-expand elementary blocks over every word of ``source``.
+def _expand(source: FloerComplex, index, k_index=None, after=None,
+            words=None):
+    """Tensor-expand elementary blocks over ``words`` (default: every word
+    of ``source``).
 
     Each word is cut into consecutive blocks from left to right, only
     through input chains found in the tensor indices; every block applies
@@ -536,7 +538,7 @@ def _expand(source: FloerComplex, index, k_index=None, after=None):
     output word, signed coefficient product).
     """
     hom = int(k_index is not None)
-    for word in source.words:
+    for word in source.words if words is None else words:
         q = len(word)
         prefix = [0]
         for g in word:
@@ -569,9 +571,9 @@ def _expand(source: FloerComplex, index, k_index=None, after=None):
 
 
 def _expand_matrix(source: FloerComplex, index, k_index=None,
-                   after=None) -> Matrix:
+                   after=None, words=None) -> Matrix:
     out: Matrix = {}
-    for word, oword, coeff in _expand(source, index, k_index, after):
+    for word, oword, coeff in _expand(source, index, k_index, after, words):
         _acc(out.setdefault(word, {}), oword, coeff)
     return {w: row for w, row in out.items() if row}
 
@@ -668,22 +670,28 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
 
     Builds the elementary tensors of h1 so that the homotopy identity
     has a chance to hold: its arity-w entries are forced by the
-    one-output components, which only involve lower arities of h1.
+    one-output components on words of length w, which only involve lower
+    arities of h1.  Pass w expands the homotopy on those words and on the
+    words their differential reaches (none longer than w), and nothing
+    else.
     """
     _validate_maps(c, c_prime, h0, k=k)
     h0_index, k_index = _tensor_index(h0.h), _tensor_index(k.k)
-    f0 = _expand_matrix(c_prime, h0_index)
+    d_prime = c_prime.differential
     h1_entries: List[TensorEntry] = []
     max_arity = max((len(w) for w in c_prime.words), default=0)
     for w in range(1, max_arity + 1):
+        layer = [word for word in c_prime.words if len(word) == w]
+        needed = set(layer).union(*(d_prime.get(word, ()) for word in layer))
         kk = _expand_matrix(c_prime, h0_index, k_index,
-                            _tensor_index(h1_entries))
-        bracket = _mat_add(_mat_compose(kk, c.differential),
-                           _mat_compose(c_prime.differential, kk))
+                            _tensor_index(h1_entries),
+                            [word for word in c_prime.words if word in needed])
+        f0 = _expand_matrix(c_prime, h0_index, words=layer)
+        bracket = _mat_add(
+            _mat_compose({x: kk[x] for x in layer if x in kk}, c.differential),
+            _mat_compose({x: d_prime[x] for x in layer if x in d_prime}, kk))
         want = _mat_add(f0, bracket, sign=-1)
-        for word in c_prime.words:
-            if len(word) != w:
-                continue
+        for word in layer:
             for wout, coeff in want.get(word, {}).items():
                 if len(wout) == 1 and coeff:
                     h1_entries.append(TensorEntry(word, wout[0], coeff))

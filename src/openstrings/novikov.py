@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Tuple, Union
 
 __all__ = [
@@ -52,15 +53,18 @@ class ParseError(ValueError):
 def _as_exponent(value: ExponentLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(f"exponent must be an int or Fraction, got {type(value).__name__}")
+    raise TypeError(
+        f"exponent must be an int or Fraction, got {type(value).__name__} {value!r}")
 
 
 def _check_coeff(value, ring: str):
+    if isinstance(value, bool):
+        raise TypeError(f"coefficient must be an int or Fraction, got bool {value!r}")
     if ring == "Z":
         if isinstance(value, int):
-            return value
+            return int(value)
         if isinstance(value, Fraction) and value.denominator == 1:
             return int(value)
         raise TypeError(f"ring Z requires integer coefficients, got {value!r}")
@@ -77,6 +81,12 @@ class NovikovSeries:
     Instances are immutable value objects.  ``terms`` is any iterable of
     ``(exponent, coefficient)`` pairs; like terms are merged and zero
     coefficients dropped on construction.
+
+    The stored terms are canonical: strictly increasing ``Fraction``
+    exponents, all below the cutoff, no zero coefficient, ``int``
+    coefficients over Z and ``Fraction`` coefficients over Q.  This
+    constructor checks its input; the ring operations keep the form and
+    build their results directly (``_canonical``), without checking again.
     """
 
     __slots__ = ("terms", "ring", "cutoff")
@@ -185,14 +195,33 @@ class NovikovSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return NovikovSeries(self.terms + other.terms, ring=self.ring,
-                             cutoff=self._min_cutoff(self, other))
+        a, b = self.terms, other.terms
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ea, eb = a[i][0], b[j][0]
+            if ea < eb:
+                out.append(a[i])
+                i += 1
+            elif eb < ea:
+                out.append(b[j])
+                j += 1
+            else:
+                c = a[i][1] + b[j][1]
+                if c:
+                    out.append((ea, c))
+                i += 1
+                j += 1
+        out += a[i:]
+        out += b[j:]
+        cut = self._min_cutoff(self, other)
+        return _canonical(_below(out, cut), self.ring, cut)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NovikovSeries(tuple((e, -c) for e, c in self.terms),
-                             ring=self.ring, cutoff=self.cutoff)
+        return _canonical(tuple((e, -c) for e, c in self.terms),
+                          self.ring, self.cutoff)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -207,17 +236,36 @@ class NovikovSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod: dict[Fraction, object] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                prod[e] = prod.get(e, 0) + c1 * c2
-        return NovikovSeries(prod.items(), ring=self.ring,
-                             cutoff=self._min_cutoff(self, other))
+        cut = self._min_cutoff(self, other)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) > 1:
+            prod: dict[Fraction, object] = {}
+            for e1, c1 in a:
+                for e2, c2 in b:
+                    e = e1 + e2
+                    prod[e] = prod.get(e, 0) + c1 * c2
+            terms = [t for t in sorted(prod.items(), key=itemgetter(0)) if t[1]]
+        elif not a:
+            terms = ()
+        else:
+            # a monomial: a shift of b, with no zero products (Z and Q are
+            # integral domains) and no reordering
+            (e0, c0), = a
+            if e0:
+                terms = [(e + e0, c * c0) for e, c in b]
+            elif c0 == 1:
+                terms = b
+            else:
+                terms = [(e, c * c0) for e, c in b]
+        return _canonical(_below(terms, cut), self.ring, cut)
 
     __rmul__ = __mul__
 
     def scale(self, scalar) -> "NovikovSeries":
+        if isinstance(scalar, (int, Fraction)) and scalar in (1, -1):
+            return self if scalar == 1 else -self
         return NovikovSeries(tuple((e, c * scalar) for e, c in self.terms),
                              ring=self.ring, cutoff=self.cutoff)
 
@@ -239,6 +287,33 @@ class NovikovSeries:
     def __repr__(self):
         cut = "" if self.cutoff is None else f", cutoff={self.cutoff}"
         return f"NovikovSeries({format_series(self)!r}, ring={self.ring!r}{cut})"
+
+
+_new = object.__new__
+# the slot descriptors' own setters: NovikovSeries.__setattr__ refuses writes
+_set_terms = NovikovSeries.terms.__set__
+_set_ring = NovikovSeries.ring.__set__
+_set_cutoff = NovikovSeries.cutoff.__set__
+
+
+def _canonical(terms, ring: str, cutoff) -> NovikovSeries:
+    """The series on ``terms``, which must already be canonical for ``ring``
+    and ``cutoff`` (see :class:`NovikovSeries`); nothing is checked."""
+    s = _new(NovikovSeries)
+    _set_terms(s, tuple(terms))
+    _set_ring(s, ring)
+    _set_cutoff(s, cutoff)
+    return s
+
+
+def _below(terms, cutoff):
+    """The sorted ``terms`` with exponent below ``cutoff`` (all if None)."""
+    if cutoff is None or not terms or terms[-1][0] < cutoff:
+        return terms
+    k = 0
+    while terms[k][0] < cutoff:
+        k += 1
+    return terms[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +363,24 @@ def invert(a: NovikovSeries, cutoff: ExponentLike) -> NovikovSeries:
     # above the target only feeds terms at or above it: drop them at once.
     target = cut - v          # product must be 1 below this exponent
     body_cut = target - v     # equivalently: b's support lives below cut - 2v
-    unit = NovikovSeries(tuple((e - v, c * lc_inv) for e, c in a.terms), ring=a.ring)
-    r = unit - NovikovSeries.one(a.ring)
-    acc = NovikovSeries.one(a.ring)
-    power = NovikovSeries.one(a.ring)
+    one = NovikovSeries.one(a.ring)
+    r = _canonical([(e - v, c * lc_inv) for e, c in a.terms], a.ring, None) - one
+    acc = power = one
     if not r.is_zero():
         minus_r = -r
         step = r.valuation()
         k = 1
         while k * step < target:
-            power = NovikovSeries(
-                tuple(t for t in (minus_r * power).terms if t[0] < target),
-                ring=a.ring)
+            power = _canonical(_below((minus_r * power).terms, target),
+                               a.ring, None)
             acc = acc + power
             k += 1
-    shifted = NovikovSeries(tuple((e - v, c * lc_inv) for e, c in acc.terms),
-                            ring=a.ring)
     # a is known below a.cutoff, so 1 + r below a.cutoff - v, and b below
     # a.cutoff - 2v
     known = None if a.cutoff is None else a.cutoff - 2 * v
-    return NovikovSeries(tuple(t for t in shifted.terms if t[0] < body_cut),
-                         ring=a.ring, cutoff=known)
+    bound = body_cut if known is None else min(body_cut, known)
+    return _canonical(_below([(e - v, c * lc_inv) for e, c in acc.terms], bound),
+                      a.ring, known)
 
 
 # ---------------------------------------------------------------------------

@@ -180,17 +180,18 @@ def _replace(face, path: Tuple[int, ...], new_node):
     return _mk(k, ch)
 
 
-def _preorder_internal(face, path=()):
-    if _is_leaf(face):
-        return
-    yield path, face
-    for idx, child in enumerate(_children(face)):
-        yield from _preorder_internal(child, path + (idx,))
-
-
-def _positive_factors(face) -> List[Tuple[Tuple[int, ...], int]]:
-    return [(p, _factor_dim(n)) for p, n in _preorder_internal(face)
-            if _factor_dim(n) >= 1]
+def _positive_factors(face, path=(), out=None) -> List[Tuple[Tuple[int, ...], int]]:
+    """(path, dimension) of every vertex of positive dimension, in
+    preorder; each dimension is computed once."""
+    if out is None:
+        out = []
+    if not _is_leaf(face):
+        d = _factor_dim(face)
+        if d >= 1:
+            out.append((path, d))
+        for idx, child in enumerate(_children(face)):
+            _positive_factors(child, path + (idx,), out)
+    return out
 
 
 # ---------------------------------------------------------------------------

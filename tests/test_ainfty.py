@@ -284,6 +284,110 @@ def test_mutated_homotopy_rejected(chain_complex):
         "homotopy"]
 
 
+def _ref_homotopic_map(c, c_prime, h0, k):
+    """``homotopic_map`` as it was before each pass expanded only the rows
+    it reads: every pass re-expands the whole homotopy matrix and composes
+    it with both differentials."""
+    h0_index, k_index = ainfty._tensor_index(h0.h), ainfty._tensor_index(k.k)
+    f0 = ainfty._expand_matrix(c_prime, h0_index)
+    h1_entries = []
+    max_arity = max((len(w) for w in c_prime.words), default=0)
+    for w in range(1, max_arity + 1):
+        kk = ainfty._expand_matrix(c_prime, h0_index, k_index,
+                                   ainfty._tensor_index(h1_entries))
+        bracket = _mat_add(_mat_compose(kk, c.differential),
+                           _mat_compose(c_prime.differential, kk))
+        want = _mat_add(f0, bracket, sign=-1)
+        for word in c_prime.words:
+            if len(word) != w:
+                continue
+            for wout, coeff in want.get(word, {}).items():
+                if len(wout) == 1 and coeff:
+                    h1_entries.append(TensorEntry(word, wout[0], coeff))
+    return MapDatum(h=tuple(h1_entries))
+
+
+_CHAIN_HOMOTOPIES = (
+    (T(["ap"], "a"), T(["cp"], "c", S("5t^1"))),
+    (T(["ap"], "a"), T(["cp"], "c", S("5t^1")), T(["g01", "g12"], "w02")),
+    (T(["ap"], "a"), T(["g01", "g12"], "w02", S("-2t^1/2"))),
+    # products shorten words: the pass on (g01, g12) reads the row of g02
+    (T(["g02"], "z02", S("t^1")), T(["g13"], "z13", S("-t^0")),
+     T(["cp"], "c", S("5t^1"))),
+    (),
+)
+
+
+def test_homotopic_map_expands_only_the_rows_each_pass_reads(chain_complex,
+                                                              monkeypatch):
+    # pass w expands the homotopy on the words of length w and on the words
+    # their differential reaches, and h0 on the words of length w: 59 + 68
+    # word expansions here, where re-expanding everything took 59 + 3 * 59
+    c = chain_complex
+    d = c.differential
+    calls = []
+    real = ainfty._expand
+
+    def spy(source, index, k_index=None, after=None, words=None):
+        calls.append((k_index is not None,
+                      tuple(source.words if words is None else words)))
+        return real(source, index, k_index, after, words)
+
+    monkeypatch.setattr(ainfty, "_expand", spy)
+    k = MapDatum(k=_CHAIN_HOMOTOPIES[1])
+    homotopic_map(c, c, identity_continuation(c), k)
+    max_arity = max(len(w) for w in c.words)
+    homotopy = [words for is_k, words in calls if is_k]
+    frame = [words for is_k, words in calls if not is_k]
+    assert len(homotopy) == len(frame) == max_arity == 3
+    for w, (kwords, fwords) in enumerate(zip(homotopy, frame), 1):
+        layer = {x for x in c.words if len(x) == w}
+        assert set(fwords) == layer
+        assert set(kwords) == layer.union(*(d.get(x, ()) for x in layer))
+        assert len(kwords) == len(set(kwords))
+    assert sorted(x for words in frame for x in words) == sorted(c.words)
+    assert sum(map(len, homotopy)) == 68 and len(c.words) == 59
+
+
+def test_homotopic_map_matches_full_re_expansion(chain_datum,
+                                                 conjugated_datum,
+                                                 chain_units):
+    c0 = assemble_differential(chain_datum)
+    c1 = assemble_differential(conjugated_datum)
+    diag = diagonal_map(chain_datum, chain_units)
+    found = 0
+    for entries in _CHAIN_HOMOTOPIES:
+        k = MapDatum(k=entries)
+        for c, cp, h0 in ((c0, c0, identity_continuation(c0)), (c0, c1, diag)):
+            h1 = homotopic_map(c, cp, h0, k)
+            assert h1 == _ref_homotopic_map(c, cp, h0, k)
+            found += len(h1.h)
+    rng = random.Random(6611)
+    for l in (3, 4, 5):
+        for _ in range(2):
+            c0, c1, _, _, _, h0, _, k = _random_case(rng, l)
+            h1 = homotopic_map(c0, c1, h0, k)
+            assert h1 == _ref_homotopic_map(c0, c1, h0, k)
+            assert any(e.arity > 1 for e in h1.h)
+    for _ in range(60):
+        c = _corpus_complex(rng)
+        ring, gens = c.datum.ring, c.datum.generators
+        by_mu = {}
+        for g in gens:
+            by_mu.setdefault(g.mu, []).append(g.id)
+        h0 = MapDatum(h=tuple(
+            T([x], y, _corpus_weight(rng, ring)) for ids in by_mu.values()
+            for x in ids for y in ids if x == y or rng.random() < 0.3))
+        k = MapDatum(k=tuple(
+            T([x], y, _corpus_weight(rng, ring))
+            for mu, ids in by_mu.items() for x in ids
+            for y in by_mu.get(mu - 1, ()) if rng.random() < 0.5))
+        h1 = homotopic_map(c, c, h0, k)
+        assert h1 == _ref_homotopic_map(c, c, h0, k)
+        found += len(h1.h)
+    assert found > 100
+
+
 # ---------------------------------------------------------------------------
 # composition
 

@@ -248,3 +248,75 @@ def test_terms_sorted_and_leading():
     assert exps == sorted(exps)
     assert a.terms[0] == (Fraction(0), 5)
 
+
+
+def assert_canonical(s):
+    """Strictly increasing Fraction exponents below the cutoff, no zero
+    coefficient, int coefficients over Z and Fraction coefficients over Q."""
+    exps = [e for e, _ in s.terms]
+    assert all(type(e) is Fraction for e in exps), s.terms
+    assert all(x < y for x, y in zip(exps, exps[1:])), s.terms
+    coeff_type = int if s.ring == "Z" else Fraction
+    assert all(type(c) is coeff_type and c != 0 for _, c in s.terms), s.terms
+    assert s.cutoff is None or type(s.cutoff) is Fraction
+    assert s.cutoff is None or all(e < s.cutoff for e in exps), s
+
+
+def _operand(rng, ring):
+    """The zero series, +-t^0, another monomial or a multi-term series,
+    restricted to a cutoff half of the time."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        a = NovikovSeries.zero(ring=ring)
+    elif kind == 1:
+        a = NovikovSeries.monomial(rng.choice((1, -1)), 0, ring=ring)
+    elif kind == 2:
+        c = rng.choice((2, -3, 1, -1) if ring == "Z"
+                       else (Fraction(2, 3), Fraction(-1, 2), 1, -1))
+        a = NovikovSeries.monomial(c, rng.choice(_EXPONENTS), ring=ring)
+    else:
+        a = random_series(rng, ring=ring, max_terms=6)
+    if rng.random() < 0.5:
+        a = a.restrict(rng.choice(_EXPONENTS))
+    return a
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_trusted_operations_match_validating_reference(ring):
+    rng = random.Random(19 if ring == "Z" else 20)
+    cancelled = shifts = 0
+    for _ in range(1500):
+        a, b = _operand(rng, ring), _operand(rng, ring)
+        if rng.random() < 0.2:
+            # a sum that cancels, in part or in full
+            b = ref.add(ref.neg(a), b if rng.random() < 0.5
+                        else NovikovSeries.zero(ring=ring))
+            cancelled += 1
+        shifts += len(a.terms) == 1 or len(b.terms) == 1
+        for got, want in ((a + b, ref.add(a, b)),
+                          (a - b, ref.add(a, ref.neg(b))),
+                          (a * b, ref.mul(a, b)),
+                          (b * a, ref.mul(b, a)),
+                          (-a, ref.neg(a)),
+                          (a.scale(-1), ref.scale(a, -1)),
+                          (a.scale(1), ref.scale(a, 1)),
+                          (a + 3, ref.add(a, NovikovSeries.monomial(3, ring=ring))),
+                          (2 * a, ref.scale(a, 2))):
+            assert got == want, (format_series(a), format_series(b))
+            assert_canonical(got)
+            assert_canonical(want)
+    assert cancelled > 200 and shifts > 500
+
+
+def test_bool_rejected_at_the_boundary():
+    for ring in ("Z", "Q"):
+        with pytest.raises(TypeError, match="exponent .* bool True"):
+            NovikovSeries([(True, 1)], ring=ring)
+        with pytest.raises(TypeError, match="coefficient .* bool True"):
+            NovikovSeries([(1, True)], ring=ring)
+        with pytest.raises(TypeError, match="coefficient .* bool False"):
+            NovikovSeries.monomial(False, 1, ring=ring)
+        with pytest.raises(TypeError, match="exponent .* bool False"):
+            NovikovSeries.zero(ring=ring).restrict(False)
+        with pytest.raises(TypeError, match="exponent .* bool True"):
+            invert(NovikovSeries.one(ring=ring), True)

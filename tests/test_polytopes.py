@@ -26,6 +26,7 @@ from openstrings.polytopes import (
 )
 
 from conftest import child_env
+import polytopes_reference as ref
 
 
 def _ballot_count(m: int) -> int:
@@ -207,6 +208,36 @@ def test_boundary_check_computes_each_boundary_once(monkeypatch):
         report = boundary_map_consistency(family, l)
         assert report["dd_zero"]
         assert len(calls) == report["faces"], (family, l)
+
+
+@pytest.mark.parametrize("family, lmax", [("K", 8), ("J", 6)])
+def test_signed_boundary_matches_reference(family, lmax):
+    faces = [f for l in range(lmax + 1) for f in enumerate_faces(family, l)]
+    entries = 0
+    for face in faces:
+        got = signed_boundary(face)
+        assert got == ref.signed_boundary(face), serialize_face(face)
+        entries += len(got)
+    assert entries > 9000
+
+
+def test_positive_factors_compute_each_dimension_once(monkeypatch):
+    calls = []
+    real = polytopes._factor_dim
+
+    def counting(node):
+        calls.append(node)
+        return real(node)
+
+    monkeypatch.setattr(polytopes, "_factor_dim", counting)
+    for family, l in (("K", 6), ("J", 5)):
+        for face in enumerate_faces(family, l):
+            vertices = sum(1 for _ in ref.preorder_internal(face))
+            calls.clear()
+            factors = polytopes._positive_factors(face)
+            assert len(calls) == vertices
+            calls.clear()
+            assert factors == ref.positive_factors(face)
 
 
 def test_budget_errors():
