@@ -2,14 +2,15 @@
 ``ainfty.cohomology``, ordinary in ``maslov`` and as face-counting
 polynomials in ``polytopes``: Bareiss determinants,
 exact division (exact in Z[t] by Gauss's lemma for primitive divisors),
-sign-preserving primitive pseudo-remainders, and signs at rationals by
-homogeneous Horner evaluation, all without leaving Z."""
+sign-preserving primitive pseudo-remainders, and signs and integer
+matrices at rationals by one homogeneous Horner evaluation, all without
+leaving Z."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 IntPoly = Dict[int, int]
 
@@ -147,12 +148,12 @@ def gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     return a if a[degree(a)] > 0 else {e: -c for e, c in a.items()}
 
 
-def _homogeneous(p: IntPoly, x: Fraction) -> int:
-    """b^deg(p) p(a/b) for x = a/b with b > 0, by Horner's rule on the
-    homogenized polynomial."""
+def _homogeneous(p: IntPoly, x: Fraction, deg: int) -> int:
+    """b^deg p(a/b) for x = a/b with b > 0 and deg >= deg(p), by Horner's
+    rule on the homogenized polynomial."""
     a, b = x.numerator, x.denominator
     acc, bpow = 0, 1
-    for e in range(degree(p), -1, -1):
+    for e in range(deg, -1, -1):
         acc = acc * a + p.get(e, 0) * bpow
         bpow *= b
     return acc
@@ -160,10 +161,14 @@ def _homogeneous(p: IntPoly, x: Fraction) -> int:
 
 def sign_at(p: IntPoly, x: Fraction) -> int:
     """The sign of p(x) (-1, 0 or 1) at a rational x."""
-    h = _homogeneous(p, x)
+    h = _homogeneous(p, x, degree(p))
     return (h > 0) - (h < 0)
 
 
-def value(p: IntPoly, x: Fraction) -> Fraction:
-    """p(x) as a Fraction."""
-    return Fraction(_homogeneous(p, x), x.denominator ** max(degree(p), 0))
+def matrix_at(M: List[List[IntPoly]],
+              x: Fraction) -> Tuple[List[List[int]], int]:
+    """(b^D M(a/b), b^D) for x = a/b with b > 0, D the largest degree of an
+    entry: an integer matrix and the positive scale it carries."""
+    D = max((degree(e) for row in M for e in row), default=-1)
+    return ([[_homogeneous(e, x, D) for e in row] for row in M],
+            x.denominator ** max(D, 0))

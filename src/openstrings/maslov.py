@@ -2,8 +2,10 @@
 
 A path is given in a fixed chart as a piecewise-polynomial family A(t) of
 symmetric n x n matrices with rational coefficients (the path of graphs
-{(x, A(t)x)}).  The index of a path relative to a constant reference B is
-computed from crossings, the parameters t* with det(A(t*) - B) = 0:
+{(x, A(t)x)}).  Denominators are cleared once, in ``make_piece``: a piece
+holds A(t) as integer polynomials over the least common denominator of
+its coefficients.  The index of a path relative to a constant reference
+B is computed from crossings, the parameters t* with det(A(t*) - B) = 0:
 
 * the crossing form is A'(t*) restricted to ker(A(t*) - B),
 * a crossing strictly inside a piece contributes its full signature,
@@ -16,22 +18,18 @@ and the total is weighted by the global calibration constant
 under concatenation (the two junction halves reassemble an interior
 crossing).
 
-Crossings are handled exactly.  On each piece A(t) - B is cleared of
-denominators by one positive integer; its determinant and principal
-minors are taken by fraction-free Bareiss elimination over Z[t], the
-kernel ``ainfty.cohomology`` uses, and roots are isolated by Sturm chains
-of sign-preserving primitive remainders over Z.  Every crossing, rational
-or not, is decided by one rule without leaving Q (Robbin-Salamon).  At a
-root of the determinant of order m the kernel dimension k is at most m,
-with equality exactly when the crossing form is nonsingular.  At a
-rational start, end or junction k is the nullity of A(t0) - B; inside a
-piece k = m exactly when every principal minor of A(t) - B of size
-n-m+1 .. n-1 vanishes there (gcd with the root's squarefree factor, one
-Sturm count).  The signature of a regular crossing form is half the jump
-of the signature of A(t) - B between rational points on either side with
-no other root of the determinant in between; the piece's polynomial is
-evaluated past the ends of the piece, so each side of a junction uses
-its own derivative.
+Crossings are handled exactly.  On each piece A(t) - B is scaled to an
+integer polynomial matrix P by one positive integer; its determinant and
+principal minors are taken by fraction-free Bareiss elimination over
+Z[t], the kernel ``ainfty.cohomology`` uses, roots are isolated by Sturm
+chains of sign-preserving primitive remainders over Z, and inertia is
+taken on integer matrices, that of P(a/b) on b^D P(a/b) (D the largest
+entry degree).  Every crossing is decided by one rule (Robbin-Salamon):
+at a root of det P of order m the kernel dimension is at most m, with
+equality exactly when the crossing form is nonsingular, and the
+signature of a regular crossing form is half the jump of the signature
+of P between rational points on either side with no other root of det P
+in between.
 
 A crossing is rejected (``DegenerateCrossing``) when det(A(t) - B)
 vanishes identically on a piece, or when its crossing form is singular.
@@ -40,14 +38,15 @@ vanishes identically on a piece, or when its crossing form is singular.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ._poly import (IntPoly, _exact_div, degree, derivative, det, gcd, mul,
-                    neg_prem, sign_at, sub, value)
+from ._poly import (InexactDivision, IntPoly, _exact_div, degree, derivative,
+                    det, gcd, matrix_at, mul, neg_prem, sign_at, sub)
 
 __all__ = [
     "ChartMismatch",
@@ -68,8 +67,6 @@ __all__ = [
 
 CROSSING_SIGN = -1
 
-Poly = Tuple[Fraction, ...]          # coefficients, constant term first
-
 
 class ChartMismatch(ValueError):
     """Path data is not a continuous family of symmetric matrices of one size."""
@@ -87,14 +84,16 @@ class NonTransverseEndpoints(ValueError):
 # roots of integer polynomials
 # ---------------------------------------------------------------------------
 
-def _integer_difference(matrix, B: List[List[Fraction]]) -> List[List[IntPoly]]:
-    """A(t) - B times one positive integer that clears every denominator,
-    so it stays symmetric with the same roots, minors and signatures."""
-    scale = math.lcm(*(c.denominator for row in matrix for e in row for c in e),
-                     *(b.denominator for row in B for b in row))
-    return [[sub({k: int(c * scale) for k, c in enumerate(e) if c},
-                 {0: int(b * scale)} if b else {})
-             for e, b in zip(row, brow)] for row, brow in zip(matrix, B)]
+def _integer_difference(piece: "PathPiece",
+                        B: List[List[Fraction]]) -> List[List[IntPoly]]:
+    """L (A(t) - B) = (L/den) num - L B for the least positive L that
+    clears every denominator, so it stays symmetric with the same roots,
+    minors and signatures."""
+    L = math.lcm(piece.den, *(b.denominator for row in B for b in row))
+    s = L // piece.den
+    return [[sub({k: s * c for k, c in e.items()},
+                 {0: b.numerator * (L // b.denominator)} if b else {})
+             for e, b in zip(row, brow)] for row, brow in zip(piece.num, B)]
 
 
 def _linear(t0: Fraction) -> IntPoly:
@@ -168,35 +167,36 @@ def _isolate_roots(f: IntPoly, lo: Fraction, hi: Fraction) -> List[Tuple[Fractio
 # rational-point linear algebra
 # ---------------------------------------------------------------------------
 
-def _inertia(M: List[List[Fraction]]) -> Tuple[int, int]:
-    """(signature, nullity) of a symmetric rational matrix, by symmetric
-    Gaussian elimination (congruence)."""
+def _inertia(M: List[List[int]]) -> Tuple[int, int]:
+    """(signature, nullity) of a symmetric integer matrix, by Bareiss-style
+    congruence (+-row/column j added to a zero pivot's).  Pivots are
+    leading principal minors: each one's sign relative to the previous is
+    that of the pivot over Q, and (d a - x y) / previous pivot is exact."""
     k = len(M)
-    A = [row[:] for row in M]
-    sig = nullity = 0
-    for i in range(k):
-        if A[i][i] == 0:
-            j = next((jj for jj in range(i + 1, k) if A[i][jj] != 0), None)
+    A = [list(row) for row in M]
+    sig, nullity, prev = 0, 0, 1
+    for i, pivot_row in enumerate(A):
+        if pivot_row[i] == 0:
+            j = next((jj for jj in range(i + 1, k) if pivot_row[jj]), None)
             if j is None:
                 nullity += 1
                 continue
-            for s in (1, -1):
-                if 2 * s * A[i][j] + A[j][j] != 0:
-                    for col in range(k):
-                        A[i][col] += s * A[j][col]
-                    for row in range(k):
-                        A[row][i] += s * A[row][j]
-                    break
-        d = A[i][i]
-        sig += 1 if d > 0 else -1
-        # congruence clearing of row/column i below the pivot
-        factors = {r: A[r][i] / d for r in range(i + 1, k) if A[r][i] != 0}
-        for r, f in factors.items():
+            s = 1 if 2 * pivot_row[j] + A[j][j] else -1
             for col in range(i, k):
-                A[r][col] -= f * A[i][col]
+                pivot_row[col] += s * A[j][col]
+            for row in A[i:]:
+                row[i] += s * row[j]
+        d = pivot_row[i]
+        sig += 1 if (d > 0) == (prev > 0) else -1
         for r in range(i + 1, k):
-            A[i][r] = Fraction(0)
-            A[r][i] = Fraction(0)
+            row, x = A[r], A[r][i]
+            for c in range(r, k):
+                q, rem = divmod(d * row[c] - x * pivot_row[c], prev)
+                if rem:
+                    raise InexactDivision(
+                        f"inertia step left a remainder at pivot {i}")
+                row[c] = A[c][r] = q
+        prev = d
     return sig, nullity
 
 
@@ -204,47 +204,44 @@ def _inertia(M: List[List[Fraction]]) -> Tuple[int, int]:
 # path data
 # ---------------------------------------------------------------------------
 
-def _pnorm(cs: Sequence[Fraction]) -> Poly:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _peval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 @dataclass(frozen=True)
 class PathPiece:
+    """A(t) = num(t) / den on [start, end]: a symmetric n x n matrix of
+    integer polynomials over the least common denominator of A's
+    coefficients."""
     start: Fraction
     end: Fraction
-    matrix: Tuple[Tuple[Poly, ...], ...]     # symmetric n x n, polynomial entries
+    num: Tuple[Tuple[IntPoly, ...], ...]
+    den: int
 
     def value(self, t: Fraction) -> List[List[Fraction]]:
-        return [[_peval(e, t) for e in row] for row in self.matrix]
+        M, scale = matrix_at(self.num, t)
+        return [[Fraction(x, scale * self.den) for x in row] for row in M]
 
 
-def _as_poly(entry) -> Poly:
-    return _pnorm([Fraction(c) for c in entry])
+def _coefficients(entry) -> List[Fraction]:
+    if not (isinstance(entry, (list, tuple)) and all(
+            isinstance(c, numbers.Real) and not isinstance(c, bool)
+            for c in entry)):
+        raise ChartMismatch(f"matrix entry {entry!r} is not a list of numbers")
+    return [Fraction(c) for c in entry]
 
 
 def make_piece(start, end, matrix) -> PathPiece:
     a, b = Fraction(start), Fraction(end)
     if not a < b:
         raise ValueError("piece interval must have positive length")
-    rows = tuple(tuple(_as_poly(e) for e in row) for row in matrix)
+    rows = [[_coefficients(e) for e in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ChartMismatch("matrix is not square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ChartMismatch("matrix is not symmetric")
-    return PathPiece(a, b, rows)
+    den = math.lcm(*(c.denominator for row in rows for e in row for c in e))
+    num = tuple(tuple({k: c.numerator * (den // c.denominator)
+                       for k, c in enumerate(e) if c} for e in row)
+                for row in rows)
+    if any(num[i][j] != num[j][i] for i in range(n) for j in range(i)):
+        raise ChartMismatch("matrix is not symmetric")
+    return PathPiece(a, b, num, den)
 
 
 @dataclass(frozen=True)
@@ -256,7 +253,7 @@ class LagrangianPath:
             raise ValueError("path needs at least one piece")
         n = self.n
         for p in self.pieces:
-            if len(p.matrix) != n:
+            if len(p.num) != n:
                 raise ChartMismatch("pieces have different matrix sizes")
         for left, right in zip(self.pieces, self.pieces[1:]):
             if left.end != right.start:
@@ -266,7 +263,7 @@ class LagrangianPath:
 
     @property
     def n(self) -> int:
-        return len(self.pieces[0].matrix)
+        return len(self.pieces[0].num)
 
     @property
     def start(self) -> Fraction:
@@ -290,12 +287,11 @@ def make_path(pieces) -> LagrangianPath:
 
 def dual_path(path: LagrangianPath) -> LagrangianPath:
     """The path t -> A(-t) on the mirrored domain."""
-    flipped = []
-    for p in reversed(path.pieces):
-        matrix = tuple(tuple(_pnorm([c * ((-1) ** k) for k, c in enumerate(e)])
-                             for e in row) for row in p.matrix)
-        flipped.append(PathPiece(-p.end, -p.start, matrix))
-    return LagrangianPath(tuple(flipped))
+    return LagrangianPath(tuple(
+        PathPiece(-p.end, -p.start,
+                  tuple(tuple({k: -c if k % 2 else c for k, c in e.items()}
+                              for e in row) for row in p.num), p.den)
+        for p in reversed(path.pieces)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +347,8 @@ def _signature_jump(P: List[List[IntPoly]], f: IntPoly, lo: Fraction,
             hi = mid
         else:
             lo = mid
-    before, after = ([[value(e, t) for e in row] for row in P]
-                     for t in (lo, hi))
-    return (_inertia(after)[0] - _inertia(before)[0]) // 2
+    before, after = (_inertia(matrix_at(P, t)[0])[0] for t in (lo, hi))
+    return (after - before) // 2
 
 
 def _interior_crossing(P: List[List[IntPoly]], f: IntPoly, m: int,
@@ -385,12 +380,13 @@ def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
     n = path.n
     B = _reference_matrix(reference, n)
 
-    # per-boundary-point contributions keyed by parameter value
-    boundary: Dict[Fraction, List[Tuple[int, int, int]]] = {}
+    # (kernel dimension, signature) per side of each start, end and junction
+    # point, in piece order; both sides of a junction see P(t0) up to scale
+    boundary: Dict[Fraction, List[Tuple[int, int]]] = {}
     crossings: List[Crossing] = []
 
-    for p_idx, piece in enumerate(path.pieces):
-        P = _integer_difference(piece.matrix, B)
+    for piece in path.pieces:
+        P = _integer_difference(piece, B)
         d = det(P)
         if not d:
             raise DegenerateCrossing(
@@ -400,11 +396,11 @@ def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
         for t0 in (piece.start, piece.end):
             if sign_at(d, t0) == 0:
                 m = next(i for f, i in factors if sign_at(f, t0) == 0)
-                if _inertia([[value(e, t0) for e in row] for row in P])[1] != m:
+                if _inertia(matrix_at(P, t0)[0])[1] != m:
                     raise DegenerateCrossing("singular crossing form")
                 sig = _signature_jump(P, _linear(t0), t0 - 1, t0 + 1,
                                       sqf_chain)
-                boundary.setdefault(t0, []).append((p_idx, m, sig))
+                boundary.setdefault(t0, []).append((m, sig))
         for factor, mult in factors:
             f = factor
             for t0 in (piece.start, piece.end):
@@ -419,18 +415,10 @@ def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
 
     half = Fraction(1, 2)
     for t0, contribs in boundary.items():
-        if t0 == path.start:
-            (_p, k, sig), = contribs
-            crossings.append(Crossing(t0, t0, "start", k, ((half, sig),)))
-        elif t0 == path.end:
-            (_p, k, sig), = contribs
-            crossings.append(Crossing(t0, t0, "end", k, ((half, sig),)))
-        else:
-            # both pieces see P(t0) up to a positive scale, so both report
-            # its nullity; contributions are in piece order
-            (_p, k, before), (_q, _k, after) = contribs
-            crossings.append(Crossing(t0, t0, "junction", k,
-                                      ((half, before), (half, after))))
+        location = ("start" if t0 == path.start else
+                    "end" if t0 == path.end else "junction")
+        crossings.append(Crossing(t0, t0, location, contribs[0][0],
+                                  tuple((half, sig) for _k, sig in contribs)))
 
     crossings.sort(key=lambda c: (c.lower, c.upper))
     total = CROSSING_SIGN * sum((c.weighted for c in crossings), Fraction(0))
@@ -453,8 +441,8 @@ def _string_index(path: LagrangianPath,
     holds the index of the path against A(start)."""
     n = path.n
     A0 = path.pieces[0].value(path.start)
-    A1 = path.pieces[-1].value(path.end)
-    if not det(_integer_difference([[(a,) for a in row] for row in A1], A0)):
+    P = _integer_difference(path.pieces[-1], A0)
+    if _inertia(matrix_at(P, path.end)[0])[1]:
         raise NonTransverseEndpoints(
             "endpoint Lagrangians are not transverse")
     if start_total is None:
@@ -477,10 +465,16 @@ def path_from_json(obj) -> LagrangianPath:
         else:
             a, b = (Fraction(str(v)) for v in p["interval"])
         raw = p["A"] if "A" in p else p["matrix"]
-        matrix = [[[Fraction(str(c)) for c in entry] for entry in row]
+        # an entry that is not a list is left for make_piece to reject
+        matrix = [[[Fraction(str(c)) for c in entry]
+                   if isinstance(entry, list) else entry for entry in row]
                   for row in raw]
         pieces.append(make_piece(a, b, matrix))
-    return make_path(pieces)
+    path = make_path(pieces)
+    if "n" in obj and obj["n"] != path.n:
+        raise ChartMismatch(f"the path file gives n = {obj['n']!r} but its "
+                            f"matrices are {path.n} x {path.n}")
+    return path
 
 
 def report_to_json(report: CrossingReport) -> dict:

@@ -3,9 +3,11 @@ polynomial arithmetic moved to integer polynomials and its crossings at
 rational points moved to the inertia rule: tuples of ``Fraction``
 coefficients, determinants by Newton interpolation, Sturm chains of monic
 remainders, and at a rational start, end or junction a kernel over Q and
-the crossing form built on it.  Kept only as a reference for the
-differential tests; the path data and the exceptions are the library's
-own."""
+the crossing form built on it.  Also the symmetric Gaussian elimination
+over Q that the library's fraction-free ``_inertia`` replaced.  Kept only
+as a reference for the differential tests; the path data and the
+exceptions are the library's own, and ``fraction_matrix`` gives the
+Fraction view of a piece that this copy reads."""
 
 from __future__ import annotations
 
@@ -26,6 +28,14 @@ from openstrings.maslov import (
 )
 
 Poly = Tuple[Fraction, ...]          # coefficients, constant term first
+
+
+def fraction_matrix(piece: PathPiece) -> Tuple[Tuple[Poly, ...], ...]:
+    """The piece's matrix num / den with Fraction coefficient tuples."""
+    return tuple(tuple(_pnorm([Fraction(e.get(k, 0), piece.den)
+                               for k in range(max(e, default=-1) + 1)])
+                       for e in row) for row in piece.num)
+
 
 def _pnorm(cs: Sequence[Fraction]) -> Poly:
     cs = list(cs)
@@ -192,6 +202,38 @@ def _isolate_roots(f: Poly, lo: Fraction, hi: Fraction) -> List[Tuple[Fraction, 
 
 
 
+def _inertia(M: List[List[Fraction]]) -> Tuple[int, int]:
+    """(signature, nullity) of a symmetric rational matrix, by symmetric
+    Gaussian elimination (congruence)."""
+    k = len(M)
+    A = [row[:] for row in M]
+    sig = nullity = 0
+    for i in range(k):
+        if A[i][i] == 0:
+            j = next((jj for jj in range(i + 1, k) if A[i][jj] != 0), None)
+            if j is None:
+                nullity += 1
+                continue
+            for s in (1, -1):
+                if 2 * s * A[i][j] + A[j][j] != 0:
+                    for col in range(k):
+                        A[i][col] += s * A[j][col]
+                    for row in range(k):
+                        A[row][i] += s * A[row][j]
+                    break
+        d = A[i][i]
+        sig += 1 if d > 0 else -1
+        # congruence clearing of row/column i below the pivot
+        factors = {r: A[r][i] / d for r in range(i + 1, k) if A[r][i] != 0}
+        for r, f in factors.items():
+            for col in range(i, k):
+                A[r][col] -= f * A[i][col]
+        for r in range(i + 1, k):
+            A[i][r] = Fraction(0)
+            A[r][i] = Fraction(0)
+    return sig, nullity
+
+
 def _kernel_q(M: List[List[Fraction]]) -> List[List[Fraction]]:
     rows = len(M)
     cols = len(M[0]) if rows else 0
@@ -257,14 +299,15 @@ def _signature_q(G: List[List[Fraction]]) -> int:
 def _rational_crossing(piece: PathPiece, B: List[List[Fraction]],
                        t0: Fraction) -> Tuple[int, int]:
     """(kernel dimension, signature of the crossing form) at a rational t0."""
-    n = len(piece.matrix)
-    M = [[_peval(piece.matrix[i][j], t0) - B[i][j] for j in range(n)]
+    matrix = fraction_matrix(piece)
+    n = len(matrix)
+    M = [[_peval(matrix[i][j], t0) - B[i][j] for j in range(n)]
          for i in range(n)]
     kernel = _kernel_q(M)
     k = len(kernel)
     if k == 0:
         raise AssertionError("crossing with trivial kernel")
-    Ap = [[_peval(_pderiv(piece.matrix[i][j]), t0) for j in range(n)]
+    Ap = [[_peval(_pderiv(matrix[i][j]), t0) for j in range(n)]
           for i in range(n)]
     G = [[sum(kernel[r][u] * Ap[u][v] * kernel[s][v]
               for u in range(n) for v in range(n))
@@ -378,7 +421,8 @@ def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
     crossings: List[Crossing] = []
 
     for p_idx, piece in enumerate(path.pieces):
-        P = [[_psub(piece.matrix[i][j], _pconst(B[i][j])) for j in range(n)]
+        matrix = fraction_matrix(piece)
+        P = [[_psub(matrix[i][j], _pconst(B[i][j])) for j in range(n)]
              for i in range(n)]
         d = _det_poly(P)
         if not d:

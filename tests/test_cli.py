@@ -261,6 +261,15 @@ def test_maslov_same_reports_under_optimize(tmp_path):
         assert optimized == plain, obj
 
 
+def test_maslov_string_entry_is_invalid_input(tmp_path):
+    # a string entry is not read as its characters' coefficients
+    path = write(tmp_path, "p.json", {"n": 1, "pieces": [
+        {"t0": "-1", "t1": "1", "A": [["01"]]}]})
+    code, out, err = run("maslov", "index", path)
+    assert code == BAD_INPUT and not out
+    assert err == "invalid input: matrix entry '01' is not a list of numbers\n"
+
+
 def test_maslov_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 1,\n  "oops"')

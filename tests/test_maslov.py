@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from openstrings._poly import InexactDivision
 from openstrings.maslov import (
     ChartMismatch,
     DegenerateCrossing,
@@ -19,6 +21,7 @@ from openstrings.maslov import (
     rs_index,
     rs_index_report,
     string_index,
+    _inertia,
 )
 
 import maslov_reference as ref
@@ -110,7 +113,8 @@ def test_dual_is_involution_on_values():
         _, path = _random_pl_path(rng)
         dd = dual_path(dual_path(path))
         for p, q in zip(path.pieces, dd.pieces):
-            assert (p.start, p.end, p.matrix) == (q.start, q.end, q.matrix)
+            assert (p.start, p.end, ref.fraction_matrix(p)) == (
+                q.start, q.end, ref.fraction_matrix(q))
 
 
 def test_subdivision_invariance():
@@ -150,6 +154,105 @@ def test_chart_mismatch():
         make_piece(0, 1, [[(1,), (0,)]])
     with pytest.raises(ChartMismatch):
         rs_index([[1, 0], [0, 1]], line_path())
+
+
+@pytest.mark.parametrize("entry", ["01", 1, None, (1, "2"), [True], [[1]]])
+def test_entries_that_are_not_lists_of_numbers_raise(entry):
+    with pytest.raises(ChartMismatch, match="is not a list of numbers"):
+        make_piece(0, 1, [[entry]])
+
+
+def test_equal_matrices_written_differently_give_equal_pieces():
+    def piece(*entries):
+        obj = {"pieces": [{"t0": "0", "t1": "1", "A": [
+            [entries[0], entries[1]], [entries[1], entries[2]]]}]}
+        (p,) = path_from_json(obj).pieces
+        return p
+
+    written = [piece(["1/2", "1"], ["0"], ["-3", "0", "1/3"]),
+               piece(["2/4", "2/2", "0"], [], ["-6/2", "0/5", "3/9", "0"]),
+               piece([0.5, 1], [0, 0], [-3, 0, "1/3"])]
+    assert written[0] == written[1] == written[2]
+    assert written[0].den == 6
+    assert written[0].num == (({0: 3, 1: 6}, {}), ({}, {0: -18, 2: 2}))
+    assert make_piece(0, 1, [[(Fraction(2, 4), 1, 0)]]) == make_piece(
+        0, 1, [[[Fraction(1, 2), Fraction(3, 3)]]])
+    assert make_piece(0, 1, [[()]]) == make_piece(0, 1, [[(0, 0)]])
+
+
+def test_path_file_n_must_match_the_matrix_size():
+    obj = {"n": 3, "pieces": [{"t0": -1, "t1": 1, "A": [[[0, 1]]]}]}
+    with pytest.raises(ChartMismatch, match="n = 3 .* 1 x 1"):
+        path_from_json(obj)
+    assert path_from_json({**obj, "n": 1}).n == 1
+    assert path_from_json({"pieces": obj["pieces"]}).n == 1
+
+
+# ---------------------------------------------------------------------------
+# differential test: the fraction-free inertia against the elimination over
+# Q that it replaced
+
+
+def _inertia_corpus(rng, count):
+    """Seeded symmetric rational matrices of sizes 1-6: dense, sparse,
+    with a zero diagonal (the 2 x 2 pivot step) and Q^T D Q with zeros
+    in D (singular, with known inertia)."""
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        kind = rng.choice(("dense", "sparse", "zero diagonal", "congruent"))
+        if kind == "congruent":
+            diag = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(n)]
+            q = _unimodular(rng, n)
+            M = [[sum(q[a][i] * diag[a] * q[a][j] for a in range(n))
+                  for j in range(n)] for i in range(n)]
+            known = (sum((d > 0) - (d < 0) for d in diag),
+                     sum(d == 0 for d in diag))
+        else:
+            M = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if kind == "sparse" and rng.random() < 0.6:
+                        continue
+                    if kind == "zero diagonal" and i == j:
+                        continue
+                    M[i][j] = M[j][i] = Fraction(rng.randint(-5, 5),
+                                                 rng.randint(1, 4))
+            known = None
+        yield kind, M, known
+
+
+def _cleared(M, scale=1):
+    """scale * L * M for the least L clearing M's denominators."""
+    L = math.lcm(*(x.denominator for row in M for x in row))
+    return [[int(x * L) * scale for x in row] for row in M]
+
+
+def test_inertia_matches_fraction_reference():
+    rng = random.Random(20261019)
+    seen = {"zero diagonal": 0, "singular": 0, "congruent": 0}
+    for kind, M, known in _inertia_corpus(rng, 1500):
+        expected = ref._inertia(M)
+        for scale in (1, rng.randint(2, 50)):
+            assert _inertia(_cleared(M, scale)) == expected, (M, scale)
+        if known is not None:
+            assert expected == known, M
+        if kind in seen:
+            seen[kind] += 1
+        seen["singular"] += expected[1] > 0
+    assert min(seen.values()) > 100, seen
+    # the 2 x 2 step with either sign, zero and empty matrices
+    for M, expected in (([[0, 1], [1, -2]], (0, 0)),
+                        ([[0, 1], [1, 2]], (0, 0)), ([[0, 0], [0, 0]], (0, 2)),
+                        ([[0, 0], [0, 3]], (1, 1)), ([], (0, 0))):
+        assert _inertia(M) == expected == ref._inertia(
+            [[Fraction(x) for x in row] for row in M])
+
+
+def test_inertia_raises_on_a_remainder():
+    # not symmetric, so the pivots are not minors and a step is not exact
+    with pytest.raises(InexactDivision, match="at pivot 1"):
+        _inertia([[-3, -3, 2], [1, -3, 0], [2, -2, 0]])
 
 
 class TestJson:
@@ -199,7 +302,7 @@ def _zero(n):
 def _repiece(path, *points):
     """The polynomial of a one-piece path on the pieces between ``points``."""
     (p,) = path.pieces
-    return make_path([make_piece(a, b, p.matrix)
+    return make_path([make_piece(a, b, ref.fraction_matrix(p))
                       for a, b in zip(points, points[1:])])
 
 
@@ -495,9 +598,10 @@ def _random_pq_path(rng):
             pieces.append(p)
             continue
         bump = ref._pmul((-p.start, 1), (-p.end, 1))
-        n = len(p.matrix)
+        matrix = ref.fraction_matrix(p)
+        n = len(matrix)
         s = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
-        rows = [[ref._padd(p.matrix[i][j],
+        rows = [[ref._padd(matrix[i][j],
                           ref._pscale(bump, Fraction(s[i][j] + s[j][i])))
                  for j in range(n)] for i in range(n)]
         pieces.append(make_piece(p.start, p.end, rows))

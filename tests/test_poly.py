@@ -12,14 +12,15 @@ import pytest
 from openstrings._poly import (
     InexactDivision,
     _exact_div,
+    _homogeneous,
     degree,
     det,
     gcd,
+    matrix_at,
     mul,
     neg_prem,
     sign_at,
     sub,
-    value,
 )
 from openstrings.maslov import _sturm_count
 
@@ -70,10 +71,30 @@ def test_sign_at_and_value_agree_with_fraction_evaluation():
         p = _random_poly(rng, 5, 9)
         x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
         v = _fraction_value(p, x)
-        assert value(p, x) == v and isinstance(value(p, x), Fraction)
+        M, scale = matrix_at([[p]], x)
+        assert Fraction(M[0][0], scale) == v
         assert sign_at(p, x) == (v > 0) - (v < 0), (p, x)
     assert sign_at({2: 1, 0: -2}, Fraction(7, 5)) == -1
     assert sign_at({2: 1, 0: -2}, Fraction(3, 2)) == 1
+
+
+def test_matrix_at_is_the_homogeneous_value_at_one_degree():
+    rng = random.Random(66)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        M = [[_random_poly(rng, 4, 9) for _ in range(n)] for _ in range(n)]
+        x = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        D = max(degree(e) for row in M for e in row)
+        got, scale = matrix_at(M, x)
+        assert scale == x.denominator ** max(D, 0)
+        assert [[Fraction(h, scale) for h in row] for row in got] == [
+            [_fraction_value(e, x) for e in row] for row in M], (M, x)
+    # a target degree above deg p multiplies by powers of the denominator
+    p, x = {1: 3, 0: -1}, Fraction(-2, 5)
+    assert _homogeneous(p, x, 1) == -11
+    assert _homogeneous(p, x, 3) == -11 * 5 ** 2
+    assert _homogeneous({}, x, 2) == 0
+    assert matrix_at([[{}]], x) == ([[0]], 1)
 
 
 def _fraction_rem(a, b):
