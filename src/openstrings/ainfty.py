@@ -1221,6 +1221,9 @@ def pair_subcomplex(d: AInftyDatum, i: int, j: int) -> AInftyDatum:
 
 
 def _entry_from_json(obj, ring) -> TensorEntry:
+    if not isinstance(obj["inputs"], (list, tuple)):
+        raise ValueError(f"entry inputs {obj['inputs']!r} are not a list "
+                         "of generator ids")
     inputs = tuple(obj["inputs"])
     if "q" in obj and obj["q"] != len(inputs):
         raise ValueError("entry arity disagrees with its inputs")

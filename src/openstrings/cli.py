@@ -102,7 +102,11 @@ def _cmd_maslov(args) -> int:
     obj = _load_json(args.file)
     path = _mas.path_from_json(obj)
     if "reference" in obj:
-        ref = [[Fraction(str(e)) for e in row] for row in obj["reference"]]
+        rows = obj["reference"]
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise _mas.ChartMismatch(
+                f"reference {rows!r} is not a list of matrix rows")
+        ref = [[Fraction(str(e)) for e in row] for row in rows]
     else:
         ref = path.pieces[0].value(path.start)
     report = _mas.rs_index_report(ref, path)

@@ -166,7 +166,18 @@ def is_exact(h: Continuation, k: Continuation) -> bool:
 # ---------------------------------------------------------------------------
 
 def conductor_from_json(obj) -> Conductor:
+    if not isinstance(obj, (list, tuple)):
+        raise ValueError(f"a conductor is a list of labels, got {obj!r}")
     return Conductor(tuple(str(x) for x in obj))
+
+
+def _json_ints(obj, key: str) -> Tuple[int, ...]:
+    """``obj[key]`` if it is a list of JSON integers: no bool, no number
+    int() would truncate."""
+    v = obj[key]
+    if not (isinstance(v, (list, tuple)) and all(type(p) is int for p in v)):
+        raise ValueError(f"{key} must be a list of integers, got {v!r}")
+    return tuple(v)
 
 
 def continuation_from_json(obj) -> Continuation:
@@ -174,6 +185,6 @@ def continuation_from_json(obj) -> Continuation:
     return Continuation(
         source=conductor_from_json(obj["source"]),
         target=conductor_from_json(obj["target"]),
-        positions=tuple(int(p) for p in obj["positions"]),
-        images=tuple(int(p) for p in obj["images"]),
+        positions=_json_ints(obj, "positions"),
+        images=_json_ints(obj, "images"),
     )

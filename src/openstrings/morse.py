@@ -213,15 +213,24 @@ def sft_report(q: SftIndexQuery) -> dict:
     }
 
 
+def _json_int(obj: Mapping, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer: no bool, no number int()
+    would truncate."""
+    v = obj[key]
+    if type(v) is not int:
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
 def morse_datum_from_json(obj: Mapping) -> MorseDatum:
     points = tuple(
-        CriticalPoint(p["id"], int(p["index"]), Fraction(str(p["value"])))
+        CriticalPoint(p["id"], _json_int(p, "index"), Fraction(str(p["value"])))
         for p in obj["points"])
-    flows = tuple(Flow(f["from"], f["to"], int(f["count"]))
+    flows = tuple(Flow(f["from"], f["to"], _json_int(f, "count"))
                   for f in obj.get("flows", ()))
     triples = tuple(
-        Triple(t["a"], t["b"], t["out"], int(t["count"]),
+        Triple(t["a"], t["b"], t["out"], _json_int(t, "count"),
                Fraction(str(t["action"])))
         for t in obj.get("triples", ()))
-    return MorseDatum(n=int(obj["n"]), points=points, flows=flows,
+    return MorseDatum(n=_json_int(obj, "n"), points=points, flows=flows,
                       triples=triples)

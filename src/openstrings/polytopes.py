@@ -18,18 +18,24 @@ factor of dimension a-2; front vertices of arity a carry a factor of
 dimension a-1.  A face is a product of these factors.
 
 Orientation convention (fixed here once, everything else is relative): a
-face is oriented by the wedge of its positive-dimensional factor
-orientations in preorder (root-first, children left to right).  The signed
-cellular boundary applies the facet parity rules
+face is oriented by the product of its vertex factors in preorder
+(root-first, children left to right), so its signed cellular boundary
+follows the Leibniz rule over that product: the boundary of a vertex's
+subtree is the moves at that vertex plus each child's boundary spliced
+back in place, the child's term signed by (-1)^(dimension of the vertex
+factor and of the earlier siblings' subtrees).  A move at a vertex is
+signed by its facet parity rule
 
 * plain split, sign +1 iff  l1*l2 + i*(l2-1)  is odd,
 * front lower move, sign +1 iff  l1*l2 + i*(l2-1)  is even,
 * front upper move, sign +1 iff  sum_j (q-j)*(k_j-1)  is even,
 
-with a Leibniz prefix over earlier factors and a Koszul sign reordering the
-replaced factors into the new face's preorder.  ``boundary_map_consistency``
-verifies d(d(face)) = 0 over the integers for every face, which pins all
-three parity rules against each other.
+times the sign of the reordering the move causes: the rule orders the new
+factors before all child subtrees, and in preorder each new inner factor
+(split, lower) or front (upper) of dimension e sits after the subtrees now
+to its left, of summed dimension s, for a factor (-1)^(e*s).
+``boundary_map_consistency`` verifies d(d(face)) = 0 over the integers for
+every face, which pins all three parity rules against each other.
 
 Canonical order: faces are sorted lexicographically by their serialization
 (see :func:`serialize_face`); the degenerate cases K_0/K_1 (points) and
@@ -164,36 +170,6 @@ def serialize_face(face) -> str:
     return f"({body})" if k == "k" else f"{k}({body})"
 
 
-def _get(face, path: Tuple[int, ...]):
-    node = face
-    for idx in path:
-        node = _children(node)[idx]
-    return node
-
-
-def _replace(face, path: Tuple[int, ...], new_node):
-    if not path:
-        return new_node
-    k = _kind(face)
-    ch = list(_children(face))
-    ch[path[0]] = _replace(ch[path[0]], path[1:], new_node)
-    return _mk(k, ch)
-
-
-def _positive_factors(face, path=(), out=None) -> List[Tuple[Tuple[int, ...], int]]:
-    """(path, dimension) of every vertex of positive dimension, in
-    preorder; each dimension is computed once."""
-    if out is None:
-        out = []
-    if not _is_leaf(face):
-        d = _factor_dim(face)
-        if d >= 1:
-            out.append((path, d))
-        for idx, child in enumerate(_children(face)):
-            _positive_factors(child, path + (idx,), out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -245,17 +221,12 @@ def _max_l(polytope: str) -> int:
             f"{_BUDGET_ENV} must be an integer, got {env!r}") from None
 
 
-def _check_polytope(polytope: str) -> str:
-    p = polytope.upper()
-    if p not in ("K", "J"):
-        raise ValueError(f"unknown polytope family {polytope!r} (expected 'K' or 'J')")
-    return p
-
-
 def _check_budget(polytope: str, l: int) -> str:
     """The family letter, after checking l against the budget (env var
     OPENSTRINGS_MAX_L overrides the default)."""
-    p = _check_polytope(polytope)
+    p = polytope.upper()
+    if p not in ("K", "J"):
+        raise ValueError(f"unknown polytope family {polytope!r} (expected 'K' or 'J')")
     if l < 0:
         raise ValueError("l must be nonnegative")
     cap = _max_l(p)
@@ -329,32 +300,21 @@ def f_vector(polytope: str, l: int) -> List[int]:
 # boundary moves
 # ---------------------------------------------------------------------------
 
-def _moves_at(face, vpath):
-    """All codimension-one degenerations of the factor at ``vpath``.
-
-    Yields (new_face, lemma_sign, lemma_factors, path_map, tag) where
-    lemma_factors lists the replacing factor vertices (path, dim) in the
-    product order of the corresponding parity rule, and path_map rewrites
-    the paths of untouched vertices below vpath.
-    """
-    node = _get(face, vpath)
+def _moves_at(node, dims):
+    """All codimension-one degenerations of one vertex, as (new_node, sign,
+    tag).  ``dims`` holds the dimension of each child's subtree.  The sign
+    is the parity rule's times the Koszul sign of the reordering: each new
+    factor of dimension e moves past the child subtrees now to its left,
+    of summed dimension s, for (-1)^(e*s)."""
     kd = _kind(node)
     ch = _children(node)
     m = len(ch)
+    left = [0]                      # left[k]: summed dimension of ch[:k]
+    for d in dims:
+        left.append(left[-1] + d)
 
-    def remap_split(i0: int, l2: int):
-        # children [i0, i0+l2) move one level down to slot i0
-        def pm(path):
-            if len(path) <= len(vpath) or path[:len(vpath)] != vpath:
-                return path
-            c = path[len(vpath)]
-            rest = path[len(vpath) + 1:]
-            if c < i0:
-                return path
-            if c < i0 + l2:
-                return vpath + (i0, c - i0) + rest
-            return vpath + (c - l2 + 1,) + rest
-        return pm
+    def passing(e, k):
+        return -1 if e * left[k] % 2 else 1
 
     if kd in ("k", "p", "u") and m >= 3:
         for l1 in range(2, m):
@@ -362,11 +322,9 @@ def _moves_at(face, vpath):
             for i in range(1, l1 + 1):
                 i0 = i - 1
                 inner = _mk(kd, ch[i0:i0 + l2])
-                outer = _mk(kd, ch[:i0] + (inner,) + ch[i0 + l2:])
-                sign = assoc_facet_sign(l1, l2, i)
-                lemma = [(vpath, l1 - 2), (vpath + (i0,), l2 - 2)]
-                yield (_replace(face, vpath, outer), sign, lemma,
-                       remap_split(i0, l2), ("split", l1, l2, i))
+                yield (_mk(kd, ch[:i0] + (inner,) + ch[i0 + l2:]),
+                       assoc_facet_sign(l1, l2, i) * passing(l2 - 2, i0),
+                       ("split", l1, l2, i))
 
     if kd == "f" and m >= 2:
         for l2 in range(2, m + 1):
@@ -374,112 +332,77 @@ def _moves_at(face, vpath):
             for i in range(1, l1 + 1):
                 i0 = i - 1
                 inner = _mk("u", ch[i0:i0 + l2])
-                outer = _mk("f", ch[:i0] + (inner,) + ch[i0 + l2:])
-                sign = multi_lower_sign(l1, l2, i)
-                lemma = [(vpath, l1 - 1), (vpath + (i0,), l2 - 2)]
-                yield (_replace(face, vpath, outer), sign, lemma,
-                       remap_split(i0, l2), ("lower", l1, l2, i))
+                yield (_mk("f", ch[:i0] + (inner,) + ch[i0 + l2:]),
+                       multi_lower_sign(l1, l2, i) * passing(l2 - 2, i0),
+                       ("lower", l1, l2, i))
         for q in range(2, m + 1):
             for parts in _compositions(m, q):
-                starts = []
-                pos = 0
-                for k in parts:
-                    starts.append(pos)
-                    pos += k
-                fronts = tuple(
-                    _mk("f", ch[starts[j]:starts[j] + parts[j]])
-                    for j in range(q))
-                newnode = _mk("p", fronts)
                 sign = multi_upper_sign(parts)
-                lemma = [(vpath, q - 2)] + [
-                    (vpath + (j,), parts[j] - 1) for j in range(q)]
-
-                def pm(path, starts=starts, parts=parts):
-                    if len(path) <= len(vpath) or path[:len(vpath)] != vpath:
-                        return path
-                    c = path[len(vpath)]
-                    rest = path[len(vpath) + 1:]
-                    for j in range(len(parts) - 1, -1, -1):
-                        if c >= starts[j]:
-                            return vpath + (j, c - starts[j]) + rest
-                    raise AssertionError("unmapped child")
-                yield (_replace(face, vpath, newnode), sign, lemma,
-                       pm, ("upper", parts))
+                fronts = []
+                start = 0
+                for k in parts:
+                    fronts.append(_mk("f", ch[start:start + k]))
+                    sign *= passing(k - 1, start)
+                    start += k
+                yield _mk("p", fronts), sign, ("upper", parts)
 
 
-def _koszul_sign(order_a: List[Tuple[tuple, int]],
-                 order_b: List[Tuple[tuple, int]]) -> int:
-    """Sign of the graded permutation taking factor list a to factor list b
-    (same keys, possibly different order); dims attached to the keys."""
-    pos_b = {key: k for k, (key, _) in enumerate(order_b)}
-    exponent = 0
-    n = len(order_a)
-    for x in range(n):
-        kx, dx = order_a[x]
-        for y in range(x + 1, n):
-            ky, dy = order_a[y]
-            if pos_b[kx] > pos_b[ky]:
-                exponent += dx * dy
-    return -1 if exponent % 2 else 1
+def _boundary(node) -> Tuple[int, Dict[tuple, int]]:
+    """Dimension and signed boundary of the subtree rooted at ``node``, by
+    the Leibniz rule over its preorder product: the moves at this vertex,
+    then each child's boundary spliced back in place, signed by the
+    dimensions of this vertex's factor and of the earlier siblings."""
+    if _is_leaf(node):
+        return 0, {}
+    kd = _kind(node)
+    ch = _children(node)
+    below = [_boundary(c) for c in ch]
+    dims = [d for d, _ in below]
+    out: Dict[tuple, int] = {}
+    for new_node, sign, _tag in _moves_at(node, dims):
+        out[new_node] = out.get(new_node, 0) + sign
+    passed = _factor_dim(node)
+    for k, (d, b) in enumerate(below):
+        sign = -1 if passed % 2 else 1
+        for g, c in b.items():
+            new_node = _mk(kd, ch[:k] + (g,) + ch[k + 1:])
+            out[new_node] = out.get(new_node, 0) + sign * c
+        passed += d
+    return passed, out
 
 
 def signed_boundary(face) -> Dict[tuple, int]:
     """The signed cellular boundary of a face as a face -> coefficient map."""
     if face == _INT_CELL:
         return {_INT_END1: 1, _INT_END0: -1}
-    if face in (_INT_END0, _INT_END1) or _is_leaf(face):
+    if face in (_INT_END0, _INT_END1):
         return {}
-    out: Dict[tuple, int] = {}
-    factors = _positive_factors(face)
-    for idx, (vpath, _vdim) in enumerate(factors):
-        prefix = sum(d for _, d in factors[:idx]) % 2
-        for new_face, lemma_sign, lemma, path_map, _tag in _moves_at(face, vpath):
-            prod_order = [(p, d) for p, d in factors[:idx]]
-            prod_order += [(p, d) for p, d in lemma if d >= 1]
-            prod_order += [(path_map(p), d) for p, d in factors[idx + 1:]]
-            canon_order = _positive_factors(new_face)
-            sign = (-1 if prefix else 1) * lemma_sign
-            sign *= _koszul_sign(prod_order, canon_order)
-            out[new_face] = out.get(new_face, 0) + sign
-    return {f: c for f, c in out.items() if c != 0}
+    return {f: c for f, c in _boundary(face)[1].items() if c != 0}
 
 
 def facets_with_signs(polytope: str, l: int) -> List[FacetFactorization]:
     """Codimension-one faces of the whole polytope with their product
-    decompositions and orientation signs from the parity rules."""
-    p = _check_polytope(polytope)
+    decompositions and orientation signs from the parity rules; the budget
+    applies as for :func:`enumerate_faces`."""
+    p = _check_budget(polytope, l)
     if l < 2:
         if p == "J":
             return [FacetFactorization("multi_end", (0,), -1, serialize_face(_INT_END0)),
                     FacetFactorization("multi_end", (1,), 1, serialize_face(_INT_END1))]
         return []
     out = []
-    if p == "K":
-        top = _mk("k", (0,) * l)
-        for new_face, sign, _lemma, _pm, tag in _moves_at(top, ()):
-            _, l1, l2, i = tag
-            out.append(FacetFactorization("assoc", (l1, l2, i), sign,
-                                          serialize_face(new_face)))
-    else:
-        top = _mk("f", (0,) * l)
-        for new_face, sign, _lemma, _pm, tag in _moves_at(top, ()):
-            if tag[0] == "lower":
-                _, l1, l2, i = tag
-                if l1 == 1:
-                    out.append(FacetFactorization("multi_end", (0,), sign,
-                                                  serialize_face(new_face)))
-                else:
-                    out.append(FacetFactorization("multi_lower", (l1, l2, i), sign,
-                                                  serialize_face(new_face)))
-            else:
-                parts = tag[1]
-                if all(k == 1 for k in parts):
-                    out.append(FacetFactorization("multi_end", (1,), sign,
-                                                  serialize_face(new_face)))
-                else:
-                    out.append(FacetFactorization("multi_upper",
-                                                  (len(parts), parts), sign,
-                                                  serialize_face(new_face)))
+    top = _mk("k" if p == "K" else "f", (0,) * l)
+    for new_face, sign, tag in _moves_at(top, (0,) * l):
+        if tag[0] == "split":
+            kind, params = "assoc", tag[1:]
+        elif tag[0] == "lower":
+            kind, params = (("multi_end", (0,)) if tag[1] == 1
+                            else ("multi_lower", tag[1:]))
+        else:
+            parts = tag[1]
+            kind, params = (("multi_end", (1,)) if all(k == 1 for k in parts)
+                            else ("multi_upper", (len(parts), parts)))
+        out.append(FacetFactorization(kind, params, sign, serialize_face(new_face)))
     out.sort(key=lambda ff: (ff.kind, ff.params))
     return out
 
@@ -487,8 +410,8 @@ def facets_with_signs(polytope: str, l: int) -> List[FacetFactorization]:
 def boundary_map_consistency(polytope: str, l: int) -> dict:
     """Compute the signed boundary of every face and verify d(d(face)) = 0
     over the integers."""
-    p = _check_polytope(polytope)
-    faces = enumerate_faces(p, l)
+    faces = enumerate_faces(polytope, l)
+    p = polytope.upper()
     boundaries: Dict[object, Dict[tuple, int]] = {}
 
     def boundary(face):

@@ -270,6 +270,15 @@ def test_maslov_string_entry_is_invalid_input(tmp_path):
     assert err == "invalid input: matrix entry '01' is not a list of numbers\n"
 
 
+def test_maslov_string_reference_row_is_invalid_input(tmp_path):
+    # a reference row given as a string is not read one character a row
+    path = write(tmp_path, "p.json", dict(LINE_PATH_JSON, reference=["5"]))
+    code, out, err = run("maslov", "index", path)
+    assert code == BAD_INPUT and not out
+    assert err == ("invalid input: reference ['5'] is not a list of "
+                   "matrix rows\n")
+
+
 def test_maslov_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 1,\n  "oops"')
@@ -305,6 +314,21 @@ def test_ainfty_check_detects_broken_datum(tmp_path, chain_json):
     code, out, _ = run("ainfty", "check", path)
     assert code == FAIL
     assert json.loads(out)["square_zero"] is False
+
+
+def test_ainfty_string_inputs_are_invalid_input(tmp_path):
+    datum = {"labels": 2, "generators": [
+        {"id": "a", "i": 0, "j": 1, "mu": 0},
+        {"id": "b", "i": 1, "j": 2, "mu": 0},
+        {"id": "c", "i": 0, "j": 2, "mu": 0}],
+        "tensors": [{"inputs": ["a", "b"], "output": "c", "coeff": "t^1"}]}
+    assert run("ainfty", "check", write(tmp_path, "ok.json", datum))[0] == PASS
+    # "ab" is not read as the inputs ("a", "b")
+    datum["tensors"][0]["inputs"] = "ab"
+    code, out, err = run("ainfty", "check", write(tmp_path, "s.json", datum))
+    assert code == BAD_INPUT and not out
+    assert err == ("invalid input: entry inputs 'ab' are not a list of "
+                   "generator ids\n")
 
 
 def test_ainfty_map(tmp_path, chain_json, conj_json, diag_entries):
@@ -576,6 +600,40 @@ def test_conductor_mismatch(tmp_path):
               "positions": [0], "images": [0]}})
     code, _, err = run("conductor", "exact", path)
     assert code == BAD_INPUT and "composable pair" in err
+
+
+def test_conductor_string_labels_are_invalid_input(tmp_path):
+    path = write(tmp_path, "conds.json", {
+        "h": {"source": "abc", "target": ["x", "y", "z"],
+              "positions": [0, 1], "images": [0, 1]},
+        "k": {"source": ["x", "y", "z"], "target": ["u", "v"],
+              "positions": [1, 2], "images": [0, 1]}})
+    code, out, err = run("conductor", "exact", path)
+    assert code == BAD_INPUT and not out
+    assert err == ("invalid input: a conductor is a list of labels, "
+                   "got 'abc'\n")
+
+
+def test_conductor_fractional_position_is_invalid_input(tmp_path):
+    # [0, 1.9] is not truncated to [0, 1]
+    path = write(tmp_path, "condf.json", {
+        "h": {"source": ["a", "b"], "target": ["x", "y", "z"],
+              "positions": [0, 1.9], "images": [0, 1]},
+        "k": {"source": ["x", "y", "z"], "target": ["u", "v"],
+              "positions": [1, 2], "images": [0, 1]}})
+    code, out, err = run("conductor", "exact", path)
+    assert code == BAD_INPUT and not out
+    assert err.startswith("invalid input: positions must be a list of "
+                          "integers")
+
+
+def test_floer_hf_fractional_count_is_invalid_input(tmp_path):
+    # a count of 1.5 is not truncated to 1
+    obj = json.loads(json.dumps(MORSE_JSON))
+    obj["flows"][0]["count"] = 1.5
+    code, out, err = run("floer", "hf", write(tmp_path, "m.json", obj))
+    assert code == BAD_INPUT and not out
+    assert err == "invalid input: count must be an integer, got 1.5\n"
 
 
 # ---------------------------------------------------------------------------

@@ -215,3 +215,19 @@ def test_json_loaders():
     with pytest.raises(OutOfRange):
         continuation_from_json({"source": ["a"], "target": ["x"],
                                 "positions": [3], "images": [0]})
+
+
+@pytest.mark.parametrize("key", ["positions", "images"])
+@pytest.mark.parametrize("bad", [[0, 1.9], [0, 1.0], [False, 1], ["0", 1], "01"])
+def test_json_positions_are_integers(key, bad):
+    obj = {"source": ["a", "b"], "target": ["x", "y"],
+           "positions": [0, 1], "images": [0, 1]}
+    obj[key] = bad
+    with pytest.raises(ValueError, match=f"^{key} must be a list of integers"):
+        continuation_from_json(obj)
+
+
+@pytest.mark.parametrize("labels", ["abc", {"a": 1}, 3])
+def test_json_conductor_is_a_list(labels):
+    with pytest.raises(ValueError, match="a conductor is a list of labels"):
+        conductor_from_json(labels)

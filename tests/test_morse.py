@@ -289,6 +289,28 @@ def test_datum_from_json_round_trip():
     assert morse_datum_from_json(obj) == acyclic_datum()
 
 
+@pytest.mark.parametrize("where,key", [
+    ((), "n"), (("points", 0), "index"), (("flows", 0), "count"),
+    (("triples", 0), "count")])
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "1"])
+def test_json_integer_fields_reject_other_numbers(where, key, value):
+    obj = {
+        "n": 2,
+        "points": [{"id": "p", "index": 1, "value": 1},
+                   {"id": "q", "index": 0, "value": 0}],
+        "flows": [{"from": "p", "to": "q", "count": 1}],
+        "triples": [{"a": "q", "b": "q", "out": "q", "count": 1,
+                     "action": 0}],
+    }
+    morse_datum_from_json(obj)
+    node = obj
+    for step in where:
+        node = node[step]
+    node[key] = value
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        morse_datum_from_json(obj)
+
+
 def test_json_fraction_values_and_triples():
     obj = {
         "n": 3,

@@ -221,25 +221,6 @@ def test_signed_boundary_matches_reference(family, lmax):
     assert entries > 9000
 
 
-def test_positive_factors_compute_each_dimension_once(monkeypatch):
-    calls = []
-    real = polytopes._factor_dim
-
-    def counting(node):
-        calls.append(node)
-        return real(node)
-
-    monkeypatch.setattr(polytopes, "_factor_dim", counting)
-    for family, l in (("K", 6), ("J", 5)):
-        for face in enumerate_faces(family, l):
-            vertices = sum(1 for _ in ref.preorder_internal(face))
-            calls.clear()
-            factors = polytopes._positive_factors(face)
-            assert len(calls) == vertices
-            calls.clear()
-            assert factors == ref.positive_factors(face)
-
-
 def test_budget_errors():
     with pytest.raises(UnsupportedL):
         f_vector("K", 99)
@@ -247,6 +228,17 @@ def test_budget_errors():
         f_vector("X", 4)
     with pytest.raises(ValueError, match="nonnegative"):
         f_vector("K", -1)
+
+
+def test_facet_signs_within_the_budget(capsys):
+    with pytest.raises(UnsupportedL):
+        facets_with_signs("J", 9)
+    with pytest.raises(ValueError, match="nonnegative"):
+        facets_with_signs("J", -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        facets_with_signs("K", -1)
+    assert cli.main(["polytope", "multi", "--l", "40", "--facet-signs"]) == 2
+    assert "invalid input" in capsys.readouterr().err
 
 
 def _run_capped(cap: str) -> subprocess.CompletedProcess:
