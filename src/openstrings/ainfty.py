@@ -6,7 +6,7 @@ tensors with explicit combinatorial signs; evaluation of a tensor block
 acting inside a chain follows the graded (Koszul) rule, each block
 picking up the parity of the indices to its left.  The module also
 carries the symbolic side: exponent-arithmetic certificates that the
-sign conventions cancel the way the concrete checks assume.
+sign conventions the concrete code calls cancel as the checks assume.
 """
 from __future__ import annotations
 
@@ -169,6 +169,11 @@ def _word_mu(word: Word, gens: Mapping[str, Generator]) -> int:
     return sum(gens[g].mu for g in word)
 
 
+def _prefix_mu(word: Word, gens: Mapping[str, Generator]) -> List[int]:
+    """Index sums of the first 0 .. len(word) factors of ``word``."""
+    return list(itertools.accumulate((gens[g].mu for g in word), initial=0))
+
+
 def _tensor_index(entries: Iterable[TensorEntry]) -> Dict[Word, List[TensorEntry]]:
     idx: Dict[Word, List[TensorEntry]] = {}
     for e in entries:
@@ -281,6 +286,46 @@ def _entry_report(a: Matrix, limit: int = 16) -> List[dict]:
 
 
 # ---------------------------------------------------------------------------
+# sign rules: each exponent is stated once, here, and both the assemblers
+# and the symbolic certificates call it
+
+
+def _delta_exp(q, w, i, mutation=(1, 1, 1)):
+    """Exponent q*w + i*w + i = q*w + i*(w-1) (mod 2) of an arity-w block
+    in slot i of a length-q word in the differential; ``mutation`` scales
+    its three terms, for the certificate's mutation tests."""
+    a, b, cc = mutation
+    return (a * (q * w) + b * (i * w) + cc * i) % 2
+
+
+def _a3_left(b_img: int) -> int:
+    """Dual Leibniz (A3) sign of ``b_img`` dual factors right of the slot."""
+    return b_img % 2
+
+
+def _a3_right(a_img: int, q: int) -> int:
+    """Dual Leibniz (A3) sign of ``a_img`` dual factors left of a slot
+    whose dual value raises the cardinality by ``q``."""
+    return (a_img * (q + 1)) % 2
+
+
+def _split_parity(arities, mus) -> int:
+    """Exponent of cutting a chain with factor indices ``mus`` into
+    consecutive blocks of the given arities (w_1 .. w_r):
+    sum_j (r-j)(w_j-1), plus, for each block of even arity, the index sum
+    of the factors to its left (its graded evaluation factor)."""
+    r = len(arities)
+    exp = left = pos = 0
+    for j, w in enumerate(arities, 1):
+        exp += (r - j) * (w - 1)
+        if w % 2 == 0:
+            exp += left
+        left += sum(mus[pos:pos + w])
+        pos += w
+    return exp % 2
+
+
+# ---------------------------------------------------------------------------
 # the differential
 
 
@@ -304,25 +349,28 @@ def assemble_differential(d: AInftyDatum) -> FloerComplex:
     """Assemble the signed differential on the composable-chain basis.
 
     The cardinality-q component acting through an arity-w tensor in slot
-    i carries the sign (-1)^(q*w + i*(w-1)) together with the graded
-    evaluation sign of the block against the factors to its left.
+    i carries the sign (-1)^_delta_exp(q, w, i) = (-1)^(q*w + i*(w-1))
+    together with the graded evaluation sign of the block against the
+    factors to its left.
     """
     gens = _gen_map(d)
     _validate_entries(d.tensors, gens, gens, lambda w: 2 - w, d.modulus,
                       d.ring, "structure tensor")
     tindex = _tensor_index(d.tensors)
+    arities = sorted({len(block) for block in tindex})
     words = enumerate_words(d)
     matrix: Matrix = {}
     for word in words:
         q = len(word)
+        prefix = _prefix_mu(word, gens)
         row: Dict[Word, NovikovSeries] = {}
-        for w in range(1, q + 1):
-            q1 = q - w + 1
-            for i in range(1, q1 + 1):
-                block = word[i - 1:i - 1 + w]
-                for entry in tindex.get(block, ()):
-                    prefix_mu = _word_mu(word[:i - 1], gens)
-                    exp = q * w + i * (w - 1) + w * prefix_mu
+        for w in arities:
+            for i in range(1, q - w + 2):
+                entries = tindex.get(word[i - 1:i - 1 + w])
+                if not entries:
+                    continue
+                exp = _delta_exp(q, w, i) + w * prefix[i - 1]
+                for entry in entries:
                     out_word = word[:i - 1] + (entry.output,) + word[i - 1 + w:]
                     _acc(row, out_word, _signed(entry.coeff, exp))
         if row:
@@ -344,11 +392,6 @@ def check_a_infinity(d: AInftyDatum) -> dict:
 
 # ---------------------------------------------------------------------------
 # symbolic certificate for the squared differential
-
-
-def _delta_exp(q, w, i, mutation):
-    a, b, cc = mutation
-    return (a * (q * w) + b * (i * w) + cc * i) % 2
 
 
 def symbolic_delta_squared(l: int, q_max: int,
@@ -478,19 +521,21 @@ def validate_axioms_A(c: FloerComplex) -> dict:
     # basis word of (g_1 .. g_Q) is (g_Q* .. g_1*); the transpose of the
     # assembled matrix, read on dual words, must agree with splicing the
     # elementary dual values into every slot with sign
-    # (-1)^((i-1)w + Q - i) and the graded factor of the block against
-    # the dual factors to its right.
+    # (-1)^((i-1)w + Q - i) (``_a3_right`` and ``_a3_left``) and the graded
+    # factor of the block against the dual factors to its right.
     eduals = _elementary_duals(c.differential)
     predicted: Matrix = {}
     for word in c.words:
         dword = _dual_word(word)
+        prefix = _prefix_mu(dword, gens)
         row: Dict[Word, NovikovSeries] = {}
         qq = len(dword)
         for i in range(1, qq + 1):
-            suffix_mu = _word_mu(dword[i:], gens)
+            suffix_mu = prefix[qq] - prefix[i]
             for chunk, coeff in eduals.get(dword[i - 1], ()):
                 w = len(chunk)
-                exp = (i - 1) * w + (qq - i) + w * suffix_mu
+                exp = (_a3_right(i - 1, w - 1) + _a3_left(qq - i)
+                       + w * suffix_mu)
                 _acc(row, dword[:i - 1] + chunk + dword[i:],
                      _signed(coeff, exp))
         if row:
@@ -533,16 +578,15 @@ def _expand(source: FloerComplex, index, k_index=None, after=None,
     - 1 + w*m for the single homotopy block from ``k_index``: its two D
       terms cancel mod 2.
 
-    Summed over the blocks these are the multiplihedron boundary
-    parities with the graded evaluation factors.  Yields (input word,
-    output word, signed coefficient product).
+    Summed over the blocks of a continuation these increments are
+    ``_split_parity`` of the block arities (mod 2), built incrementally
+    because this is the hot kernel.  Yields (input word, output word,
+    signed coefficient product).
     """
     hom = int(k_index is not None)
     for word in source.words if words is None else words:
         q = len(word)
-        prefix = [0]
-        for g in word:
-            prefix.append(prefix[-1] + source._gens[g].mu)
+        prefix = _prefix_mu(word, source._gens)
         found: List[Tuple[Word, NovikovSeries]] = []
 
         def walk(pos, d, exp, out, coeff, blocks, k_blocks):
@@ -593,8 +637,8 @@ def assemble_continuation(c: FloerComplex, c_prime: FloerComplex,
                           h: MapDatum) -> Matrix:
     """Tensor-expand map data into a matrix CF' -> CF.
 
-    Blocks of arities (w_1 .. w_r) carry the sign
-    (-1)^(sum_j (r-j)(w_j-1)) and graded evaluation factors; an arity-w
+    Blocks of arities (w_1 .. w_r) carry the sign (-1)^_split_parity:
+    sum_j (r-j)(w_j-1) and the graded evaluation factors; an arity-w
     entry must shift the index by 1-w.
     """
     _validate_maps(c, c_prime, h)
@@ -608,19 +652,14 @@ def _remh_predicted(c, c_prime, fmat):
     predicted: Matrix = {}
     for word in c.words:
         dword = _dual_word(word)
-        qq = len(dword)
         row: Dict[Word, NovikovSeries] = {}
         for choices in itertools.product(*(eduals.get(g, ()) for g in dword)):
-            chunks = [ch for ch, _ in choices]
-            drops = [len(ch) - 1 for ch in chunks]
-            exp = sum(i * drops[i] for i in range(1, qq))
-            # graded factor of each block against the expanded chunks to
-            # its right; an arity-w block has parity w + 1 = len(chunk) + 1
-            for i in range(qq):
-                if (len(chunks[i]) + 1) % 2:
-                    exp += sum(gens_p[g].mu
-                               for ch in chunks[i + 1:] for g in ch)
-            _acc(row, tuple(g for ch in chunks for g in ch),
+            out = tuple(g for ch, _ in choices for g in ch)
+            # the dual word reverses the blocks: read right to left, each
+            # block's graded factor is against the chunks to its right
+            exp = _split_parity([len(ch) for ch, _ in reversed(choices)],
+                                [gens_p[g].mu for g in reversed(out)])
+            _acc(row, out,
                  _signed(reduce(mul, (cf for _, cf in choices)), exp))
         if row:
             predicted[dword] = row
@@ -727,8 +766,8 @@ def compose_continuations(c0: FloerComplex, c1: FloerComplex,
 
     The arity-w entry of the composite sums over ways of splitting the
     input chain into r inner blocks, applying the second map blockwise
-    and the first map to the r outputs, with sign
-    (-1)^(sum_t (r-t)(k_t-1)) and the graded evaluation factors.
+    and the first map to the r outputs, with sign (-1)^_split_parity of
+    the inner arities (k_1 .. k_r).
     """
     _validate_maps(c1, c2, h12)
     _validate_maps(c0, c1, h01)
@@ -774,56 +813,22 @@ def composition_sign_identity(q_max: int = 4) -> dict:
             s = len(inner)
             for grouping in (c for n in range(1, s + 1)
                              for c in _compositions(s, n)):
-                p = len(grouping)
                 # split the inner arities by the outer grouping
-                shapes: List[Tuple[int, ...]] = []
-                pos = 0
-                for size in grouping:
-                    shapes.append(tuple(inner[pos:pos + size]))
-                    pos += size
-                glued = tuple(sum(shape) for shape in shapes)
+                cuts = list(itertools.accumulate(grouping, initial=0))
+                shapes = [inner[a:b] for a, b in zip(cuts, cuts[1:])]
+                glued = [sum(shape) for shape in shapes]
+                inner_at = list(itertools.accumulate(inner, initial=0))
+                glued_at = list(itertools.accumulate(glued, initial=0))
                 for mus in itertools.product((0, 1), repeat=q):
                     cases += 1
-                    lhs = sum((s - t) * (inner[t - 1] - 1)
-                              for t in range(1, s + 1))
-                    # graded factors of the inner blocks
-                    off = 0
-                    for t, kt in enumerate(inner):
-                        if (kt + 1) % 2:
-                            lhs += sum(mus[:off])
-                        off += kt
                     # indices of the mid-level outputs
-                    mid_mu = []
-                    off = 0
-                    for kt in inner:
-                        mid_mu.append(sum(mus[off:off + kt]) + 1 - kt)
-                        off += kt
-                    lhs += sum((p - j) * (grouping[j - 1] - 1)
-                               for j in range(1, p + 1))
-                    off = 0
-                    for j, rj in enumerate(grouping):
-                        if (rj + 1) % 2:
-                            lhs += sum(mid_mu[:off])
-                        off += rj
-                    rhs = sum((p - j) * (glued[j - 1] - 1)
-                              for j in range(1, p + 1))
-                    off = 0
-                    for j, wj in enumerate(glued):
-                        if (wj + 1) % 2:
-                            rhs += sum(mus[:off])
-                        off += wj
-                    for shape in shapes:
-                        rr = len(shape)
-                        rhs += sum((rr - t) * (shape[t - 1] - 1)
-                                   for t in range(1, rr + 1))
-                    off = 0
-                    for shape in shapes:
-                        inner_off = 0
-                        for kt in shape:
-                            if (kt + 1) % 2:
-                                rhs += sum(mus[off:off + inner_off])
-                            inner_off += kt
-                        off += sum(shape)
+                    mid_mu = [sum(mus[a:b]) + 1 - (b - a)
+                              for a, b in zip(inner_at, inner_at[1:])]
+                    lhs = (_split_parity(inner, mus)
+                           + _split_parity(grouping, mid_mu))
+                    rhs = _split_parity(glued, mus) + sum(
+                        _split_parity(shape, mus[a:b])
+                        for shape, a, b in zip(shapes, glued_at, glued_at[1:]))
                     if lhs % 2 != rhs % 2:
                         failures.append({"inner": list(inner),
                                          "grouping": list(grouping),
@@ -841,14 +846,6 @@ def _b2_prefactor(a: int, l2: int) -> int:
     return (a * l2) % 2
 
 
-def _a3_left(b_img: int) -> int:
-    return b_img % 2
-
-
-def _a3_right(a_img: int, q: int) -> int:
-    return (a_img * (q + 1)) % 2
-
-
 def _c2_first(a: int, b: int, l2: int) -> int:
     return (b + (a + 1) * l2) % 2
 
@@ -861,6 +858,23 @@ def _swap(p1: int, p2: int) -> int:
     return (p1 * p2) % 2
 
 
+def _lemma_cases(q_max: int, drop_max: int, families) -> dict:
+    """Run ``families(a, b, q, l1, l2)``, a list of sign checks, on every
+    two-part dual word (a, b) with a + b <= ``q_max`` and every drop
+    q, l1, l2 <= ``drop_max``; a case fails when any check is false."""
+    failures = []
+    cases = 0
+    for a in range(q_max + 1):
+        for b in range(q_max + 1 - a):
+            for q, l1, l2 in itertools.product(range(drop_max + 1), repeat=3):
+                cases += 1
+                if not all(families(a, b, q, l1, l2)):
+                    failures.append({"a": a, "b": b, "q": q,
+                                     "l1": l1, "l2": l2})
+    return {"q_max": q_max, "cases": cases, "consistent": not failures,
+            "failures": failures[:8]}
+
+
 def check_consistency_continuation(q_max: int = 6, drop_max: int = 6) -> dict:
     """Product rule against the Leibniz rule, dual side.
 
@@ -869,37 +883,27 @@ def check_consistency_continuation(q_max: int = 6, drop_max: int = 6) -> dict:
     term families agree pairwise, so the chain-map property propagates
     from elementary strings to all strings.
     """
-    failures = []
-    cases = 0
-    for a in range(q_max + 1):
-        for b in range(q_max + 1 - a):
-            for q in range(drop_max + 1):
-                for l1 in range(drop_max + 1):
-                    for l2 in range(drop_max + 1):
-                        cases += 1
-                        # differential after the continuation
-                        dh1 = (_b2_prefactor(a, l2) + _a3_left(b + l2)) % 2
-                        dh2 = (_b2_prefactor(a, l2) + _a3_right(a + l1, q)
-                               + _swap(q + 1, l1)) % 2
-                        # continuation after the differential
-                        hd1 = (_a3_left(b) + _b2_prefactor(a + q, l2)
-                               + _swap(q + 1, l2)) % 2
-                        hd2 = (_a3_right(a, q) + _b2_prefactor(a, l2)) % 2
-                        # printed forms of the two expansions
-                        disp_dh1 = (a * l2 + b + l2) % 2
-                        disp_dh2 = (a * l2 + a * (q + 1)) % 2
-                        disp_hd1 = (b + (a + 1) * l2) % 2
-                        disp_hd2 = (a * (q + 1 + l2)) % 2
-                        checks = [
-                            dh1 == disp_dh1, dh2 == disp_dh2,
-                            hd1 == disp_hd1, hd2 == disp_hd2,
-                            dh1 == hd1, dh2 == hd2,
-                        ]
-                        if not all(checks):
-                            failures.append({"a": a, "b": b, "q": q,
-                                             "l1": l1, "l2": l2})
-    return {"q_max": q_max, "cases": cases, "consistent": not failures,
-            "failures": failures[:8]}
+    def families(a, b, q, l1, l2):
+        # differential after the continuation
+        dh1 = (_b2_prefactor(a, l2) + _a3_left(b + l2)) % 2
+        dh2 = (_b2_prefactor(a, l2) + _a3_right(a + l1, q)
+               + _swap(q + 1, l1)) % 2
+        # continuation after the differential
+        hd1 = (_a3_left(b) + _b2_prefactor(a + q, l2)
+               + _swap(q + 1, l2)) % 2
+        hd2 = (_a3_right(a, q) + _b2_prefactor(a, l2)) % 2
+        # printed forms of the two expansions
+        disp_dh1 = (a * l2 + b + l2) % 2
+        disp_dh2 = (a * l2 + a * (q + 1)) % 2
+        disp_hd1 = (b + (a + 1) * l2) % 2
+        disp_hd2 = (a * (q + 1 + l2)) % 2
+        return [
+            dh1 == disp_dh1, dh2 == disp_dh2,
+            hd1 == disp_hd1, hd2 == disp_hd2,
+            dh1 == hd1, dh2 == hd2,
+        ]
+
+    return _lemma_cases(q_max, drop_max, families)
 
 
 def check_consistency_homotopy(q_max: int = 6, drop_max: int = 6) -> dict:
@@ -910,56 +914,45 @@ def check_consistency_homotopy(q_max: int = 6, drop_max: int = 6) -> dict:
     elementary values, opposite uniform coefficients on the families
     that cancel through the chain-map property of the framing map.
     """
-    failures = []
-    cases = 0
-    for a in range(q_max + 1):
-        for b in range(q_max + 1 - a):
-            for q in range(drop_max + 1):
-                for l1 in range(drop_max + 1):
-                    for l2 in range(drop_max + 1):
-                        cases += 1
-                        # differential after the homotopy
-                        t1 = (_c2_first(a, b, l2) + _a3_left(b + l2)) % 2
-                        t2 = (_c2_first(a, b, l2) + _a3_right(a + l1, q)
-                              + _swap(q + 1, l1 + 1)) % 2
-                        t3 = (_c2_second(a, l2) + _a3_left(b + l2)) % 2
-                        t4 = (_c2_second(a, l2) + _a3_right(a + l1, q)
-                              + _swap(q + 1, l1)) % 2
-                        # homotopy after the differential
-                        s1 = (_a3_left(b) + _c2_first(a + q, b, l2)
-                              + _swap(q + 1, l2)) % 2
-                        s2 = (_a3_left(b) + _c2_second(a + q, l2)
-                              + _swap(q + 1, l2 + 1)) % 2
-                        s3 = (_a3_right(a, q) + _c2_first(a, b + q, l2)) % 2
-                        s4 = (_a3_right(a, q) + _c2_second(a, l2)) % 2
-                        # printed forms
-                        disp_t1 = (b + (a + 1) * l2 + b + l2) % 2
-                        disp_t2 = (b + (a + 1) * l2 + (a + 1) * (q + 1)) % 2
-                        disp_t3 = (a * (l2 + 1) + b + l2) % 2
-                        disp_t4 = (a * (l2 + 1) + a * (q + 1)) % 2
-                        disp_s1 = (b + b + a * l2) % 2
-                        disp_s2 = (b + (a + 1) * (l2 + 1)) % 2
-                        disp_s3 = (a * (q + 1) + b + q + (a + 1) * l2) % 2
-                        disp_s4 = (a * (q + 1) + a * (l2 + 1)) % 2
-                        checks = [
-                            t1 == disp_t1, t2 == disp_t2, t3 == disp_t3,
-                            t4 == disp_t4, s1 == disp_s1, s2 == disp_s2,
-                            s3 == disp_s3, s4 == disp_s4,
-                            # commutator families assemble with the product
-                            # rule coefficients
-                            t1 == s1, t1 == (a * l2) % 2,
-                            t4 == s4, t4 == (a * (q + l2)) % 2,
-                            # cross families cancel through the chain-map
-                            # property: opposite and uniform in q
-                            t2 == (s3 + 1) % 2,
-                            t2 == (b + (a + 1) * (q + l2 + 1)) % 2,
-                            t3 == (s2 + 1) % 2,
-                        ]
-                        if not all(checks):
-                            failures.append({"a": a, "b": b, "q": q,
-                                             "l1": l1, "l2": l2})
-    return {"q_max": q_max, "cases": cases, "consistent": not failures,
-            "failures": failures[:8]}
+    def families(a, b, q, l1, l2):
+        # differential after the homotopy
+        t1 = (_c2_first(a, b, l2) + _a3_left(b + l2)) % 2
+        t2 = (_c2_first(a, b, l2) + _a3_right(a + l1, q)
+              + _swap(q + 1, l1 + 1)) % 2
+        t3 = (_c2_second(a, l2) + _a3_left(b + l2)) % 2
+        t4 = (_c2_second(a, l2) + _a3_right(a + l1, q)
+              + _swap(q + 1, l1)) % 2
+        # homotopy after the differential
+        s1 = (_a3_left(b) + _c2_first(a + q, b, l2)
+              + _swap(q + 1, l2)) % 2
+        s2 = (_a3_left(b) + _c2_second(a + q, l2)
+              + _swap(q + 1, l2 + 1)) % 2
+        s3 = (_a3_right(a, q) + _c2_first(a, b + q, l2)) % 2
+        s4 = (_a3_right(a, q) + _c2_second(a, l2)) % 2
+        # printed forms
+        disp_t1 = (b + (a + 1) * l2 + b + l2) % 2
+        disp_t2 = (b + (a + 1) * l2 + (a + 1) * (q + 1)) % 2
+        disp_t3 = (a * (l2 + 1) + b + l2) % 2
+        disp_t4 = (a * (l2 + 1) + a * (q + 1)) % 2
+        disp_s1 = (b + b + a * l2) % 2
+        disp_s2 = (b + (a + 1) * (l2 + 1)) % 2
+        disp_s3 = (a * (q + 1) + b + q + (a + 1) * l2) % 2
+        disp_s4 = (a * (q + 1) + a * (l2 + 1)) % 2
+        return [
+            t1 == disp_t1, t2 == disp_t2, t3 == disp_t3,
+            t4 == disp_t4, s1 == disp_s1, s2 == disp_s2,
+            s3 == disp_s3, s4 == disp_s4,
+            # commutator families assemble with the product rule coefficients
+            t1 == s1, t1 == (a * l2) % 2,
+            t4 == s4, t4 == (a * (q + l2)) % 2,
+            # cross families cancel through the chain-map property:
+            # opposite and uniform in q
+            t2 == (s3 + 1) % 2,
+            t2 == (b + (a + 1) * (q + l2 + 1)) % 2,
+            t3 == (s2 + 1) % 2,
+        ]
+
+    return _lemma_cases(q_max, drop_max, families)
 
 
 # ---------------------------------------------------------------------------
@@ -970,10 +963,17 @@ def extend_augmentation(c: FloerComplex, a: Augmentation) -> Dict[Word, NovikovS
     """Extend elementary values multiplicatively over grading-zero words.
 
     The word value carries the sign (-1)^(sum_i (q-i) mu(lambda_i)).
-    Every value must lie in the datum's coefficient ring.
+    Every value must sit on a generator of the complex in the index-(-1)
+    class and lie in the datum's coefficient ring.
     """
     gens = c._gens
     for gid, value in a.values.items():
+        if gid not in gens:
+            raise ValueError(f"augmentation value on unknown generator {gid!r}")
+        if _grade(gens[gid].mu + 1, c.modulus) != 0:
+            raise DegreeViolation(
+                f"augmentation value on generator {gid!r} outside the "
+                "index-(-1) class")
         if value.ring != c.datum.ring:
             raise ValueError(
                 f"augmentation value on generator {gid!r} is over "
@@ -981,8 +981,6 @@ def extend_augmentation(c: FloerComplex, a: Augmentation) -> Dict[Word, NovikovS
     out: Dict[Word, NovikovSeries] = {}
     for word in c.words:
         q = len(word)
-        if any(_grade(gens[g].mu + 1, c.modulus) != 0 for g in word):
-            continue
         vals = [a.values.get(g) for g in word]
         if any(v is None for v in vals):
             continue
@@ -1013,13 +1011,6 @@ def check_augmentation(c: FloerComplex, a: Augmentation,
     that complex and must again satisfy both conditions there.
     """
     gens = c._gens
-    for gid, value in a.values.items():
-        if gid not in gens:
-            raise ValueError(f"augmentation value on unknown generator {gid!r}")
-        if _grade(gens[gid].mu + 1, c.modulus) != 0:
-            raise DegreeViolation(
-                f"augmentation value on generator {gid!r} outside the "
-                "index-(-1) class")
     vec = extend_augmentation(c, a)
     boundary = _functional_pullback(vec, c.differential)
     cond1 = not boundary
@@ -1220,12 +1211,21 @@ def pair_subcomplex(d: AInftyDatum, i: int, j: int) -> AInftyDatum:
 # JSON loading
 
 
+def _json_int(obj: Mapping, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer: no bool, no number int()
+    would truncate."""
+    v = obj[key]
+    if type(v) is not int:
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
 def _entry_from_json(obj, ring) -> TensorEntry:
     if not isinstance(obj["inputs"], (list, tuple)):
         raise ValueError(f"entry inputs {obj['inputs']!r} are not a list "
                          "of generator ids")
     inputs = tuple(obj["inputs"])
-    if "q" in obj and obj["q"] != len(inputs):
+    if "q" in obj and _json_int(obj, "q") != len(inputs):
         raise ValueError("entry arity disagrees with its inputs")
     return TensorEntry(inputs, obj["output"],
                        parse_series(obj["coeff"], ring=ring))
@@ -1233,14 +1233,15 @@ def _entry_from_json(obj, ring) -> TensorEntry:
 
 def datum_from_json(obj: Mapping) -> AInftyDatum:
     ring = obj.get("ring", "Z")
-    gens = tuple(Generator(g["id"], g["i"], g["j"], g["mu"])
+    gens = tuple(Generator(g["id"], _json_int(g, "i"), _json_int(g, "j"),
+                           _json_int(g, "mu"))
                  for g in obj["generators"])
     tensors = tuple(_entry_from_json(e, ring) for e in obj.get("tensors", ()))
     return AInftyDatum(
-        l=obj["labels"],
+        l=_json_int(obj, "labels"),
         generators=gens,
         tensors=tensors,
-        modulus=obj.get("modulus", 0),
+        modulus=_json_int(obj, "modulus") if "modulus" in obj else 0,
         ring=ring,
         metadata=dict(obj.get("metadata", {})),
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .ainfty import AInftyDatum, Generator, TensorEntry
+from .ainfty import AInftyDatum, Generator, TensorEntry, _json_int
 from .novikov import NovikovSeries
 
 __all__ = [
@@ -211,15 +211,6 @@ def sft_report(q: SftIndexQuery) -> dict:
         "n": q.n, "g": q.g, "v": q.v, "m": list(q.m),
         "bound": bound, "majorant": majorant, "satisfies": ok,
     }
-
-
-def _json_int(obj: Mapping, key: str) -> int:
-    """``obj[key]`` if it is a JSON integer: no bool, no number int()
-    would truncate."""
-    v = obj[key]
-    if type(v) is not int:
-        raise ValueError(f"{key} must be an integer, got {v!r}")
-    return v
 
 
 def morse_datum_from_json(obj: Mapping) -> MorseDatum:

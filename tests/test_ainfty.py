@@ -6,6 +6,8 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -53,6 +55,7 @@ from openstrings.ainfty import (
     _word_mu,
 )
 from openstrings._poly import _exact_div
+from openstrings.polytopes import _compositions
 from openstrings.morse import (
     CriticalPoint,
     Flow,
@@ -460,12 +463,18 @@ def test_augmentation_pushforward():
 
 
 def test_augmentation_degree_violations():
+    # both entry points reject a value off the complex or outside the
+    # index-(-1) class, ahead of the ring check
     datum, _ = make_augmentation_datum()
     c = assemble_differential(datum)
-    with pytest.raises(DegreeViolation):
-        check_augmentation(c, Augmentation(values={"x": ONE}))
-    with pytest.raises(ValueError):
-        check_augmentation(c, Augmentation(values={"nope": ONE}))
+    for call in (extend_augmentation, check_augmentation):
+        with pytest.raises(DegreeViolation, match="generator 'x' outside "
+                                                 "the index-"):
+            call(c, Augmentation(values={"x": ONE}))
+        with pytest.raises(ValueError,
+                           match="unknown generator 'nope'") as err:
+            call(c, Augmentation(values={"nope": ONE.to_ring("Q")}))
+        assert not isinstance(err.value, DegreeViolation)
 
 
 def test_augmentation_word_extension():
@@ -584,6 +593,40 @@ def test_datum_json_round_trip(chain_datum):
     blob = datum_to_json(chain_datum)
     back = datum_from_json(blob)
     assert back == chain_datum
+
+
+def _int_field_datum():
+    return {"labels": 2, "modulus": 2, "generators": [
+        {"id": "a", "i": 0, "j": 1, "mu": 0},
+        {"id": "b", "i": 1, "j": 2, "mu": 0},
+        {"id": "c", "i": 0, "j": 2, "mu": 0}],
+        "tensors": [{"q": 2, "inputs": ["a", "b"], "output": "c",
+                     "coeff": "t^1"}]}
+
+
+INT_FIELDS = [((), "labels"), ((), "modulus"), (("generators", 1), "i"),
+              (("generators", 1), "j"), (("generators", 1), "mu"),
+              (("tensors", 0), "q")]
+
+
+def _set_field(obj, where, key, value):
+    node = obj
+    for step in where:
+        node = node[step]
+    node[key] = value
+
+
+@pytest.mark.parametrize("where,key", INT_FIELDS)
+@pytest.mark.parametrize("value", [True, 0.5, 2.0, "1"])
+def test_datum_integer_fields_reject_other_values(where, key, value):
+    # a half degree or a boolean is not read as a number; 2.0 is not
+    # taken for 2
+    obj = _int_field_datum()
+    assert check_a_infinity(datum_from_json(obj))["square_zero"]
+    _set_field(obj, where, key, value)
+    with pytest.raises(ValueError,
+                       match=f"^{key} must be an integer, got {value!r}$"):
+        datum_from_json(obj)
 
 
 def test_map_and_augmentation_loaders():
@@ -902,6 +945,221 @@ def test_kernel_matches_reference_on_random_corpus(l):
         fmat, kk, composite = _assert_kernel_matches(*_random_case(rng, l))
         assert any(len(u) < len(w) for w, row in fmat.items() for u in row)
         assert any(e.arity > 1 for e in composite.h)
+
+
+# ---------------------------------------------------------------------------
+# the shared sign rules against the inline exponents they replaced
+
+
+def _ref_split_parity(parts, mus):
+    """The base + koszul exponent of ``_ref_continuation``."""
+    r = len(parts)
+    offsets = list(itertools.accumulate(parts, initial=0))
+    base = sum((r - j) * (parts[j - 1] - 1) for j in range(1, r + 1))
+    koszul = sum(sum(mus[:offsets[j]]) for j, p in enumerate(parts)
+                 if (p + 1) % 2)
+    return (base + koszul) % 2
+
+
+def _ref_sign(coeff, exp):
+    return coeff.scale(-1 if exp % 2 else 1)
+
+
+def _ref_differential(d):
+    """The differential with the inline exponent q*w + i*(w-1) + w*m."""
+    gens = _gen_index(d)
+    tindex = ainfty._tensor_index(d.tensors)
+    out = {}
+    for word in enumerate_words(d):
+        q = len(word)
+        row = {}
+        for w in range(1, q + 1):
+            for i in range(1, q - w + 2):
+                for entry in tindex.get(word[i - 1:i - 1 + w], ()):
+                    exp = (q * w + i * (w - 1)
+                           + w * _word_mu(word[:i - 1], gens))
+                    _ref_accumulate(
+                        row, word[:i - 1] + (entry.output,) + word[i - 1 + w:],
+                        _ref_sign(entry.coeff, exp))
+        if row:
+            out[word] = row
+    return out
+
+
+def _ref_a3_report(c):
+    """The A3 part of ``validate_axioms_A`` with the inline dual exponent
+    (i-1)*w + (Q-i) + w*(index sum right of the slot)."""
+    gens = _gen_index(c.datum)
+    eduals = ainfty._elementary_duals(c.differential)
+    predicted = {}
+    for word in c.words:
+        dword = word[::-1]
+        qq = len(dword)
+        row = {}
+        for i in range(1, qq + 1):
+            suffix_mu = _word_mu(dword[i:], gens)
+            for chunk, coeff in eduals.get(dword[i - 1], ()):
+                w = len(chunk)
+                exp = (i - 1) * w + (qq - i) + w * suffix_mu
+                _ref_accumulate(row, dword[:i - 1] + chunk + dword[i:],
+                                _ref_sign(coeff, exp))
+        if row:
+            predicted[dword] = row
+    defect = _mat_add(ainfty._dual_transpose(c.differential), predicted,
+                      sign=-1)
+    a3 = _mat_is_zero(defect)
+    return {"a3": a3, "a3_defects": [] if a3 else ainfty._entry_report(defect)}
+
+
+def _ref_remh_predicted(c, c_prime, fmat):
+    """The dual expansion of a continuation with the inline exponent
+    sum_i i*(w_i-1) over the dual slots plus the graded factors."""
+    gens_p = _gen_index(c_prime.datum)
+    eduals = ainfty._elementary_duals(fmat)
+    predicted = {}
+    for word in c.words:
+        dword = word[::-1]
+        qq = len(dword)
+        row = {}
+        for choices in itertools.product(*(eduals.get(g, ()) for g in dword)):
+            chunks = [ch for ch, _ in choices]
+            exp = sum(i * (len(chunks[i]) - 1) for i in range(1, qq))
+            for i in range(qq):
+                if (len(chunks[i]) + 1) % 2:
+                    exp += sum(gens_p[g].mu
+                               for ch in chunks[i + 1:] for g in ch)
+            _ref_accumulate(row, tuple(g for ch in chunks for g in ch),
+                            _ref_sign(reduce(mul, (cf for _, cf in choices)),
+                                      exp))
+        if row:
+            predicted[dword] = row
+    return predicted
+
+
+def _ref_composition_sign_identity(q_max):
+    """``composition_sign_identity`` with every partition exponent
+    written out inline."""
+    failures = []
+    cases = 0
+    for q in range(1, q_max + 1):
+        for inner in (c for n in range(1, q + 1) for c in _compositions(q, n)):
+            s = len(inner)
+            for grouping in (c for n in range(1, s + 1)
+                             for c in _compositions(s, n)):
+                p = len(grouping)
+                shapes = []
+                pos = 0
+                for size in grouping:
+                    shapes.append(tuple(inner[pos:pos + size]))
+                    pos += size
+                glued = tuple(sum(shape) for shape in shapes)
+                for mus in itertools.product((0, 1), repeat=q):
+                    cases += 1
+                    lhs = sum((s - t) * (inner[t - 1] - 1)
+                              for t in range(1, s + 1))
+                    off = 0
+                    for kt in inner:
+                        if (kt + 1) % 2:
+                            lhs += sum(mus[:off])
+                        off += kt
+                    mid_mu = []
+                    off = 0
+                    for kt in inner:
+                        mid_mu.append(sum(mus[off:off + kt]) + 1 - kt)
+                        off += kt
+                    lhs += sum((p - j) * (grouping[j - 1] - 1)
+                               for j in range(1, p + 1))
+                    off = 0
+                    for rj in grouping:
+                        if (rj + 1) % 2:
+                            lhs += sum(mid_mu[:off])
+                        off += rj
+                    rhs = sum((p - j) * (glued[j - 1] - 1)
+                              for j in range(1, p + 1))
+                    off = 0
+                    for wj in glued:
+                        if (wj + 1) % 2:
+                            rhs += sum(mus[:off])
+                        off += wj
+                    for shape in shapes:
+                        rr = len(shape)
+                        rhs += sum((rr - t) * (shape[t - 1] - 1)
+                                   for t in range(1, rr + 1))
+                    off = 0
+                    for shape in shapes:
+                        inner_off = 0
+                        for kt in shape:
+                            if (kt + 1) % 2:
+                                rhs += sum(mus[off:off + inner_off])
+                            inner_off += kt
+                        off += sum(shape)
+                    if lhs % 2 != rhs % 2:
+                        failures.append({"inner": list(inner),
+                                         "grouping": list(grouping),
+                                         "mus": list(mus)})
+    return {"q_max": q_max, "cases": cases, "holds": not failures,
+            "failures": failures[:8]}
+
+
+def _assert_sign_rules_match(c, c_prime, h):
+    """Both differentials, their A3 reports and the dual expansion of the
+    continuation ``h`` (c_prime -> c) equal the inline-exponent copies."""
+    for cx in (c, c_prime):
+        assert cx.differential == _ref_differential(cx.datum)
+        rep = validate_axioms_A(cx)
+        assert {k: rep[k] for k in ("a3", "a3_defects")} == _ref_a3_report(cx)
+    fmat = assemble_continuation(c, c_prime, h)
+    predicted = ainfty._remh_predicted(c, c_prime, fmat)
+    assert predicted == _ref_remh_predicted(c, c_prime, fmat)
+    # a dual chunk longer than one generator is spliced in somewhere
+    assert any(len(u) > len(w) for w, row in predicted.items() for u in row)
+
+
+def test_split_parity_matches_reference():
+    for q in range(1, 7):
+        for parts in _ref_compositions(q):
+            for mus in itertools.product((0, 1), repeat=q):
+                assert ainfty._split_parity(parts, mus) == \
+                    _ref_split_parity(parts, mus), (parts, mus)
+
+
+def test_sign_rules_match_inline_copies_on_fixtures(chain_datum,
+                                                    conjugated_datum,
+                                                    chain_units):
+    c0 = assemble_differential(chain_datum)
+    c1 = assemble_differential(conjugated_datum)
+    h01 = MapDatum(h=diagonal_map(chain_datum, chain_units).h + (
+        T(["g01", "g12"], "z02", S("t^4")),
+        T(["g12", "g23"], "z13", S("-t^1"))))
+    _assert_sign_rules_match(c0, c1, h01)
+    datum, _ = make_augmentation_datum()
+    c = assemble_differential(datum)
+    assert c.differential == _ref_differential(datum)
+    # a differential with one flipped product entry breaks A3, and both
+    # reports name the same defects
+    (win, wout), = [(w, u) for w, row in c0.differential.items()
+                    for u in row if w == ("g01", "g12")]
+    bad = {w: dict(row) for w, row in c0.differential.items()}
+    bad[win][wout] = bad[win][wout].scale(-1)
+    broken = FloerComplex(chain_datum, c0.words, bad)
+    rep = validate_axioms_A(broken)
+    assert not rep["a3"] and rep["a3_defects"]
+    assert {k: rep[k] for k in ("a3", "a3_defects")} == _ref_a3_report(broken)
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 6])
+def test_sign_rules_match_inline_copies_on_random_corpus(l):
+    rng = random.Random(8100 + l)
+    for _ in range(2):
+        c0, c1, c2, h01, h12, _, _, _ = _random_case(rng, l)
+        _assert_sign_rules_match(c0, c1, h01)
+        _assert_sign_rules_match(c1, c2, h12)
+
+
+def test_composition_sign_identity_matches_inline_copy():
+    for q in range(1, 6):
+        assert composition_sign_identity(q) == \
+            _ref_composition_sign_identity(q)
 
 
 # ---------------------------------------------------------------------------

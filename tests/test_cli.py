@@ -331,6 +331,31 @@ def test_ainfty_string_inputs_are_invalid_input(tmp_path):
                    "generator ids\n")
 
 
+@pytest.mark.parametrize("command", [("ainfty", "check"), ("floer", "hf")])
+@pytest.mark.parametrize("where,key", [
+    ((), "labels"), ((), "modulus"), (("generators", 1), "i"),
+    (("generators", 1), "j"), (("generators", 1), "mu"),
+    (("tensors", 0), "q")])
+@pytest.mark.parametrize("value", [True, 0.5, 2.0, "1"])
+def test_datum_non_integer_field_is_invalid_input(tmp_path, command, where,
+                                                  key, value):
+    # "mu": 0.5 used to give square_zero true and half-integer degrees
+    datum = {"labels": 2, "modulus": 2, "generators": [
+        {"id": "a", "i": 0, "j": 1, "mu": 0},
+        {"id": "b", "i": 1, "j": 2, "mu": 0},
+        {"id": "c", "i": 0, "j": 2, "mu": 0}],
+        "tensors": [{"q": 2, "inputs": ["a", "b"], "output": "c",
+                     "coeff": "t^1"}]}
+    assert run(*command, write(tmp_path, "ok.json", datum))[0] == PASS
+    node = datum
+    for step in where:
+        node = node[step]
+    node[key] = value
+    code, out, err = run(*command, write(tmp_path, "bad.json", datum))
+    assert code == BAD_INPUT and not out
+    assert err == f"invalid input: {key} must be an integer, got {value!r}\n"
+
+
 def test_ainfty_map(tmp_path, chain_json, conj_json, diag_entries):
     path = write(tmp_path, "map.json", {
         "source": conj_json, "target": chain_json, "map": diag_entries})
