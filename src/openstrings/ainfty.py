@@ -19,7 +19,7 @@ from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ._poly import InexactDivision, _bareiss_entry  # noqa: F401
-from .novikov import NovikovSeries, format_series, parse_series
+from .novikov import NovikovSeries, _check_ring, format_series, parse_series
 from .polytopes import _compositions, assoc_facet_parity
 
 __all__ = [
@@ -1083,7 +1083,7 @@ def _laurent_block(src, dst, differential):
     col = {w: j for j, w in enumerate(dst)}
     entries = [(r, col[u], s) for r, w in enumerate(src)
                for u, s in differential.get(w, {}).items() if u in col]
-    n = math.lcm(*(e.denominator for _, _, s in entries for e, _ in s.terms))
+    n = math.lcm(*(s.den for _, _, s in entries))
     rows = [[{} for _ in dst] for _ in src]
     scales = [1] * len(src)
     for r, j, s in entries:
@@ -1091,11 +1091,10 @@ def _laurent_block(src, dst, differential):
             raise ValueError(
                 f"differential entry {src[r]}->{dst[j]} has cutoff "
                 f"{s.cutoff}; cohomology needs exact series")
-        scales[r] = math.lcm(scales[r], *(c.denominator for _, c in s.terms))
+        scales[r] = math.lcm(scales[r], *(c.denominator for _, c in s.pairs))
     for r, j, s in entries:
-        m = scales[r]
-        rows[r][j] = {e.numerator * (n // e.denominator): int(c * m)
-                      for e, c in s.terms}
+        m, k = scales[r], n // s.den
+        rows[r][j] = {num * k: int(c * m) for num, c in s.pairs}
     return rows, scales
 
 
@@ -1220,28 +1219,42 @@ def _json_int(obj: Mapping, key: str) -> int:
     return v
 
 
+def _json_id(obj: Mapping, key: str) -> str:
+    """``obj[key]`` if it is a JSON string (a generator id)."""
+    v = obj[key]
+    if type(v) is not str:
+        raise ValueError(f"{key} must be a string, got {v!r}")
+    return v
+
+
 def _entry_from_json(obj, ring) -> TensorEntry:
-    if not isinstance(obj["inputs"], (list, tuple)):
+    if not (isinstance(obj["inputs"], (list, tuple))
+            and all(type(x) is str for x in obj["inputs"])):
         raise ValueError(f"entry inputs {obj['inputs']!r} are not a list "
                          "of generator ids")
     inputs = tuple(obj["inputs"])
     if "q" in obj and _json_int(obj, "q") != len(inputs):
         raise ValueError("entry arity disagrees with its inputs")
-    return TensorEntry(inputs, obj["output"],
+    return TensorEntry(inputs, _json_id(obj, "output"),
                        parse_series(obj["coeff"], ring=ring))
 
 
 def datum_from_json(obj: Mapping) -> AInftyDatum:
     ring = obj.get("ring", "Z")
-    gens = tuple(Generator(g["id"], _json_int(g, "i"), _json_int(g, "j"),
-                           _json_int(g, "mu"))
+    gens = tuple(Generator(_json_id(g, "id"), _json_int(g, "i"),
+                           _json_int(g, "j"), _json_int(g, "mu"))
                  for g in obj["generators"])
+    _check_ring(ring)
     tensors = tuple(_entry_from_json(e, ring) for e in obj.get("tensors", ()))
+    labels = _json_int(obj, "labels")
+    modulus = _json_int(obj, "modulus") if "modulus" in obj else 0
+    if modulus < 0:
+        raise ValueError(f"modulus must be >= 0, got {modulus}")
     return AInftyDatum(
-        l=_json_int(obj, "labels"),
+        l=labels,
         generators=gens,
         tensors=tensors,
-        modulus=_json_int(obj, "modulus") if "modulus" in obj else 0,
+        modulus=modulus,
         ring=ring,
         metadata=dict(obj.get("metadata", {})),
     )
@@ -1272,6 +1285,6 @@ def map_from_json(obj: Mapping, ring: str = "Z") -> MapDatum:
 
 
 def augmentation_from_json(obj: Mapping, ring: str = "Z") -> Augmentation:
-    vals = {v["id"]: parse_series(v["value"], ring=ring)
+    vals = {_json_id(v, "id"): parse_series(v["value"], ring=ring)
             for v in obj["values"]}
     return Augmentation(values=vals)

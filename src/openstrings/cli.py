@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from operator import methodcaller
 
 from . import ainfty as _ai
@@ -90,7 +89,7 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_novikov(args) -> int:
-    cutoff = Fraction(args.cutoff) if args.cutoff is not None else None
+    cutoff = None if args.cutoff is None else _nov._rational(args.cutoff, "cutoff")
     a = _nov.parse_series(args.expr, ring=args.ring, cutoff=cutoff)
     val = str(_nov.valuation(a)) if a else None
     out = {"series": _nov.format_series(a), "valuation": val}
@@ -106,7 +105,7 @@ def _cmd_maslov(args) -> int:
         if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
             raise _mas.ChartMismatch(
                 f"reference {rows!r} is not a list of matrix rows")
-        ref = [[Fraction(str(e)) for e in row] for row in rows]
+        ref = [[_mas._rational(e, "reference entry") for e in row] for row in rows]
     else:
         ref = path.pieces[0].value(path.start)
     report = _mas.rs_index_report(ref, path)

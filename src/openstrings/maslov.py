@@ -457,16 +457,25 @@ def _string_index(path: LagrangianPath,
 # JSON interchange
 # ---------------------------------------------------------------------------
 
+def _rational(value, what: str) -> Fraction:
+    """A JSON number or numeric string as a Fraction; a zero denominator
+    raises ChartMismatch naming ``what`` and the value."""
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ChartMismatch(f"{what} {value!r} has a zero denominator") from None
+
+
 def path_from_json(obj) -> LagrangianPath:
     pieces = []
     for p in obj["pieces"]:
         if "t0" in p:
-            a, b = Fraction(str(p["t0"])), Fraction(str(p["t1"]))
+            a, b = _rational(p["t0"], "t0"), _rational(p["t1"], "t1")
         else:
-            a, b = (Fraction(str(v)) for v in p["interval"])
+            a, b = (_rational(v, "interval end") for v in p["interval"])
         raw = p["A"] if "A" in p else p["matrix"]
         # an entry that is not a list is left for make_piece to reject
-        matrix = [[[Fraction(str(c)) for c in entry]
+        matrix = [[[_rational(c, "matrix entry coefficient") for c in entry]
                    if isinstance(entry, list) else entry for entry in row]
                   for row in raw]
         pieces.append(make_piece(a, b, matrix))

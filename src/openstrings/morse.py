@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .ainfty import AInftyDatum, Generator, TensorEntry, _json_int
-from .novikov import NovikovSeries
+from .ainfty import AInftyDatum, Generator, TensorEntry, _json_id, _json_int
+from .novikov import NovikovSeries, _rational
 
 __all__ = [
     "NotAComplex",
@@ -215,13 +215,14 @@ def sft_report(q: SftIndexQuery) -> dict:
 
 def morse_datum_from_json(obj: Mapping) -> MorseDatum:
     points = tuple(
-        CriticalPoint(p["id"], _json_int(p, "index"), Fraction(str(p["value"])))
+        CriticalPoint(_json_id(p, "id"), _json_int(p, "index"),
+                      _rational(p["value"], "value"))
         for p in obj["points"])
     flows = tuple(Flow(f["from"], f["to"], _json_int(f, "count"))
                   for f in obj.get("flows", ()))
     triples = tuple(
         Triple(t["a"], t["b"], t["out"], _json_int(t, "count"),
-               Fraction(str(t["action"])))
+               _rational(t["action"], "action"))
         for t in obj.get("triples", ()))
     return MorseDatum(n=_json_int(obj, "n"), points=points, flows=flows,
                       triples=triples)

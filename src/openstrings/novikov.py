@@ -6,7 +6,9 @@ strictly increasing exponent.  An optional *cutoff* marks a series as "known
 below the cutoff only": all stored exponents are < cutoff and arithmetic
 results carry the minimum of the operand cutoffs.  This makes the
 well-ordered finiteness condition (finitely many terms below any bound)
-structural instead of lazy, and keeps equality decidable.
+structural instead of lazy, and keeps equality decidable.  A series
+stores its exponents as integer numerators over their least common
+denominator, so its arithmetic runs on Python ints.
 
 The coefficient ring is a parameter: ``ring="Z"`` stores ints, ``ring="Q"``
 stores Fractions.  Rank computations downstream use Q; unit-pivot
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Tuple, Union
 
@@ -59,6 +62,21 @@ def _as_exponent(value: ExponentLike) -> Fraction:
         f"exponent must be an int or Fraction, got {type(value).__name__} {value!r}")
 
 
+def _rational(value, what: str) -> Fraction:
+    """A JSON number or numeric string (an exponent or an action value) as
+    a Fraction; a zero denominator raises ValueError naming ``what`` and
+    the value."""
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {value!r} has a zero denominator") from None
+
+
+def _check_ring(ring: str) -> None:
+    if ring not in ("Z", "Q"):
+        raise ValueError(f"unknown coefficient ring {ring!r} (expected 'Z' or 'Q')")
+
+
 def _check_coeff(value, ring: str):
     if isinstance(value, bool):
         raise TypeError(f"coefficient must be an int or Fraction, got bool {value!r}")
@@ -68,11 +86,9 @@ def _check_coeff(value, ring: str):
         if isinstance(value, Fraction) and value.denominator == 1:
             return int(value)
         raise TypeError(f"ring Z requires integer coefficients, got {value!r}")
-    if ring == "Q":
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        raise TypeError(f"ring Q requires rational coefficients, got {value!r}")
-    raise ValueError(f"unknown coefficient ring {ring!r} (expected 'Z' or 'Q')")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"ring Q requires rational coefficients, got {value!r}")
 
 
 class NovikovSeries:
@@ -82,19 +98,23 @@ class NovikovSeries:
     ``(exponent, coefficient)`` pairs; like terms are merged and zero
     coefficients dropped on construction.
 
-    The stored terms are canonical: strictly increasing ``Fraction``
-    exponents, all below the cutoff, no zero coefficient, ``int``
-    coefficients over Z and ``Fraction`` coefficients over Q.  This
+    The stored form is canonical.  ``den`` is the least common
+    denominator of the exponents (1 for the zero series), and ``pairs``
+    holds one ``(numerator, coefficient)`` pair per term, the exponent
+    being ``numerator / den``: strictly increasing integer numerators,
+    every exponent below the cutoff, no zero coefficient, ``int``
+    coefficients over Z and ``Fraction`` coefficients over Q.  The
+    ``terms`` attribute is a view derived from it, the
+    ``(Fraction exponent, coefficient)`` pairs in the same order.  This
     constructor checks its input; the ring operations keep the form and
     build their results directly (``_canonical``), without checking again.
     """
 
-    __slots__ = ("terms", "ring", "cutoff")
+    __slots__ = ("pairs", "den", "ring", "cutoff")
 
     def __init__(self, terms: Iterable[Tuple[ExponentLike, object]] = (),
                  ring: str = "Z", cutoff: ExponentLike | None = None):
-        if ring not in ("Z", "Q"):
-            raise ValueError(f"unknown coefficient ring {ring!r} (expected 'Z' or 'Q')")
+        _check_ring(ring)
         cut = None if cutoff is None else _as_exponent(cutoff)
         merged: dict[Fraction, object] = {}
         for exp, coeff in terms:
@@ -112,12 +132,23 @@ class NovikovSeries:
             if cut is not None and e >= cut:
                 continue
             clean.append((e, c))
-        object.__setattr__(self, "terms", tuple(clean))
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = math.lcm(*(e.denominator for e, _ in clean))
+        object.__setattr__(self, "pairs", tuple(
+            (e.numerator * (den // e.denominator), c) for e, c in clean))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "cutoff", cut)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("NovikovSeries is immutable")
+
+    @property
+    def terms(self) -> tuple:
+        """The ``(exponent, coefficient)`` pairs, exponents as ``Fraction``,
+        in increasing order."""
+        d = self.den
+        return tuple((Fraction(n, d), c) for n, c in self.pairs)
 
     # -- constructors ------------------------------------------------------
 
@@ -137,27 +168,28 @@ class NovikovSeries:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.pairs
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.pairs)
 
     def valuation(self):
         """Least exponent with nonzero coefficient; +inf for the zero series."""
-        if not self.terms:
+        if not self.pairs:
             return INFINITY
-        return self.terms[0][0]
+        return Fraction(self.pairs[0][0], self.den)
 
     def leading_coefficient(self):
-        if not self.terms:
+        if not self.pairs:
             raise ValueError("zero series has no leading coefficient")
-        return self.terms[0][1]
+        return self.pairs[0][1]
 
     def coefficient(self, exponent: ExponentLike):
         e = _as_exponent(exponent)
-        for te, tc in self.terms:
-            if te == e:
-                return tc
+        target = e.numerator * self.den
+        for n, c in self.pairs:
+            if n * e.denominator == target:
+                return c
         return Fraction(0) if self.ring == "Q" else 0
 
     def restrict(self, cutoff: ExponentLike) -> "NovikovSeries":
@@ -192,36 +224,45 @@ class NovikovSeries:
         return min(a.cutoff, b.cutoff)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.terms, other.terms
+        if type(other) is not NovikovSeries or other.ring != self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, den = _common(self, other)
         out = []
         i = j = 0
+        cancelled = False
         while i < len(a) and j < len(b):
-            ea, eb = a[i][0], b[j][0]
-            if ea < eb:
+            na, nb = a[i][0], b[j][0]
+            if na < nb:
                 out.append(a[i])
                 i += 1
-            elif eb < ea:
+            elif nb < na:
                 out.append(b[j])
                 j += 1
             else:
                 c = a[i][1] + b[j][1]
                 if c:
-                    out.append((ea, c))
+                    out.append((na, c))
+                else:
+                    cancelled = True
                 i += 1
                 j += 1
         out += a[i:]
         out += b[j:]
         cut = self._min_cutoff(self, other)
-        return _canonical(_below(out, cut), self.ring, cut)
+        kept = _below(out, den, cut)
+        # with every term of a and of b kept, the numerators stay coprime
+        # to the lcm of their denominators
+        if cancelled or len(kept) < len(out):
+            return _canonical(kept, den, self.ring, cut)
+        return _new_series(kept, den, self.ring, cut)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _canonical(tuple((e, -c) for e, c in self.terms),
-                          self.ring, self.cutoff)
+        return _new_series(tuple((n, -c) for n, c in self.pairs), self.den,
+                           self.ring, self.cutoff)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -233,33 +274,42 @@ class NovikovSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not NovikovSeries or other.ring != self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         cut = self._min_cutoff(self, other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
+        a, b = self, other
+        if len(a.pairs) > len(b.pairs):
             a, b = b, a
-        if len(a) > 1:
-            prod: dict[Fraction, object] = {}
-            for e1, c1 in a:
-                for e2, c2 in b:
-                    e = e1 + e2
-                    prod[e] = prod.get(e, 0) + c1 * c2
+        if len(a.pairs) > 1:
+            pa, pb, den = _common(a, b)
+            prod: dict[int, object] = {}
+            for n1, c1 in pa:
+                for n2, c2 in pb:
+                    n = n1 + n2
+                    prod[n] = prod.get(n, 0) + c1 * c2
             terms = [t for t in sorted(prod.items(), key=itemgetter(0)) if t[1]]
-        elif not a:
-            terms = ()
+            return _canonical(_below(terms, den, cut), den, self.ring, cut)
+        if not a.pairs:
+            return _new_series((), 1, self.ring, cut)
+        # a monomial: a shift of b, with no zero products (Z and Q are
+        # integral domains) and no reordering.  Over coprime denominators
+        # the shifted numerators stay coprime to the product denominator.
+        (n0, c0), = a.pairs
+        g = gcd(a.den, b.den)
+        den = a.den // g * b.den
+        if n0:
+            k, shift = den // b.den, n0 * (den // a.den)
+            terms = [(n * k + shift, c * c0) for n, c in b.pairs]
+        elif c0 == 1:
+            terms = b.pairs
         else:
-            # a monomial: a shift of b, with no zero products (Z and Q are
-            # integral domains) and no reordering
-            (e0, c0), = a
-            if e0:
-                terms = [(e + e0, c * c0) for e, c in b]
-            elif c0 == 1:
-                terms = b
-            else:
-                terms = [(e, c * c0) for e, c in b]
-        return _canonical(_below(terms, cut), self.ring, cut)
+            terms = [(n, c * c0) for n, c in b.pairs]
+        kept = _below(terms, den, cut)
+        if g == 1 and len(kept) == len(terms):
+            return _new_series(kept, den, self.ring, cut)
+        return _canonical(kept, den, self.ring, cut)
 
     __rmul__ = __mul__
 
@@ -274,10 +324,11 @@ class NovikovSeries:
     def __eq__(self, other):
         if not isinstance(other, NovikovSeries):
             return NotImplemented
-        return (self.terms, self.ring, self.cutoff) == (other.terms, other.ring, other.cutoff)
+        return ((self.pairs, self.den, self.ring, self.cutoff)
+                == (other.pairs, other.den, other.ring, other.cutoff))
 
     def __hash__(self):
-        return hash((self.terms, self.ring, self.cutoff))
+        return hash((self.pairs, self.den, self.ring, self.cutoff))
 
     # -- printing ----------------------------------------------------------
 
@@ -291,29 +342,61 @@ class NovikovSeries:
 
 _new = object.__new__
 # the slot descriptors' own setters: NovikovSeries.__setattr__ refuses writes
-_set_terms = NovikovSeries.terms.__set__
+_set_pairs = NovikovSeries.pairs.__set__
+_set_den = NovikovSeries.den.__set__
 _set_ring = NovikovSeries.ring.__set__
 _set_cutoff = NovikovSeries.cutoff.__set__
+_numerator = itemgetter(0)
 
 
-def _canonical(terms, ring: str, cutoff) -> NovikovSeries:
-    """The series on ``terms``, which must already be canonical for ``ring``
-    and ``cutoff`` (see :class:`NovikovSeries`); nothing is checked."""
+def _new_series(pairs, den: int, ring: str, cutoff) -> NovikovSeries:
+    """The series on ``pairs`` over ``den``, which must already be
+    canonical for ``ring`` and ``cutoff`` (see :class:`NovikovSeries`);
+    nothing is checked."""
     s = _new(NovikovSeries)
-    _set_terms(s, tuple(terms))
+    _set_pairs(s, tuple(pairs))
+    _set_den(s, den)
     _set_ring(s, ring)
     _set_cutoff(s, cutoff)
     return s
 
 
-def _below(terms, cutoff):
-    """The sorted ``terms`` with exponent below ``cutoff`` (all if None)."""
-    if cutoff is None or not terms or terms[-1][0] < cutoff:
-        return terms
+def _canonical(pairs, den: int, ring: str, cutoff) -> NovikovSeries:
+    """The series on ``pairs`` over ``den``, canonical except that ``den``
+    may be a multiple of the least common denominator; one gcd pass
+    reduces it."""
+    if den != 1:
+        g = gcd(den, *map(_numerator, pairs))
+        if g != 1:
+            den //= g
+            pairs = [(n // g, c) for n, c in pairs]
+    return _new_series(pairs, den, ring, cutoff)
+
+
+def _common(a: NovikovSeries, b: NovikovSeries):
+    """The pairs of ``a`` and ``b`` over the lcm of their denominators,
+    and that lcm."""
+    da, db = a.den, b.den
+    if da == db:
+        return a.pairs, b.pairs, da
+    den = da // gcd(da, db) * db
+    ka, kb = den // da, den // db
+    return ([(n * ka, c) for n, c in a.pairs], [(n * kb, c) for n, c in b.pairs],
+            den)
+
+
+def _below(pairs, den: int, cutoff):
+    """The sorted ``pairs`` over ``den`` with exponent below ``cutoff``
+    (all if None)."""
+    if cutoff is None or not pairs:
+        return pairs
+    bound, cd = cutoff.numerator * den, cutoff.denominator
+    if pairs[-1][0] * cd < bound:
+        return pairs
     k = 0
-    while terms[k][0] < cutoff:
+    while pairs[k][0] * cd < bound:
         k += 1
-    return terms[:k]
+    return pairs[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +447,17 @@ def invert(a: NovikovSeries, cutoff: ExponentLike) -> NovikovSeries:
     target = cut - v          # product must be 1 below this exponent
     body_cut = target - v     # equivalently: b's support lives below cut - 2v
     one = NovikovSeries.one(a.ring)
-    r = _canonical([(e - v, c * lc_inv) for e, c in a.terms], a.ring, None) - one
+    n0 = a.pairs[0][0]
+    r = _canonical([(n - n0, c * lc_inv) for n, c in a.pairs], a.den,
+                   a.ring, None) - one
     acc = power = one
     if not r.is_zero():
         minus_r = -r
         step = r.valuation()
         k = 1
         while k * step < target:
-            power = _canonical(_below((minus_r * power).terms, target),
+            p = minus_r * power
+            power = _canonical(_below(p.pairs, p.den, target), p.den,
                                a.ring, None)
             acc = acc + power
             k += 1
@@ -379,8 +465,11 @@ def invert(a: NovikovSeries, cutoff: ExponentLike) -> NovikovSeries:
     # a.cutoff - 2v
     known = None if a.cutoff is None else a.cutoff - 2 * v
     bound = body_cut if known is None else min(body_cut, known)
-    return _canonical(_below([(e - v, c * lc_inv) for e, c in acc.terms], bound),
-                      a.ring, known)
+    # b = t^-v acc / lc over a.den: the exponents of r, so those of acc,
+    # are multiples of 1/a.den
+    scale = a.den // acc.den
+    terms = [(n * scale - n0, c * lc_inv) for n, c in acc.pairs]
+    return _canonical(_below(terms, a.den, bound), a.den, a.ring, known)
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +477,45 @@ def invert(a: NovikovSeries, cutoff: ExponentLike) -> NovikovSeries:
 # e.g.  "3t^1/2 - 2t^0 + t^7/3"
 # ---------------------------------------------------------------------------
 
+# one signed term, ending where the next sign (or the text) starts; the
+# numbers are digit strings, so every part is read by int()
 _TERM_RE = re.compile(
-    r"(?P<coeff>\d+(?:/\d+)?)?t\^(?P<exp>-?\d+(?:/\d+)?)$|(?P<const>\d+(?:/\d+)?)$"
-)
+    r"(?P<sign>[+-]?)(?:(?:(?P<cn>\d+)(?:/(?P<cd>\d+))?)?t\^(?P<en>-?\d+)(?:/(?P<ed>\d+))?"
+    r"|(?P<kn>\d+)(?:/(?P<kd>\d+))?)(?=[+-]|$)")
+# what a term spans when it is malformed: up to the next sign, where a '-'
+# directly after '^' belongs to a negative exponent
+_CHUNK_RE = re.compile(r"(?:[^+\-^]|\^-?)*")
+
+
+def _column(text: str, k: int) -> int:
+    """1-based column in ``text`` of its ``k``-th non-space character
+    (counted from 0), or of its last one if there are fewer."""
+    seen = 0
+    for idx, ch in enumerate(text):
+        if not ch.isspace():
+            if seen == k:
+                return idx + 1
+            seen += 1
+            last = idx + 1
+    return last
 
 
 def format_series(a: NovikovSeries) -> str:
     """Canonical literal: increasing exponents, unit coefficients elided."""
-    if not a.terms:
+    if not a.pairs:
         return "0"
+    d = a.den
     parts = []
-    for k, (e, c) in enumerate(a.terms):
+    for k, (n, c) in enumerate(a.pairs):
         neg = c < 0
         mag = -c if neg else c
         if isinstance(mag, Fraction) and mag.denominator == 1:
             mag = mag.numerator
-        exp = e.numerator if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+        if d == 1:
+            exp = n
+        else:
+            g = gcd(n, d)
+            exp = n // g if g == d else f"{n // g}/{d // g}"
         body = f"t^{exp}" if mag == 1 else f"{mag}t^{exp}"
         if k == 0:
             parts.append(f"-{body}" if neg else body)
@@ -417,51 +529,45 @@ def parse_series(text: str, ring: str = "Z",
     """Parse a series literal.  Whitespace-insensitive; round-trips with
     :func:`format_series`.  Raises :class:`ParseError` with a 1-based column
     on malformed input."""
-    stripped = []
-    col_of = []  # original column of every retained character
-    for idx, ch in enumerate(text):
-        if not ch.isspace():
-            stripped.append(ch)
-            col_of.append(idx + 1)
-    if not stripped:
+    compact = "".join(text.split())
+    if not compact:
         raise ParseError("empty series literal", 1, 1)
-    compact = "".join(stripped)
-    if compact == "0":
-        return NovikovSeries((), ring=ring, cutoff=cutoff)
 
-    terms = []
+    terms = []  # (exponent numerator, exponent denominator, coefficient)
     pos = 0
-    first = True
     while pos < len(compact):
-        sign = 1
-        if compact[pos] in "+-":
-            if compact[pos] == "-":
-                sign = -1
-            pos += 1
-        elif not first:
-            raise ParseError("expected '+' or '-' between terms",
-                             1, col_of[min(pos, len(col_of) - 1)])
-        start = pos
-        while pos < len(compact) and compact[pos] not in "+-":
-            # a '-' directly after '^' belongs to a negative exponent
-            pos += 1
-            if pos < len(compact) and compact[pos] == "-" and compact[pos - 1] == "^":
-                pos += 1
-        chunk = compact[start:pos]
-        m = _TERM_RE.match(chunk)
-        if not m or not chunk:
-            raise ParseError(f"malformed term {chunk!r}",
-                             1, col_of[min(start, len(col_of) - 1)])
-        if m.group("const") is not None:
-            coeff = Fraction(m.group("const"))
-            exp = Fraction(0)
+        m = _TERM_RE.match(compact, pos)
+        start = pos + (compact[pos] in "+-")
+        if m is None:
+            chunk = _CHUNK_RE.match(compact, start).group()
+            raise ParseError(f"malformed term {chunk!r}", 1,
+                             _column(text, start))
+        pos = m.end()
+        cn, cd, en, ed, kn, kd = m.group("cn", "cd", "en", "ed", "kn", "kd")
+        if kn is not None:
+            cn, cd, en = kn, kd, 0
+        cn = 1 if cn is None else int(cn)
+        cd = 1 if cd is None else int(cd)
+        en, ed = int(en), 1 if ed is None else int(ed)
+        if not cd or not ed:
+            raise ParseError(f"zero denominator in term {compact[start:pos]!r}",
+                             1, _column(text, start))
+        if m.group("sign") == "-":
+            cn = -cn
+        if ring == "Z":
+            if cn % cd:
+                raise ParseError(f"coefficient {Fraction(cn, cd)} is not an "
+                                 "integer (ring Z)", 1, _column(text, start))
+            coeff = cn // cd
         else:
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-            exp = Fraction(m.group("exp"))
-        coeff = coeff * sign
-        if ring == "Z" and coeff.denominator != 1:
-            raise ParseError(f"coefficient {coeff} is not an integer (ring Z)",
-                             1, col_of[min(start, len(col_of) - 1)])
-        terms.append((exp, int(coeff) if ring == "Z" else coeff))
-        first = False
-    return NovikovSeries(terms, ring=ring, cutoff=cutoff)
+            coeff = Fraction(cn, cd)
+        terms.append((en, ed, coeff))
+    _check_ring(ring)
+    cut = None if cutoff is None else _as_exponent(cutoff)
+    den = math.lcm(*(ed for _, ed, _ in terms))
+    merged: dict[int, object] = {}
+    for en, ed, coeff in terms:
+        n = en * (den // ed)
+        merged[n] = merged.get(n, 0) + coeff
+    pairs = [t for t in sorted(merged.items(), key=itemgetter(0)) if t[1]]
+    return _canonical(_below(pairs, den, cut), den, ring, cut)

@@ -10,13 +10,18 @@ the library's own.
   series were truncated: every power is multiplied out in full and the
   terms at or above the target are dropped only at the end.  The one
   change is the cutoff of the result, which is the corrected rule
-  ``a.cutoff - 2*valuation(a)``.  It runs on the library's operations."""
+  ``a.cutoff - 2*valuation(a)``.  It runs on the library's operations.
+- ``parse_series`` and ``format_series`` are the literal parser and
+  printer from before series stored integer exponents: every number is
+  read with ``Fraction(str)``, the series is built by the validating
+  constructor, and the literal is printed from the ``Fraction`` terms."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from openstrings.novikov import NotAUnit, NovikovSeries, _as_exponent
+from openstrings.novikov import NotAUnit, NovikovSeries, ParseError, _as_exponent
 
 
 def add(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
@@ -75,3 +80,76 @@ def invert(a: NovikovSeries, cutoff) -> NovikovSeries:
     known = None if a.cutoff is None else a.cutoff - 2 * v
     return NovikovSeries(tuple(t for t in shifted.terms if t[0] < body_cut),
                          ring=a.ring, cutoff=known)
+
+
+_TERM_RE = re.compile(
+    r"(?P<coeff>\d+(?:/\d+)?)?t\^(?P<exp>-?\d+(?:/\d+)?)$|(?P<const>\d+(?:/\d+)?)$"
+)
+
+
+def format_series(a: NovikovSeries) -> str:
+    if not a.terms:
+        return "0"
+    parts = []
+    for k, (e, c) in enumerate(a.terms):
+        neg = c < 0
+        mag = -c if neg else c
+        if isinstance(mag, Fraction) and mag.denominator == 1:
+            mag = mag.numerator
+        exp = e.numerator if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+        body = f"t^{exp}" if mag == 1 else f"{mag}t^{exp}"
+        if k == 0:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f" - {body}" if neg else f" + {body}")
+    return "".join(parts)
+
+
+def parse_series(text: str, ring: str = "Z", cutoff=None) -> NovikovSeries:
+    stripped = []
+    col_of = []
+    for idx, ch in enumerate(text):
+        if not ch.isspace():
+            stripped.append(ch)
+            col_of.append(idx + 1)
+    if not stripped:
+        raise ParseError("empty series literal", 1, 1)
+    compact = "".join(stripped)
+    if compact == "0":
+        return NovikovSeries((), ring=ring, cutoff=cutoff)
+
+    terms = []
+    pos = 0
+    first = True
+    while pos < len(compact):
+        sign = 1
+        if compact[pos] in "+-":
+            if compact[pos] == "-":
+                sign = -1
+            pos += 1
+        elif not first:
+            raise ParseError("expected '+' or '-' between terms",
+                             1, col_of[min(pos, len(col_of) - 1)])
+        start = pos
+        while pos < len(compact) and compact[pos] not in "+-":
+            pos += 1
+            if pos < len(compact) and compact[pos] == "-" and compact[pos - 1] == "^":
+                pos += 1
+        chunk = compact[start:pos]
+        m = _TERM_RE.match(chunk)
+        if not m or not chunk:
+            raise ParseError(f"malformed term {chunk!r}",
+                             1, col_of[min(start, len(col_of) - 1)])
+        if m.group("const") is not None:
+            coeff = Fraction(m.group("const"))
+            exp = Fraction(0)
+        else:
+            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            exp = Fraction(m.group("exp"))
+        coeff = coeff * sign
+        if ring == "Z" and coeff.denominator != 1:
+            raise ParseError(f"coefficient {coeff} is not an integer (ring Z)",
+                             1, col_of[min(start, len(col_of) - 1)])
+        terms.append((exp, int(coeff) if ring == "Z" else coeff))
+        first = False
+    return NovikovSeries(terms, ring=ring, cutoff=cutoff)

@@ -190,6 +190,18 @@ def test_novikov_parse_error_location():
     assert err == "parse error: malformed term 't' (line 1, column 5)\n"
 
 
+@pytest.mark.parametrize("expr", ["t^1/0", "1/0"])
+def test_novikov_zero_denominator_is_a_parse_error(expr):
+    # a zero denominator used to raise ZeroDivisionError (exit 1)
+    assert run("novikov", "eval", expr) == (BAD_INPUT, "", (
+        f"parse error: zero denominator in term {expr!r} (line 1, column 1)\n"))
+
+
+def test_novikov_zero_denominator_cutoff_is_invalid_input():
+    assert run("novikov", "eval", "t^1", "--cutoff", "1/0") == (
+        BAD_INPUT, "", "invalid input: cutoff '1/0' has a zero denominator\n")
+
+
 # ---------------------------------------------------------------------------
 # maslov
 
@@ -279,6 +291,21 @@ def test_maslov_string_reference_row_is_invalid_input(tmp_path):
                    "matrix rows\n")
 
 
+@pytest.mark.parametrize("where,name", [
+    (("pieces", 0, "t0"), "t0"), (("pieces", 0, "t1"), "t1"),
+    (("pieces", 0, "A", 0, 0, 1), "matrix entry coefficient"),
+    (("reference", 0, 0), "reference entry")],
+    ids=["t0", "t1", "matrix", "reference"])
+def test_maslov_zero_denominator_is_invalid_input(tmp_path, where, name):
+    obj = json.loads(json.dumps(LINE_PATH_JSON))
+    node = obj
+    for step in where[:-1]:
+        node = node[step]
+    node[where[-1]] = "1/0"
+    assert run("maslov", "index", write(tmp_path, "p.json", obj)) == (
+        BAD_INPUT, "", f"invalid input: {name} '1/0' has a zero denominator\n")
+
+
 def test_maslov_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 1,\n  "oops"')
@@ -354,6 +381,50 @@ def test_datum_non_integer_field_is_invalid_input(tmp_path, command, where,
     code, out, err = run(*command, write(tmp_path, "bad.json", datum))
     assert code == BAD_INPUT and not out
     assert err == f"invalid input: {key} must be an integer, got {value!r}\n"
+
+
+def _small_datum():
+    return {"labels": 2, "modulus": 2, "generators": [
+        {"id": "a", "i": 0, "j": 1, "mu": 0},
+        {"id": "b", "i": 1, "j": 2, "mu": 0},
+        {"id": "c", "i": 0, "j": 2, "mu": 0}],
+        "tensors": [{"q": 2, "inputs": ["a", "b"], "output": "c",
+                     "coeff": "t^1"}]}
+
+
+@pytest.mark.parametrize("command", [("ainfty", "check"), ("floer", "hf")])
+@pytest.mark.parametrize("where,key,value,message", [
+    # ids 5 and "5" used to pass check and fail hf inside a sort
+    (("generators", 0), "id", 5, "id must be a string, got 5"),
+    (("tensors", 0), "inputs", [5, "b"],
+     "entry inputs [5, 'b'] are not a list of generator ids"),
+    # used to die with "unhashable type: 'list'"
+    (("tensors", 0), "output", ["c"], "output must be a string, got ['c']"),
+    # used to report "modulus":-2 for a Z-graded computation
+    ((), "modulus", -2, "modulus must be >= 0, got -2"),
+    (("tensors", 0), "coeff", "t^1/0", None)],
+    ids=["id", "inputs", "output", "modulus", "coeff"])
+def test_datum_is_checked_at_the_boundary(tmp_path, command, where, key,
+                                          value, message):
+    datum = _small_datum()
+    assert run(*command, write(tmp_path, "ok.json", datum))[0] == PASS
+    node = datum
+    for step in where:
+        node = node[step]
+    node[key] = value
+    err = (f"invalid input: {message}\n" if message else
+           "parse error: zero denominator in term 't^1/0' (line 1, column 1)\n")
+    assert run(*command, write(tmp_path, "bad.json", datum)) == (
+        BAD_INPUT, "", err)
+
+
+@pytest.mark.parametrize("command", [("ainfty", "check"), ("floer", "hf")])
+def test_datum_unknown_ring_without_tensors_is_invalid_input(tmp_path,
+                                                             command):
+    datum = dict(_small_datum(), ring="R", tensors=[])
+    assert run(*command, write(tmp_path, "r.json", datum)) == (
+        BAD_INPUT, "", "invalid input: unknown coefficient ring 'R' "
+        "(expected 'Z' or 'Q')\n")
 
 
 def test_ainfty_map(tmp_path, chain_json, conj_json, diag_entries):
@@ -442,6 +513,13 @@ def test_ainfty_augment(tmp_path):
     assert json.loads(out)["condition_1"] is False
 
 
+def test_augmentation_id_must_be_a_string(tmp_path):
+    obj = json.loads(json.dumps(AUG_JSON))
+    obj["augmentation"]["values"][0]["id"] = 5
+    assert run("ainfty", "augment", write(tmp_path, "aug.json", obj)) == (
+        BAD_INPUT, "", "invalid input: id must be a string, got 5\n")
+
+
 def test_ainfty_same_reports_under_optimize(tmp_path, chain_json, conj_json,
                                             diag_entries, ident_entries):
     # no check of the library may vanish under ``python -O``: passing,
@@ -518,6 +596,16 @@ def test_floer_hf_datum_input(tmp_path, chain_json):
     code, out, err = run("floer", "hf", path)
     assert code == BAD_INPUT and not out
     assert "non-invertible leading coefficient" in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("value", "1/0", "value '1/0' has a zero denominator"),
+    ("id", 5, "id must be a string, got 5")], ids=["value", "id"])
+def test_floer_hf_morse_point_is_checked(tmp_path, key, value, message):
+    obj = json.loads(json.dumps(MORSE_JSON))
+    obj["points"][1][key] = value
+    assert run("floer", "hf", write(tmp_path, "m.json", obj)) == (
+        BAD_INPUT, "", f"invalid input: {message}\n")
 
 
 def test_floer_hf_rejects_junk(tmp_path):

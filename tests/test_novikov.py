@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -320,3 +321,113 @@ def test_bool_rejected_at_the_boundary():
             NovikovSeries.zero(ring=ring).restrict(False)
         with pytest.raises(TypeError, match="exponent .* bool True"):
             invert(NovikovSeries.one(ring=ring), True)
+
+
+# the literal parser against the Fraction-based one it replaced
+
+_MALFORMED = ("t^", "t^^2", "2t", "t^1/", "x", "t^1t^2", "3//4", "t^1/2/3",
+              "", "t^+1", "1/2/3t^1", "tt^1", "t^1.5", "-", "2^3")
+
+
+def _exponent_text(rng):
+    """An exponent literal: an integer, possibly negative, or an unreduced
+    fraction such as 2/4 or -3/6."""
+    num = rng.randint(-9, 12)
+    if rng.random() < 0.5:
+        return str(num)
+    return f"{num}/{rng.choice((1, 2, 3, 4, 6, 12))}"
+
+
+def _coefficient_text(rng):
+    """A coefficient literal: none, an integer (0 included) or a fraction
+    such as 3/6."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ""
+    if kind == 1:
+        return str(rng.randint(0, 12))
+    return f"{rng.randint(0, 12)}/{rng.choice((1, 2, 3, 6))}"
+
+
+def _spaced(rng, text):
+    """``text`` with whitespace put between some of its characters."""
+    return "".join(ch + rng.choice(("", "", "", " ", "\t")) for ch in text)
+
+
+def _literal(rng):
+    """A literal and whether it repeats an exponent with the opposite sign
+    and the same coefficient, so that the two terms cancel."""
+    terms = []          # (sign, coefficient text, exponent text or None)
+    cancels = False
+    for _ in range(rng.randint(1, 5)):
+        earlier = [t for t in terms if t[2] is not None]
+        roll = rng.random()
+        if roll < 0.15:
+            terms.append((rng.choice("+-"), _coefficient_text(rng) or "0", None))
+        elif roll < 0.35 and earlier:
+            # an earlier term again, its exponent unreduced
+            sign, coeff, exp = rng.choice(earlier)
+            num, _, den = exp.partition("/")
+            scale = rng.choice((1, 2, 3))
+            terms.append(("-" if sign == "+" else "+", coeff,
+                          f"{int(num) * scale}/{int(den or 1) * scale}"))
+            cancels = True
+        else:
+            terms.append((rng.choice("+-"), _coefficient_text(rng),
+                          _exponent_text(rng)))
+    parts = []
+    for k, (sign, coeff, exp) in enumerate(terms):
+        if k == 0 and sign == "+" and rng.random() < 0.7:
+            sign = ""
+        parts.append(sign + (coeff if exp is None else f"{coeff}t^{exp}"))
+    if rng.random() < 0.15:
+        parts[rng.randrange(len(parts))] = rng.choice("+-") + rng.choice(_MALFORMED)
+    if len(parts) > 1 and rng.random() < 0.05:
+        parts[-1] = parts[-1].lstrip("+-")   # a missing separator
+    text = " ".join(parts)
+    return (_spaced(rng, text) if rng.random() < 0.5 else text), cancels
+
+
+def _parsed(parse, fmt, text, ring, cutoff):
+    try:
+        s = parse(text, ring=ring, cutoff=cutoff)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line, exc.column)
+    except (TypeError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    return ("series", s, fmt(s))
+
+
+def test_parser_matches_the_fraction_reference():
+    rng = random.Random(21)
+    seen = {"ParseError": 0, "series": 0, "TypeError": 0, "ValueError": 0}
+    cancelled = truncated = 0
+    for _ in range(3000):
+        text, cancels = rng.choice((_literal(rng), _literal(rng),
+                                    (" ", False), ("0", False), (" - 0 ", False)))
+        ring = rng.choice(("Z", "Q", "Q", "Z", "R"))
+        cutoff = rng.choice((None, None, 0, 2, Fraction(1, 2), Fraction(-5, 6),
+                             0.5))
+        got = _parsed(parse_series, format_series, text, ring, cutoff)
+        want = _parsed(ref.parse_series, ref.format_series, text, ring, cutoff)
+        assert got == want, (text, ring, cutoff)
+        seen[got[0]] += 1
+        if got[0] == "series":
+            s = got[1]
+            assert_canonical(s)
+            assert s.den == math.lcm(*(e.denominator for e, _ in s.terms))
+            assert s.pairs == tuple((e.numerator * (s.den // e.denominator), c)
+                                    for e, c in s.terms)
+            cancelled += cancels
+            truncated += len(s.pairs) < len(parse_series(text, ring=ring).pairs)
+    assert min(seen.values()) > 50, seen
+    assert cancelled > 100 and truncated > 100, (cancelled, truncated)
+
+
+@pytest.mark.parametrize("text,column", [
+    ("t^1/0", 1), ("1/0", 1), ("t^1 + 2/0t^3", 7), ("t^1 -  t^-5/0", 8)])
+def test_zero_denominator_is_a_parse_error_at_its_term(text, column):
+    for ring in ("Z", "Q"):
+        with pytest.raises(ParseError, match="zero denominator") as exc:
+            parse_series(text, ring=ring)
+        assert (exc.value.line, exc.value.column) == (1, column)
