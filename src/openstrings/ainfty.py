@@ -326,6 +326,37 @@ def _split_parity(arities, mus) -> int:
 
 
 # ---------------------------------------------------------------------------
+# one-output components: a continuation is the product-rule extension of
+# its entries with one output generator, the differential the Leibniz one
+
+
+def _one_output(a: Matrix) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
+    """(input word, coefficient) of each entry of ``a`` with one output
+    generator, listed per output generator."""
+    out: Dict[str, List[Tuple[Word, NovikovSeries]]] = {}
+    for win, cols in a.items():
+        for wout, coeff in cols.items():
+            if len(wout) == 1:
+                out.setdefault(wout[0], []).append((win, coeff))
+    return out
+
+
+def _fan_in(word: Word, components, gens):
+    """Every way to produce ``word`` with one component per factor.
+
+    ``components`` lists (input chain, coefficient) per output generator
+    and ``gens`` holds the generators of the input chains.  Yields the
+    glued input chain and the product of the coefficients, taken left to
+    right, signed by ``_split_parity`` of the components' arities on that
+    chain."""
+    for choice in itertools.product(*(components.get(g, ()) for g in word)):
+        chain = tuple(x for inputs, _ in choice for x in inputs)
+        exp = _split_parity([len(inputs) for inputs, _ in choice],
+                            [gens[x].mu for x in chain])
+        yield chain, _signed(reduce(mul, (cf for _, cf in choice)), exp)
+
+
+# ---------------------------------------------------------------------------
 # the differential
 
 
@@ -476,31 +507,19 @@ def symbolic_delta_squared(l: int, q_max: int,
 # axioms A on an assembled complex
 
 
-def _dual_word(word: Word) -> Word:
-    return tuple(reversed(word))
-
-
-def _elementary_duals(a: Matrix) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
-    """Dual values on single generators: transposed one-output components."""
-    out: Dict[str, List[Tuple[Word, NovikovSeries]]] = {}
-    for win, cols in a.items():
-        for wout, coeff in cols.items():
-            if len(wout) == 1:
-                out.setdefault(wout[0], []).append((_dual_word(win), coeff))
-    return out
-
-
 def _dual_transpose(a: Matrix) -> Matrix:
-    """The transpose read on dual words: entry w -> u lands at u* -> w*."""
+    """The transpose read on dual words: entry w -> u lands at u* -> w*,
+    the dual word of (g_1 .. g_Q) being (g_Q* .. g_1*)."""
     out: Matrix = {}
     for win, wout, coeff in _mat_entries(a):
-        out.setdefault(_dual_word(wout), {})[_dual_word(win)] = coeff
+        out.setdefault(wout[::-1], {})[win[::-1]] = coeff
     return out
 
 
 def validate_axioms_A(c: FloerComplex) -> dict:
-    """Check substring closure, degree bookkeeping, and the dual Leibniz
-    expansion of the differential against its transpose."""
+    """Check substring closure, degree bookkeeping, and that the
+    differential is the dual Leibniz expansion of its one-output
+    components."""
     gens = c._gens
     word_set = set(c.words)
     # A1: every contiguous subchain of a basis word is again a basis word.
@@ -517,37 +536,33 @@ def validate_axioms_A(c: FloerComplex) -> dict:
         delta = _word_mu(wout, gens) - _word_mu(win, gens) - (2 - w)
         if _grade(delta, c.modulus) != 0:
             a2 = False
-    # A3 via the slotwise expansion of the dual differential.  The dual
-    # basis word of (g_1 .. g_Q) is (g_Q* .. g_1*); the transpose of the
-    # assembled matrix, read on dual words, must agree with splicing the
-    # elementary dual values into every slot with sign
-    # (-1)^((i-1)w + Q - i) (``_a3_right`` and ``_a3_left``) and the graded
-    # factor of the block against the dual factors to its right.
-    eduals = _elementary_duals(c.differential)
+    # A3: the differential is the Leibniz extension of its one-output
+    # components, spliced into every slot.  In the slot with Q - i factors
+    # to its right and i - 1 to its left (on the dual word (g_Q* .. g_1*):
+    # to its left and right) an arity-w component carries
+    # (-1)^((Q-i)w + i - 1) (``_a3_right`` and ``_a3_left``) and the graded
+    # factor of the block against the factors to its left.
+    components = _one_output(c.differential)
     predicted: Matrix = {}
     for word in c.words:
-        dword = _dual_word(word)
-        prefix = _prefix_mu(dword, gens)
-        row: Dict[Word, NovikovSeries] = {}
-        qq = len(dword)
+        qq = len(word)
+        prefix = _prefix_mu(word, gens)
         for i in range(1, qq + 1):
-            suffix_mu = prefix[qq] - prefix[i]
-            for chunk, coeff in eduals.get(dword[i - 1], ()):
+            for chunk, coeff in components.get(word[i - 1], ()):
                 w = len(chunk)
-                exp = (_a3_right(i - 1, w - 1) + _a3_left(qq - i)
-                       + w * suffix_mu)
-                _acc(row, dword[:i - 1] + chunk + dword[i:],
-                     _signed(coeff, exp))
-        if row:
-            predicted[dword] = row
-    defect = _mat_add(_dual_transpose(c.differential), predicted, sign=-1)
+                exp = (_a3_right(qq - i, w - 1) + _a3_left(i - 1)
+                       + w * prefix[i - 1])
+                _acc(predicted.setdefault(word[:i - 1] + chunk + word[i:], {}),
+                     word, _signed(coeff, exp))
+    defect = _mat_add(c.differential, predicted, sign=-1)
     a3 = _mat_is_zero(defect)
     return {
         "a1": a1,
         "a2": a2,
         "a3": a3,
         "ok": a1 and a2 and a3,
-        "a3_defects": [] if a3 else _entry_report(defect),
+        # defects are listed on dual words, as the dual expansion reads them
+        "a3_defects": [] if a3 else _entry_report(_dual_transpose(defect)),
     }
 
 
@@ -562,9 +577,9 @@ def identity_continuation(c: FloerComplex) -> MapDatum:
 
 
 def _expand(source: FloerComplex, index, k_index=None, after=None,
-            words=None):
-    """Tensor-expand elementary blocks over ``words`` (default: every word
-    of ``source``).
+            words=None) -> Matrix:
+    """Tensor-expand elementary blocks into a matrix on ``words`` (default:
+    every word of ``source``).
 
     Each word is cut into consecutive blocks from left to right, only
     through input chains found in the tensor indices; every block applies
@@ -579,20 +594,23 @@ def _expand(source: FloerComplex, index, k_index=None, after=None,
       terms cancel mod 2.
 
     Summed over the blocks of a continuation these increments are
-    ``_split_parity`` of the block arities (mod 2), built incrementally
-    because this is the hot kernel.  Yields (input word, output word,
-    signed coefficient product).
+    ``_split_parity`` of the block arities (mod 2), the exponent
+    ``_fan_in`` applies, built incrementally because this is the hot
+    kernel.  Each term's coefficients are multiplied left to right, as in
+    ``_fan_in``, and the signed products are summed into the word's row
+    by ``_acc``; a word with no term has no row.
     """
     hom = int(k_index is not None)
+    matrix: Matrix = {}
     for word in source.words if words is None else words:
         q = len(word)
         prefix = _prefix_mu(word, source._gens)
-        found: List[Tuple[Word, NovikovSeries]] = []
+        row: Dict[Word, NovikovSeries] = {}
 
         def walk(pos, d, exp, out, coeff, blocks, k_blocks):
             if pos == q:
                 if k_blocks is None:
-                    found.append((out, _signed(coeff, exp)))
+                    _acc(row, out, _signed(coeff, exp))
                 return
             m = prefix[pos]
             for end in range(pos + 1, q + 1):
@@ -610,16 +628,9 @@ def _expand(source: FloerComplex, index, k_index=None, after=None,
                              after, None)
 
         walk(0, 0, 0, (), None, index, k_index)
-        for out, coeff in found:
-            yield word, out, coeff
-
-
-def _expand_matrix(source: FloerComplex, index, k_index=None,
-                   after=None, words=None) -> Matrix:
-    out: Matrix = {}
-    for word, oword, coeff in _expand(source, index, k_index, after, words):
-        _acc(out.setdefault(word, {}), oword, coeff)
-    return {w: row for w, row in out.items() if row}
+        if row:
+            matrix[word] = row
+    return matrix
 
 
 def _validate_maps(c, c_prime, *hs: MapDatum, k: Optional[MapDatum] = None):
@@ -642,28 +653,7 @@ def assemble_continuation(c: FloerComplex, c_prime: FloerComplex,
     entry must shift the index by 1-w.
     """
     _validate_maps(c, c_prime, h)
-    return _expand_matrix(c_prime, _tensor_index(h.h))
-
-
-def _remh_predicted(c, c_prime, fmat):
-    """Dual expansion of a continuation from its one-output components."""
-    gens_p = c_prime._gens
-    eduals = _elementary_duals(fmat)
-    predicted: Matrix = {}
-    for word in c.words:
-        dword = _dual_word(word)
-        row: Dict[Word, NovikovSeries] = {}
-        for choices in itertools.product(*(eduals.get(g, ()) for g in dword)):
-            out = tuple(g for ch, _ in choices for g in ch)
-            # the dual word reverses the blocks: read right to left, each
-            # block's graded factor is against the chunks to its right
-            exp = _split_parity([len(ch) for ch, _ in reversed(choices)],
-                                [gens_p[g].mu for g in reversed(out)])
-            _acc(row, out,
-                 _signed(reduce(mul, (cf for _, cf in choices)), exp))
-        if row:
-            predicted[dword] = row
-    return predicted
+    return _expand(c_prime, _tensor_index(h.h))
 
 
 def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
@@ -674,12 +664,16 @@ def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
     rhs = _mat_compose(c_prime.differential, fmat)
     defect = _mat_add(lhs, rhs, sign=-1)
     ok = _mat_is_zero(defect)
-    # dual-side expansion agrees with the transpose (product rule check)
-    dual_defect = _mat_add(_dual_transpose(fmat),
-                           _remh_predicted(c, c_prime, fmat), sign=-1)
+    # the continuation is the product-rule extension of its one-output
+    # components: their fan-in over every target word
+    components = _one_output(fmat)
+    predicted: Matrix = {}
+    for word in c.words:
+        for chain, coeff in _fan_in(word, components, c_prime._gens):
+            _acc(predicted.setdefault(chain, {}), word, coeff)
     return {
         "chain_map": ok,
-        "dual_expansion": _mat_is_zero(dual_defect),
+        "dual_expansion": _mat_is_zero(_mat_add(fmat, predicted, sign=-1)),
         "defects": [] if ok else _entry_report(defect),
     }
 
@@ -699,8 +693,8 @@ def assemble_homotopy(c: FloerComplex, c_prime: FloerComplex,
     """
     _validate_maps(c, c_prime, k=k)
     _validate_maps(c, c_prime, h0, h1)
-    return _expand_matrix(c_prime, _tensor_index(h0.h), _tensor_index(k.k),
-                          _tensor_index(h1.h))
+    return _expand(c_prime, _tensor_index(h0.h), _tensor_index(k.k),
+                   _tensor_index(h1.h))
 
 
 def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
@@ -722,10 +716,9 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
     for w in range(1, max_arity + 1):
         layer = [word for word in c_prime.words if len(word) == w]
         needed = set(layer).union(*(d_prime.get(word, ()) for word in layer))
-        kk = _expand_matrix(c_prime, h0_index, k_index,
-                            _tensor_index(h1_entries),
-                            [word for word in c_prime.words if word in needed])
-        f0 = _expand_matrix(c_prime, h0_index, words=layer)
+        kk = _expand(c_prime, h0_index, k_index, _tensor_index(h1_entries),
+                     [word for word in c_prime.words if word in needed])
+        f0 = _expand(c_prime, h0_index, words=layer)
         bracket = _mat_add(
             _mat_compose({x: kk[x] for x in layer if x in kk}, c.differential),
             _mat_compose({x: d_prime[x] for x in layer if x in d_prime}, kk))
@@ -742,9 +735,9 @@ def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
     """Verify F(h0) - F(h1) equals the graded commutator of k."""
     _validate_maps(c, c_prime, h0, h1, k=k)
     h0_index, h1_index = _tensor_index(h0.h), _tensor_index(h1.h)
-    f0 = _expand_matrix(c_prime, h0_index)
-    f1 = _expand_matrix(c_prime, h1_index)
-    kk = _expand_matrix(c_prime, h0_index, _tensor_index(k.k), h1_index)
+    f0 = _expand(c_prime, h0_index)
+    f1 = _expand(c_prime, h1_index)
+    kk = _expand(c_prime, h0_index, _tensor_index(k.k), h1_index)
     bracket = _mat_add(_mat_compose(kk, c.differential),
                        _mat_compose(c_prime.differential, kk))
     defect = _mat_add(_mat_add(f0, f1, sign=-1), bracket, sign=-1)
@@ -764,18 +757,21 @@ def compose_continuations(c0: FloerComplex, c1: FloerComplex,
                           h12: MapDatum) -> MapDatum:
     """Glue elementary tensors of two continuations.
 
-    The arity-w entry of the composite sums over ways of splitting the
-    input chain into r inner blocks, applying the second map blockwise
-    and the first map to the r outputs, with sign (-1)^_split_parity of
-    the inner arities (k_1 .. k_r).
+    Each entry of ``h01`` is glued onto the entries of ``h12`` by fan-in:
+    one ``h12`` entry per input factor, with sign (-1)^_split_parity of
+    their arities (k_1 .. k_r) on the glued chain, the exponent
+    ``composition_sign_identity`` composes.
     """
     _validate_maps(c1, c2, h12)
     _validate_maps(c0, c1, h01)
-    h01index = _tensor_index(h01.h)
+    components: Dict[str, List[Tuple[Word, NovikovSeries]]] = {}
+    for inner in h12.h:
+        components.setdefault(inner.output, []).append(
+            (inner.inputs, inner.coeff))
     acc: Dict[Tuple[Word, str], NovikovSeries] = {}
-    for word, mid_word, coeff in _expand(c2, _tensor_index(h12.h)):
-        for outer in h01index.get(mid_word, ()):
-            _acc(acc, (word, outer.output), coeff * outer.coeff)
+    for outer in h01.h:
+        for chain, coeff in _fan_in(outer.inputs, components, c2._gens):
+            _acc(acc, (chain, outer.output), coeff * outer.coeff)
     entries = tuple(TensorEntry(w, g, c)
                     for (w, g), c in sorted(acc.items()) if c)
     return MapDatum(h=entries)

@@ -480,9 +480,14 @@ def path_from_json(obj) -> LagrangianPath:
                   for row in raw]
         pieces.append(make_piece(a, b, matrix))
     path = make_path(pieces)
-    if "n" in obj and obj["n"] != path.n:
-        raise ChartMismatch(f"the path file gives n = {obj['n']!r} but its "
-                            f"matrices are {path.n} x {path.n}")
+    if "n" in obj:
+        n = obj["n"]
+        # a JSON integer, as in datum files: no bool, no 1.0
+        if type(n) is not int:
+            raise ValueError(f"n must be an integer, got {n!r}")
+        if n != path.n:
+            raise ChartMismatch(f"the path file gives n = {n!r} but its "
+                                f"matrices are {path.n} x {path.n}")
     return path
 
 

@@ -218,11 +218,12 @@ def morse_datum_from_json(obj: Mapping) -> MorseDatum:
         CriticalPoint(_json_id(p, "id"), _json_int(p, "index"),
                       _rational(p["value"], "value"))
         for p in obj["points"])
-    flows = tuple(Flow(f["from"], f["to"], _json_int(f, "count"))
+    flows = tuple(Flow(_json_id(f, "from"), _json_id(f, "to"),
+                       _json_int(f, "count"))
                   for f in obj.get("flows", ()))
     triples = tuple(
-        Triple(t["a"], t["b"], t["out"], _json_int(t, "count"),
-               _rational(t["action"], "action"))
+        Triple(_json_id(t, "a"), _json_id(t, "b"), _json_id(t, "out"),
+               _json_int(t, "count"), _rational(t["action"], "action"))
         for t in obj.get("triples", ()))
     return MorseDatum(n=_json_int(obj, "n"), points=points, flows=flows,
                       triples=triples)

@@ -1,0 +1,193 @@
+"""Reference implementations of ``openstrings.ainfty`` checks, kept only
+for the differential tests; the data model, the matrix helpers and the
+sign rules are the library's own.
+
+- ``validate_axioms_A`` reads A3 on dual words: the dual one-output
+  components of the differential (``elementary_duals``) are spliced into
+  every slot of each dual word, and the prediction is compared with the
+  transposed differential.
+- ``check_chain_map`` predicts the dual expansion of the continuation by
+  multiplying its dual one-output components over every dual target
+  word, and compares it with the transposed continuation matrix.  A
+  product of series with cutoffs and negative exponents depends on its
+  grouping, and this one multiplies right to left where the expansion
+  multiplies left to right; ``primal_order`` groups as the expansion.  It
+  assembles the continuation through ``ainfty.assemble_continuation``, so
+  a test that patches the library's assembler patches this copy too.
+- ``compose_continuations`` walks every word of the last complex: each
+  word is cut into blocks of the second map's entries, and the first
+  map is looked up on the word of their outputs.
+
+These are the versions from before the one-output components were read
+on the primal word basis and glued by fan-in."""
+
+from __future__ import annotations
+
+import itertools
+from functools import reduce
+from operator import mul
+
+from openstrings import ainfty
+from openstrings.ainfty import (
+    MapDatum,
+    TensorEntry,
+    _a3_left,
+    _a3_right,
+    _acc,
+    _dual_transpose,
+    _entry_report,
+    _grade,
+    _mat_add,
+    _mat_compose,
+    _mat_entries,
+    _mat_is_zero,
+    _prefix_mu,
+    _signed,
+    _split_parity,
+    _tensor_index,
+    _validate_maps,
+    _word_mu,
+)
+
+
+def _dual_word(word):
+    return tuple(reversed(word))
+
+
+def elementary_duals(a):
+    """Dual values on single generators: transposed one-output components."""
+    out = {}
+    for win, cols in a.items():
+        for wout, coeff in cols.items():
+            if len(wout) == 1:
+                out.setdefault(wout[0], []).append((_dual_word(win), coeff))
+    return out
+
+
+def validate_axioms_A(c):
+    gens = c._gens
+    word_set = set(c.words)
+    a1 = True
+    for word in c.words:
+        for lo in range(len(word)):
+            for hi in range(lo + 1, len(word) + 1):
+                if word[lo:hi] not in word_set:
+                    a1 = False
+    a2 = True
+    for win, wout, coeff in _mat_entries(c.differential):
+        w = len(win) - len(wout) + 1
+        delta = _word_mu(wout, gens) - _word_mu(win, gens) - (2 - w)
+        if _grade(delta, c.modulus) != 0:
+            a2 = False
+    # the elementary dual values spliced into every slot of each dual word
+    # with sign (-1)^((i-1)w + Q - i) and the graded factor of the block
+    # against the dual factors to its right
+    eduals = elementary_duals(c.differential)
+    predicted = {}
+    for word in c.words:
+        dword = _dual_word(word)
+        prefix = _prefix_mu(dword, gens)
+        row = {}
+        qq = len(dword)
+        for i in range(1, qq + 1):
+            suffix_mu = prefix[qq] - prefix[i]
+            for chunk, coeff in eduals.get(dword[i - 1], ()):
+                w = len(chunk)
+                exp = (_a3_right(i - 1, w - 1) + _a3_left(qq - i)
+                       + w * suffix_mu)
+                _acc(row, dword[:i - 1] + chunk + dword[i:],
+                     _signed(coeff, exp))
+        if row:
+            predicted[dword] = row
+    defect = _mat_add(_dual_transpose(c.differential), predicted, sign=-1)
+    a3 = _mat_is_zero(defect)
+    return {
+        "a1": a1,
+        "a2": a2,
+        "a3": a3,
+        "ok": a1 and a2 and a3,
+        "a3_defects": [] if a3 else _entry_report(defect),
+    }
+
+
+def remh_predicted(c, c_prime, fmat, primal_order=False):
+    """Dual expansion of a continuation from its one-output components.
+
+    The coefficients of each term are multiplied along the dual word,
+    right to left on the primal word; ``primal_order`` multiplies them
+    left to right, as the expansion does."""
+    gens_p = c_prime._gens
+    eduals = elementary_duals(fmat)
+    predicted = {}
+    for word in c.words:
+        dword = _dual_word(word)
+        row = {}
+        for choices in itertools.product(*(eduals.get(g, ()) for g in dword)):
+            out = tuple(g for ch, _ in choices for g in ch)
+            # the dual word reverses the blocks: read right to left, each
+            # block's graded factor is against the chunks to its right
+            exp = _split_parity([len(ch) for ch, _ in reversed(choices)],
+                                [gens_p[g].mu for g in reversed(out)])
+            coeffs = [cf for _, cf in choices]
+            if primal_order:
+                coeffs.reverse()
+            _acc(row, out, _signed(reduce(mul, coeffs), exp))
+        if row:
+            predicted[dword] = row
+    return predicted
+
+
+def check_chain_map(c, c_prime, h, primal_order=False):
+    fmat = ainfty.assemble_continuation(c, c_prime, h)
+    lhs = _mat_compose(fmat, c.differential)
+    rhs = _mat_compose(c_prime.differential, fmat)
+    defect = _mat_add(lhs, rhs, sign=-1)
+    ok = _mat_is_zero(defect)
+    dual_defect = _mat_add(_dual_transpose(fmat),
+                           remh_predicted(c, c_prime, fmat, primal_order),
+                           sign=-1)
+    return {
+        "chain_map": ok,
+        "dual_expansion": _mat_is_zero(dual_defect),
+        "defects": [] if ok else _entry_report(defect),
+    }
+
+
+def _expand(source, index):
+    """(input word, output word, signed coefficient product) of the
+    continuation blocks of ``index`` over every word of ``source``; an
+    arity-w block adds D + (w+1)m to the exponent, D the sum of (w-1) over
+    the blocks already placed and m the index sum to its left."""
+    for word in source.words:
+        q = len(word)
+        prefix = _prefix_mu(word, source._gens)
+        found = []
+
+        def walk(pos, d, exp, out, coeff):
+            if pos == q:
+                found.append((out, _signed(coeff, exp)))
+                return
+            m = prefix[pos]
+            for end in range(pos + 1, q + 1):
+                w = end - pos
+                for e in index.get(word[pos:end], ()):
+                    walk(end, d + w - 1, exp + d + (w + 1) * m,
+                         out + (e.output,),
+                         e.coeff if coeff is None else coeff * e.coeff)
+
+        walk(0, 0, 0, (), None)
+        for out, coeff in found:
+            yield word, out, coeff
+
+
+def compose_continuations(c0, c1, c2, h01, h12):
+    _validate_maps(c1, c2, h12)
+    _validate_maps(c0, c1, h01)
+    h01index = _tensor_index(h01.h)
+    acc = {}
+    for word, mid_word, coeff in _expand(c2, _tensor_index(h12.h)):
+        for outer in h01index.get(mid_word, ()):
+            _acc(acc, (word, outer.output), coeff * outer.coeff)
+    entries = tuple(TensorEntry(w, g, c)
+                    for (w, g), c in sorted(acc.items()) if c)
+    return MapDatum(h=entries)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -66,6 +67,7 @@ from openstrings.morse import (
 )
 from openstrings.novikov import NovikovSeries, parse_series
 
+import ainfty_reference
 from conftest import (
     ONE,
     S,
@@ -292,12 +294,12 @@ def _ref_homotopic_map(c, c_prime, h0, k):
     it reads: every pass re-expands the whole homotopy matrix and composes
     it with both differentials."""
     h0_index, k_index = ainfty._tensor_index(h0.h), ainfty._tensor_index(k.k)
-    f0 = ainfty._expand_matrix(c_prime, h0_index)
+    f0 = ainfty._expand(c_prime, h0_index)
     h1_entries = []
     max_arity = max((len(w) for w in c_prime.words), default=0)
     for w in range(1, max_arity + 1):
-        kk = ainfty._expand_matrix(c_prime, h0_index, k_index,
-                                   ainfty._tensor_index(h1_entries))
+        kk = ainfty._expand(c_prime, h0_index, k_index,
+                            ainfty._tensor_index(h1_entries))
         bracket = _mat_add(_mat_compose(kk, c.differential),
                            _mat_compose(c_prime.differential, kk))
         want = _mat_add(f0, bracket, sign=-1)
@@ -986,11 +988,21 @@ def _ref_differential(d):
     return out
 
 
+def _ref_elementary_duals(a):
+    """The one-output components of ``a``, their input words reversed."""
+    eduals = {}
+    for win, row in a.items():
+        for wout, coeff in row.items():
+            if len(wout) == 1:
+                eduals.setdefault(wout[0], []).append((win[::-1], coeff))
+    return eduals
+
+
 def _ref_a3_report(c):
-    """The A3 part of ``validate_axioms_A`` with the inline dual exponent
-    (i-1)*w + (Q-i) + w*(index sum right of the slot)."""
+    """The A3 part of ``validate_axioms_A`` on dual words with the inline
+    dual exponent (i-1)*w + (Q-i) + w*(index sum right of the slot)."""
     gens = _gen_index(c.datum)
-    eduals = ainfty._elementary_duals(c.differential)
+    eduals = _ref_elementary_duals(c.differential)
     predicted = {}
     for word in c.words:
         dword = word[::-1]
@@ -1015,7 +1027,7 @@ def _ref_remh_predicted(c, c_prime, fmat):
     """The dual expansion of a continuation with the inline exponent
     sum_i i*(w_i-1) over the dual slots plus the graded factors."""
     gens_p = _gen_index(c_prime.datum)
-    eduals = ainfty._elementary_duals(fmat)
+    eduals = _ref_elementary_duals(fmat)
     predicted = {}
     for word in c.words:
         dword = word[::-1]
@@ -1109,7 +1121,14 @@ def _assert_sign_rules_match(c, c_prime, h):
         rep = validate_axioms_A(cx)
         assert {k: rep[k] for k in ("a3", "a3_defects")} == _ref_a3_report(cx)
     fmat = assemble_continuation(c, c_prime, h)
-    predicted = ainfty._remh_predicted(c, c_prime, fmat)
+    # the fan-in of the one-output components, read on dual words
+    components = ainfty._one_output(fmat)
+    predicted = {}
+    for word in c.words:
+        for chain, coeff in ainfty._fan_in(word, components, c_prime._gens):
+            _ref_accumulate(predicted.setdefault(word[::-1], {}), chain[::-1],
+                            coeff)
+    predicted = {w: row for w, row in predicted.items() if row}
     assert predicted == _ref_remh_predicted(c, c_prime, fmat)
     # a dual chunk longer than one generator is spliced in somewhere
     assert any(len(u) > len(w) for w, row in predicted.items() for u in row)
@@ -1160,6 +1179,171 @@ def test_composition_sign_identity_matches_inline_copy():
     for q in range(1, 6):
         assert composition_sign_identity(q) == \
             _ref_composition_sign_identity(q)
+
+
+# ---------------------------------------------------------------------------
+# one-output components on the primal basis against the dual-word reference
+
+
+def _flip_entry(a, rng, pick=lambda w, u: True):
+    """A copy of the matrix ``a`` with one nonzero entry, chosen by ``rng``
+    among those ``pick`` accepts, negated."""
+    w, u = rng.choice([(w, u) for w, row in sorted(a.items())
+                       for u in sorted(row) if row[u] and pick(w, u)])
+    out = {x: dict(row) for x, row in a.items()}
+    out[w][u] = out[w][u].scale(-1)
+    return out
+
+
+def _assert_chain_map_matches(c, c_prime, h):
+    """The chain-map report equals the reference; returns it and whether
+    the reference had to group its products as the expansion does."""
+    got = check_chain_map(c, c_prime, h)
+    ref = ainfty_reference.check_chain_map(c, c_prime, h)
+    if got == ref:
+        return got, False
+    # on truncated series only the grouping of the reference's products
+    # can tell the two apart, and then only its dual expansion is false
+    assert got == dict(ref, dual_expansion=True)
+    assert got == ainfty_reference.check_chain_map(c, c_prime, h,
+                                                   primal_order=True)
+    return got, True
+
+
+def _assert_one_output_checks_match(c0, c1, c2, h01, h12, rng, monkeypatch):
+    """A axioms, chain-map reports and the composite equal the reference,
+    also on a hand-broken differential and on a continuation matrix with
+    one entry of two or more outputs negated; returns the reports, the
+    composite and the number of chain-map reports the reference matched
+    only with its products grouped as the expansion groups them."""
+    reports = []
+    for c in (c0, c1, c2):
+        reports.append(validate_axioms_A(c))
+        assert reports[-1] == ainfty_reference.validate_axioms_A(c)
+    broken = FloerComplex(c0.datum, c0.words,
+                          _flip_entry(c0.differential, rng))
+    reports.append(validate_axioms_A(broken))
+    assert not reports[-1]["a3"]
+    assert reports[-1] == ainfty_reference.validate_axioms_A(broken)
+    regrouped = 0
+    for c, cp, h in ((c0, c1, h01), (c1, c2, h12)):
+        report, grouped = _assert_chain_map_matches(c, cp, h)
+        reports.append(report)
+        regrouped += grouped
+    real, seed = ainfty.assemble_continuation, rng.random()
+    with monkeypatch.context() as m:
+        # both sides assemble, and both must see the same entry negated
+        m.setattr(ainfty, "assemble_continuation",
+                  lambda *args: _flip_entry(real(*args), random.Random(seed),
+                                            lambda w, u: len(u) > 1))
+        reports.append(check_chain_map(c0, c1, h01))
+        assert not reports[-1]["dual_expansion"]
+        assert reports[-1] == ainfty_reference.check_chain_map(c0, c1, h01)
+    composite = compose_continuations(c0, c1, c2, h01, h12)
+    assert composite == ainfty_reference.compose_continuations(
+        c0, c1, c2, h01, h12)
+    return reports, composite, regrouped
+
+
+def test_one_output_checks_match_reference_on_fixtures(
+        chain_datum, conjugated_datum, chain_units, monkeypatch):
+    c0 = assemble_differential(chain_datum)
+    c1 = assemble_differential(conjugated_datum)
+    h01 = MapDatum(h=diagonal_map(chain_datum, chain_units).h + (
+        T(["g01", "g12"], "z02", S("t^4")),
+        T(["g12", "g23"], "z13", S("-t^1"))))
+    h12 = MapDatum(h=tuple(T([g.id], g.id, ONE)
+                           for g in chain_datum.generators) + (
+        T(["g12", "g23"], "z13", S("-2t^1")),
+        T(["g01", "g12"], "z02", S("7t^0"))))
+    reports, composite, regrouped = _assert_one_output_checks_match(
+        c0, c1, c1, h01, h12, random.Random(5), monkeypatch)
+    assert all(r["ok"] for r in reports[:3]) and not regrouped
+    assert any(e.arity > 1 for e in composite.h)
+    c = assemble_differential(make_augmentation_datum()[0])
+    assert validate_axioms_A(c) == ainfty_reference.validate_axioms_A(c)
+    # the hand-broken complex of the inline-copy test
+    bad = {w: dict(row) for w, row in c0.differential.items()}
+    (wout,) = bad[("g01", "g12")]
+    bad[("g01", "g12")][wout] = bad[("g01", "g12")][wout].scale(-1)
+    broken = FloerComplex(chain_datum, c0.words, bad)
+    assert validate_axioms_A(broken) == \
+        ainfty_reference.validate_axioms_A(broken)
+
+
+def _cut_entries(entries, rng):
+    """``entries`` each known below its valuation plus one only, plus the
+    negative of one of them: a pair that cancels to a zero series with a
+    cutoff."""
+    out = tuple(TensorEntry(e.inputs, e.output,
+                            e.coeff.restrict(e.coeff.valuation() + 1))
+                for e in entries)
+    if not out:
+        return out
+    e = rng.choice(out)
+    return out + (TensorEntry(e.inputs, e.output, e.coeff.scale(-1)),)
+
+
+def _flip_one(entries, rng):
+    """``entries`` with the weight of one of them negated."""
+    if not entries:
+        return entries
+    i = rng.randrange(len(entries))
+    e = entries[i]
+    return (entries[:i] + (TensorEntry(e.inputs, e.output, e.coeff.scale(-1)),)
+            + entries[i + 1:])
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 6])
+def test_one_output_checks_match_reference_on_random_corpus(l, monkeypatch):
+    rng = random.Random(9100 + l)
+    seen = {"cancelled": 0, "not_chain_map": 0, "regrouped": 0}
+    for _ in range(2):
+        c0, c1, c2, h01, h12, _, _, _ = _random_case(rng, l)
+        datums = [c.datum for c in (c0, c1, c2)]
+        cases = {
+            "plain": (datums, h01, h12),
+            "mod2": ([replace(d, modulus=2) for d in datums], h01, h12),
+            "cutoff": ([replace(d, tensors=_cut_entries(d.tensors, rng))
+                        for d in datums],
+                       MapDatum(h=_cut_entries(h01.h, rng)),
+                       MapDatum(h=_cut_entries(h12.h, rng))),
+            "mutant": ([replace(d, tensors=_flip_one(d.tensors, rng))
+                        for d in datums],
+                       MapDatum(h=_flip_one(h01.h, rng)),
+                       MapDatum(h=_flip_one(h12.h, rng))),
+        }
+        for kind, (ds, g01, g12) in cases.items():
+            cs = [assemble_differential(d) for d in ds]
+            reports, _, regrouped = _assert_one_output_checks_match(
+                *cs, g01, g12, rng, monkeypatch)
+            # only products of series with cutoffs depend on their grouping
+            assert kind == "cutoff" or not regrouped
+            seen["regrouped"] += regrouped
+            seen["not_chain_map"] += kind == "mutant" and not (
+                reports[4]["chain_map"] and reports[5]["chain_map"])
+            fmat = assemble_continuation(cs[0], cs[1], g01)
+            seen["cancelled"] += any(not x and x.cutoff is not None
+                                     for row in fmat.values()
+                                     for x in row.values())
+    assert seen["cancelled"] and seen["not_chain_map"]
+
+
+def test_dual_expansion_groups_products_as_the_expansion():
+    # with x known below t^1 only, (x * t^3) * t^-3 is zero below t^1 but
+    # (t^-3 * t^3) * x is t^0: the dual expansion multiplies each fan-in
+    # left to right, as the expansion does, and reads true; multiplied
+    # right to left it read false
+    gens = (Generator("x", 0, 1, 0), Generator("y", 1, 2, 0),
+            Generator("z", 2, 3, 0))
+    c = assemble_differential(AInftyDatum(l=3, generators=gens, tensors=()))
+    h = MapDatum(h=(T(["x"], "x", ONE.restrict(1)), T(["y"], "y", S("t^3")),
+                    T(["z"], "z", S("t^-3"))))
+    report = check_chain_map(c, c, h)
+    assert report == {"chain_map": True, "dual_expansion": True,
+                      "defects": []}
+    assert ainfty_reference.check_chain_map(c, c, h) == dict(
+        report, dual_expansion=False)
 
 
 # ---------------------------------------------------------------------------

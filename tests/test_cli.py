@@ -306,6 +306,15 @@ def test_maslov_zero_denominator_is_invalid_input(tmp_path, where, name):
         BAD_INPUT, "", f"invalid input: {name} '1/0' has a zero denominator\n")
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1"],
+                         ids=["true", "float", "string"])
+def test_maslov_n_must_be_a_json_integer(tmp_path, value):
+    # the 1 x 1 line path: n = 1 would pass
+    path = write(tmp_path, "p.json", dict(LINE_PATH_JSON, n=value))
+    assert run("maslov", "index", path) == (
+        BAD_INPUT, "", f"invalid input: n must be an integer, got {value!r}\n")
+
+
 def test_maslov_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 1,\n  "oops"')
@@ -606,6 +615,21 @@ def test_floer_hf_morse_point_is_checked(tmp_path, key, value, message):
     obj["points"][1][key] = value
     assert run("floer", "hf", write(tmp_path, "m.json", obj)) == (
         BAD_INPUT, "", f"invalid input: {message}\n")
+
+
+@pytest.mark.parametrize("where,key,value", [
+    ("flows", "from", ["p"]), ("flows", "to", 1), ("triples", "a", 5),
+    ("triples", "b", None), ("triples", "out", ["q"])],
+    ids=["from", "to", "a", "b", "out"])
+def test_floer_hf_morse_ids_are_checked(tmp_path, where, key, value):
+    obj = json.loads(json.dumps(MORSE_JSON))
+    obj["triples"] = [{"a": "p", "b": "q", "out": "q", "count": 1,
+                       "action": 0}]
+    assert run("floer", "hf", write(tmp_path, "m.json", obj))[0] == PASS
+    obj[where][0][key] = value
+    assert run("floer", "hf", write(tmp_path, "m.json", obj)) == (
+        BAD_INPUT, "",
+        f"invalid input: {key} must be a string, got {value!r}\n")
 
 
 def test_floer_hf_rejects_junk(tmp_path):
