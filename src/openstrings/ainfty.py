@@ -325,9 +325,30 @@ def _split_parity(arities, mus) -> int:
     return exp % 2
 
 
+def _homotopy_parity(arities, mus, p) -> int:
+    """Exponent of a homotopy term on a chain with factor indices ``mus``
+    cut into blocks of the given arities (w_1 .. w_r), block ``p`` (from 0)
+    a homotopy block and the others continuation blocks:
+    r + ``_split_parity`` + sum_{j<p} (w_j-1) + the index sum of the
+    factors left of block ``p``."""
+    width = sum(arities[:p])
+    return (len(arities) + _split_parity(arities, mus) + width - p
+            + sum(mus[:width])) % 2
+
+
 # ---------------------------------------------------------------------------
 # one-output components: a continuation is the product-rule extension of
 # its entries with one output generator, the differential the Leibniz one
+
+
+def _components(entries: Iterable[TensorEntry]
+                ) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
+    """(input chain, coefficient) of each entry, listed per output
+    generator."""
+    out: Dict[str, List[Tuple[Word, NovikovSeries]]] = {}
+    for e in entries:
+        out.setdefault(e.output, []).append((e.inputs, e.coeff))
+    return out
 
 
 def _one_output(a: Matrix) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
@@ -341,19 +362,43 @@ def _one_output(a: Matrix) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
     return out
 
 
-def _fan_in(word: Word, components, gens):
+def _fan_in(word: Word, components, gens, k=None, after=None):
     """Every way to produce ``word`` with one component per factor.
 
     ``components`` lists (input chain, coefficient) per output generator
     and ``gens`` holds the generators of the input chains.  Yields the
     glued input chain and the product of the coefficients, taken left to
     right, signed by ``_split_parity`` of the components' arities on that
-    chain."""
-    for choice in itertools.product(*(components.get(g, ()) for g in word)):
-        chain = tuple(x for inputs, _ in choice for x in inputs)
-        exp = _split_parity([len(inputs) for inputs, _ in choice],
-                            [gens[x].mu for x in chain])
-        yield chain, _signed(reduce(mul, (cf for _, cf in choice)), exp)
+    chain.  With ``k`` and ``after`` (a homotopy framed by two
+    continuations) one factor takes a component of ``k``, the factors to
+    its left components of ``components`` and those to its right
+    components of ``after``, signed by ``_homotopy_parity``."""
+    if k is None:
+        slots = [(None, [components.get(g, ()) for g in word])]
+    else:
+        slots = [(p, [components.get(g, ()) for g in word[:p]]
+                  + [k.get(word[p], ())]
+                  + [after.get(g, ()) for g in word[p + 1:]])
+                 for p in range(len(word))]
+    for p, factors in slots:
+        for choice in itertools.product(*factors):
+            chain = tuple(x for inputs, _ in choice for x in inputs)
+            arities = [len(inputs) for inputs, _ in choice]
+            mus = [gens[x].mu for x in chain]
+            exp = (_split_parity(arities, mus) if p is None
+                   else _homotopy_parity(arities, mus, p))
+            yield chain, _signed(reduce(mul, (cf for _, cf in choice)), exp)
+
+
+def _fan_in_matrix(words, components, gens, k=None, after=None) -> Matrix:
+    """The fan-in (``_fan_in``) over the target ``words`` as a matrix: a
+    term producing ``u`` from the chain ``v`` is summed into [v][u], and a
+    chain with no term left has no row."""
+    out: Matrix = {}
+    for word in words:
+        for chain, coeff in _fan_in(word, components, gens, k, after):
+            _acc(out.setdefault(chain, {}), word, coeff)
+    return {v: row for v, row in out.items() if row}
 
 
 # ---------------------------------------------------------------------------
@@ -576,63 +621,6 @@ def identity_continuation(c: FloerComplex) -> MapDatum:
                             for g in c.datum.generators))
 
 
-def _expand(source: FloerComplex, index, k_index=None, after=None,
-            words=None) -> Matrix:
-    """Tensor-expand elementary blocks into a matrix on ``words`` (default:
-    every word of ``source``).
-
-    Each word is cut into consecutive blocks from left to right, only
-    through input chains found in the tensor indices; every block applies
-    one entry, and the sign is built one block at a time.  With D the sum
-    of (w-1) over the blocks already placed and m the index sum of the
-    factors to the block's left, an arity-w block adds to the exponent
-
-    - D + (w+1)m for a continuation block (``index`` alone);
-    - 1 + D + (w+1)m for a block of ``index`` (h0) left of the homotopy
-      block, or of ``after`` (h1) right of it;
-    - 1 + w*m for the single homotopy block from ``k_index``: its two D
-      terms cancel mod 2.
-
-    Summed over the blocks of a continuation these increments are
-    ``_split_parity`` of the block arities (mod 2), the exponent
-    ``_fan_in`` applies, built incrementally because this is the hot
-    kernel.  Each term's coefficients are multiplied left to right, as in
-    ``_fan_in``, and the signed products are summed into the word's row
-    by ``_acc``; a word with no term has no row.
-    """
-    hom = int(k_index is not None)
-    matrix: Matrix = {}
-    for word in source.words if words is None else words:
-        q = len(word)
-        prefix = _prefix_mu(word, source._gens)
-        row: Dict[Word, NovikovSeries] = {}
-
-        def walk(pos, d, exp, out, coeff, blocks, k_blocks):
-            if pos == q:
-                if k_blocks is None:
-                    _acc(row, out, _signed(coeff, exp))
-                return
-            m = prefix[pos]
-            for end in range(pos + 1, q + 1):
-                block, w = word[pos:end], end - pos
-                for e in blocks.get(block, ()):
-                    walk(end, d + w - 1, exp + hom + d + (w + 1) * m,
-                         out + (e.output,),
-                         e.coeff if coeff is None else coeff * e.coeff,
-                         blocks, k_blocks)
-                if k_blocks is not None:
-                    for e in k_blocks.get(block, ()):
-                        walk(end, d + w - 1, exp + 1 + w * m,
-                             out + (e.output,),
-                             e.coeff if coeff is None else coeff * e.coeff,
-                             after, None)
-
-        walk(0, 0, 0, (), None, index, k_index)
-        if row:
-            matrix[word] = row
-    return matrix
-
-
 def _validate_maps(c, c_prime, *hs: MapDatum, k: Optional[MapDatum] = None):
     """Validate the continuations ``hs`` CF' -> CF (index shift 1-w) in
     order, then the homotopy ``k`` (index shift -w)."""
@@ -646,14 +634,15 @@ def _validate_maps(c, c_prime, *hs: MapDatum, k: Optional[MapDatum] = None):
 
 def assemble_continuation(c: FloerComplex, c_prime: FloerComplex,
                           h: MapDatum) -> Matrix:
-    """Tensor-expand map data into a matrix CF' -> CF.
+    """Tensor-expand map data into a matrix CF' -> CF: the fan-in of the
+    entries over every word of CF.
 
     Blocks of arities (w_1 .. w_r) carry the sign (-1)^_split_parity:
     sum_j (r-j)(w_j-1) and the graded evaluation factors; an arity-w
     entry must shift the index by 1-w.
     """
     _validate_maps(c, c_prime, h)
-    return _expand(c_prime, _tensor_index(h.h))
+    return _fan_in_matrix(c.words, _components(h.h), c_prime._gens)
 
 
 def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
@@ -666,11 +655,7 @@ def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
     ok = _mat_is_zero(defect)
     # the continuation is the product-rule extension of its one-output
     # components: their fan-in over every target word
-    components = _one_output(fmat)
-    predicted: Matrix = {}
-    for word in c.words:
-        for chain, coeff in _fan_in(word, components, c_prime._gens):
-            _acc(predicted.setdefault(chain, {}), word, coeff)
+    predicted = _fan_in_matrix(c.words, _one_output(fmat), c_prime._gens)
     return {
         "chain_map": ok,
         "dual_expansion": _mat_is_zero(_mat_add(fmat, predicted, sign=-1)),
@@ -688,13 +673,14 @@ def assemble_homotopy(c: FloerComplex, c_prime: FloerComplex,
 
     Terms have one arity-w block from ``k`` (index shift -w) framed by
     blocks of ``h0`` on its left and ``h1`` on its right (continuation
-    entries, index shift 1-w), with sign
-    (-1)^(r + sum_j (r-j)(w_j-1) + sum_{j<i} (w_j-1)) on r blocks.
+    entries, index shift 1-w), with sign (-1)^_homotopy_parity:
+    r + sum_j (r-j)(w_j-1) + sum_{j<i} (w_j-1) on r blocks with the k
+    block i-th, and the graded evaluation factors.
     """
     _validate_maps(c, c_prime, k=k)
     _validate_maps(c, c_prime, h0, h1)
-    return _expand(c_prime, _tensor_index(h0.h), _tensor_index(k.k),
-                   _tensor_index(h1.h))
+    return _fan_in_matrix(c.words, _components(h0.h), c_prime._gens,
+                          _components(k.k), _components(h1.h))
 
 
 def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
@@ -704,25 +690,26 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
     Builds the elementary tensors of h1 so that the homotopy identity
     has a chance to hold: its arity-w entries are forced by the
     one-output components on words of length w, which only involve lower
-    arities of h1.  Pass w expands the homotopy on those words and on the
-    words their differential reaches (none longer than w), and nothing
-    else.
+    arities of h1.  h0 is fanned in once; pass w fans the homotopy in over
+    the target words of length at most w only, since a row of length at
+    most w (the words of length w and the words their differential
+    reaches) reads no other target word and only entries of h1 of arity
+    below w.
     """
     _validate_maps(c, c_prime, h0, k=k)
-    h0_index, k_index = _tensor_index(h0.h), _tensor_index(k.k)
-    d_prime = c_prime.differential
+    gens, d_prime = c_prime._gens, c_prime.differential
+    h0_parts, k_parts = _components(h0.h), _components(k.k)
+    f0 = _fan_in_matrix(c.words, h0_parts, gens)
     h1_entries: List[TensorEntry] = []
     max_arity = max((len(w) for w in c_prime.words), default=0)
     for w in range(1, max_arity + 1):
         layer = [word for word in c_prime.words if len(word) == w]
-        needed = set(layer).union(*(d_prime.get(word, ()) for word in layer))
-        kk = _expand(c_prime, h0_index, k_index, _tensor_index(h1_entries),
-                     [word for word in c_prime.words if word in needed])
-        f0 = _expand(c_prime, h0_index, words=layer)
+        kk = _fan_in_matrix([u for u in c.words if len(u) <= w], h0_parts,
+                            gens, k_parts, _components(h1_entries))
         bracket = _mat_add(
             _mat_compose({x: kk[x] for x in layer if x in kk}, c.differential),
             _mat_compose({x: d_prime[x] for x in layer if x in d_prime}, kk))
-        want = _mat_add(f0, bracket, sign=-1)
+        want = _mat_add({x: f0[x] for x in layer if x in f0}, bracket, sign=-1)
         for word in layer:
             for wout, coeff in want.get(word, {}).items():
                 if len(wout) == 1 and coeff:
@@ -734,10 +721,11 @@ def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
                    h1: MapDatum, k: MapDatum) -> dict:
     """Verify F(h0) - F(h1) equals the graded commutator of k."""
     _validate_maps(c, c_prime, h0, h1, k=k)
-    h0_index, h1_index = _tensor_index(h0.h), _tensor_index(h1.h)
-    f0 = _expand(c_prime, h0_index)
-    f1 = _expand(c_prime, h1_index)
-    kk = _expand(c_prime, h0_index, _tensor_index(k.k), h1_index)
+    gens = c_prime._gens
+    h0_parts, h1_parts = _components(h0.h), _components(h1.h)
+    f0 = _fan_in_matrix(c.words, h0_parts, gens)
+    f1 = _fan_in_matrix(c.words, h1_parts, gens)
+    kk = _fan_in_matrix(c.words, h0_parts, gens, _components(k.k), h1_parts)
     bracket = _mat_add(_mat_compose(kk, c.differential),
                        _mat_compose(c_prime.differential, kk))
     defect = _mat_add(_mat_add(f0, f1, sign=-1), bracket, sign=-1)
@@ -764,10 +752,7 @@ def compose_continuations(c0: FloerComplex, c1: FloerComplex,
     """
     _validate_maps(c1, c2, h12)
     _validate_maps(c0, c1, h01)
-    components: Dict[str, List[Tuple[Word, NovikovSeries]]] = {}
-    for inner in h12.h:
-        components.setdefault(inner.output, []).append(
-            (inner.inputs, inner.coeff))
+    components = _components(h12.h)
     acc: Dict[Tuple[Word, str], NovikovSeries] = {}
     for outer in h01.h:
         for chain, coeff in _fan_in(outer.inputs, components, c2._gens):

@@ -166,9 +166,13 @@ def is_exact(h: Continuation, k: Continuation) -> bool:
 # ---------------------------------------------------------------------------
 
 def conductor_from_json(obj) -> Conductor:
+    """A conductor from a JSON list of labels, each a JSON string."""
     if not isinstance(obj, (list, tuple)):
         raise ValueError(f"a conductor is a list of labels, got {obj!r}")
-    return Conductor(tuple(str(x) for x in obj))
+    for x in obj:
+        if type(x) is not str:
+            raise ValueError(f"a conductor label must be a string, got {x!r}")
+    return Conductor(tuple(obj))
 
 
 def _json_ints(obj, key: str) -> Tuple[int, ...]:

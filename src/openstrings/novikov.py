@@ -3,12 +3,13 @@
 Elements are finite formal sums ``sum_a n_a * t^a`` with exact rational
 exponents ``a`` and integer (or rational) coefficients ``n_a``, ordered by
 strictly increasing exponent.  An optional *cutoff* marks a series as "known
-below the cutoff only": all stored exponents are < cutoff and arithmetic
-results carry the minimum of the operand cutoffs.  This makes the
+below the cutoff only": all stored exponents are < cutoff.  This makes the
 well-ordered finiteness condition (finitely many terms below any bound)
-structural instead of lazy, and keeps equality decidable.  A series
-stores its exponents as integer numerators over their least common
-denominator, so its arithmetic runs on Python ints.
+structural instead of lazy, and keeps equality decidable.  A sum carries
+the minimum of the operand cutoffs and a product min(C_a + v(b),
+C_b + v(a)), so products of truncated series do not depend on their
+grouping.  A series stores its exponents as integer numerators over their
+least common denominator, so its arithmetic runs on Python ints.
 
 The coefficient ring is a parameter: ``ring="Z"`` stores ints, ``ring="Q"``
 stores Fractions.  Rank computations downstream use Q; unit-pivot
@@ -223,6 +224,18 @@ class NovikovSeries:
             return a.cutoff
         return min(a.cutoff, b.cutoff)
 
+    @staticmethod
+    def _product_cutoff(a: "NovikovSeries", b: "NovikovSeries"):
+        """min(C_a + v(b), C_b + v(a)): ``a`` known below C_a times ``b``
+        of valuation v(b) is known below C_a + v(b).  A series with a
+        cutoff and no term below it has valuation at least its cutoff; an
+        exact zero factor makes the product exact."""
+        bounds = [x.cutoff + (y.valuation() if y.cutoff is None
+                              else min(y.valuation(), y.cutoff))
+                  for x, y in ((a, b), (b, a)) if x.cutoff is not None]
+        cut = min(bounds, default=INFINITY)
+        return None if cut == INFINITY else cut
+
     def __add__(self, other):
         if type(other) is not NovikovSeries or other.ring != self.ring:
             other = self._coerce(other)
@@ -278,7 +291,8 @@ class NovikovSeries:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        cut = self._min_cutoff(self, other)
+        cut = (None if self.cutoff is None and other.cutoff is None
+               else self._product_cutoff(self, other))
         a, b = self, other
         if len(a.pairs) > len(b.pairs):
             a, b = b, a
@@ -409,8 +423,8 @@ def add(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
 
 
 def mul(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
-    """Cauchy product on exponents; exact on finite series, truncated at the
-    minimum cutoff otherwise."""
+    """Cauchy product on exponents; exact on finite series, truncated at
+    min(C_a + v(b), C_b + v(a)) otherwise."""
     return a * b
 
 

@@ -8,10 +8,9 @@ sign rules are the library's own.
   transposed differential.
 - ``check_chain_map`` predicts the dual expansion of the continuation by
   multiplying its dual one-output components over every dual target
-  word, and compares it with the transposed continuation matrix.  A
-  product of series with cutoffs and negative exponents depends on its
-  grouping, and this one multiplies right to left where the expansion
-  multiplies left to right; ``primal_order`` groups as the expansion.  It
+  word, and compares it with the transposed continuation matrix.  It
+  multiplies the coefficients of each term right to left on the primal
+  word, where the expansion multiplies left to right.  By default it
   assembles the continuation through ``ainfty.assemble_continuation``, so
   a test that patches the library's assembler patches this copy too.
 - ``compose_continuations`` walks every word of the last complex: each
@@ -19,7 +18,14 @@ sign rules are the library's own.
   map is looked up on the word of their outputs.
 
 These are the versions from before the one-output components were read
-on the primal word basis and glued by fan-in."""
+on the primal word basis and glued by fan-in.
+
+- ``_expand`` is the block walk that assembled continuations and
+  homotopies before they were built by fan-in over target words: it cuts
+  each source word into blocks from left to right and adds the sign one
+  block at a time.  ``assemble_continuation``, ``assemble_homotopy`` and
+  ``check_homotopy`` are the library functions as they were on top of
+  it."""
 
 from __future__ import annotations
 
@@ -110,12 +116,11 @@ def validate_axioms_A(c):
     }
 
 
-def remh_predicted(c, c_prime, fmat, primal_order=False):
+def remh_predicted(c, c_prime, fmat):
     """Dual expansion of a continuation from its one-output components.
 
     The coefficients of each term are multiplied along the dual word,
-    right to left on the primal word; ``primal_order`` multiplies them
-    left to right, as the expansion does."""
+    right to left on the primal word."""
     gens_p = c_prime._gens
     eduals = elementary_duals(fmat)
     predicted = {}
@@ -128,23 +133,23 @@ def remh_predicted(c, c_prime, fmat, primal_order=False):
             # block's graded factor is against the chunks to its right
             exp = _split_parity([len(ch) for ch, _ in reversed(choices)],
                                 [gens_p[g].mu for g in reversed(out)])
-            coeffs = [cf for _, cf in choices]
-            if primal_order:
-                coeffs.reverse()
-            _acc(row, out, _signed(reduce(mul, coeffs), exp))
+            _acc(row, out, _signed(reduce(mul, (cf for _, cf in choices)),
+                                   exp))
         if row:
             predicted[dword] = row
     return predicted
 
 
-def check_chain_map(c, c_prime, h, primal_order=False):
-    fmat = ainfty.assemble_continuation(c, c_prime, h)
+def check_chain_map(c, c_prime, h, fmat=None):
+    """``fmat`` defaults to the library's assembled continuation."""
+    if fmat is None:
+        fmat = ainfty.assemble_continuation(c, c_prime, h)
     lhs = _mat_compose(fmat, c.differential)
     rhs = _mat_compose(c_prime.differential, fmat)
     defect = _mat_add(lhs, rhs, sign=-1)
     ok = _mat_is_zero(defect)
     dual_defect = _mat_add(_dual_transpose(fmat),
-                           remh_predicted(c, c_prime, fmat, primal_order),
+                           remh_predicted(c, c_prime, fmat),
                            sign=-1)
     return {
         "chain_map": ok,
@@ -153,7 +158,7 @@ def check_chain_map(c, c_prime, h, primal_order=False):
     }
 
 
-def _expand(source, index):
+def _continuation_terms(source, index):
     """(input word, output word, signed coefficient product) of the
     continuation blocks of ``index`` over every word of ``source``; an
     arity-w block adds D + (w+1)m to the exponent, D the sum of (w-1) over
@@ -185,9 +190,94 @@ def compose_continuations(c0, c1, c2, h01, h12):
     _validate_maps(c0, c1, h01)
     h01index = _tensor_index(h01.h)
     acc = {}
-    for word, mid_word, coeff in _expand(c2, _tensor_index(h12.h)):
+    for word, mid_word, coeff in _continuation_terms(c2,
+                                                     _tensor_index(h12.h)):
         for outer in h01index.get(mid_word, ()):
             _acc(acc, (word, outer.output), coeff * outer.coeff)
     entries = tuple(TensorEntry(w, g, c)
                     for (w, g), c in sorted(acc.items()) if c)
     return MapDatum(h=entries)
+
+
+def _expand(source, index, k_index=None, after=None, words=None):
+    """Tensor-expand elementary blocks into a matrix on ``words`` (default:
+    every word of ``source``).
+
+    Each word is cut into consecutive blocks from left to right, only
+    through input chains found in the tensor indices; every block applies
+    one entry, and the sign is built one block at a time.  With D the sum
+    of (w-1) over the blocks already placed and m the index sum of the
+    factors to the block's left, an arity-w block adds to the exponent
+
+    - D + (w+1)m for a continuation block (``index`` alone);
+    - 1 + D + (w+1)m for a block of ``index`` (h0) left of the homotopy
+      block, or of ``after`` (h1) right of it;
+    - 1 + w*m for the single homotopy block from ``k_index``: its two D
+      terms cancel mod 2.
+
+    Summed over the blocks of a continuation these increments are
+    ``_split_parity`` of the block arities (mod 2), the exponent
+    ``_fan_in`` applies, built incrementally because this is the hot
+    kernel.  Each term's coefficients are multiplied left to right, as in
+    ``_fan_in``, and the signed products are summed into the word's row
+    by ``_acc``; a word with no term has no row.
+    """
+    hom = int(k_index is not None)
+    matrix = {}
+    for word in source.words if words is None else words:
+        q = len(word)
+        prefix = _prefix_mu(word, source._gens)
+        row = {}
+
+        def walk(pos, d, exp, out, coeff, blocks, k_blocks):
+            if pos == q:
+                if k_blocks is None:
+                    _acc(row, out, _signed(coeff, exp))
+                return
+            m = prefix[pos]
+            for end in range(pos + 1, q + 1):
+                block, w = word[pos:end], end - pos
+                for e in blocks.get(block, ()):
+                    walk(end, d + w - 1, exp + hom + d + (w + 1) * m,
+                         out + (e.output,),
+                         e.coeff if coeff is None else coeff * e.coeff,
+                         blocks, k_blocks)
+                if k_blocks is not None:
+                    for e in k_blocks.get(block, ()):
+                        walk(end, d + w - 1, exp + 1 + w * m,
+                             out + (e.output,),
+                             e.coeff if coeff is None else coeff * e.coeff,
+                             after, None)
+
+        walk(0, 0, 0, (), None, index, k_index)
+        if row:
+            matrix[word] = row
+    return matrix
+
+
+def assemble_continuation(c, c_prime, h):
+    _validate_maps(c, c_prime, h)
+    return _expand(c_prime, _tensor_index(h.h))
+
+
+def assemble_homotopy(c, c_prime, h0, h1, k):
+    _validate_maps(c, c_prime, k=k)
+    _validate_maps(c, c_prime, h0, h1)
+    return _expand(c_prime, _tensor_index(h0.h), _tensor_index(k.k),
+                   _tensor_index(h1.h))
+
+
+def check_homotopy(c, c_prime, h0, h1, k):
+    _validate_maps(c, c_prime, h0, h1, k=k)
+    h0_index, h1_index = _tensor_index(h0.h), _tensor_index(h1.h)
+    f0 = _expand(c_prime, h0_index)
+    f1 = _expand(c_prime, h1_index)
+    kk = _expand(c_prime, h0_index, _tensor_index(k.k), h1_index)
+    bracket = _mat_add(_mat_compose(kk, c.differential),
+                       _mat_compose(c_prime.differential, kk))
+    defect = _mat_add(_mat_add(f0, f1, sign=-1), bracket, sign=-1)
+    ok = _mat_is_zero(defect)
+    return {
+        "homotopy": ok,
+        "defects": [] if ok else _entry_report(defect),
+    }

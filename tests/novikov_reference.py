@@ -5,7 +5,10 @@ the library's own.
 - ``add``, ``mul``, ``neg`` and ``scale`` build every result through the
   validating public constructor, which merges like terms, drops zeros and
   sorts, as the ring operations did before they built canonical results
-  directly.
+  directly.  The one change is the cutoff of a product, which is the
+  corrected rule min(C_a + v(b), C_b + v(a)): a series with a cutoff and
+  no term below it counts as having valuation at its cutoff, and a
+  product with an exact zero is exact.
 - ``invert`` is the version from before the powers of its geometric
   series were truncated: every power is multiplied out in full and the
   terms at or above the target are dropped only at the end.  The one
@@ -40,8 +43,22 @@ def mul(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
         for e2, c2 in b.terms:
             e = e1 + e2
             prod[e] = prod.get(e, 0) + c1 * c2
-    return NovikovSeries(prod.items(), ring=a.ring,
-                         cutoff=NovikovSeries._min_cutoff(a, b))
+    return NovikovSeries(prod.items(), ring=a.ring, cutoff=_product_cutoff(a, b))
+
+
+def _product_cutoff(a, b):
+    cut = None
+    for x, y in ((a, b), (b, a)):
+        if x.cutoff is None:
+            continue
+        if y.terms:
+            v = y.terms[0][0]
+        elif y.cutoff is not None:
+            v = y.cutoff
+        else:
+            return None
+        cut = x.cutoff + v if cut is None else min(cut, x.cutoff + v)
+    return cut
 
 
 def scale(a: NovikovSeries, scalar) -> NovikovSeries:

@@ -291,15 +291,15 @@ def test_mutated_homotopy_rejected(chain_complex):
 
 def _ref_homotopic_map(c, c_prime, h0, k):
     """``homotopic_map`` as it was before each pass expanded only the rows
-    it reads: every pass re-expands the whole homotopy matrix and composes
-    it with both differentials."""
+    it reads, on the block walk: every pass re-expands the whole homotopy
+    matrix and composes it with both differentials."""
     h0_index, k_index = ainfty._tensor_index(h0.h), ainfty._tensor_index(k.k)
-    f0 = ainfty._expand(c_prime, h0_index)
+    f0 = ainfty_reference._expand(c_prime, h0_index)
     h1_entries = []
     max_arity = max((len(w) for w in c_prime.words), default=0)
     for w in range(1, max_arity + 1):
-        kk = ainfty._expand(c_prime, h0_index, k_index,
-                            ainfty._tensor_index(h1_entries))
+        kk = ainfty_reference._expand(c_prime, h0_index, k_index,
+                                      ainfty._tensor_index(h1_entries))
         bracket = _mat_add(_mat_compose(kk, c.differential),
                            _mat_compose(c_prime.differential, kk))
         want = _mat_add(f0, bracket, sign=-1)
@@ -325,33 +325,32 @@ _CHAIN_HOMOTOPIES = (
 
 def test_homotopic_map_expands_only_the_rows_each_pass_reads(chain_complex,
                                                               monkeypatch):
-    # pass w expands the homotopy on the words of length w and on the words
-    # their differential reaches, and h0 on the words of length w: 59 + 68
-    # word expansions here, where re-expanding everything took 59 + 3 * 59
+    # h0 is fanned in once over every target word; pass w fans the homotopy
+    # in over the target words of length at most w, with h1 entries of
+    # arity below w only: 59 + (14 + 41 + 59) target words here
     c = chain_complex
-    d = c.differential
     calls = []
-    real = ainfty._expand
+    real = ainfty._fan_in_matrix
 
-    def spy(source, index, k_index=None, after=None, words=None):
-        calls.append((k_index is not None,
-                      tuple(source.words if words is None else words)))
-        return real(source, index, k_index, after, words)
+    def spy(words, components, gens, k=None, after=None):
+        arities = [len(inputs) for parts in (after or {}).values()
+                   for inputs, _ in parts]
+        calls.append((k is not None, tuple(words), arities))
+        return real(words, components, gens, k, after)
 
-    monkeypatch.setattr(ainfty, "_expand", spy)
-    k = MapDatum(k=_CHAIN_HOMOTOPIES[1])
-    homotopic_map(c, c, identity_continuation(c), k)
+    monkeypatch.setattr(ainfty, "_fan_in_matrix", spy)
+    k = MapDatum(k=_CHAIN_HOMOTOPIES[3])
+    h1 = homotopic_map(c, c, identity_continuation(c), k)
     max_arity = max(len(w) for w in c.words)
-    homotopy = [words for is_k, words in calls if is_k]
-    frame = [words for is_k, words in calls if not is_k]
-    assert len(homotopy) == len(frame) == max_arity == 3
-    for w, (kwords, fwords) in enumerate(zip(homotopy, frame), 1):
-        layer = {x for x in c.words if len(x) == w}
-        assert set(fwords) == layer
-        assert set(kwords) == layer.union(*(d.get(x, ()) for x in layer))
-        assert len(kwords) == len(set(kwords))
-    assert sorted(x for words in frame for x in words) == sorted(c.words)
-    assert sum(map(len, homotopy)) == 68 and len(c.words) == 59
+    (is_k, words, _), *passes = calls
+    assert not is_k and words == c.words
+    assert len(passes) == max_arity == 3
+    for w, (is_k, words, arities) in enumerate(passes, 1):
+        assert is_k and words == tuple(x for x in c.words if len(x) <= w)
+        assert all(a < w for a in arities)
+    # the last pass read h1 entries of arities 1 and 2
+    assert set(passes[-1][2]) == {1, 2} and h1.h
+    assert [len(words) for _, words, _ in calls] == [59, 14, 41, 59]
 
 
 def test_homotopic_map_matches_full_re_expansion(chain_datum,
@@ -864,12 +863,14 @@ def _ref_compose(c2, h01, h12):
 
 def _assert_kernel_matches(c0, c1, c2, h01, h12, h0, h1, k):
     """Continuation, homotopy and composite of the kernel equal the
-    reference expansion on the given data."""
+    reference expansion and the block walk on the given data."""
     fmat = assemble_continuation(c0, c1, h01)
     assert fmat == _ref_continuation(c1, h01)
+    assert fmat == ainfty_reference.assemble_continuation(c0, c1, h01)
     assert assemble_continuation(c1, c2, h12) == _ref_continuation(c2, h12)
     kk = assemble_homotopy(c0, c1, h0, h1, k)
     assert kk == _ref_homotopy(c1, h0, h1, k)
+    assert kk == ainfty_reference.assemble_homotopy(c0, c1, h0, h1, k)
     composite = compose_continuations(c0, c1, c2, h01, h12)
     assert composite.h == _ref_compose(c2, h01, h12)
     return fmat, kk, composite
@@ -947,6 +948,109 @@ def test_kernel_matches_reference_on_random_corpus(l):
         fmat, kk, composite = _assert_kernel_matches(*_random_case(rng, l))
         assert any(len(u) < len(w) for w, row in fmat.items() for u in row)
         assert any(e.arity > 1 for e in composite.h)
+
+
+# ---------------------------------------------------------------------------
+# the fan-in kernel against the block walk it replaced
+
+
+def _walk_homotopy_exponent(arities, mus, p):
+    """The block walk's increments summed over one homotopy term: with D
+    the sum of (w-1) over the blocks already placed and m the index sum
+    to a block's left, 1 + D + (w+1)m per continuation block and 1 + w*m
+    for the homotopy block ``p``."""
+    exp = d = pos = 0
+    for j, w in enumerate(arities):
+        m = sum(mus[:pos])
+        exp += 1 + w * m if j == p else 1 + d + (w + 1) * m
+        d += w - 1
+        pos += w
+    return exp % 2
+
+
+def test_homotopy_parity_is_the_walk_sum():
+    cases = 0
+    for q in range(1, 7):
+        for parts in _ref_compositions(q):
+            for p in range(len(parts)):
+                for mus in itertools.product((0, 1), repeat=q):
+                    cases += 1
+                    assert ainfty._homotopy_parity(parts, mus, p) == \
+                        _walk_homotopy_exponent(parts, mus, p), (parts, p, mus)
+    assert cases == sum(2 ** q * sum(len(c) for c in _ref_compositions(q))
+                        for q in range(1, 7))
+
+
+def _assert_fan_in_matches_walk(c, c_prime, h, h0, h1, k):
+    """Continuation and homotopy matrices, chain-map and homotopy reports
+    and the solved far end of a homotopy are those of the block walk;
+    returns the reports and the solved map."""
+    fmat = assemble_continuation(c, c_prime, h)
+    walked = ainfty_reference.assemble_continuation(c, c_prime, h)
+    assert fmat == walked
+    assert assemble_homotopy(c, c_prime, h0, h1, k) == \
+        ainfty_reference.assemble_homotopy(c, c_prime, h0, h1, k)
+    chain = check_chain_map(c, c_prime, h)
+    assert chain == ainfty_reference.check_chain_map(c, c_prime, h,
+                                                     fmat=walked)
+    solved = homotopic_map(c, c_prime, h0, k)
+    assert solved == _ref_homotopic_map(c, c_prime, h0, k)
+    homotopies = [check_homotopy(c, c_prime, h0, x, k) for x in (h1, solved)]
+    assert homotopies == [ainfty_reference.check_homotopy(c, c_prime, h0, x, k)
+                          for x in (h1, solved)]
+    return chain, homotopies, solved
+
+
+def test_fan_in_matches_the_walk_on_fixtures(chain_datum, conjugated_datum,
+                                             chain_units):
+    c0 = assemble_differential(chain_datum)
+    c1 = assemble_differential(conjugated_datum)
+    diag = diagonal_map(chain_datum, chain_units)
+    h = MapDatum(h=diag.h + (T(["g01", "g12"], "z02", S("t^4")),
+                             T(["g12", "g23"], "z13", S("-t^1"))))
+    passed = 0
+    for entries in _CHAIN_HOMOTOPIES:
+        k = MapDatum(k=entries)
+        for c, cp, h0 in ((c0, c0, identity_continuation(c0)),
+                          (c0, c1, diag)):
+            _, homotopies, _ = _assert_fan_in_matches_walk(c, cp, h, h0, h0, k)
+            passed += homotopies[1]["homotopy"]
+    assert passed == 2 * len(_CHAIN_HOMOTOPIES)
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 6])
+def test_fan_in_matches_the_walk_on_random_corpus(l):
+    rng = random.Random(9700 + l)
+    seen = {"not_chain_map": 0, "not_homotopy": 0, "cancelled": 0,
+            "long_h1": 0}
+    for _ in range(2):
+        c0, c1, _, h01, _, h0, h1, k = _random_case(rng, l)
+        datums = [c0.datum, c1.datum]
+        cases = {
+            "plain": (datums, h01, h0, h1, k),
+            "mod2": ([replace(d, modulus=2) for d in datums], h01, h0, h1, k),
+            "cutoff": ([replace(d, tensors=_cut_entries(d.tensors, rng))
+                        for d in datums],
+                       *(MapDatum(h=_cut_entries(x.h, rng))
+                         for x in (h01, h0, h1)),
+                       MapDatum(k=_cut_entries(k.k, rng))),
+            "mutant": ([replace(d, tensors=_flip_one(d.tensors, rng))
+                        for d in datums],
+                       *(MapDatum(h=_flip_one(x.h, rng)) for x in (h01, h0, h1)),
+                       MapDatum(k=_flip_one(k.k, rng))),
+        }
+        for ds, h, g0, g1, kk in cases.values():
+            c, cp = (assemble_differential(d) for d in ds)
+            chain, homotopies, solved = _assert_fan_in_matches_walk(
+                c, cp, h, g0, g1, kk)
+            seen["not_chain_map"] += not chain["chain_map"]
+            seen["not_homotopy"] += not homotopies[0]["homotopy"]
+            seen["cancelled"] += any(
+                not x and x.cutoff is not None
+                for row in assemble_continuation(c, cp, h).values()
+                for x in row.values())
+            seen["long_h1"] += any(e.arity > 1 for e in solved.h)
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
@@ -1195,27 +1299,11 @@ def _flip_entry(a, rng, pick=lambda w, u: True):
     return out
 
 
-def _assert_chain_map_matches(c, c_prime, h):
-    """The chain-map report equals the reference; returns it and whether
-    the reference had to group its products as the expansion does."""
-    got = check_chain_map(c, c_prime, h)
-    ref = ainfty_reference.check_chain_map(c, c_prime, h)
-    if got == ref:
-        return got, False
-    # on truncated series only the grouping of the reference's products
-    # can tell the two apart, and then only its dual expansion is false
-    assert got == dict(ref, dual_expansion=True)
-    assert got == ainfty_reference.check_chain_map(c, c_prime, h,
-                                                   primal_order=True)
-    return got, True
-
-
 def _assert_one_output_checks_match(c0, c1, c2, h01, h12, rng, monkeypatch):
     """A axioms, chain-map reports and the composite equal the reference,
     also on a hand-broken differential and on a continuation matrix with
-    one entry of two or more outputs negated; returns the reports, the
-    composite and the number of chain-map reports the reference matched
-    only with its products grouped as the expansion groups them."""
+    one entry of two or more outputs negated; returns the reports and the
+    composite."""
     reports = []
     for c in (c0, c1, c2):
         reports.append(validate_axioms_A(c))
@@ -1225,11 +1313,9 @@ def _assert_one_output_checks_match(c0, c1, c2, h01, h12, rng, monkeypatch):
     reports.append(validate_axioms_A(broken))
     assert not reports[-1]["a3"]
     assert reports[-1] == ainfty_reference.validate_axioms_A(broken)
-    regrouped = 0
     for c, cp, h in ((c0, c1, h01), (c1, c2, h12)):
-        report, grouped = _assert_chain_map_matches(c, cp, h)
-        reports.append(report)
-        regrouped += grouped
+        reports.append(check_chain_map(c, cp, h))
+        assert reports[-1] == ainfty_reference.check_chain_map(c, cp, h)
     real, seed = ainfty.assemble_continuation, rng.random()
     with monkeypatch.context() as m:
         # both sides assemble, and both must see the same entry negated
@@ -1242,7 +1328,7 @@ def _assert_one_output_checks_match(c0, c1, c2, h01, h12, rng, monkeypatch):
     composite = compose_continuations(c0, c1, c2, h01, h12)
     assert composite == ainfty_reference.compose_continuations(
         c0, c1, c2, h01, h12)
-    return reports, composite, regrouped
+    return reports, composite
 
 
 def test_one_output_checks_match_reference_on_fixtures(
@@ -1256,9 +1342,9 @@ def test_one_output_checks_match_reference_on_fixtures(
                            for g in chain_datum.generators) + (
         T(["g12", "g23"], "z13", S("-2t^1")),
         T(["g01", "g12"], "z02", S("7t^0"))))
-    reports, composite, regrouped = _assert_one_output_checks_match(
+    reports, composite = _assert_one_output_checks_match(
         c0, c1, c1, h01, h12, random.Random(5), monkeypatch)
-    assert all(r["ok"] for r in reports[:3]) and not regrouped
+    assert all(r["ok"] for r in reports[:3])
     assert any(e.arity > 1 for e in composite.h)
     c = assemble_differential(make_augmentation_datum()[0])
     assert validate_axioms_A(c) == ainfty_reference.validate_axioms_A(c)
@@ -1297,7 +1383,7 @@ def _flip_one(entries, rng):
 @pytest.mark.parametrize("l", [3, 4, 5, 6])
 def test_one_output_checks_match_reference_on_random_corpus(l, monkeypatch):
     rng = random.Random(9100 + l)
-    seen = {"cancelled": 0, "not_chain_map": 0, "regrouped": 0}
+    seen = {"cancelled": 0, "not_chain_map": 0}
     for _ in range(2):
         c0, c1, c2, h01, h12, _, _, _ = _random_case(rng, l)
         datums = [c.datum for c in (c0, c1, c2)]
@@ -1315,11 +1401,8 @@ def test_one_output_checks_match_reference_on_random_corpus(l, monkeypatch):
         }
         for kind, (ds, g01, g12) in cases.items():
             cs = [assemble_differential(d) for d in ds]
-            reports, _, regrouped = _assert_one_output_checks_match(
+            reports, _ = _assert_one_output_checks_match(
                 *cs, g01, g12, rng, monkeypatch)
-            # only products of series with cutoffs depend on their grouping
-            assert kind == "cutoff" or not regrouped
-            seen["regrouped"] += regrouped
             seen["not_chain_map"] += kind == "mutant" and not (
                 reports[4]["chain_map"] and reports[5]["chain_map"])
             fmat = assemble_continuation(cs[0], cs[1], g01)
@@ -1330,10 +1413,11 @@ def test_one_output_checks_match_reference_on_random_corpus(l, monkeypatch):
 
 
 def test_dual_expansion_groups_products_as_the_expansion():
-    # with x known below t^1 only, (x * t^3) * t^-3 is zero below t^1 but
-    # (t^-3 * t^3) * x is t^0: the dual expansion multiplies each fan-in
-    # left to right, as the expansion does, and reads true; multiplied
-    # right to left it read false
+    # with x known below t^1 only, (x * t^3) * t^-3 and (t^-3 * t^3) * x
+    # are both t^0 known below t^1: a product of truncated series does not
+    # depend on its grouping, so the dual expansion reads true whether its
+    # products run left to right, as the expansion's do, or right to left,
+    # as the reference's do
     gens = (Generator("x", 0, 1, 0), Generator("y", 1, 2, 0),
             Generator("z", 2, 3, 0))
     c = assemble_differential(AInftyDatum(l=3, generators=gens, tensors=()))
@@ -1342,8 +1426,7 @@ def test_dual_expansion_groups_products_as_the_expansion():
     report = check_chain_map(c, c, h)
     assert report == {"chain_map": True, "dual_expansion": True,
                       "defects": []}
-    assert ainfty_reference.check_chain_map(c, c, h) == dict(
-        report, dual_expansion=False)
+    assert ainfty_reference.check_chain_map(c, c, h) == report
 
 
 # ---------------------------------------------------------------------------

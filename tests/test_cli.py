@@ -751,6 +751,22 @@ def test_conductor_string_labels_are_invalid_input(tmp_path):
                    "got 'abc'\n")
 
 
+@pytest.mark.parametrize("label, shown", [
+    (1, "1"), (None, "None"), (True, "True"), (["a"], "['a']")])
+def test_conductor_labels_must_be_strings(tmp_path, label, shown):
+    # a label is not read through str(): [1, null] and ["1", "None"] are
+    # not one conductor
+    path = write(tmp_path, "condl.json", {
+        "h": {"source": ["a", "b"], "target": [label, "y"],
+              "positions": [0, 1], "images": [0, 1]},
+        "k": {"source": [str(label), "y"], "target": ["u", "v"],
+              "positions": [0, 1], "images": [0, 1]}})
+    code, out, err = run("conductor", "exact", path)
+    assert code == BAD_INPUT and not out
+    assert err == ("invalid input: a conductor label must be a string, "
+                   f"got {shown}\n")
+
+
 def test_conductor_fractional_position_is_invalid_input(tmp_path):
     # [0, 1.9] is not truncated to [0, 1]
     path = write(tmp_path, "condf.json", {

@@ -309,6 +309,32 @@ def test_trusted_operations_match_validating_reference(ring):
     assert cancelled > 200 and shifts > 500
 
 
+def test_product_cutoff_shifts_by_the_other_valuation():
+    x = parse_series("t^0", ring="Z", cutoff=1)
+    t3, t_3 = parse_series("t^3", ring="Z"), parse_series("t^-3", ring="Z")
+    # x is known below t^1, so x * t^3 below t^4 and x * t^-3 below t^-2
+    assert x * t3 == parse_series("t^3", ring="Z", cutoff=4)
+    assert (x * t3) * t_3 == x * (t3 * t_3) == x
+    assert x * t_3 == parse_series("t^-3", ring="Z", cutoff=-2)
+    # a zero known below t^1 has valuation at least 1; an exact zero
+    # makes the product exact
+    zero_below_1 = parse_series("0", ring="Z", cutoff=1)
+    assert zero_below_1 * zero_below_1 == parse_series("0", ring="Z", cutoff=2)
+    assert (x * NovikovSeries.zero(ring="Z")).cutoff is None
+
+
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_products_of_truncated_series_do_not_depend_on_grouping(ring):
+    rng = random.Random(23 if ring == "Z" else 24)
+    truncated = 0
+    for _ in range(800):
+        a, b, c = (_operand(rng, ring) for _ in range(3))
+        assert (a * b) * c == a * (b * c), tuple(map(repr, (a, b, c)))
+        assert a * b == b * a
+        truncated += (a * b * c).cutoff is not None
+    assert truncated > 300
+
+
 def test_bool_rejected_at_the_boundary():
     for ring in ("Z", "Q"):
         with pytest.raises(TypeError, match="exponent .* bool True"):
