@@ -165,6 +165,15 @@ def enumerate_words(d: AInftyDatum) -> Tuple[Word, ...]:
     return tuple(w for _, w in words)
 
 
+def _word_count(gens: Mapping[str, Generator]) -> int:
+    """``len(enumerate_words(d))`` without the words: a DP over labels,
+    ``ends[j]`` counting the chains that end at label j."""
+    ends: Dict[int, int] = {}
+    for g in sorted(gens.values(), key=lambda g: g.j):
+        ends[g.j] = ends.get(g.j, 0) + 1 + ends.get(g.i, 0)
+    return sum(ends.values())
+
+
 def _word_mu(word: Word, gens: Mapping[str, Generator]) -> int:
     return sum(gens[g].mu for g in word)
 
@@ -362,7 +371,7 @@ def _one_output(a: Matrix) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
     return out
 
 
-def _fan_in(word: Word, components, gens, k=None, after=None):
+def _fan_in(word: Word, components, gens, k=None, after=None, longest=None):
     """Every way to produce ``word`` with one component per factor.
 
     ``components`` lists (input chain, coefficient) per output generator
@@ -372,7 +381,8 @@ def _fan_in(word: Word, components, gens, k=None, after=None):
     chain.  With ``k`` and ``after`` (a homotopy framed by two
     continuations) one factor takes a component of ``k``, the factors to
     its left components of ``components`` and those to its right
-    components of ``after``, signed by ``_homotopy_parity``."""
+    components of ``after``, signed by ``_homotopy_parity``.  A glued
+    chain longer than ``longest`` is skipped."""
     if k is None:
         slots = [(None, [components.get(g, ()) for g in word])]
     else:
@@ -383,6 +393,8 @@ def _fan_in(word: Word, components, gens, k=None, after=None):
     for p, factors in slots:
         for choice in itertools.product(*factors):
             chain = tuple(x for inputs, _ in choice for x in inputs)
+            if longest is not None and len(chain) > longest:
+                continue
             arities = [len(inputs) for inputs, _ in choice]
             mus = [gens[x].mu for x in chain]
             exp = (_split_parity(arities, mus) if p is None
@@ -390,26 +402,116 @@ def _fan_in(word: Word, components, gens, k=None, after=None):
             yield chain, _signed(reduce(mul, (cf for _, cf in choice)), exp)
 
 
-def _fan_in_matrix(words, components, gens, k=None, after=None) -> Matrix:
+def _fan_in_matrix(words, components, gens, k=None, after=None,
+                   longest=None) -> Matrix:
     """The fan-in (``_fan_in``) over the target ``words`` as a matrix: a
     term producing ``u`` from the chain ``v`` is summed into [v][u], and a
     chain with no term left has no row."""
     out: Matrix = {}
     for word in words:
-        for chain, coeff in _fan_in(word, components, gens, k, after):
+        for chain, coeff in _fan_in(word, components, gens, k, after, longest):
             _acc(out.setdefault(chain, {}), word, coeff)
     return {v: row for v, row in out.items() if row}
+
+
+# ---------------------------------------------------------------------------
+# one-output defects.  On the bar coalgebra of the words (deconcatenation,
+# Koszul signs) the differential is a coderivation and a continuation F a
+# coalgebra map.  A map D into that cofree conilpotent coalgebra with
+# Delta D = (F0 (x) D + D (x) F1) Delta, for coalgebra maps F0 and F1, is
+# zero iff its one-output component is: each entry of D is a sum of
+# products of one entry of that component with components of F0 and F1
+# (Keller, "Introduction to A-infinity algebras and modules", sections 3-4).
+# d d (F0 = F1 = 1), d F - F d' (F0 = F1 = F) and F0 - F1 - [d, K] are
+# such maps when the differentials are odd (``_on_tensors``) and, for the
+# last one, F0 and F1 are chain maps (see ``check_homotopy``).  The checks
+# decide on these components, summed from the tensors, and build the word
+# basis only for a defect: one left nonzero, or one that cancels to zero
+# with a cutoff, since a truncated zero is not decided by its components.
+
+
+def _on_tensors(*complexes: "FloerComplex") -> bool:
+    """Whether each differential is odd and the Leibniz extension of the
+    datum's tensors: assembled from the datum, not given, and graded by Z
+    or an even modulus.  Under an odd modulus the parity of an index, and
+    with it the parity of d, is not determined."""
+    return all(c.modulus % 2 == 0 and not c._given for c in complexes)
+
+
+def _d_parts(c: "FloerComplex") -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
+    """One-output components of the differential: an arity-m entry U -> g
+    in slot 1 of U, signed by ``_delta_exp(m, m, 1)``."""
+    return {g: [(u, _signed(cf, _delta_exp(len(u), len(u), 1)))
+                for u, cf in parts]
+            for g, parts in _components(c.datum.tensors).items()}
+
+
+def _splice(out: Matrix, parts, c: "FloerComplex", exp: int = 0) -> None:
+    """Sum (-1)^exp (components ``parts``) after d, on one output: each
+    tensor entry of ``c`` with output ``u[s-1]`` spliced into slot s of a
+    component u -> g, signed as ``FloerComplex.differential`` signs it,
+    by ``_delta_exp(q, w, s)`` + w * (index sum of u[:s-1])."""
+    gens, tensors = c._gens, _components(c.datum.tensors)
+    for g, comps in parts.items():
+        for word, coeff in comps:
+            prefix = _prefix_mu(word, gens)
+            for s, x in enumerate(word, 1):
+                for inputs, cf in tensors.get(x, ()):
+                    w = len(inputs)
+                    sign = (exp + _delta_exp(len(word) + w - 1, w, s)
+                            + w * prefix[s - 1])
+                    chain = word[:s - 1] + inputs + word[s:]
+                    _acc(out.setdefault(chain, {}), g, _signed(cf * coeff, sign))
+
+
+def _fan_out(out: Matrix, c: "FloerComplex", gens, components, k=None,
+             after=None, exp: int = 0) -> None:
+    """Sum (-1)^exp d after (the fan-in of ``components``, framed as in
+    ``_fan_in``), on one output: the fan-in over the inputs of each
+    one-output component of d, times its coefficient."""
+    for g, comps in _d_parts(c).items():
+        for word, coeff in comps:
+            for chain, cf in _fan_in(word, components, gens, k, after):
+                _acc(out.setdefault(chain, {}), g, _signed(cf * coeff, exp))
+
+
+def _is_zero(out: Matrix) -> bool:
+    """No entry left: every sum cancelled exactly."""
+    return not any(out.values())
+
+
+def _chain_defect(c: "FloerComplex", c_prime: "FloerComplex", parts) -> Matrix:
+    """One-output component of d F - F d', F the fan-in of ``parts``."""
+    out: Matrix = {}
+    _fan_out(out, c, c_prime._gens, parts)
+    _splice(out, parts, c_prime, exp=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the differential
 
 
-@dataclass(frozen=True)
 class FloerComplex:
-    datum: AInftyDatum
-    words: Tuple[Word, ...]
-    differential: Matrix
+    """The composable-chain complex of a datum.
+
+    ``words`` (the basis, ``enumerate_words``) and ``differential`` (the
+    signed matrix on it, ``assemble_differential``) are computed from the
+    datum on first use and kept, so a check decided on the structure
+    tensors builds neither.  ``FloerComplex(datum, words, differential)``
+    takes the basis and the matrix as given, unchecked; the checks read a
+    given differential on the word basis only.
+    """
+
+    def __init__(self, datum: AInftyDatum,
+                 words: Optional[Tuple[Word, ...]] = None,
+                 differential: Optional[Matrix] = None):
+        self.datum = datum
+        self._given = differential is not None
+        if words is not None:
+            self.words = words
+        if differential is not None:
+            self.differential = differential
 
     @property
     def modulus(self) -> int:
@@ -420,43 +522,65 @@ class FloerComplex:
         # assemble_differential validated the generators already
         return {g.id: g for g in self.datum.generators}
 
+    @cached_property
+    def words(self) -> Tuple[Word, ...]:
+        return enumerate_words(self.datum)
+
+    @cached_property
+    def differential(self) -> Matrix:
+        gens = self._gens
+        tindex = _tensor_index(self.datum.tensors)
+        arities = sorted({len(block) for block in tindex})
+        matrix: Matrix = {}
+        for word in self.words:
+            q = len(word)
+            prefix = _prefix_mu(word, gens)
+            row: Dict[Word, NovikovSeries] = {}
+            for w in arities:
+                for i in range(1, q - w + 2):
+                    entries = tindex.get(word[i - 1:i - 1 + w])
+                    if not entries:
+                        continue
+                    exp = _delta_exp(q, w, i) + w * prefix[i - 1]
+                    for entry in entries:
+                        out_word = (word[:i - 1] + (entry.output,)
+                                    + word[i - 1 + w:])
+                        _acc(row, out_word, _signed(entry.coeff, exp))
+            if row:
+                matrix[word] = row
+        return matrix
+
 
 def assemble_differential(d: AInftyDatum) -> FloerComplex:
-    """Assemble the signed differential on the composable-chain basis.
+    """Validate a datum and return its complex.
 
-    The cardinality-q component acting through an arity-w tensor in slot
-    i carries the sign (-1)^_delta_exp(q, w, i) = (-1)^(q*w + i*(w-1))
-    together with the graded evaluation sign of the block against the
-    factors to its left.
+    The generators and structure tensors are checked here; the words and
+    the differential are built on first use.  The cardinality-q component
+    acting through an arity-w tensor in slot i carries the sign
+    (-1)^_delta_exp(q, w, i) = (-1)^(q*w + i*(w-1)) together with the
+    graded evaluation sign of the block against the factors to its left.
     """
     gens = _gen_map(d)
     _validate_entries(d.tensors, gens, gens, lambda w: 2 - w, d.modulus,
                       d.ring, "structure tensor")
-    tindex = _tensor_index(d.tensors)
-    arities = sorted({len(block) for block in tindex})
-    words = enumerate_words(d)
-    matrix: Matrix = {}
-    for word in words:
-        q = len(word)
-        prefix = _prefix_mu(word, gens)
-        row: Dict[Word, NovikovSeries] = {}
-        for w in arities:
-            for i in range(1, q - w + 2):
-                entries = tindex.get(word[i - 1:i - 1 + w])
-                if not entries:
-                    continue
-                exp = _delta_exp(q, w, i) + w * prefix[i - 1]
-                for entry in entries:
-                    out_word = word[:i - 1] + (entry.output,) + word[i - 1 + w:]
-                    _acc(row, out_word, _signed(entry.coeff, exp))
-        if row:
-            matrix[word] = row
-    return FloerComplex(d, words, matrix)
+    return FloerComplex(d)
 
 
 def check_a_infinity(d: AInftyDatum) -> dict:
-    """Report whether the assembled differential squares to zero."""
+    """Report whether the assembled differential squares to zero.
+
+    Decided on the one-output component of d d, the tensors spliced into
+    the tensors, when d is odd (Z or an even modulus); a passing report
+    counts its words without listing them (``_word_count``).  An odd
+    modulus or a defect in that component builds d d on the word basis.
+    """
     c = assemble_differential(d)
+    if _on_tensors(c):
+        one: Matrix = {}
+        _splice(one, _d_parts(c), c)
+        if _is_zero(one):
+            return {"square_zero": True, "words": _word_count(c._gens),
+                    "nonzero_entries": []}
     dd = _mat_compose(c.differential, c.differential)
     ok = _mat_is_zero(dd)
     return {
@@ -647,18 +771,31 @@ def assemble_continuation(c: FloerComplex, c_prime: FloerComplex,
 
 def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
                     h: MapDatum) -> dict:
-    """Verify the assembled continuation intertwines the differentials."""
+    """Verify the assembled continuation intertwines the differentials.
+
+    ``dual_expansion`` compares the continuation with the fan-in of its
+    one-output components.  When that holds exactly and both differentials
+    are odd, d F - F d' is decided on its one-output component: the fan-in
+    over the inputs of each structure tensor of ``c``, less the tensors of
+    ``c_prime`` spliced into the continuation's entries.  Otherwise, or for
+    a defect, both composites are built on the word basis.
+    """
     fmat = assemble_continuation(c, c_prime, h)
+    # the continuation is the product-rule extension of its one-output
+    # components: their fan-in over every target word
+    parts = _one_output(fmat)
+    expansion = _mat_add(
+        fmat, _fan_in_matrix(c.words, parts, c_prime._gens), sign=-1)
+    if (not expansion and _on_tensors(c, c_prime)
+            and _is_zero(_chain_defect(c, c_prime, parts))):
+        return {"chain_map": True, "dual_expansion": True, "defects": []}
     lhs = _mat_compose(fmat, c.differential)
     rhs = _mat_compose(c_prime.differential, fmat)
     defect = _mat_add(lhs, rhs, sign=-1)
     ok = _mat_is_zero(defect)
-    # the continuation is the product-rule extension of its one-output
-    # components: their fan-in over every target word
-    predicted = _fan_in_matrix(c.words, _one_output(fmat), c_prime._gens)
     return {
         "chain_map": ok,
-        "dual_expansion": _mat_is_zero(_mat_add(fmat, predicted, sign=-1)),
+        "dual_expansion": _mat_is_zero(expansion),
         "defects": [] if ok else _entry_report(defect),
     }
 
@@ -691,10 +828,10 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
     has a chance to hold: its arity-w entries are forced by the
     one-output components on words of length w, which only involve lower
     arities of h1.  h0 is fanned in once; pass w fans the homotopy in over
-    the target words of length at most w only, since a row of length at
-    most w (the words of length w and the words their differential
-    reaches) reads no other target word and only entries of h1 of arity
-    below w.
+    the target words of length at most w only, and builds the rows of
+    length at most w only: those are the rows it reads (the words of
+    length w and the words their differential reaches), and they read no
+    other target word and only entries of h1 of arity below w.
     """
     _validate_maps(c, c_prime, h0, k=k)
     gens, d_prime = c_prime._gens, c_prime.differential
@@ -705,7 +842,7 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
     for w in range(1, max_arity + 1):
         layer = [word for word in c_prime.words if len(word) == w]
         kk = _fan_in_matrix([u for u in c.words if len(u) <= w], h0_parts,
-                            gens, k_parts, _components(h1_entries))
+                            gens, k_parts, _components(h1_entries), longest=w)
         bracket = _mat_add(
             _mat_compose({x: kk[x] for x in layer if x in kk}, c.differential),
             _mat_compose({x: d_prime[x] for x in layer if x in d_prime}, kk))
@@ -719,13 +856,45 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
 
 def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
                    h1: MapDatum, k: MapDatum) -> dict:
-    """Verify F(h0) - F(h1) equals the graded commutator of k."""
+    """Verify F(h0) - F(h1) equals the graded commutator of k.
+
+    K, the fan-in framed by h0 and h1, has Delta K = (F0 (x) K + K (x) F1)
+    Delta, and so has F0 - F1.  With d and d' odd coderivations and F0, F1
+    even, Koszul signs give
+
+        Delta [d, K] = (F0 (x) [d, K] + [d, K] (x) F1) Delta
+                       + ((d F0 - F0 d') (x) K - K (x) (d F1 - F1 d')) Delta,
+
+    so D = F0 - F1 - [d, K] is of the same kind, and zero iff its
+    one-output component is, once F0 and F1 are chain maps.  The check
+    therefore decides on tensors when both differentials are odd and the
+    one-output chain-map defects of h0 and h1 both vanish: D's component
+    is the h0 entries, less the h1 entries, less the homotopy fan-in over
+    the inputs of each structure tensor of ``c``, plus the tensors of
+    ``c_prime`` spliced into the k entries (a k entry u -> g is K's entry
+    at [u][(g,)] signed by ``_homotopy_parity([w], ., 0)`` = 1, and K d'
+    is subtracted).  Otherwise, or for a defect, D is built on the word
+    basis.
+    """
     _validate_maps(c, c_prime, h0, h1, k=k)
     gens = c_prime._gens
     h0_parts, h1_parts = _components(h0.h), _components(h1.h)
+    k_parts = _components(k.k)
+    if (_on_tensors(c, c_prime)
+            and _is_zero(_chain_defect(c, c_prime, h0_parts))
+            and _is_zero(_chain_defect(c, c_prime, h1_parts))):
+        one: Matrix = {}
+        for parts, exp in ((h0_parts, 0), (h1_parts, 1)):
+            for g, comps in parts.items():
+                for word, coeff in comps:
+                    _acc(one.setdefault(word, {}), g, _signed(coeff, exp))
+        _fan_out(one, c, gens, h0_parts, k_parts, h1_parts, exp=1)
+        _splice(one, k_parts, c_prime)
+        if _is_zero(one):
+            return {"homotopy": True, "defects": []}
     f0 = _fan_in_matrix(c.words, h0_parts, gens)
     f1 = _fan_in_matrix(c.words, h1_parts, gens)
-    kk = _fan_in_matrix(c.words, h0_parts, gens, _components(k.k), h1_parts)
+    kk = _fan_in_matrix(c.words, h0_parts, gens, k_parts, h1_parts)
     bracket = _mat_add(_mat_compose(kk, c.differential),
                        _mat_compose(c_prime.differential, kk))
     defect = _mat_add(_mat_add(f0, f1, sign=-1), bracket, sign=-1)
@@ -1208,6 +1377,24 @@ def _json_id(obj: Mapping, key: str) -> str:
     return v
 
 
+def _json_object(v, what: str) -> Mapping:
+    """``v`` if it is a JSON object."""
+    if not isinstance(v, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {v!r}")
+    return v
+
+
+def _json_list(obj: Mapping, key: str, default=None) -> list:
+    """``obj[key]`` (or ``default`` when it is absent) if it is a JSON list
+    of JSON objects."""
+    v = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {v!r}")
+    for n, x in enumerate(v):
+        _json_object(x, f"{key}[{n}]")
+    return v
+
+
 def _entry_from_json(obj, ring) -> TensorEntry:
     if not (isinstance(obj["inputs"], (list, tuple))
             and all(type(x) is str for x in obj["inputs"])):
@@ -1221,12 +1408,13 @@ def _entry_from_json(obj, ring) -> TensorEntry:
 
 
 def datum_from_json(obj: Mapping) -> AInftyDatum:
-    ring = obj.get("ring", "Z")
+    ring = _json_object(obj, "datum").get("ring", "Z")
     gens = tuple(Generator(_json_id(g, "id"), _json_int(g, "i"),
                            _json_int(g, "j"), _json_int(g, "mu"))
-                 for g in obj["generators"])
+                 for g in _json_list(obj, "generators"))
     _check_ring(ring)
-    tensors = tuple(_entry_from_json(e, ring) for e in obj.get("tensors", ()))
+    tensors = tuple(_entry_from_json(e, ring)
+                    for e in _json_list(obj, "tensors", ()))
     labels = _json_int(obj, "labels")
     modulus = _json_int(obj, "modulus") if "modulus" in obj else 0
     if modulus < 0:
@@ -1260,12 +1448,13 @@ def datum_to_json(d: AInftyDatum) -> dict:
 
 
 def map_from_json(obj: Mapping, ring: str = "Z") -> MapDatum:
-    h = tuple(_entry_from_json(e, ring) for e in obj.get("H", ()))
-    k = tuple(_entry_from_json(e, ring) for e in obj.get("K", ()))
+    _json_object(obj, "map")
+    h = tuple(_entry_from_json(e, ring) for e in _json_list(obj, "H", ()))
+    k = tuple(_entry_from_json(e, ring) for e in _json_list(obj, "K", ()))
     return MapDatum(h=h, k=k)
 
 
 def augmentation_from_json(obj: Mapping, ring: str = "Z") -> Augmentation:
     vals = {_json_id(v, "id"): parse_series(v["value"], ring=ring)
-            for v in obj["values"]}
+            for v in _json_list(_json_object(obj, "augmentation"), "values")}
     return Augmentation(values=vals)

@@ -184,7 +184,7 @@ def _cmd_ainfty(args) -> int:
 def _cmd_floer_hf(args) -> int:
     obj = _load_json(args.file)
     ring = "Q" if args.rational else "Z"
-    if "points" in obj:
+    if isinstance(obj, dict) and "points" in obj:
         datum = _mor.build_floer_complex(_mor.morse_datum_from_json(obj))
     else:
         datum = _ai.datum_from_json(obj)

@@ -25,7 +25,16 @@ on the primal word basis and glued by fan-in.
   each source word into blocks from left to right and adds the sign one
   block at a time.  ``assemble_continuation``, ``assemble_homotopy`` and
   ``check_homotopy`` are the library functions as they were on top of
-  it."""
+  it.
+
+The ``word_basis_*`` checks are the library's ``check_a_infinity``,
+``check_chain_map`` and ``check_homotopy`` as they were before they were
+decided on one-output defects: every check builds its composites on the
+word basis.  They are the oracle for the one-output checks, and read the
+complexes' words and differentials and call
+``ainfty.assemble_differential`` and ``ainfty.assemble_continuation`` as
+the library does, so a test that patches the library's assembler patches
+these copies too."""
 
 from __future__ import annotations
 
@@ -40,13 +49,16 @@ from openstrings.ainfty import (
     _a3_left,
     _a3_right,
     _acc,
+    _components,
     _dual_transpose,
     _entry_report,
+    _fan_in_matrix,
     _grade,
     _mat_add,
     _mat_compose,
     _mat_entries,
     _mat_is_zero,
+    _one_output,
     _prefix_mu,
     _signed,
     _split_parity,
@@ -273,6 +285,48 @@ def check_homotopy(c, c_prime, h0, h1, k):
     f0 = _expand(c_prime, h0_index)
     f1 = _expand(c_prime, h1_index)
     kk = _expand(c_prime, h0_index, _tensor_index(k.k), h1_index)
+    bracket = _mat_add(_mat_compose(kk, c.differential),
+                       _mat_compose(c_prime.differential, kk))
+    defect = _mat_add(_mat_add(f0, f1, sign=-1), bracket, sign=-1)
+    ok = _mat_is_zero(defect)
+    return {
+        "homotopy": ok,
+        "defects": [] if ok else _entry_report(defect),
+    }
+
+
+def word_basis_check_a_infinity(d):
+    c = ainfty.assemble_differential(d)
+    dd = _mat_compose(c.differential, c.differential)
+    ok = _mat_is_zero(dd)
+    return {
+        "square_zero": ok,
+        "words": len(c.words),
+        "nonzero_entries": [] if ok else _entry_report(dd),
+    }
+
+
+def word_basis_check_chain_map(c, c_prime, h):
+    fmat = ainfty.assemble_continuation(c, c_prime, h)
+    lhs = _mat_compose(fmat, c.differential)
+    rhs = _mat_compose(c_prime.differential, fmat)
+    defect = _mat_add(lhs, rhs, sign=-1)
+    ok = _mat_is_zero(defect)
+    predicted = _fan_in_matrix(c.words, _one_output(fmat), c_prime._gens)
+    return {
+        "chain_map": ok,
+        "dual_expansion": _mat_is_zero(_mat_add(fmat, predicted, sign=-1)),
+        "defects": [] if ok else _entry_report(defect),
+    }
+
+
+def word_basis_check_homotopy(c, c_prime, h0, h1, k):
+    _validate_maps(c, c_prime, h0, h1, k=k)
+    gens = c_prime._gens
+    h0_parts, h1_parts = _components(h0.h), _components(h1.h)
+    f0 = _fan_in_matrix(c.words, h0_parts, gens)
+    f1 = _fan_in_matrix(c.words, h1_parts, gens)
+    kk = _fan_in_matrix(c.words, h0_parts, gens, _components(k.k), h1_parts)
     bracket = _mat_add(_mat_compose(kk, c.differential),
                        _mat_compose(c_prime.differential, kk))
     defect = _mat_add(_mat_add(f0, f1, sign=-1), bracket, sign=-1)

@@ -327,30 +327,41 @@ def test_homotopic_map_expands_only_the_rows_each_pass_reads(chain_complex,
                                                               monkeypatch):
     # h0 is fanned in once over every target word; pass w fans the homotopy
     # in over the target words of length at most w, with h1 entries of
-    # arity below w only: 59 + (14 + 41 + 59) target words here
+    # arity below w only, and builds no row longer than w: 59 + (14 + 41 +
+    # 59) target words here
     c = chain_complex
     calls = []
     real = ainfty._fan_in_matrix
 
-    def spy(words, components, gens, k=None, after=None):
+    def spy(words, components, gens, k=None, after=None, longest=None):
         arities = [len(inputs) for parts in (after or {}).values()
                    for inputs, _ in parts]
-        calls.append((k is not None, tuple(words), arities))
-        return real(words, components, gens, k, after)
+        out = real(words, components, gens, k, after, longest)
+        calls.append((k is not None, tuple(words), arities,
+                      max(map(len, out), default=0)))
+        return out
 
     monkeypatch.setattr(ainfty, "_fan_in_matrix", spy)
     k = MapDatum(k=_CHAIN_HOMOTOPIES[3])
     h1 = homotopic_map(c, c, identity_continuation(c), k)
     max_arity = max(len(w) for w in c.words)
-    (is_k, words, _), *passes = calls
+    (is_k, words, _, _), *passes = calls
     assert not is_k and words == c.words
     assert len(passes) == max_arity == 3
-    for w, (is_k, words, arities) in enumerate(passes, 1):
+    for w, (is_k, words, arities, longest_row) in enumerate(passes, 1):
         assert is_k and words == tuple(x for x in c.words if len(x) <= w)
         assert all(a < w for a in arities)
+        assert longest_row <= w
     # the last pass read h1 entries of arities 1 and 2
     assert set(passes[-1][2]) == {1, 2} and h1.h
-    assert [len(words) for _, words, _ in calls] == [59, 14, 41, 59]
+    assert [len(words) for _, words, _, _ in calls] == [59, 14, 41, 59]
+    # with an arity-2 homotopy entry, h1 entries of arity 2 glue into
+    # chains longer than the pass, which it does not build
+    for entries in _CHAIN_HOMOTOPIES:
+        calls.clear()
+        homotopic_map(c, c, identity_continuation(c), MapDatum(k=entries))
+        assert all(longest_row <= w
+                   for w, (_, _, _, longest_row) in enumerate(calls[1:], 1))
 
 
 def test_homotopic_map_matches_full_re_expansion(chain_datum,
@@ -1795,3 +1806,341 @@ def test_rank_deficient_ten_by_eleven_block():
     assert _rank_at(rows, 11, Fraction(2)) == 9
     coh = cohomology(_block_complex(rows, 11), ring="Q")
     assert coh["ranks"] == {"0": 1, "1": 2}
+
+
+# ---------------------------------------------------------------------------
+# checks decided on one-output defects against the word basis
+
+
+_WORD_BASIS = {
+    "square": (check_a_infinity,
+               ainfty_reference.word_basis_check_a_infinity),
+    "chain": (check_chain_map, ainfty_reference.word_basis_check_chain_map),
+    "homotopy": (check_homotopy,
+                 ainfty_reference.word_basis_check_homotopy),
+}
+
+
+def _outcome(fn, *args):
+    """The report of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, KeyError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _against_word_basis(kind, args, monkeypatch):
+    """The library's outcome of a check, asserted equal to the word-basis
+    oracle's, and whether the library composed matrices on the word basis."""
+    check, oracle = _WORD_BASIS[kind]
+    composed = []
+    real = ainfty._mat_compose
+    with monkeypatch.context() as m:
+        m.setattr(ainfty, "_mat_compose",
+                  lambda a, b: composed.append(1) or real(a, b))
+        got = _outcome(check, *args)
+    assert got == _outcome(oracle, *args), kind
+    return got, bool(composed)
+
+
+def _passed(report):
+    return isinstance(report, dict) and all(
+        v for k, v in report.items() if isinstance(v, bool))
+
+
+def _random_datum(rng, l, modulus):
+    """Random generators on the label pairs and random structure tensors
+    of arities 1-4, each with an output whose index matches mod
+    ``modulus``: mostly not A-infinity, often with a one-output d d that
+    vanishes."""
+    gens = [Generator(f"x{i}{j}{n}", i, j, rng.randint(-2, 2))
+            for i in range(l + 1) for j in range(i + 1, l + 1)
+            for n in range(rng.choice((0, 1, 1, 2)))]
+    by_start = {}
+    for g in gens:
+        by_start.setdefault(g.i, []).append(g)
+    tensors = []
+    for _ in range(rng.randint(1, 2 * l) if gens else 0):
+        chain = [rng.choice(gens)]
+        for _ in range(rng.randint(0, 3)):
+            if chain[-1].j not in by_start:
+                break
+            chain.append(rng.choice(by_start[chain[-1].j]))
+        w = len(chain)
+        mu = sum(g.mu for g in chain) + 2 - w
+        outs = [g for g in gens if (g.i, g.j) == (chain[0].i, chain[-1].j)
+                and _grade(g.mu - mu, modulus) == 0]
+        if outs:
+            tensors.append(T([g.id for g in chain], rng.choice(outs).id,
+                             _random_unit(rng)))
+    return AInftyDatum(l=l, generators=tuple(gens), tensors=tuple(tensors),
+                       modulus=modulus)
+
+
+def _transfer(c, h):
+    """The datum on the generators of ``c`` whose differential d' makes
+    the continuation ``h`` (diagonal units plus higher entries) a chain map
+    into ``c``: arity by arity, the one-output part of d F - F d', with d'
+    built so far, is F after d'_n, d'_n followed by the diagonal unit, on
+    the word basis."""
+    units = {e.inputs[0]: e.coeff for e in h.h if e.inputs == (e.output,)}
+    tensors = []
+    for n in range(1, c.datum.l + 1):
+        cp = assemble_differential(replace(c.datum, tensors=tuple(tensors)))
+        fmat = assemble_continuation(c, cp, h)
+        want = _mat_add(_mat_compose(fmat, c.differential),
+                        _mat_compose(cp.differential, fmat), sign=-1)
+        for word in cp.words:
+            for wout, coeff in want.get(word, {}).items():
+                if len(word) == n and len(wout) == 1 and coeff:
+                    # d' reads an arity-n entry with the sign
+                    # (-1)^_delta_exp(n, n, 1) = -1
+                    (exp, cf), = units[wout[0]].terms
+                    inverse = NovikovSeries.monomial(-cf, -exp)
+                    tensors.append(TensorEntry(word, wout[0], coeff * inverse))
+    return replace(c.datum, tensors=tuple(tensors))
+
+
+def _transfer_case(rng, l):
+    """``_random_case`` data, with the source complex replaced by the
+    transfer of the base along a continuation with entries of arities
+    1-3: an A-infinity datum with tensors of arity above 2, a chain map
+    into the base, a homotopy and the far end ``homotopic_map`` solves."""
+    c0, _, _, _, _, h, _, k = _random_case(rng, l)
+    # invertible diagonal units: signs and powers of t only
+    h = MapDatum(h=tuple(
+        T(e.inputs, e.output, S(f"{rng.choice(('', '-'))}t^{rng.randint(-2, 2)}"))
+        if e.arity == 1 else e for e in h.h))
+    gens = {g.id: g for g in c0.datum.generators}
+    chains = [w for w in enumerate_words(c0.datum) if len(w) == 3]
+    extra = []
+    for word in rng.sample(chains, min(3, len(chains))):
+        mu = sum(gens[x].mu for x in word) - 2
+        outs = [g for g in c0.datum.generators if g.mu == mu
+                and (g.i, g.j) == (gens[word[0]].i, gens[word[-1]].j)]
+        if outs:
+            extra.append(T(word, rng.choice(outs).id, _random_unit(rng)))
+    h = MapDatum(h=h.h + tuple(extra))
+    c1 = assemble_differential(_transfer(c0, h))
+    return c0, c1, h, k, homotopic_map(c0, c1, h, k)
+
+
+def _assert_checks_match(c, cp, h, k, h1, rng, monkeypatch):
+    """Every check on the complexes and their mutants equals the oracle;
+    returns (kind, modulus, outcome, composed on words) per check."""
+    out = []
+
+    def run(kind, *args):
+        got, composed = _against_word_basis(kind, args, monkeypatch)
+        out.append((kind, args[0].modulus, got, composed))
+
+    run("square", c.datum)
+    run("square", cp.datum)
+    run("chain", c, cp, h)
+    run("chain", c, cp, h1)
+    run("homotopy", c, cp, h, h1, k)
+    # sign mutants of the tensors, h and k
+    bad = assemble_differential(replace(cp.datum,
+                                        tensors=_flip_one(cp.datum.tensors, rng)))
+    run("square", bad.datum)
+    run("chain", c, bad, h)
+    run("chain", c, cp, MapDatum(h=_flip_one(h.h, rng)))
+    run("homotopy", c, cp, MapDatum(h=_flip_one(h.h, rng)), h1, k)
+    run("homotopy", c, cp, h, MapDatum(h=_flip_one(h1.h, rng)), k)
+    run("homotopy", c, cp, h, h1, MapDatum(k=_flip_one(k.k, rng)))
+    # rejected input: the same exception and message
+    g = rng.choice(cp.datum.generators).id
+    run("square", replace(cp.datum, tensors=cp.datum.tensors + (
+        T([g], "nowhere"),)))
+    run("chain", c, cp, MapDatum(h=h.h + (T([g], "nowhere"),)))
+    run("homotopy", c, cp, h, h1, MapDatum(k=k.k + (T([g], "nowhere"),)))
+    return out
+
+
+_REJECTED = {"square": "structure tensor", "chain": "continuation tensor",
+             "homotopy": "homotopy tensor"}
+
+
+def _expect_decided_on_tensors(results, cutoff=False):
+    """A failing report, and any report under an odd modulus, composed on
+    words; a passing report on Z or an even modulus, without cutoffs,
+    composed nothing, except a homotopy whose ends need not be chain
+    maps.  Rejected input raises before either."""
+    raised = 0
+    for kind, modulus, got, composed in results:
+        if isinstance(got, tuple):
+            raised += 1
+            assert got[1] == f"{_REJECTED[kind]} outputs unknown generator 'nowhere'"
+        elif modulus % 2 or not _passed(got):
+            assert composed, (kind, got)
+        elif not cutoff and kind != "homotopy":
+            assert not composed, (kind, got)
+    assert raised == 3
+
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_one_output_checks_match_word_basis_on_transfers(l, monkeypatch):
+    rng = random.Random(7700 + l)
+    seen = {"arity3": 0, "passed": 0, "failed": 0}
+    for _ in range(3):
+        c0, c1, h, k, h1 = _transfer_case(rng, l)
+        seen["arity3"] += any(e.arity >= 3 for e in c1.datum.tensors)
+        for modulus in (0, 1, 2, 3):
+            c, cp = (assemble_differential(replace(x.datum, modulus=modulus))
+                     for x in (c0, c1))
+            results = _assert_checks_match(c, cp, h, k, h1, rng, monkeypatch)
+            _expect_decided_on_tensors(results)
+            # the transfer is A-infinity, h and the solved h1 chain maps,
+            # and the homotopy closes
+            assert all(_passed(got) for _, _, got, _ in results[:5])
+            if modulus % 2 == 0:
+                assert not any(composed for _, _, _, composed in results[:5])
+            seen["passed"] += sum(_passed(got) for _, _, got, _ in results)
+            seen["failed"] += sum(not _passed(got) for _, _, got, _ in results)
+        cut = [assemble_differential(replace(
+            x.datum, tensors=_cut_entries(x.datum.tensors, rng)))
+            for x in (c0, c1)]
+        _expect_decided_on_tensors(_assert_checks_match(
+            *cut, MapDatum(h=_cut_entries(h.h, rng)),
+            MapDatum(k=_cut_entries(k.k, rng)), h1, rng, monkeypatch),
+            cutoff=True)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("modulus", [0, 1, 2, 3])
+def test_one_output_checks_match_word_basis_on_random_data(modulus,
+                                                           monkeypatch):
+    rng = random.Random(7800 + modulus)
+    seen = {"passed": 0, "failed": 0, "homotopy": 0}
+    for _ in range(25):
+        d = _random_datum(rng, rng.randint(2, 4), modulus)
+        units = {g.id: _random_unit(rng) for g in d.generators}
+        c = assemble_differential(d)
+        cp = assemble_differential(conjugate_datum(d, units))
+        h = diagonal_map(d, units)
+        k = MapDatum(k=tuple(
+            T([x.id], y.id, _random_unit(rng)) for x in d.generators
+            for y in d.generators if (x.i, x.j) == (y.i, y.j)
+            and _grade(y.mu - x.mu + 1, modulus) == 0 and rng.random() < 0.4))
+        h1 = homotopic_map(c, cp, h, k)
+        results = _assert_checks_match(c, cp, h, k, h1, rng, monkeypatch)
+        _expect_decided_on_tensors(results)
+        seen["passed"] += sum(_passed(got) for _, _, got, _ in results)
+        seen["failed"] += sum(not _passed(got) for _, _, got, _ in results)
+        seen["homotopy"] += _passed(results[4][2]) and bool(k.k)
+    assert all(seen.values()), seen
+
+
+def test_one_output_checks_match_word_basis_on_fixtures(
+        chain_datum, conjugated_datum, chain_units, monkeypatch):
+    rng = random.Random(7900)
+    diag = diagonal_map(chain_datum, chain_units)
+    for entries in _CHAIN_HOMOTOPIES:
+        k = MapDatum(k=entries)
+        for modulus in (0, 1, 2):
+            c, cp = (assemble_differential(replace(d, modulus=modulus))
+                     for d in (chain_datum, conjugated_datum))
+            h1 = homotopic_map(c, cp, diag, k)
+            results = _assert_checks_match(c, cp, diag, k, h1, rng,
+                                           monkeypatch)
+            _expect_decided_on_tensors(results)
+            assert all(_passed(got) for _, _, got, _ in results[:5])
+
+
+def test_odd_modulus_square_is_decided_on_words():
+    # x -> y and z -> w commute past each other with the sign of their
+    # indices, which modulus 1 leaves undetermined: the one-output d d is
+    # zero, but (x, z) -> (y, w) is reached twice with the same sign
+    gens = (Generator("x", 0, 1, 0), Generator("y", 0, 1, 0),
+            Generator("z", 1, 2, 0), Generator("w", 1, 2, 0))
+    d = AInftyDatum(l=2, generators=gens,
+                    tensors=(T(["x"], "y"), T(["z"], "w")), modulus=1)
+    c = assemble_differential(d)
+    one = {}
+    ainfty._splice(one, ainfty._d_parts(c), c)
+    assert ainfty._is_zero(one)
+    report = {"square_zero": False, "words": 8, "nonzero_entries": [
+        {"in": ["x", "z"], "out": ["y", "w"], "coeff": "2t^0"}]}
+    assert check_a_infinity(d) == report
+    assert ainfty_reference.word_basis_check_a_infinity(d) == report
+
+
+def test_homotopy_between_non_chain_maps_is_decided_on_words(
+        chain_datum, conjugated_datum, chain_units):
+    # h1 solved from an h0 that is no chain map: the one-output component
+    # of F0 - F1 - [d, K] vanishes, the defect does not
+    c = assemble_differential(chain_datum)
+    cp = assemble_differential(conjugated_datum)
+    h0 = MapDatum(h=tuple(
+        T(e.inputs, e.output, e.coeff.scale(-1)) if e.output == "g12" else e
+        for e in diagonal_map(chain_datum, chain_units).h))
+    assert not check_chain_map(c, cp, h0)["chain_map"]
+    for entries in _CHAIN_HOMOTOPIES[:4]:
+        k = MapDatum(k=entries)
+        h1 = homotopic_map(c, cp, h0, k)
+        kk = assemble_homotopy(c, cp, h0, h1, k)
+        defect = _mat_add(
+            _mat_add(assemble_continuation(c, cp, h0),
+                     assemble_continuation(c, cp, h1), sign=-1),
+            _mat_add(_mat_compose(kk, c.differential),
+                     _mat_compose(cp.differential, kk)), sign=-1)
+        outputs = {len(u) for row in defect.values() for u, x in row.items()
+                   if x}
+        assert outputs and 1 not in outputs
+        report = check_homotopy(c, cp, h0, h1, k)
+        assert not report["homotopy"]
+        assert report == ainfty_reference.word_basis_check_homotopy(
+            c, cp, h0, h1, k)
+
+
+def test_word_count_is_the_number_of_words(chain_datum):
+    rng = random.Random(8000)
+    datums = [chain_datum, make_augmentation_datum()[0]] + [
+        _random_datum(rng, rng.randint(1, 5), 0) for _ in range(30)]
+    for d in datums:
+        assert ainfty._word_count(ainfty._gen_map(d)) == len(enumerate_words(d))
+
+
+def test_given_differential_is_read_on_words(chain_datum, conjugated_datum,
+                                             chain_units, monkeypatch):
+    # a differential passed to FloerComplex need not be the Leibniz
+    # extension of the tensors, so the checks read it as it is
+    rng = random.Random(8100)
+    c = assemble_differential(chain_datum)
+    cp = assemble_differential(conjugated_datum)
+    broken = FloerComplex(chain_datum, c.words,
+                          _flip_entry(c.differential, rng))
+    diag = diagonal_map(chain_datum, chain_units)
+    k = MapDatum(k=_CHAIN_HOMOTOPIES[0])
+    for kind, args in (("chain", (broken, cp, diag)),
+                       ("chain", (cp, broken, diag)),
+                       ("homotopy", (broken, cp, diag, diag, k))):
+        got, composed = _against_word_basis(kind, args, monkeypatch)
+        assert composed and not _passed(got)
+
+
+def test_complex_builds_words_and_differential_on_first_use(
+        chain_datum, conjugated_datum, chain_units):
+    def built(*cs):
+        return [(name in vars(x)) for x in cs
+                for name in ("words", "differential")]
+
+    diag = diagonal_map(chain_datum, chain_units)
+    ident = MapDatum(h=tuple(T([g.id], g.id) for g in chain_datum.generators))
+    k = MapDatum(k=_CHAIN_HOMOTOPIES[0])
+    c, cp = (assemble_differential(d) for d in (chain_datum, conjugated_datum))
+    assert built(c, cp) == [False] * 4
+    h1 = homotopic_map(c, c, ident, k)
+    c = assemble_differential(chain_datum)
+    assert check_homotopy(c, c, ident, h1, k)["homotopy"]
+    assert built(c) == [False, False]
+    # a continuation reads the words of its target, not the differentials
+    assert check_chain_map(c, cp, diag)["chain_map"]
+    assert built(c, cp) == [True, False, False, False]
+    c0, c1, c2 = (assemble_differential(d)
+                  for d in (chain_datum, conjugated_datum, conjugated_datum))
+    assert check_composition(c0, c1, c2, diag, ident)["composition"]
+    assert built(c0, c1, c2) == [True, False, True, False, False, False]
+    assert c0.differential == _ref_differential(chain_datum)
+    assert c0.words == enumerate_words(chain_datum)

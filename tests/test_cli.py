@@ -529,6 +529,60 @@ def test_augmentation_id_must_be_a_string(tmp_path):
         BAD_INPUT, "", "invalid input: id must be a string, got 5\n")
 
 
+@pytest.mark.parametrize("command", [("ainfty", "check"), ("floer", "hf")])
+@pytest.mark.parametrize("datum,message", [
+    # a non-object datum used to die with an AttributeError and exit 1
+    ([1], "datum must be a JSON object, got [1]"),
+    (5, "datum must be a JSON object, got 5"),
+    (["points"], "datum must be a JSON object, got ['points']"),
+    # used to report "string indices must be integers"
+    ({"labels": 2, "generators": {"id": "x"}},
+     "generators must be a list, got {'id': 'x'}"),
+    ({"labels": 2, "generators": [1]},
+     "generators[0] must be a JSON object, got 1"),
+    (dict(_small_datum(), tensors={}), "tensors must be a list, got {}"),
+    (dict(_small_datum(), tensors=[3]),
+     "tensors[0] must be a JSON object, got 3")],
+    ids=["list", "number", "points-list", "generators-object",
+         "generator-number", "tensors-object", "tensor-number"])
+def test_datum_shape_is_checked_at_the_boundary(tmp_path, command, datum,
+                                                message):
+    assert run(*command, write(tmp_path, "bad.json", datum)) == (
+        BAD_INPUT, "", f"invalid input: {message}\n")
+
+
+@pytest.mark.parametrize("action,change,message", [
+    # "source": 1 used to die with an AttributeError and exit 1
+    ("map", {"source": 1}, "datum must be a JSON object, got 1"),
+    ("map", {"map": 5}, "H must be a list, got 5"),
+    ("map", {"map": [7]}, "H[0] must be a JSON object, got 7"),
+    ("homotopy", {"k": {"inputs": ["ap"]}},
+     "K must be a list, got {'inputs': ['ap']}"),
+    ("augment", {"augmentation": 3},
+     "augmentation must be a JSON object, got 3"),
+    ("augment", {"augmentation": {"values": {"id": "y"}}},
+     "values must be a list, got {'id': 'y'}"),
+    ("augment", {"augmentation": {"values": ["y"]}},
+     "values[0] must be a JSON object, got 'y'")],
+    ids=["source", "map-number", "map-entry", "k-object", "augmentation",
+         "values-object", "value-string"])
+def test_bundle_shape_is_checked_at_the_boundary(tmp_path, chain_json,
+                                                 ident_entries, action,
+                                                 change, message):
+    bundles = {
+        "map": {"source": chain_json, "target": chain_json,
+                "map": ident_entries},
+        "homotopy": {"source": chain_json, "target": chain_json,
+                     "h0": ident_entries, "h1": ident_entries, "k": []},
+        "augment": AUG_JSON,
+    }
+    bundle = bundles[action]
+    assert run("ainfty", action, write(tmp_path, "ok.json", bundle))[0] == PASS
+    bad = write(tmp_path, "bad.json", dict(bundle, **change))
+    assert run("ainfty", action, bad) == (
+        BAD_INPUT, "", f"invalid input: {message}\n")
+
+
 def test_ainfty_same_reports_under_optimize(tmp_path, chain_json, conj_json,
                                             diag_entries, ident_entries):
     # no check of the library may vanish under ``python -O``: passing,
