@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import methodcaller
 
 from . import ainfty as _ai
 from . import conductors as _cond
@@ -124,12 +123,22 @@ def _cmd_maslov(args) -> int:
     return PASS
 
 
-def _complex(obj) -> "_ai.FloerComplex":
-    return _ai.assemble_differential(_ai.datum_from_json(obj))
+def _part(bundle, key: str):
+    """``bundle[key]``; a bundle that is no JSON object or lacks the part is
+    invalid input that names it."""
+    if key not in _ai._json_object(bundle, "bundle"):
+        raise ValueError(f"bundle has no part {key!r}")
+    return bundle[key]
 
 
-def _entries(obj, ring: str, key: str = "H") -> "_ai.MapDatum":
-    return _ai.map_from_json({key: obj}, ring=ring)
+def _complex(bundle, key: str) -> "_ai.FloerComplex":
+    return _ai.assemble_differential(_ai.datum_from_json(_part(bundle, key)))
+
+
+def _entries(bundle, key: str, ring: str, kind: str = "H") -> "_ai.MapDatum":
+    """The map whose ``kind`` entries are the bundle's list ``key``."""
+    _part(bundle, key)
+    return _ai.map_from_json({kind: _ai._json_list(bundle, key)}, ring=ring)
 
 
 def _kv_text(report: dict) -> str:
@@ -148,34 +157,32 @@ def _cmd_ainfty(args) -> int:
     if args.action == "check":
         report = _ai.check_a_infinity(_ai.datum_from_json(obj))
     elif args.action == "map":
-        source = _complex(obj["source"])
-        target = _complex(obj["target"])
-        h = _entries(obj["map"], source.datum.ring)
+        source = _complex(obj, "source")
+        target = _complex(obj, "target")
+        h = _entries(obj, "map", source.datum.ring)
         report = _ai.check_chain_map(target, source, h)
     elif args.action == "homotopy":
-        source = _complex(obj["source"])
-        target = _complex(obj["target"])
+        source = _complex(obj, "source")
+        target = _complex(obj, "target")
         ring = source.datum.ring
         report = _ai.check_homotopy(
-            target, source,
-            _entries(obj["h0"], ring), _entries(obj["h1"], ring),
-            _entries(obj["k"], ring, key="K"))
+            target, source, _entries(obj, "h0", ring),
+            _entries(obj, "h1", ring), _entries(obj, "k", ring, kind="K"))
     elif args.action == "compose":
-        c0 = _complex(obj["c0"])
-        c1 = _complex(obj["c1"])
-        c2 = _complex(obj["c2"])
+        c0 = _complex(obj, "c0")
+        c1 = _complex(obj, "c1")
+        c2 = _complex(obj, "c2")
         ring = c0.datum.ring
         report = _ai.check_composition(
-            c0, c1, c2,
-            _entries(obj["h01"], ring), _entries(obj["h12"], ring))
+            c0, c1, c2, _entries(obj, "h01", ring), _entries(obj, "h12", ring))
     else:  # augment
-        c = _complex(obj["datum"])
-        a = _ai.augmentation_from_json(obj["augmentation"],
+        c = _complex(obj, "datum")
+        a = _ai.augmentation_from_json(_part(obj, "augmentation"),
                                        ring=c.datum.ring)
         push = None
         if "map" in obj and "source" in obj:
-            push = (_complex(obj["source"]),
-                    _entries(obj["map"], c.datum.ring))
+            push = (_complex(obj, "source"),
+                    _entries(obj, "map", c.datum.ring))
         report = _ai.check_augmentation(c, a, push)
     _emit(report, _kv_text(report), args.text)
     return PASS if _report_ok(report) else FAIL
@@ -225,7 +232,11 @@ def _cmd_floer_sphere(args) -> int:
 
 
 def _cmd_sft(args) -> int:
-    m = tuple(int(x) for x in args.m.split(","))
+    try:
+        m = tuple(int(x) for x in args.m.split(","))
+    except ValueError:
+        raise ValueError("m must be comma-separated integers, "
+                         f"got {args.m!r}") from None
     q = _mor.SftIndexQuery(n=args.n, g=args.g, v=args.v, m=m)
     rep = _mor.sft_report(q)
     text = f"bound={rep['bound']} satisfies={_bool(rep['satisfies'])}"
@@ -235,8 +246,8 @@ def _cmd_sft(args) -> int:
 
 def _cmd_conductor(args) -> int:
     obj = _load_json(args.file)
-    h = _cond.continuation_from_json(obj["h"])
-    k = _cond.continuation_from_json(obj["k"])
+    h = _cond.continuation_from_json(_ai._json_object(_part(obj, "h"), "h"))
+    k = _cond.continuation_from_json(_ai._json_object(_part(obj, "k"), "k"))
     exact = _cond.is_exact(h, k)
     overlap = len(set(h.images) & set(k.positions))
     out = {
@@ -250,97 +261,151 @@ def _cmd_conductor(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# arguments
 
 
-def _polytope_args(p) -> None:
-    p.add_argument("family", choices=sorted(_FAMILY))
-    p.add_argument("--l", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    for flag in ("--faces", "--f-vector", "--facet-signs", "--boundary-check"):
-        mode.add_argument(flag, action="store_true")
-
-
-def _eval_args(p) -> None:
-    p.add_argument("expr")
-    p.add_argument("--ring", choices=["Z", "Q"], default="Z")
-    p.add_argument("--cutoff", default=None)
-
-
-def _hf_args(p) -> None:
-    p.add_argument("file")
-    p.add_argument("--rational", action="store_true",
-                   help="use field coefficients instead of integers")
-
-
-def _sft_args(p) -> None:
-    for flag in ("--n", "--g", "--v"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--m", required=True,
-                   help="comma-separated multiplicities, one per point")
-
-
-_FILE = methodcaller("add_argument", "file")
-# command -> (help, (handler, add_arguments)) for a command without actions,
-# else (help, {action: (help or None, handler, add_arguments)})
+_TEXT = ("--text", {"action": "store_true"})
+# command -> (help, leaf) for a command without actions, else
+# (help, {action: (help or None, *leaf)}).  A leaf is (handler, arguments);
+# an argument is (name, add_argument keywords), or (names, keywords) for a
+# mutually exclusive group of flags.  Every leaf also takes ``_TEXT``.
 _COMMANDS = {
-    "polytope": ("face lattices and boundary signs",
-                 (_cmd_polytope, _polytope_args)),
+    "polytope": ("face lattices and boundary signs", (_cmd_polytope, (
+        ("family", {"choices": sorted(_FAMILY)}),
+        ("--l", {"type": int, "required": True}),
+        (("--faces", "--f-vector", "--facet-signs", "--boundary-check"),
+         {"action": "store_true"})))),
     "novikov": ("formal series arithmetic", {
-        "eval": ("parse and normalize a series", _cmd_novikov, _eval_args)}),
+        "eval": ("parse and normalize a series", _cmd_novikov, (
+            ("expr", {}),
+            ("--ring", {"choices": ["Z", "Q"], "default": "Z"}),
+            ("--cutoff", {})))}),
     "maslov": ("crossing-form path indices", {
-        "index": ("index report for a path file", _cmd_maslov, _FILE)}),
+        "index": ("index report for a path file", _cmd_maslov,
+                  (("file", {}),))}),
     "ainfty": ("differential, map and homotopy checks", {
-        name: (helptext, _cmd_ainfty, _FILE) for name, helptext in (
+        name: (helptext, _cmd_ainfty, (("file", {}),)) for name, helptext in (
             ("check", "does the assembled differential square to zero"),
             ("map", "chain-map check for a continuation bundle"),
             ("homotopy", "homotopy identity for a five-part bundle"),
             ("compose", "functoriality of composed continuations"),
             ("augment", "augmentation conditions, optionally pushed forward"))}),
     "floer": ("cohomology of assembled complexes", {
-        "hf": ("cohomology ranks from a datum file", _cmd_floer_hf, _hf_args),
-        "sphere": ("built-in two-point fixture", _cmd_floer_sphere,
-                   methodcaller("add_argument", "--n", type=int,
-                                required=True))}),
+        "hf": ("cohomology ranks from a datum file", _cmd_floer_hf, (
+            ("file", {}),
+            ("--rational", {"action": "store_true", "help":
+                            "use field coefficients instead of integers"}))),
+        "sphere": ("built-in two-point fixture", _cmd_floer_sphere, (
+            ("--n", {"type": int, "required": True}),))}),
     "sft": ("transversality index bound", {
-        "bound": (None, _cmd_sft, _sft_args)}),
+        "bound": (None, _cmd_sft, (
+            *((flag, {"type": int, "required": True})
+              for flag in ("--n", "--g", "--v")),
+            ("--m", {"required": True, "help":
+                     "comma-separated multiplicities, one per point"})))}),
     "conductor": ("exactness of continuation pairs", {
-        "exact": (None, _cmd_conductor, _FILE)}),
+        "exact": (None, _cmd_conductor, (("file", {}),))}),
 }
 
 
-def _leaf(p, run, add_arguments) -> None:
-    add_arguments(p)
-    p.add_argument("--text", action="store_true")
+def _read(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives, read from
+    ``_COMMANDS``; None, and argparse parses, for any token starting with
+    '-' other than one of the leaf's own options (help, '--',
+    abbreviations, '--opt=value', negative numbers), an option value that
+    is missing or starts with '-', a repeated option, two flags of one
+    group, a wrong number of positionals, a missing required option, or a
+    value its type or choices refuse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    ns = {"command": argv[0]}
+    leaf, rest = _COMMANDS[argv[0]][1], argv[1:]
+    if isinstance(leaf, dict):
+        if not rest or rest[0] not in leaf:
+            return None
+        ns["action"] = rest[0]
+        leaf, rest = leaf[rest[0]][1:], rest[1:]
+    run, arguments = leaf
+    options, positionals = {}, []
+    for names, kw in (*arguments, _TEXT):
+        group = names if isinstance(names, tuple) else (names,)
+        for name in group:
+            if name[0] != "-":
+                positionals.append((name, kw))
+                continue
+            dest = name.lstrip("-").replace("-", "_")
+            flag = kw.get("action") == "store_true"
+            ns[dest] = kw.get("default", False if flag else None)
+            options[name] = dest, kw, flag, group
+    seen, given, values, tokens = set(), [], [], iter(rest)
+    for token in tokens:
+        if token[:1] != "-":
+            given.append(token)
+            continue
+        if token not in options or token in seen:
+            return None
+        seen.add(token)
+        dest, kw, flag, group = options[token]
+        if flag:
+            if len(seen.intersection(group)) > 1:
+                return None
+            ns[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-":
+            return None
+        values.append((dest, kw, value))
+    if len(given) != len(positionals) or any(
+            kw.get("required") and name not in seen
+            for name, (_, kw, _, _) in options.items()):
+        return None
+    values += ((name, kw, token)
+               for (name, kw), token in zip(positionals, given))
+    for dest, kw, token in values:
+        try:
+            value = kw.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        ns[dest] = value
+    return argparse.Namespace(**ns, run=run)
+
+
+def _leaf(p, run, arguments) -> None:
+    for names, kw in (*arguments, _TEXT):
+        if isinstance(names, tuple):
+            group = p.add_mutually_exclusive_group()
+            for name in names:
+                group.add_argument(name, **kw)
+        else:
+            p.add_argument(names, **kw)
     p.set_defaults(run=run)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The ``openstrings`` parser.  Usage lists every command; given
-    ``argv``, only the first command named in it (options may come before
-    the command) gets its arguments."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``openstrings`` parser, replayed from ``_COMMANDS``.  ``main``
+    builds it only for argv that ``_read`` leaves to argparse: help and
+    usage errors."""
     top = argparse.ArgumentParser(
         prog="openstrings",
         description="Polytope, Novikov, Maslov and Floer-complex reports.")
     sub = top.add_subparsers(dest="command", required=True)
-    wanted = next((a for a in argv or () if a in _COMMANDS), None)
     for name, (helptext, leaves) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        if argv is not None and name != wanted:
-            continue
         if isinstance(leaves, tuple):
             _leaf(p, *leaves)
             continue
         actions = p.add_subparsers(dest="action", required=True)
-        for action, (ahelp, run, add_arguments) in leaves.items():
+        for action, (ahelp, run, arguments) in leaves.items():
             kw = {"help": ahelp} if ahelp else {}
-            _leaf(actions.add_parser(action, **kw), run, add_arguments)
+            _leaf(actions.add_parser(action, **kw), run, arguments)
     return top
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         return args.run(args)
     except json.JSONDecodeError as e:

@@ -1,7 +1,8 @@
 """The command-line parser of ``openstrings.cli`` as it was when it declared
 every subcommand, with all its arguments, on every request.  Kept only as a
-reference for the test that compares usage, help and error text; the
-handlers are the library's own."""
+reference for the tests that compare usage, help and error text, and the
+namespaces ``cli`` reads from its command table; the handlers are the
+library's own."""
 
 from __future__ import annotations
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -551,21 +555,48 @@ def test_datum_shape_is_checked_at_the_boundary(tmp_path, command, datum,
         BAD_INPUT, "", f"invalid input: {message}\n")
 
 
+COND_JSON = {
+    "h": {"source": ["a", "b"], "target": ["x", "y", "z"],
+          "positions": [0, 1], "images": [0, 1]},
+    "k": {"source": ["x", "y", "z"], "target": ["u", "v"],
+          "positions": [1, 2], "images": [0, 1]}}
+
+
 @pytest.mark.parametrize("action,change,message", [
     # "source": 1 used to die with an AttributeError and exit 1
     ("map", {"source": 1}, "datum must be a JSON object, got 1"),
-    ("map", {"map": 5}, "H must be a list, got 5"),
-    ("map", {"map": [7]}, "H[0] must be a JSON object, got 7"),
+    # the entry lists used to be named H and K after the loader's keys
+    ("map", {"map": 5}, "map must be a list, got 5"),
+    ("map", {"map": [7]}, "map[0] must be a JSON object, got 7"),
     ("homotopy", {"k": {"inputs": ["ap"]}},
-     "K must be a list, got {'inputs': ['ap']}"),
+     "k must be a list, got {'inputs': ['ap']}"),
     ("augment", {"augmentation": 3},
      "augmentation must be a JSON object, got 3"),
     ("augment", {"augmentation": {"values": {"id": "y"}}},
      "values must be a list, got {'id': 'y'}"),
     ("augment", {"augmentation": {"values": ["y"]}},
-     "values[0] must be a JSON object, got 'y'")],
+     "values[0] must be a JSON object, got 'y'"),
+    # a bundle that is no object used to give "list indices must be
+    # integers or slices, not str" or "'int' object is not subscriptable",
+    # and a missing part its bare key
+    ("map", [1], "bundle must be a JSON object, got [1]"),
+    ("homotopy", 5, "bundle must be a JSON object, got 5"),
+    ("compose", ["c0"], "bundle must be a JSON object, got ['c0']"),
+    ("augment", "datum", "bundle must be a JSON object, got 'datum'"),
+    ("map", {"source": None}, "bundle has no part 'source'"),
+    ("homotopy", {"h1": None}, "bundle has no part 'h1'"),
+    ("compose", {"h12": None}, "bundle has no part 'h12'"),
+    ("compose", {"h01": {}}, "h01 must be a list, got {}"),
+    ("augment", {"datum": None}, "bundle has no part 'datum'"),
+    ("exact", [1], "bundle must be a JSON object, got [1]"),
+    ("exact", 5, "bundle must be a JSON object, got 5"),
+    ("exact", {"k": None}, "bundle has no part 'k'"),
+    ("exact", {"h": [0, 1]}, "h must be a JSON object, got [0, 1]")],
     ids=["source", "map-number", "map-entry", "k-object", "augmentation",
-         "values-object", "value-string"])
+         "values-object", "value-string", "map-list", "homotopy-number",
+         "compose-list", "augment-string", "no-source", "no-h1", "no-h12",
+         "h01-object", "no-datum", "conductor-list", "conductor-number",
+         "no-k", "h-list"])
 def test_bundle_shape_is_checked_at_the_boundary(tmp_path, chain_json,
                                                  ident_entries, action,
                                                  change, message):
@@ -574,12 +605,20 @@ def test_bundle_shape_is_checked_at_the_boundary(tmp_path, chain_json,
                 "map": ident_entries},
         "homotopy": {"source": chain_json, "target": chain_json,
                      "h0": ident_entries, "h1": ident_entries, "k": []},
+        "compose": {"c0": chain_json, "c1": chain_json, "c2": chain_json,
+                    "h01": ident_entries, "h12": ident_entries},
         "augment": AUG_JSON,
+        "exact": COND_JSON,
     }
+    command = ("conductor" if action == "exact" else "ainfty", action)
     bundle = bundles[action]
-    assert run("ainfty", action, write(tmp_path, "ok.json", bundle))[0] == PASS
-    bad = write(tmp_path, "bad.json", dict(bundle, **change))
-    assert run("ainfty", action, bad) == (
+    assert run(*command, write(tmp_path, "ok.json", bundle))[0] == PASS
+    if isinstance(change, dict):
+        # a part changed to None is left out
+        change = {k: v for k, v in dict(bundle, **change).items()
+                  if v is not None}
+    bad = write(tmp_path, "bad.json", change)
+    assert run(*command, bad) == (
         BAD_INPUT, "", f"invalid input: {message}\n")
 
 
@@ -753,6 +792,12 @@ def test_sft_bad_queries():
     code, _, err = run("sft", "bound", "--n", "2", "--g", "1", "--v", "1",
                        "--m", "1")
     assert code == BAD_INPUT and "genus must vanish" in err
+    # used to print int()'s "invalid literal ... with base 10: 'a'"
+    for m in ("2,a", "", "1,,2"):
+        assert run("sft", "bound", "--n", "3", "--g", "0", "--v", "1",
+                   "--m", m) == (BAD_INPUT, "", (
+                       "invalid input: m must be comma-separated integers, "
+                       f"got {m!r}\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -883,6 +928,14 @@ _PARSER_CASES = (
     ("sft", "bound", "--n", "x", "--g", "3", "--v", "4", "--m", "2"),
     ("--text", "floer", "hf", "d.json"), ("--l", "3", "polytope", "assoc"),
     ("-x", "maslov", "index", "p.json"), ("--", "sft", "bound"),
+    ("polytope", "multi", "--l", "4", "--boundary-check"),
+    ("polytope", "--faces", "assoc", "--l", "5"),
+    ("novikov", "eval", "--ring", "Q", "t^1", "--cutoff", "3/2"),
+    ("novikov", "eval", "t^1", "--cutoff", "--ring", "Q"),
+    ("sft", "bound", "--n", "5", "--g", "3", "--v", "4", "--m", "2,1",
+     "--n", "6"),
+    ("polytope", "assoc", "--l", "-5"), ("polytope", "assoc", "--l=5"),
+    ("novikov", "eval", ""), ("floer", "hf", "d.json", "--rat"),
 )
 
 
@@ -903,8 +956,155 @@ def test_parser_matches_the_full_reference_parser(argv, monkeypatch):
     # declared every command
     monkeypatch.setenv("COLUMNS", "80")
     argv = list(argv)
-    assert _parse(cli.build_parser(argv), argv) == _parse(
+    assert _parse(cli.build_parser(), argv) == _parse(
         cli_reference.build_parser(), argv)
+
+
+# flags and options each leaf may take besides those in _LEAVES
+_EXTRAS = {
+    ("polytope",): (("--faces",), ("--f-vector",), ("--facet-signs",),
+                    ("--boundary-check",)),
+    ("novikov", "eval"): (("--ring", "Q"), ("--cutoff", "3/2")),
+    ("floer", "hf"): (("--rational",),),
+}
+# tokens mixed into well-formed argv: names, exact options, abbreviations,
+# '=' forms, '--', help, negative numbers, empty strings, values a type or
+# a choice refuses, tokens starting with '-' and digits int() accepts
+_TOKENS = (
+    "polytope", "ainfty", "floer", "check", "hf", "sphere", "assoc", "nope",
+    "--l", "--faces", "--f-vector", "--facet-signs", "--boundary-check",
+    "--ring", "--cutoff", "--rational", "--n", "--g", "--v", "--m", "--text",
+    "--f", "--fac", "--bound", "--rat", "--te", "--l=5", "--ring=Q", "--n=2",
+    "--text=1", "-n", "--", "-h", "--help", "-5", "-1.5", "", "5", "x", "2,1",
+    "Z", "Q", "R", "t^1", "d.json", "-t", " -5", "-x y", "3", " 7 ", "\u0663")
+
+
+def _well_formed(rng):
+    """A leaf of _LEAVES, with or without --text and extras of the leaf,
+    its options and positional in a random order."""
+    leaf = rng.choice(_LEAVES)
+    head = 1 if leaf[0] == "polytope" else 2
+    tail, groups = list(leaf[head:]), []
+    while tail:
+        n = 2 if tail[0].startswith("--") else 1
+        groups.append(tail[:n])
+        del tail[:n]
+    extras = _EXTRAS.get(leaf[:head], ())
+    # at most one flag of polytope's exclusive group
+    k = rng.randint(0, 1 if leaf[0] == "polytope" else len(extras))
+    groups += map(list, rng.sample(extras, k))
+    if rng.random() < 0.5:
+        groups.append(["--text"])
+    rng.shuffle(groups)
+    return [*leaf[:head], *(t for g in groups for t in g)]
+
+
+def _mixed(rng):
+    """A well-formed argv with one to three tokens inserted, dropped,
+    repeated or replaced."""
+    argv = _well_formed(rng)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(argv) + 1)
+        op = rng.randrange(4) if k < len(argv) else 0
+        if op == 0:
+            argv.insert(k, rng.choice(_TOKENS))
+        elif op == 1:
+            del argv[k]
+        elif op == 2:
+            argv[k:k] = argv[k:k + rng.randint(1, 2)]
+        else:
+            argv[k] = rng.choice(_TOKENS)
+    return argv
+
+
+def _reader_check(seed, count):
+    """Run ``cli._read`` on _PARSER_CASES and ``count`` seeded argv of each
+    kind.  Returns the argv on which it gives a namespace other than the
+    reference parser's (the reference exiting included), and the number
+    of argv of each kind it reads.  Asserts nothing, so that it checks the
+    same under ``python -O``."""
+    rng = random.Random(seed)
+    plain = [_well_formed(rng) for _ in range(count)]
+    mixed = [list(a) for a in _PARSER_CASES] + [
+        _mixed(rng) for _ in range(count)]
+    reference = cli_reference.build_parser()
+    wrong, read = [], {"plain": 0, "mixed": 0}
+    for kind, cases in (("plain", plain), ("mixed", mixed)):
+        for argv in cases:
+            ns = cli._read(argv)
+            if ns is None:
+                continue
+            read[kind] += 1
+            if _parse(reference, argv) != (sorted(vars(ns).items()), "", ""):
+                wrong.append(argv)
+    return {"wrong": wrong, "read": read, "plain": len(plain)}
+
+
+def test_reader_gives_the_reference_namespace_or_declines():
+    # where the command table reads argv, argparse would have read the same
+    # namespace; where argparse exits, the table declines and argparse
+    # writes usage, help or error as before
+    result = _reader_check(seed=19, count=3000)
+    assert result["wrong"] == []
+    assert result["read"]["plain"] == result["plain"]
+    assert result["read"]["mixed"] > 100
+
+
+@pytest.mark.parametrize("argv", [
+    ("polytope", "assoc", "--l", "5", "-h"),
+    ("polytope", "assoc", "--", "--l", "5"),
+    ("polytope", "assoc", "--l=5"), ("polytope", "assoc", "--l", "-5"),
+    ("floer", "hf", "d.json", "--rat"), ("novikov", "eval", "-t^1"),
+    ("novikov", "eval", "t^1", "--cutoff"),
+    ("floer", "sphere", "--n", "2", "--n", "3"),
+    ("floer", "hf", "d.json", "--rational", "--rational"),
+    ("polytope", "assoc", "--l", "5", "--faces", "--f-vector"),
+    ("maslov", "index"), ("maslov", "index", "p.json", "q.json"),
+    ("floer", "sphere"), ("polytope", "assoc", "--l", "x"),
+    ("novikov", "eval", "t^1", "--ring", "R"),
+    ("--text", "maslov", "index", "p.json"), ("floer",), ()],
+    ids=" ".join)
+def test_reader_declines_what_it_leaves_to_argparse(argv):
+    # argparse takes a repeated option, the last value winning; the table
+    # leaves it, with every form argparse may read otherwise, to argparse
+    assert cli._read(list(argv)) is None
+
+
+def test_reader_is_the_same_under_optimize():
+    tests = str(Path(__file__).resolve().parent)
+    env = child_env()
+    env["PYTHONPATH"] += os.pathsep + tests
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import json, test_cli\n"
+         "print(json.dumps(test_cli._reader_check(seed=19, count=3000)))"],
+        env=env, capture_output=True, text=True, cwd=tests)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(json.dumps(
+        _reader_check(seed=19, count=3000)))
+
+
+def test_well_formed_requests_build_no_parser(tmp_path, monkeypatch,
+                                              chain_json):
+    # every leaf, with --text and its extras, is read from the command
+    # table: with no ArgumentParser to be had, each request prints what it
+    # prints with one
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "p.json", LINE_PATH_JSON)
+    write(tmp_path, "d.json", chain_json)
+    write(tmp_path, "c.json", COND_JSON)
+    requests = [leaf + extra for leaf in _LEAVES
+                for extra in ((), ("--text",), *(
+                    e for head, es in _EXTRAS.items()
+                    if leaf[:len(head)] == head for e in es))]
+    expected = [run(*argv) for argv in requests]
+    assert expected[0] == (PASS, "[14,21,9]\n", "")
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("an ArgumentParser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert [run(*argv) for argv in requests] == expected
 
 
 def test_repeat_invocations_are_byte_identical(tmp_path, chain_json):
