@@ -1360,18 +1360,27 @@ def pair_subcomplex(d: AInftyDatum, i: int, j: int) -> AInftyDatum:
 # JSON loading
 
 
-def _json_int(obj: Mapping, key: str) -> int:
+def _json_field(obj: Mapping, key: str, what: str):
+    """``obj[key]``; a missing key is invalid input naming the object
+    (``what``) and the field."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{what} has no field {key!r}") from None
+
+
+def _json_int(obj: Mapping, key: str, what: str) -> int:
     """``obj[key]`` if it is a JSON integer: no bool, no number int()
     would truncate."""
-    v = obj[key]
+    v = _json_field(obj, key, what)
     if type(v) is not int:
         raise ValueError(f"{key} must be an integer, got {v!r}")
     return v
 
 
-def _json_id(obj: Mapping, key: str) -> str:
+def _json_id(obj: Mapping, key: str, what: str) -> str:
     """``obj[key]`` if it is a JSON string (a generator id)."""
-    v = obj[key]
+    v = _json_field(obj, key, what)
     if type(v) is not str:
         raise ValueError(f"{key} must be a string, got {v!r}")
     return v
@@ -1384,10 +1393,11 @@ def _json_object(v, what: str) -> Mapping:
     return v
 
 
-def _json_list(obj: Mapping, key: str, default=None) -> list:
+def _json_list(obj: Mapping, key: str, what: str, default=None) -> list:
     """``obj[key]`` (or ``default`` when it is absent) if it is a JSON list
     of JSON objects."""
-    v = obj[key] if default is None else obj.get(key, default)
+    v = (_json_field(obj, key, what) if default is None
+         else obj.get(key, default))
     if not isinstance(v, (list, tuple)):
         raise ValueError(f"{key} must be a list, got {v!r}")
     for n, x in enumerate(v):
@@ -1396,27 +1406,31 @@ def _json_list(obj: Mapping, key: str, default=None) -> list:
 
 
 def _entry_from_json(obj, ring) -> TensorEntry:
-    if not (isinstance(obj["inputs"], (list, tuple))
-            and all(type(x) is str for x in obj["inputs"])):
-        raise ValueError(f"entry inputs {obj['inputs']!r} are not a list "
+    inputs = _json_field(obj, "inputs", "entry")
+    if not (isinstance(inputs, (list, tuple))
+            and all(type(x) is str for x in inputs)):
+        raise ValueError(f"entry inputs {inputs!r} are not a list "
                          "of generator ids")
-    inputs = tuple(obj["inputs"])
-    if "q" in obj and _json_int(obj, "q") != len(inputs):
+    inputs = tuple(inputs)
+    if "q" in obj and _json_int(obj, "q", "entry") != len(inputs):
         raise ValueError("entry arity disagrees with its inputs")
-    return TensorEntry(inputs, _json_id(obj, "output"),
-                       parse_series(obj["coeff"], ring=ring))
+    return TensorEntry(inputs, _json_id(obj, "output", "entry"),
+                       parse_series(_json_field(obj, "coeff", "entry"),
+                                    ring=ring))
 
 
 def datum_from_json(obj: Mapping) -> AInftyDatum:
     ring = _json_object(obj, "datum").get("ring", "Z")
-    gens = tuple(Generator(_json_id(g, "id"), _json_int(g, "i"),
-                           _json_int(g, "j"), _json_int(g, "mu"))
-                 for g in _json_list(obj, "generators"))
+    gens = tuple(Generator(_json_id(g, "id", "generator"),
+                           _json_int(g, "i", "generator"),
+                           _json_int(g, "j", "generator"),
+                           _json_int(g, "mu", "generator"))
+                 for g in _json_list(obj, "generators", "datum"))
     _check_ring(ring)
     tensors = tuple(_entry_from_json(e, ring)
-                    for e in _json_list(obj, "tensors", ()))
-    labels = _json_int(obj, "labels")
-    modulus = _json_int(obj, "modulus") if "modulus" in obj else 0
+                    for e in _json_list(obj, "tensors", "datum", ()))
+    labels = _json_int(obj, "labels", "datum")
+    modulus = _json_int(obj, "modulus", "datum") if "modulus" in obj else 0
     if modulus < 0:
         raise ValueError(f"modulus must be >= 0, got {modulus}")
     return AInftyDatum(
@@ -1449,12 +1463,18 @@ def datum_to_json(d: AInftyDatum) -> dict:
 
 def map_from_json(obj: Mapping, ring: str = "Z") -> MapDatum:
     _json_object(obj, "map")
-    h = tuple(_entry_from_json(e, ring) for e in _json_list(obj, "H", ()))
-    k = tuple(_entry_from_json(e, ring) for e in _json_list(obj, "K", ()))
+    h = tuple(_entry_from_json(e, ring)
+              for e in _json_list(obj, "H", "map", ()))
+    k = tuple(_entry_from_json(e, ring)
+              for e in _json_list(obj, "K", "map", ()))
     return MapDatum(h=h, k=k)
 
 
 def augmentation_from_json(obj: Mapping, ring: str = "Z") -> Augmentation:
-    vals = {_json_id(v, "id"): parse_series(v["value"], ring=ring)
-            for v in _json_list(_json_object(obj, "augmentation"), "values")}
+    values = _json_list(_json_object(obj, "augmentation"), "values",
+                        "augmentation")
+    what = "augmentation value"
+    vals = {_json_id(v, "id", what):
+            parse_series(_json_field(v, "value", what), ring=ring)
+            for v in values}
     return Augmentation(values=vals)

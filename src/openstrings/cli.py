@@ -138,7 +138,8 @@ def _complex(bundle, key: str) -> "_ai.FloerComplex":
 def _entries(bundle, key: str, ring: str, kind: str = "H") -> "_ai.MapDatum":
     """The map whose ``kind`` entries are the bundle's list ``key``."""
     _part(bundle, key)
-    return _ai.map_from_json({kind: _ai._json_list(bundle, key)}, ring=ring)
+    return _ai.map_from_json({kind: _ai._json_list(bundle, key, "bundle")},
+                             ring=ring)
 
 
 def _kv_text(report: dict) -> str:

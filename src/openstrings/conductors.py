@@ -186,6 +186,9 @@ def _json_ints(obj, key: str) -> Tuple[int, ...]:
 
 def continuation_from_json(obj) -> Continuation:
     """Build a continuation from ``{"source","target","positions","images"}``."""
+    for key in ("source", "target", "positions", "images"):
+        if key not in obj:
+            raise ValueError(f"continuation has no field {key!r}")
     return Continuation(
         source=conductor_from_json(obj["source"]),
         target=conductor_from_json(obj["target"]),

@@ -467,6 +467,8 @@ def _rational(value, what: str) -> Fraction:
 
 
 def path_from_json(obj) -> LagrangianPath:
+    if "pieces" not in obj:
+        raise ValueError("path has no field 'pieces'")
     pieces = []
     for p in obj["pieces"]:
         if "t0" in p:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .ainfty import AInftyDatum, Generator, TensorEntry, _json_id, _json_int
+from .ainfty import (AInftyDatum, Generator, TensorEntry, _json_field,
+                     _json_id, _json_int)
 from .novikov import NovikovSeries, _rational
 
 __all__ = [
@@ -215,15 +216,17 @@ def sft_report(q: SftIndexQuery) -> dict:
 
 def morse_datum_from_json(obj: Mapping) -> MorseDatum:
     points = tuple(
-        CriticalPoint(_json_id(p, "id"), _json_int(p, "index"),
-                      _rational(p["value"], "value"))
-        for p in obj["points"])
-    flows = tuple(Flow(_json_id(f, "from"), _json_id(f, "to"),
-                       _json_int(f, "count"))
+        CriticalPoint(_json_id(p, "id", "point"),
+                      _json_int(p, "index", "point"),
+                      _rational(_json_field(p, "value", "point"), "value"))
+        for p in _json_field(obj, "points", "Morse datum"))
+    flows = tuple(Flow(_json_id(f, "from", "flow"), _json_id(f, "to", "flow"),
+                       _json_int(f, "count", "flow"))
                   for f in obj.get("flows", ()))
     triples = tuple(
-        Triple(_json_id(t, "a"), _json_id(t, "b"), _json_id(t, "out"),
-               _json_int(t, "count"), _rational(t["action"], "action"))
+        Triple(_json_id(t, "a", "triple"), _json_id(t, "b", "triple"),
+               _json_id(t, "out", "triple"), _json_int(t, "count", "triple"),
+               _rational(_json_field(t, "action", "triple"), "action"))
         for t in obj.get("triples", ()))
-    return MorseDatum(n=_json_int(obj, "n"), points=points, flows=flows,
-                      triples=triples)
+    return MorseDatum(n=_json_int(obj, "n", "Morse datum"), points=points,
+                      flows=flows, triples=triples)

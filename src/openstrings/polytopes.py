@@ -34,8 +34,33 @@ times the sign of the reordering the move causes: the rule orders the new
 factors before all child subtrees, and in preorder each new inner factor
 (split, lower) or front (upper) of dimension e sits after the subtrees now
 to its left, of summed dimension s, for a factor (-1)^(e*s).
+
+Signs depend on dimensions only through parities, so the code carries
+each sign as its exponent, a parity: an int read as an affine form over
+GF(2), bit 0 the constant and bit i the coefficient of x_i.  A face's
+parities are constants; the forms serve the certificate.
+
 ``boundary_map_consistency`` verifies d(d(face)) = 0 over the integers for
-every face, which pins all three parity rules against each other.
+every face, which pins all three parity rules against each other, by a
+certificate.  For each vertex kind and arity that occurs (``k`` of arity
+2..l in K_l; ``f`` of arity 1..l, ``p`` and ``u`` of arity 2..l in J_l)
+the same move and splice code squares the boundary of the corolla whose
+child i is formal, of parity x_i, with one boundary term of parity
+x_i + 1 that has no boundary.  The characters x -> (-1)^(a.x) are
+linearly independent, so the square vanishes for every parity pattern
+iff each (face, mask a) coefficient does.  Then d(d(face)) = 0 on every
+face, by induction on the number of vertices: d of v(T_1..T_m) is the
+moves at v, which depend only on v's kind, arity and the parities of the
+T_i, plus each dT_i spliced in with a sign that depends on parities only;
+putting T_i for child i and dT_i for its boundary term maps the corolla's
+square onto d(d(face)), where d(dT_i) = 0 (fewer vertices) stands for the
+term's empty boundary.  Faces and boundary entries are then counted on
+the face polynomials: a face's boundary has one entry, +-1, per move at
+each vertex, as a move changes the kind or arity of its vertex and
+nothing above or beside it, and two moves at one vertex differ there or
+in the block of children they regroup.  K_0, K_1, J_0, J_1 and every l
+whose certificate fails are checked face by face, listing the faces whose
+boundary does not square to zero.
 
 Canonical order: faces are sorted lexicographically by their serialization
 (see :func:`serialize_face`); the degenerate cases K_0/K_1 (points) and
@@ -255,34 +280,54 @@ def enumerate_faces(polytope: str, l: int, dim: Optional[int] = None) -> list:
 
 # ---------------------------------------------------------------------------
 # counting: face polynomials, coefficient of x^d = number of faces of
-# dimension d, following _plain_trees / _painted_trees term by term
+# dimension d, following _plain_trees / _painted_trees term by term, with
+# the number of faces and of their boundary entries (a face has one per
+# move at each of its vertices)
 # ---------------------------------------------------------------------------
 
+def _times(a, b):
+    """Product of two (face polynomial, faces, boundary entries) triples: a
+    face of the product is a pair of faces, and its boundary entries are
+    those of either factor.  A root vertex of factor dimension e with
+    ``moves`` moves is the triple ({e: 1}, 1, moves)."""
+    (pa, na, ea), (pb, nb, eb) = a, b
+    return mul(pa, pb), na * nb, na * eb + ea * nb
+
+
+def _plus(a, b):
+    return add(a[0], b[0]), a[1] + b[1], a[2] + b[2]
+
+
 @lru_cache(maxsize=None)
-def _parts_poly(family: str, l: int, m: int) -> IntPoly:
+def _parts_poly(family: str, l: int, m: int) -> Tuple[IntPoly, int, int]:
     """Sum over compositions of l into m parts of the product of the parts'
     face polynomials, by convolution over the first part."""
     if m == 1:
         return _faces_poly(family, l)
-    out: IntPoly = {}
+    out = ({}, 0, 0)
     for first in range(1, l - m + 2):
-        out = add(out, mul(_faces_poly(family, first),
-                           _parts_poly(family, l - first, m - 1)))
+        out = _plus(out, _times(_faces_poly(family, first),
+                                _parts_poly(family, l - first, m - 1)))
     return out
 
 
 @lru_cache(maxsize=None)
-def _faces_poly(family: str, l: int) -> IntPoly:
-    """Face polynomial of the plain trees ('T') or painted trees ('P')
-    with l leaves."""
+def _faces_poly(family: str, l: int) -> Tuple[IntPoly, int, int]:
+    """Face polynomial, number of faces and boundary entries of the plain
+    trees ('T') or painted trees ('P') with l leaves.  A plain or painted
+    vertex of arity m has m(m-1)/2 - 1 moves (splits), a front vertex
+    m(m-1)/2 lower moves plus 2^(m-1) - 1 upper ones (one per composition
+    into two or more parts)."""
     if family == "T" and l == 1:
-        return {0: 1}
-    out: IntPoly = {}
+        return {0: 1}, 1, 0
+    out = ({}, 0, 0)
     if family == "P":
         for m in range(1, l + 1):                  # front-rooted
-            out = add(out, mul({m - 1: 1}, _parts_poly("T", l, m)))
+            root = ({m - 1: 1}, 1, m * (m - 1) // 2 + 2 ** (m - 1) - 1)
+            out = _plus(out, _times(root, _parts_poly("T", l, m)))
     for m in range(2, l + 1):                      # plain- or painted-rooted
-        out = add(out, mul({m - 2: 1}, _parts_poly(family, l, m)))
+        root = ({m - 2: 1}, 1, m * (m - 1) // 2 - 1)
+        out = _plus(out, _times(root, _parts_poly(family, l, m)))
     return out
 
 
@@ -292,7 +337,7 @@ def f_vector(polytope: str, l: int) -> List[int]:
     p = _check_budget(polytope, l)
     if l <= 1:
         return [] if p == "K" else [2]
-    poly = _faces_poly("T" if p == "K" else "P", l)
+    poly = _faces_poly("T" if p == "K" else "P", l)[0]
     return [poly[d] for d in range(degree(poly))]
 
 
@@ -300,21 +345,30 @@ def f_vector(polytope: str, l: int) -> List[int]:
 # boundary moves
 # ---------------------------------------------------------------------------
 
+def _sign(exp) -> int:
+    """The sign (-1)^exp of a constant parity."""
+    return -1 if exp & 1 else 1
+
+
+def _passing(e: int, s: int) -> int:
+    """Exponent of the Koszul sign of moving a factor of dimension e past
+    subtrees of summed dimension parity s."""
+    return s if e % 2 else 0
+
+
 def _moves_at(node, dims):
-    """All codimension-one degenerations of one vertex, as (new_node, sign,
-    tag).  ``dims`` holds the dimension of each child's subtree.  The sign
-    is the parity rule's times the Koszul sign of the reordering: each new
-    factor of dimension e moves past the child subtrees now to its left,
-    of summed dimension s, for (-1)^(e*s)."""
+    """All codimension-one degenerations of one vertex, as (new_node, exp,
+    tag), the face signed by (-1)^exp.  ``dims`` holds the dimension
+    parity of each child's subtree.  The exponent is the parity rule's
+    plus that of the Koszul sign of the reordering: each new factor of
+    dimension e moves past the child subtrees now to its left, of summed
+    dimension s, for (-1)^(e*s)."""
     kd = _kind(node)
     ch = _children(node)
     m = len(ch)
-    left = [0]                      # left[k]: summed dimension of ch[:k]
+    left = [0]                      # left[k]: summed parity of ch[:k]
     for d in dims:
-        left.append(left[-1] + d)
-
-    def passing(e, k):
-        return -1 if e * left[k] % 2 else 1
+        left.append(left[-1] ^ d)
 
     if kd in ("k", "p", "u") and m >= 3:
         for l1 in range(2, m):
@@ -323,7 +377,8 @@ def _moves_at(node, dims):
                 i0 = i - 1
                 inner = _mk(kd, ch[i0:i0 + l2])
                 yield (_mk(kd, ch[:i0] + (inner,) + ch[i0 + l2:]),
-                       assoc_facet_sign(l1, l2, i) * passing(l2 - 2, i0),
+                       (assoc_facet_sign(l1, l2, i) < 0)
+                       ^ _passing(l2 - 2, left[i0]),
                        ("split", l1, l2, i))
 
     if kd == "f" and m >= 2:
@@ -333,41 +388,40 @@ def _moves_at(node, dims):
                 i0 = i - 1
                 inner = _mk("u", ch[i0:i0 + l2])
                 yield (_mk("f", ch[:i0] + (inner,) + ch[i0 + l2:]),
-                       multi_lower_sign(l1, l2, i) * passing(l2 - 2, i0),
+                       (multi_lower_sign(l1, l2, i) < 0)
+                       ^ _passing(l2 - 2, left[i0]),
                        ("lower", l1, l2, i))
         for q in range(2, m + 1):
             for parts in _compositions(m, q):
-                sign = multi_upper_sign(parts)
+                exp = multi_upper_sign(parts) < 0
                 fronts = []
                 start = 0
                 for k in parts:
                     fronts.append(_mk("f", ch[start:start + k]))
-                    sign *= passing(k - 1, start)
+                    exp ^= _passing(k - 1, left[start])
                     start += k
-                yield _mk("p", fronts), sign, ("upper", parts)
+                yield _mk("p", fronts), exp, ("upper", parts)
 
 
-def _boundary(node) -> Tuple[int, Dict[tuple, int]]:
-    """Dimension and signed boundary of the subtree rooted at ``node``, by
-    the Leibniz rule over its preorder product: the moves at this vertex,
-    then each child's boundary spliced back in place, signed by the
-    dimensions of this vertex's factor and of the earlier siblings."""
-    if _is_leaf(node):
-        return 0, {}
+def _boundary(node, atom=None):
+    """Dimension parity and signed boundary, as a list of (face, exp), of
+    the subtree rooted at ``node``, by the Leibniz rule over its preorder
+    product: the moves at this vertex, then each child's boundary spliced
+    back in place, signed by the dimensions of this vertex's factor and of
+    the earlier siblings.  A node that is no tuple is a leaf, or, given
+    ``atom``, a formal child of the certificate that ``atom`` reads."""
+    if not isinstance(node, tuple):
+        return atom(node) if atom else (0, ())
     kd = _kind(node)
     ch = _children(node)
-    below = [_boundary(c) for c in ch]
-    dims = [d for d, _ in below]
-    out: Dict[tuple, int] = {}
-    for new_node, sign, _tag in _moves_at(node, dims):
-        out[new_node] = out.get(new_node, 0) + sign
-    passed = _factor_dim(node)
+    below = [_boundary(c, atom) for c in ch]
+    out = [(new_node, exp) for new_node, exp, _tag
+           in _moves_at(node, [d for d, _ in below])]
+    passed = _factor_dim(node) % 2
     for k, (d, b) in enumerate(below):
-        sign = -1 if passed % 2 else 1
-        for g, c in b.items():
-            new_node = _mk(kd, ch[:k] + (g,) + ch[k + 1:])
-            out[new_node] = out.get(new_node, 0) + sign * c
-        passed += d
+        for g, e in b:
+            out.append((_mk(kd, ch[:k] + (g,) + ch[k + 1:]), passed ^ e))
+        passed ^= d
     return passed, out
 
 
@@ -377,7 +431,10 @@ def signed_boundary(face) -> Dict[tuple, int]:
         return {_INT_END1: 1, _INT_END0: -1}
     if face in (_INT_END0, _INT_END1):
         return {}
-    return {f: c for f, c in _boundary(face)[1].items() if c != 0}
+    out: Dict[tuple, int] = {}
+    for f, exp in _boundary(face)[1]:
+        out[f] = out.get(f, 0) + _sign(exp)
+    return {f: c for f, c in out.items() if c != 0}
 
 
 def facets_with_signs(polytope: str, l: int) -> List[FacetFactorization]:
@@ -392,7 +449,7 @@ def facets_with_signs(polytope: str, l: int) -> List[FacetFactorization]:
         return []
     out = []
     top = _mk("k" if p == "K" else "f", (0,) * l)
-    for new_face, sign, tag in _moves_at(top, (0,) * l):
+    for new_face, exp, tag in _moves_at(top, (0,) * l):
         if tag[0] == "split":
             kind, params = "assoc", tag[1:]
         elif tag[0] == "lower":
@@ -402,40 +459,71 @@ def facets_with_signs(polytope: str, l: int) -> List[FacetFactorization]:
             parts = tag[1]
             kind, params = (("multi_end", (1,)) if all(k == 1 for k in parts)
                             else ("multi_upper", (len(parts), parts)))
-        out.append(FacetFactorization(kind, params, sign, serialize_face(new_face)))
+        out.append(FacetFactorization(kind, params, _sign(exp),
+                                      serialize_face(new_face)))
     out.sort(key=lambda ff: (ff.kind, ff.params))
     return out
 
 
+def _formal(node):
+    """Formal child i of the certificate is the int 2i, of dimension parity
+    x_i (bit i of a parity) with the one boundary term 2i+1, of parity
+    x_i + 1 and without boundary."""
+    x = 1 << (node >> 1)
+    return (x ^ 1, ()) if node & 1 else (x, ((node | 1, 0),))
+
+
+def _certified(p: str, l: int) -> bool:
+    """Whether d(d(corolla)) = 0 for every vertex kind and arity of the
+    faces of K_l or J_l, over formal children (see the module docstring)."""
+    kinds = (("k", 2),) if p == "K" else (("f", 1), ("p", 2), ("u", 2))
+    for kd, lo in kinds:
+        for m in range(lo, l + 1):
+            square: Dict[tuple, int] = {}
+            corolla = _mk(kd, range(2, 2 * m + 1, 2))
+            for g, e in _boundary(corolla, _formal)[1]:
+                for h, e2 in _boundary(g, _formal)[1]:
+                    key = (h, (e ^ e2) >> 1)        # the face and the mask
+                    square[key] = square.get(key, 0) + _sign(e ^ e2)
+            if any(square.values()):
+                return False
+    return True
+
+
 def boundary_map_consistency(polytope: str, l: int) -> dict:
-    """Compute the signed boundary of every face and verify d(d(face)) = 0
-    over the integers."""
-    faces = enumerate_faces(polytope, l)
-    p = polytope.upper()
-    boundaries: Dict[object, Dict[tuple, int]] = {}
-
-    def boundary(face):
-        if face not in boundaries:
-            boundaries[face] = signed_boundary(face)
-        return boundaries[face]
-
+    """Verify d(d(face)) = 0 over the integers on every face: by the
+    corolla certificate, with faces and boundary entries counted, or, when
+    it fails, face by face (see the module docstring)."""
+    p = _check_budget(polytope, l)
     bad = []
-    entries = 0
-    for face in faces:
-        square: Dict[tuple, int] = {}
-        b = boundary(face)
-        entries += len(b)
-        for g, cg in b.items():
-            for h, ch in boundary(g).items():
-                square[h] = square.get(h, 0) + cg * ch
-        residual = {h: c for h, c in square.items() if c != 0}
-        if residual:
-            bad.append((serialize_face(face),
-                        {serialize_face(h): c for h, c in residual.items()}))
+    if l >= 2 and _certified(p, l):
+        _, faces, entries = _faces_poly("T" if p == "K" else "P", l)
+    else:
+        boundaries: Dict[object, Dict[tuple, int]] = {}
+
+        def boundary(face):
+            if face not in boundaries:
+                boundaries[face] = signed_boundary(face)
+            return boundaries[face]
+
+        entries = faces = 0
+        for face in enumerate_faces(p, l):
+            square: Dict[tuple, int] = {}
+            b = boundary(face)
+            faces += 1
+            entries += len(b)
+            for g, cg in b.items():
+                for h, ch in boundary(g).items():
+                    square[h] = square.get(h, 0) + cg * ch
+            residual = {h: c for h, c in square.items() if c != 0}
+            if residual:
+                bad.append((serialize_face(face),
+                            {serialize_face(h): c
+                             for h, c in residual.items()}))
     return {
         "polytope": p,
         "l": l,
-        "faces": len(faces),
+        "faces": faces,
         "boundary_entries": entries,
         "dd_zero": not bad,
         "failures": bad,

@@ -1,13 +1,21 @@
-"""``openstrings.polytopes.signed_boundary`` as it was before the Leibniz
+"""Two earlier forms of ``openstrings.polytopes``, kept only as references
+for the differential tests.
+
+``signed_boundary`` is the signed boundary as it was before the Leibniz
 recursion: every move rebuilds the whole face by its vertex path, and the
 sign of reordering the replaced factors into the new face's preorder is a
 quadratic Koszul count over two factor lists, matched through per-move
-path maps.  Kept only as a reference for the differential tests; it takes
-the tree encoding and the parity rules from the library and nothing of
-its boundary code."""
+path maps.  It takes the tree encoding and the parity rules from the
+library and nothing of its boundary code.
+
+``boundary_map_consistency`` is the check as it was before the corolla
+certificate: it enumerates every face and squares the library's signed
+boundary on it.  It looks both up on the module at call time, so a rule
+patched into the library is what it checks."""
 
 from __future__ import annotations
 
+from openstrings import polytopes
 from openstrings.polytopes import (
     _INT_CELL,
     _INT_END0,
@@ -157,3 +165,36 @@ def signed_boundary(face):
             sign *= _koszul_sign(prod_order, canon_order)
             out[new_face] = out.get(new_face, 0) + sign
     return {f: c for f, c in out.items() if c != 0}
+
+
+def boundary_map_consistency(polytope, l):
+    faces = polytopes.enumerate_faces(polytope, l)
+    p = polytope.upper()
+    boundaries = {}
+
+    def boundary(face):
+        if face not in boundaries:
+            boundaries[face] = polytopes.signed_boundary(face)
+        return boundaries[face]
+
+    bad = []
+    entries = 0
+    for face in faces:
+        square = {}
+        b = boundary(face)
+        entries += len(b)
+        for g, cg in b.items():
+            for h, ch in boundary(g).items():
+                square[h] = square.get(h, 0) + cg * ch
+        residual = {h: c for h, c in square.items() if c != 0}
+        if residual:
+            bad.append((polytopes.serialize_face(face),
+                        {polytopes.serialize_face(h): c for h, c in residual.items()}))
+    return {
+        "polytope": p,
+        "l": l,
+        "faces": len(faces),
+        "boundary_entries": entries,
+        "dd_zero": not bad,
+        "failures": bad,
+    }

@@ -622,6 +622,22 @@ def test_bundle_shape_is_checked_at_the_boundary(tmp_path, chain_json,
         BAD_INPUT, "", f"invalid input: {message}\n")
 
 
+@pytest.mark.parametrize("command,obj,message", [
+    (("ainfty", "check"), {"labels": 2}, "datum has no field 'generators'"),
+    (("floer", "hf"), {"labels": 2}, "datum has no field 'generators'"),
+    (("maslov", "index"), {"n": 1}, "path has no field 'pieces'"),
+    (("conductor", "exact"),
+     dict(COND_JSON, h={k: v for k, v in COND_JSON["h"].items()
+                        if k != "source"}),
+     "continuation has no field 'source'")],
+    ids=["ainfty-check", "floer-hf", "maslov-index", "conductor-exact"])
+def test_missing_field_names_object_and_field(tmp_path, command, obj,
+                                              message):
+    # these used to print the bare key, e.g. "invalid input: 'generators'"
+    assert run(*command, write(tmp_path, "in.json", obj)) == (
+        BAD_INPUT, "", f"invalid input: {message}\n")
+
+
 def test_ainfty_same_reports_under_optimize(tmp_path, chain_json, conj_json,
                                             diag_entries, ident_entries):
     # no check of the library may vanish under ``python -O``: passing,

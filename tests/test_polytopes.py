@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from collections import Counter
@@ -194,7 +195,21 @@ def test_counted_f_vector_beyond_the_budget(monkeypatch):
         assert chi == 1, l
 
 
+def _flip_assoc(l1, l2, i):
+    return -assoc_facet_sign(l1, l2, i)
+
+
+def _odd(v):
+    return 1 if v % 2 else -1
+
+
+def _assoc_without_i(l1, l2, i):
+    return _odd(l1 * l2)
+
+
 def test_boundary_check_computes_each_boundary_once(monkeypatch):
+    # a split sign without its i-term fails the certificate, so the check
+    # enumerates
     calls = []
     real = polytopes.signed_boundary
 
@@ -203,11 +218,91 @@ def test_boundary_check_computes_each_boundary_once(monkeypatch):
         return real(face)
 
     monkeypatch.setattr(polytopes, "signed_boundary", counting)
+    monkeypatch.setattr(polytopes, "assoc_facet_sign", _assoc_without_i)
     for family, l in (("K", 6), ("J", 5)):
         calls.clear()
         report = boundary_map_consistency(family, l)
-        assert report["dd_zero"]
+        assert not polytopes._certified(family, l)
         assert len(calls) == report["faces"], (family, l)
+
+
+def test_passing_boundary_check_enumerates_no_faces(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a passing check enumerated faces")
+
+    monkeypatch.setattr(polytopes, "signed_boundary", refuse)
+    monkeypatch.setattr(polytopes, "enumerate_faces", refuse)
+    for family, l in (("K", 7), ("J", 5)):
+        assert boundary_map_consistency(family, l)["dd_zero"]
+
+
+@pytest.mark.parametrize("family, l", [("K", l) for l in range(9)]
+                         + [("J", l) for l in range(7)])
+def test_boundary_check_matches_reference(family, l):
+    got = boundary_map_consistency(family, l)
+    want = ref.boundary_map_consistency(family, l)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
+
+
+def _upper_without(j0):
+    def sign(parts):
+        q = len(parts)
+        return -_odd(sum((q - j) * (parts[j - 1] - 1)
+                         for j in range(1, q + 1) if j != j0))
+    return sign
+
+
+_passing = polytopes._passing
+
+# each parity rule and passing flipped, or with one term dropped
+_MUTANTS = {
+    "assoc-flipped": ("assoc_facet_sign", _flip_assoc),
+    "assoc-no-l1l2": ("assoc_facet_sign",
+                      lambda l1, l2, i: _odd(i * (l2 - 1))),
+    "assoc-no-i": ("assoc_facet_sign", _assoc_without_i),
+    "lower-flipped": ("multi_lower_sign",
+                      lambda l1, l2, i: -multi_lower_sign(l1, l2, i)),
+    "lower-no-l1l2": ("multi_lower_sign",
+                      lambda l1, l2, i: -_odd(i * (l2 - 1))),
+    "lower-no-i": ("multi_lower_sign", lambda l1, l2, i: -_odd(l1 * l2)),
+    "upper-flipped": ("multi_upper_sign",
+                      lambda parts: -multi_upper_sign(parts)),
+    "upper-no-first": ("multi_upper_sign", _upper_without(1)),
+    "upper-no-second": ("multi_upper_sign", _upper_without(2)),
+    "passing-flipped": ("_passing", lambda e, s: _passing(e, s) ^ 1),
+    "passing-none": ("_passing", lambda e, s: 0),
+    "passing-no-e": ("_passing", lambda e, s: s),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+def test_mutated_rule_reports_match_reference(monkeypatch, mutant):
+    monkeypatch.setattr(polytopes, *_MUTANTS[mutant])
+    broken = 0
+    for family, lmax in (("K", 6), ("J", 4)):
+        for l in range(lmax + 1):
+            want = ref.boundary_map_consistency(family, l)
+            assert boundary_map_consistency(family, l) == want, (family, l)
+            if not want["dd_zero"]:
+                broken += 1
+                assert not polytopes._certified(family, l), (family, l)
+    # every mutant but passing-flipped breaks d(d) somewhere in the sweep
+    assert broken or mutant == "passing-flipped"
+
+
+def test_counted_boundary_check_beyond_the_budget(monkeypatch):
+    # K_l is a simple polytope of dimension n = l - 2: a face of dimension
+    # d lies in exactly n - d faces of dimension d + 1, so the boundary
+    # entries sum to sum_d f_d (n - d)
+    monkeypatch.setenv("OPENSTRINGS_MAX_L", "14")
+    for l in range(2, 15):
+        report = boundary_map_consistency("K", l)
+        fv = _kirkman_cayley(l)
+        assert report["dd_zero"] and report["failures"] == []
+        assert report["faces"] == sum(fv) + 1, l
+        assert report["boundary_entries"] == sum(
+            n * (l - 2 - d) for d, n in enumerate(fv)), l
 
 
 @pytest.mark.parametrize("family, lmax", [("K", 8), ("J", 6)])
