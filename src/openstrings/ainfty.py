@@ -18,6 +18,7 @@ from functools import cached_property, reduce
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from ._json import _json_field, _json_id, _json_int, _json_list, _json_object
 from ._poly import InexactDivision, _bareiss_entry  # noqa: F401
 from .novikov import NovikovSeries, _check_ring, format_series, parse_series
 from .polytopes import _compositions, assoc_facet_parity
@@ -371,35 +372,90 @@ def _one_output(a: Matrix) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
     return out
 
 
-def _fan_in(word: Word, components, gens, k=None, after=None, longest=None):
-    """Every way to produce ``word`` with one component per factor.
+def _fan_in(components, gens, k=None, after=None, longest=None):
+    """Every way to produce a word with one component per factor: returns
+    ``terms(word)``, a list of (glued input chain, coefficient).
 
     ``components`` lists (input chain, coefficient) per output generator
-    and ``gens`` holds the generators of the input chains.  Yields the
-    glued input chain and the product of the coefficients, taken left to
-    right, signed by ``_split_parity`` of the components' arities on that
-    chain.  With ``k`` and ``after`` (a homotopy framed by two
+    and ``gens`` holds the generators of the input chains.  A term's
+    coefficient is the product of its components' coefficients, taken
+    left to right, signed by ``_split_parity`` of their arities on the
+    glued chain.  With ``k`` and ``after`` (a homotopy framed by two
     continuations) one factor takes a component of ``k``, the factors to
     its left components of ``components`` and those to its right
-    components of ``after``, signed by ``_homotopy_parity``.  A glued
-    chain longer than ``longest`` is skipped."""
-    if k is None:
-        slots = [(None, [components.get(g, ()) for g in word])]
-    else:
-        slots = [(p, [components.get(g, ()) for g in word[:p]]
-                  + [k.get(word[p], ())]
-                  + [after.get(g, ()) for g in word[p + 1:]])
-                 for p in range(len(word))]
-    for p, factors in slots:
-        for choice in itertools.product(*factors):
-            chain = tuple(x for inputs, _ in choice for x in inputs)
-            if longest is not None and len(chain) > longest:
-                continue
-            arities = [len(inputs) for inputs, _ in choice]
-            mus = [gens[x].mu for x in chain]
-            exp = (_split_parity(arities, mus) if p is None
-                   else _homotopy_parity(arities, mus, p))
-            yield chain, _signed(reduce(mul, (cf for _, cf in choice)), exp)
+    components of ``after``, signed by ``_homotopy_parity``; terms are
+    listed by the position of that factor, then as ``itertools.product``
+    lists the choices.  A glued chain longer than ``longest`` is skipped.
+
+    A word's terms extend its prefix's by the last factor's components:
+    one product per term, shared by every word with that prefix, whose
+    terms are kept until a word two factors longer is read.  A homotopy
+    prefix's terms without the k block are built only where the next
+    factor has a k component.  A partial term carries its sign exponent,
+    its number r of blocks and the index sum M of its chain: appending an
+    arity-a block to a chain of length L adds L - r, and M when a is
+    even, to ``_split_parity``, which signs the first block itself.
+    Placing the k block adds the fixed part L - r + M of
+    ``_homotopy_parity`` (its width - p and the index sum to its left);
+    the final r is added when the term is read."""
+    def annotated(table):
+        """(inputs, coefficient, arity odd, index sum) of each component,
+        per output generator."""
+        return {g: [(inputs, cf, len(inputs) % 2,
+                     sum(gens[x].mu for x in inputs)) for inputs, cf in comps]
+                for g, comps in table.items()}
+
+    def first(parts):
+        return [(inputs, cf, _split_parity((len(inputs),),
+                                           [gens[x].mu for x in inputs]), 1, s)
+                for inputs, cf, _, s in parts
+                if longest is None or len(inputs) <= longest]
+
+    def extend(partials, parts, placing=False):
+        out = []
+        for chain, coeff, exp, r, m in partials:
+            n = len(chain)
+            step = exp + n - r + (n - r + m if placing else 0)
+            for inputs, cf, odd, s in parts:
+                if longest is not None and n + len(inputs) > longest:
+                    continue
+                out.append((chain + inputs, coeff * cf,
+                            step if odd else step + m, r + 1, m + s))
+        return out
+
+    hs, ks, afters = (annotated(t) if t is not None else None
+                      for t in (components, k, after))
+    # memo[q]: the partial terms of the words of length q built so far
+    memo: Dict[int, Dict[Tuple[bool, Word], list]] = {}
+
+    def partial(word, placed=False):
+        """The terms of ``components`` alone on ``word``, or with
+        ``placed`` those with the k block placed."""
+        level = memo.setdefault(len(word), {})
+        got = level.get((placed, word))
+        if got is None:
+            g, prefix = word[-1], word[:-1]
+            if not prefix:
+                got = first((ks if placed else hs).get(g, ()))
+            elif not placed:
+                got = extend(partial(prefix), hs.get(g, ()))
+            else:
+                got = extend(partial(prefix, True), afters.get(g, ()))
+                if ks.get(g):
+                    got += extend(partial(prefix), ks[g], placing=True)
+            level[placed, word] = got
+        return got
+
+    def terms(word):
+        for q in [q for q in memo if q < len(word) - 1]:
+            del memo[q]
+        if ks is None:
+            return [(chain, _signed(coeff, exp))
+                    for chain, coeff, exp, _, _ in partial(word)]
+        return [(chain, _signed(coeff, exp + r))
+                for chain, coeff, exp, r, _ in partial(word, True)]
+
+    return terms
 
 
 def _fan_in_matrix(words, components, gens, k=None, after=None,
@@ -407,9 +463,10 @@ def _fan_in_matrix(words, components, gens, k=None, after=None,
     """The fan-in (``_fan_in``) over the target ``words`` as a matrix: a
     term producing ``u`` from the chain ``v`` is summed into [v][u], and a
     chain with no term left has no row."""
+    terms = _fan_in(components, gens, k, after, longest)
     out: Matrix = {}
     for word in words:
-        for chain, coeff in _fan_in(word, components, gens, k, after, longest):
+        for chain, coeff in terms(word):
             _acc(out.setdefault(chain, {}), word, coeff)
     return {v: row for v, row in out.items() if row}
 
@@ -469,9 +526,10 @@ def _fan_out(out: Matrix, c: "FloerComplex", gens, components, k=None,
     """Sum (-1)^exp d after (the fan-in of ``components``, framed as in
     ``_fan_in``), on one output: the fan-in over the inputs of each
     one-output component of d, times its coefficient."""
+    terms = _fan_in(components, gens, k, after)
     for g, comps in _d_parts(c).items():
         for word, coeff in comps:
-            for chain, cf in _fan_in(word, components, gens, k, after):
+            for chain, cf in terms(word):
                 _acc(out.setdefault(chain, {}), g, _signed(cf * coeff, exp))
 
 
@@ -769,26 +827,56 @@ def assemble_continuation(c: FloerComplex, c_prime: FloerComplex,
     return _fan_in_matrix(c.words, _components(h.h), c_prime._gens)
 
 
+def _exact(entries: Iterable[TensorEntry]) -> bool:
+    """Whether no entry's coefficient has a cutoff."""
+    return all(e.coeff.cutoff is None for e in entries)
+
+
+def _one_block(entries: Iterable[TensorEntry], gens) -> bool:
+    """Certificate that ``_split_parity`` signs each entry, read as the one
+    block of a one-factor target word, by +1: the fan-in of exact entries
+    then has the entries, summed per (inputs, output), as its one-output
+    components."""
+    return all(_split_parity((len(e.inputs),), [gens[x].mu for x in e.inputs])
+               == 0 for e in entries)
+
+
 def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
                     h: MapDatum) -> dict:
     """Verify the assembled continuation intertwines the differentials.
 
-    ``dual_expansion`` compares the continuation with the fan-in of its
-    one-output components.  When that holds exactly and both differentials
-    are odd, d F - F d' is decided on its one-output component: the fan-in
-    over the inputs of each structure tensor of ``c``, less the tensors of
-    ``c_prime`` spliced into the continuation's entries.  Otherwise, or for
-    a defect, both composites are built on the word basis.
+    ``dual_expansion`` compares the continuation F with the fan-in of its
+    one-output components.  When the entries are exact and ``_one_block``
+    holds, those components are the entries, so by multilinearity the
+    fan-in is F and ``dual_expansion`` holds without building either.
+    With both differentials odd, d F - F d' is then decided on its
+    one-output component: the fan-in over the inputs of each structure
+    tensor of ``c``, less the tensors of ``c_prime`` spliced into the
+    entries.  A passing map builds no words and no matrix; a defect builds
+    F once and both composites on the word basis.  Entries with a cutoff
+    read the components off F and compare their fan-in with F: summing
+    truncated entries before or after their products can change a
+    cutoff.
     """
-    fmat = assemble_continuation(c, c_prime, h)
-    # the continuation is the product-rule extension of its one-output
-    # components: their fan-in over every target word
-    parts = _one_output(fmat)
-    expansion = _mat_add(
-        fmat, _fan_in_matrix(c.words, parts, c_prime._gens), sign=-1)
-    if (not expansion and _on_tensors(c, c_prime)
-            and _is_zero(_chain_defect(c, c_prime, parts))):
-        return {"chain_map": True, "dual_expansion": True, "defects": []}
+    _validate_maps(c, c_prime, h)
+    gens = c_prime._gens
+    expands = _exact(h.h) and _one_block(h.h, gens)
+    if expands:
+        one: Matrix = {}
+        for e in h.h:
+            _acc(one.setdefault(e.inputs, {}), (e.output,), e.coeff)
+        if _on_tensors(c, c_prime) and _is_zero(
+                _chain_defect(c, c_prime, _one_output(one))):
+            return {"chain_map": True, "dual_expansion": True, "defects": []}
+    fmat = _fan_in_matrix(c.words, _components(h.h), gens)
+    expansion: Matrix = {}
+    if not expands:
+        parts = _one_output(fmat)
+        expansion = _mat_add(
+            fmat, _fan_in_matrix(c.words, parts, gens), sign=-1)
+        if (not expansion and _on_tensors(c, c_prime)
+                and _is_zero(_chain_defect(c, c_prime, parts))):
+            return {"chain_map": True, "dual_expansion": True, "defects": []}
     lhs = _mat_compose(fmat, c.differential)
     rhs = _mat_compose(c_prime.differential, fmat)
     defect = _mat_add(lhs, rhs, sign=-1)
@@ -921,10 +1009,10 @@ def compose_continuations(c0: FloerComplex, c1: FloerComplex,
     """
     _validate_maps(c1, c2, h12)
     _validate_maps(c0, c1, h01)
-    components = _components(h12.h)
+    terms = _fan_in(_components(h12.h), c2._gens)
     acc: Dict[Tuple[Word, str], NovikovSeries] = {}
     for outer in h01.h:
-        for chain, coeff in _fan_in(outer.inputs, components, c2._gens):
+        for chain, coeff in terms(outer.inputs):
             _acc(acc, (chain, outer.output), coeff * outer.coeff)
     entries = tuple(TensorEntry(w, g, c)
                     for (w, g), c in sorted(acc.items()) if c)
@@ -1109,13 +1197,16 @@ def check_consistency_homotopy(q_max: int = 6, drop_max: int = 6) -> dict:
 # augmentations
 
 
-def extend_augmentation(c: FloerComplex, a: Augmentation) -> Dict[Word, NovikovSeries]:
-    """Extend elementary values multiplicatively over grading-zero words.
+def _augmentation_parity(mus) -> int:
+    """Exponent sum_i (q-i) mu_i of the extended augmentation on a word of
+    q factors with indices ``mus`` (i from 1)."""
+    q = len(mus)
+    return sum((q - i) * mu for i, mu in enumerate(mus, 1)) % 2
 
-    The word value carries the sign (-1)^(sum_i (q-i) mu(lambda_i)).
-    Every value must sit on a generator of the complex in the index-(-1)
-    class and lie in the datum's coefficient ring.
-    """
+
+def _check_values(c: FloerComplex, a: Augmentation) -> None:
+    """Every value must sit on a generator of the complex in the
+    index-(-1) class and lie in the datum's coefficient ring."""
     gens = c._gens
     for gid, value in a.values.items():
         if gid not in gens:
@@ -1128,13 +1219,24 @@ def extend_augmentation(c: FloerComplex, a: Augmentation) -> Dict[Word, NovikovS
             raise ValueError(
                 f"augmentation value on generator {gid!r} is over "
                 f"{value.ring}, expected the datum ring {c.datum.ring}")
+
+
+def extend_augmentation(c: FloerComplex, a: Augmentation) -> Dict[Word, NovikovSeries]:
+    """Extend elementary values multiplicatively over grading-zero words.
+
+    The word value carries the sign (-1)^_augmentation_parity, that is
+    (-1)^(sum_i (q-i) mu(lambda_i)).  Every value must sit on a generator
+    of the complex in the index-(-1) class and lie in the datum's
+    coefficient ring.
+    """
+    _check_values(c, a)
+    gens = c._gens
     out: Dict[Word, NovikovSeries] = {}
     for word in c.words:
-        q = len(word)
         vals = [a.values.get(g) for g in word]
         if any(v is None for v in vals):
             continue
-        exp = sum((q - (i + 1)) * gens[word[i]].mu for i in range(q))
+        exp = _augmentation_parity([gens[g].mu for g in word])
         coeff = _signed(reduce(mul, vals), exp)
         if coeff:
             out[word] = coeff
@@ -1152,14 +1254,104 @@ def _functional_pullback(vec: Dict[Word, NovikovSeries], m: Matrix) -> Dict[Word
     return out
 
 
+def _splits(q_max: int) -> bool:
+    """Certificate that ``_augmentation_parity`` splits as condition 2
+    reads it on words of odd-index factors, up to ``q_max`` factors: it is
+    zero on one factor, and on q factors it is the sum of its values on c
+    and on q - c factors, plus (q - c) c."""
+    odd = [_augmentation_parity([1] * q) for q in range(max(q_max, 1) + 1)]
+    return odd[1] == 0 and all(
+        odd[q] == (odd[cut] + odd[q - cut] + (q - cut) * cut) % 2
+        for q in range(2, q_max + 1) for cut in range(1, q))
+
+
+def _valued_sums(entries: Iterable[TensorEntry],
+                 eps: Mapping[str, NovikovSeries]) -> Dict[Word, NovikovSeries]:
+    """sum over the entries u -> g of coeff * eps(g), per input chain u;
+    a sum that cancels exactly has no key."""
+    out: Dict[Word, NovikovSeries] = {}
+    for e in entries:
+        if e.output in eps:
+            _acc(out, e.inputs, e.coeff * eps[e.output])
+    return out
+
+
+def _augmentation_on_tensors(c: FloerComplex, a: Augmentation,
+                             push) -> Optional[dict]:
+    """The report of ``check_augmentation`` read off the tensors, or None
+    where it does not apply.
+
+    It applies when the values and the structure tensors are exact and
+    the modulus is 0 or even, so that every nonzero value sits on an odd
+    generator.  The extension of the nonzero values eps is then nonzero
+    exactly on the words of valued generators (``_word_count``).  On a
+    word p u s, the differential through an entry u -> g contributes
+    +-eps(p) eps(s) coeff eps(g), with a sign that does not depend on g, so
+    eps d is zero iff every A(u) = sum_{u -> g} coeff eps(g) is: an A(u)
+    left nonzero on a shortest u is the value of eps d on u itself.
+    Condition 2 holds when ``_augmentation_parity`` splits (``_splits``).
+
+    Pushed forward along exact entries certified by ``_one_block``, F's
+    one-factor rows are the arity-1 entries, so the pushed value of g' is
+    the A of the input (g',) over the entries of the map.  When that sum
+    vanishes on every input of two or more factors, eps F on a word v is
+    the product of the pushed values on its letters, signed by the
+    extension sign of as many odd factors (an arity-1 entry keeps the
+    index mod the modulus), so it factorizes; the domain is checked by
+    ``check_augmentation`` itself.
+    """
+    gens = c._gens
+    if not (_on_tensors(c) and _exact(c.datum.tensors)
+            and all(v.cutoff is None for v in a.values.values())
+            and _splits(c.datum.l)):
+        return None
+    eps = {g: v for g, v in a.values.items() if v}
+    report = {"condition_1": not _valued_sums(c.datum.tensors, eps),
+              "condition_2": True,
+              "supported_words": _word_count({g: gens[g] for g in eps})}
+    if push is not None:
+        domain, hdata = push
+        _validate_maps(c, domain, hdata)
+        pushed = _valued_sums(hdata.h, eps)
+        if not (_exact(hdata.h) and _one_block(hdata.h, domain._gens)
+                and all(len(u) == 1 for u in pushed)):
+            return None
+        # in the order F's one-factor rows are first reached: by target
+        # generator as ``enumerate_words`` lists them, then by entry
+        parts = _components(hdata.h)
+        rows = dict.fromkeys(
+            inputs for g in sorted(gens.values(), key=lambda g: (g.i, g.j, g.id))
+            for inputs, _ in parts.get(g.id, ()) if inputs in pushed)
+        sub = check_augmentation(
+            domain, Augmentation(values={u[0]: pushed[u] for u in rows}))
+        report["pushforward"] = {"condition_1": sub["condition_1"],
+                                 "condition_2": sub["condition_2"],
+                                 "factorizes": True}
+    return report
+
+
 def check_augmentation(c: FloerComplex, a: Augmentation,
                        push: Optional[Tuple["FloerComplex", MapDatum]] = None) -> dict:
     """Verify both augmentation conditions, optionally after pushforward.
 
     ``push`` supplies (domain complex, map data); the extended
     augmentation is composed with the assembled continuation out of
-    that complex and must again satisfy both conditions there.
+    that complex and must again satisfy both conditions there.  The
+    report is read off the tensors where ``_augmentation_on_tensors``
+    applies, without words; otherwise the values are extended over the
+    words and composed with the differential and the continuation.
     """
+    _check_values(c, a)
+    report = _augmentation_on_tensors(c, a, push)
+    if report is None:
+        report = _augmentation_on_words(c, a, push)
+    report["ok"] = report["condition_1"] and report["condition_2"] and (
+        push is None or all(report["pushforward"].values()))
+    return report
+
+
+def _augmentation_on_words(c: FloerComplex, a: Augmentation, push) -> dict:
+    """The report of ``check_augmentation`` on the word basis."""
     gens = c._gens
     vec = extend_augmentation(c, a)
     boundary = _functional_pullback(vec, c.differential)
@@ -1193,10 +1385,6 @@ def check_augmentation(c: FloerComplex, a: Augmentation,
             "condition_2": sub["condition_2"],
             "factorizes": factorizes,
         }
-    report["ok"] = cond1 and cond2 and (
-        push is None or (report["pushforward"]["condition_1"]
-                         and report["pushforward"]["condition_2"]
-                         and report["pushforward"]["factorizes"]))
     return report
 
 
@@ -1358,51 +1546,6 @@ def pair_subcomplex(d: AInftyDatum, i: int, j: int) -> AInftyDatum:
 
 # ---------------------------------------------------------------------------
 # JSON loading
-
-
-def _json_field(obj: Mapping, key: str, what: str):
-    """``obj[key]``; a missing key is invalid input naming the object
-    (``what``) and the field."""
-    try:
-        return obj[key]
-    except KeyError:
-        raise ValueError(f"{what} has no field {key!r}") from None
-
-
-def _json_int(obj: Mapping, key: str, what: str) -> int:
-    """``obj[key]`` if it is a JSON integer: no bool, no number int()
-    would truncate."""
-    v = _json_field(obj, key, what)
-    if type(v) is not int:
-        raise ValueError(f"{key} must be an integer, got {v!r}")
-    return v
-
-
-def _json_id(obj: Mapping, key: str, what: str) -> str:
-    """``obj[key]`` if it is a JSON string (a generator id)."""
-    v = _json_field(obj, key, what)
-    if type(v) is not str:
-        raise ValueError(f"{key} must be a string, got {v!r}")
-    return v
-
-
-def _json_object(v, what: str) -> Mapping:
-    """``v`` if it is a JSON object."""
-    if not isinstance(v, Mapping):
-        raise ValueError(f"{what} must be a JSON object, got {v!r}")
-    return v
-
-
-def _json_list(obj: Mapping, key: str, what: str, default=None) -> list:
-    """``obj[key]`` (or ``default`` when it is absent) if it is a JSON list
-    of JSON objects."""
-    v = (_json_field(obj, key, what) if default is None
-         else obj.get(key, default))
-    if not isinstance(v, (list, tuple)):
-        raise ValueError(f"{key} must be a list, got {v!r}")
-    for n, x in enumerate(v):
-        _json_object(x, f"{key}[{n}]")
-    return v
 
 
 def _entry_from_json(obj, ring) -> TensorEntry:

@@ -45,6 +45,7 @@ from functools import reduce
 from itertools import combinations, count
 from typing import Dict, List, Optional, Tuple
 
+from ._json import _json_field, _json_list, _json_object
 from ._poly import (InexactDivision, IntPoly, _exact_div, degree, derivative,
                     det, gcd, matrix_at, mul, neg_prem, sign_at, sub)
 
@@ -467,15 +468,22 @@ def _rational(value, what: str) -> Fraction:
 
 
 def path_from_json(obj) -> LagrangianPath:
-    if "pieces" not in obj:
-        raise ValueError("path has no field 'pieces'")
     pieces = []
-    for p in obj["pieces"]:
+    for p in _json_list(_json_object(obj, "path"), "pieces", "path"):
         if "t0" in p:
-            a, b = _rational(p["t0"], "t0"), _rational(p["t1"], "t1")
+            a = _rational(p["t0"], "t0")
+            b = _rational(_json_field(p, "t1", "piece"), "t1")
         else:
-            a, b = (_rational(v, "interval end") for v in p["interval"])
-        raw = p["A"] if "A" in p else p["matrix"]
+            ends = _json_field(p, "interval", "piece")
+            if not (isinstance(ends, list) and len(ends) == 2):
+                raise ValueError(
+                    f"interval must be a list of two ends, got {ends!r}")
+            a, b = (_rational(v, "interval end") for v in ends)
+        key = "matrix" if "matrix" in p and "A" not in p else "A"
+        raw = _json_field(p, key, "piece")
+        if not (isinstance(raw, list)
+                and all(isinstance(row, list) for row in raw)):
+            raise ValueError(f"{key} {raw!r} is not a list of matrix rows")
         # an entry that is not a list is left for make_piece to reject
         matrix = [[[_rational(c, "matrix entry coefficient") for c in entry]
                    if isinstance(entry, list) else entry for entry in row]

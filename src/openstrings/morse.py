@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .ainfty import (AInftyDatum, Generator, TensorEntry, _json_field,
-                     _json_id, _json_int)
+from ._json import _json_field, _json_id, _json_int, _json_list, _json_object
+from .ainfty import AInftyDatum, Generator, TensorEntry
 from .novikov import NovikovSeries, _rational
 
 __all__ = [
@@ -219,14 +219,15 @@ def morse_datum_from_json(obj: Mapping) -> MorseDatum:
         CriticalPoint(_json_id(p, "id", "point"),
                       _json_int(p, "index", "point"),
                       _rational(_json_field(p, "value", "point"), "value"))
-        for p in _json_field(obj, "points", "Morse datum"))
+        for p in _json_list(_json_object(obj, "Morse datum"), "points",
+                            "Morse datum"))
     flows = tuple(Flow(_json_id(f, "from", "flow"), _json_id(f, "to", "flow"),
                        _json_int(f, "count", "flow"))
-                  for f in obj.get("flows", ()))
+                  for f in _json_list(obj, "flows", "Morse datum", ()))
     triples = tuple(
         Triple(_json_id(t, "a", "triple"), _json_id(t, "b", "triple"),
                _json_id(t, "out", "triple"), _json_int(t, "count", "triple"),
                _rational(_json_field(t, "action", "triple"), "action"))
-        for t in obj.get("triples", ()))
+        for t in _json_list(obj, "triples", "Morse datum", ()))
     return MorseDatum(n=_json_int(obj, "n", "Morse datum"), points=points,
                       flows=flows, triples=triples)

@@ -34,16 +34,33 @@ word basis.  They are the oracle for the one-output checks, and read the
 complexes' words and differentials and call
 ``ainfty.assemble_differential`` and ``ainfty.assemble_continuation`` as
 the library does, so a test that patches the library's assembler patches
-these copies too."""
+these copies too.
+
+- ``product_fan_in`` and ``product_fan_in_matrix`` are the fan-in kernel
+  as it was before each word's terms extended its prefix's: every choice
+  of one component per factor (``itertools.product``), its coefficients
+  multiplied left to right and its sign read off the whole chain by
+  ``ainfty._split_parity`` or ``ainfty._homotopy_parity``, looked up on
+  the module when called, so a test that patches a sign rule patches this
+  kernel too.  The ``word_basis_*`` checks fan in through it.
+- ``expanded_check_chain_map`` is ``check_chain_map`` as it was before a
+  passing map was decided without the continuation matrix: it expands F
+  over every target word, reads its one-output components off F and
+  compares their fan-in with F before deciding on the one-output defect.
+- ``word_basis_check_augmentation`` is ``check_augmentation`` as it was
+  before it was read off the tensors: the values are extended over every
+  word, with the inline exponent sum_i (q-i) mu_i, and composed with the
+  differential and with the continuation matrix."""
 
 from __future__ import annotations
 
 import itertools
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 from openstrings import ainfty
 from openstrings.ainfty import (
+    Augmentation,
     MapDatum,
     TensorEntry,
     _a3_left,
@@ -52,20 +69,55 @@ from openstrings.ainfty import (
     _components,
     _dual_transpose,
     _entry_report,
-    _fan_in_matrix,
     _grade,
+    _is_zero,
     _mat_add,
     _mat_compose,
     _mat_entries,
     _mat_is_zero,
+    _on_tensors,
     _one_output,
     _prefix_mu,
     _signed,
+    _splice,
     _split_parity,
     _tensor_index,
     _validate_maps,
     _word_mu,
 )
+
+
+def product_fan_in(word, components, gens, k=None, after=None, longest=None):
+    """Every way to produce ``word`` with one component per factor, as
+    (glued input chain, signed coefficient product); with ``k`` and
+    ``after`` the homotopy terms, by the position of the k factor."""
+    if k is None:
+        slots = [(None, [components.get(g, ()) for g in word])]
+    else:
+        slots = [(p, [components.get(g, ()) for g in word[:p]]
+                  + [k.get(word[p], ())]
+                  + [after.get(g, ()) for g in word[p + 1:]])
+                 for p in range(len(word))]
+    for p, factors in slots:
+        for choice in itertools.product(*factors):
+            chain = tuple(x for inputs, _ in choice for x in inputs)
+            if longest is not None and len(chain) > longest:
+                continue
+            arities = [len(inputs) for inputs, _ in choice]
+            mus = [gens[x].mu for x in chain]
+            exp = (ainfty._split_parity(arities, mus) if p is None
+                   else ainfty._homotopy_parity(arities, mus, p))
+            yield chain, _signed(reduce(mul, (cf for _, cf in choice)), exp)
+
+
+def product_fan_in_matrix(words, components, gens, k=None, after=None,
+                          longest=None):
+    out = {}
+    for word in words:
+        for chain, coeff in product_fan_in(word, components, gens, k, after,
+                                           longest):
+            _acc(out.setdefault(chain, {}), word, coeff)
+    return {v: row for v, row in out.items() if row}
 
 
 def _dual_word(word):
@@ -312,7 +364,8 @@ def word_basis_check_chain_map(c, c_prime, h):
     rhs = _mat_compose(c_prime.differential, fmat)
     defect = _mat_add(lhs, rhs, sign=-1)
     ok = _mat_is_zero(defect)
-    predicted = _fan_in_matrix(c.words, _one_output(fmat), c_prime._gens)
+    predicted = product_fan_in_matrix(c.words, _one_output(fmat),
+                                      c_prime._gens)
     return {
         "chain_map": ok,
         "dual_expansion": _mat_is_zero(_mat_add(fmat, predicted, sign=-1)),
@@ -324,9 +377,10 @@ def word_basis_check_homotopy(c, c_prime, h0, h1, k):
     _validate_maps(c, c_prime, h0, h1, k=k)
     gens = c_prime._gens
     h0_parts, h1_parts = _components(h0.h), _components(h1.h)
-    f0 = _fan_in_matrix(c.words, h0_parts, gens)
-    f1 = _fan_in_matrix(c.words, h1_parts, gens)
-    kk = _fan_in_matrix(c.words, h0_parts, gens, _components(k.k), h1_parts)
+    f0 = product_fan_in_matrix(c.words, h0_parts, gens)
+    f1 = product_fan_in_matrix(c.words, h1_parts, gens)
+    kk = product_fan_in_matrix(c.words, h0_parts, gens, _components(k.k),
+                               h1_parts)
     bracket = _mat_add(_mat_compose(kk, c.differential),
                        _mat_compose(c_prime.differential, kk))
     defect = _mat_add(_mat_add(f0, f1, sign=-1), bracket, sign=-1)
@@ -335,3 +389,108 @@ def word_basis_check_homotopy(c, c_prime, h0, h1, k):
         "homotopy": ok,
         "defects": [] if ok else _entry_report(defect),
     }
+
+
+def expanded_check_chain_map(c, c_prime, h):
+    _validate_maps(c, c_prime, h)
+    fmat = product_fan_in_matrix(c.words, _components(h.h), c_prime._gens)
+    parts = _one_output(fmat)
+    expansion = _mat_add(
+        fmat, product_fan_in_matrix(c.words, parts, c_prime._gens), sign=-1)
+    if not expansion and _on_tensors(c, c_prime):
+        # the one-output component of d F - F d'
+        one = {}
+        for g, comps in ainfty._d_parts(c).items():
+            for word, coeff in comps:
+                for chain, cf in product_fan_in(word, parts, c_prime._gens):
+                    _acc(one.setdefault(chain, {}), g, cf * coeff)
+        _splice(one, parts, c_prime, exp=1)
+        if _is_zero(one):
+            return {"chain_map": True, "dual_expansion": True, "defects": []}
+    lhs = _mat_compose(fmat, c.differential)
+    rhs = _mat_compose(c_prime.differential, fmat)
+    defect = _mat_add(lhs, rhs, sign=-1)
+    ok = _mat_is_zero(defect)
+    return {
+        "chain_map": ok,
+        "dual_expansion": _mat_is_zero(expansion),
+        "defects": [] if ok else _entry_report(defect),
+    }
+
+
+def word_basis_extend_augmentation(c, a):
+    gens = c._gens
+    for gid, value in a.values.items():
+        if gid not in gens:
+            raise ValueError(f"augmentation value on unknown generator {gid!r}")
+        if _grade(gens[gid].mu + 1, c.modulus) != 0:
+            raise ainfty.DegreeViolation(
+                f"augmentation value on generator {gid!r} outside the "
+                "index-(-1) class")
+        if value.ring != c.datum.ring:
+            raise ValueError(
+                f"augmentation value on generator {gid!r} is over "
+                f"{value.ring}, expected the datum ring {c.datum.ring}")
+    out = {}
+    for word in c.words:
+        q = len(word)
+        vals = [a.values.get(g) for g in word]
+        if any(v is None for v in vals):
+            continue
+        exp = sum((q - (i + 1)) * gens[word[i]].mu for i in range(q))
+        coeff = _signed(reduce(mul, vals), exp)
+        if coeff:
+            out[word] = coeff
+    return out
+
+
+def _functional_pullback(vec, m):
+    out = {}
+    for w, cols in m.items():
+        terms = [coeff * vec[u] for u, coeff in cols.items() if u in vec]
+        s = reduce(add, terms) if terms else None
+        if s:
+            out[w] = s
+    return out
+
+
+def word_basis_check_augmentation(c, a, push=None):
+    gens = c._gens
+    vec = word_basis_extend_augmentation(c, a)
+    boundary = _functional_pullback(vec, c.differential)
+    cond1 = not boundary
+    cond2 = True
+    for word, coeff in vec.items():
+        q = len(word)
+        for cut in range(1, q):
+            left, right = word[:cut], word[cut:]
+            lv, rv = vec.get(left), vec.get(right)
+            if lv is None or rv is None:
+                cond2 = False
+                continue
+            exp = (q - cut) * _word_mu(left, gens)
+            if coeff != _signed(lv * rv, exp):
+                cond2 = False
+    report = {"condition_1": cond1, "condition_2": cond2,
+              "supported_words": len(vec)}
+    if push is not None:
+        domain, hdata = push
+        _validate_maps(c, domain, hdata)
+        fmat = product_fan_in_matrix(c.words, _components(hdata.h),
+                                     domain._gens)
+        pushed_vec = _functional_pullback(vec, fmat)
+        elem = {w[0]: v for w, v in pushed_vec.items() if len(w) == 1}
+        pushed = Augmentation(values=elem)
+        re_extended = word_basis_extend_augmentation(domain, pushed)
+        factorizes = re_extended == pushed_vec
+        sub = word_basis_check_augmentation(domain, pushed)
+        report["pushforward"] = {
+            "condition_1": sub["condition_1"],
+            "condition_2": sub["condition_2"],
+            "factorizes": factorizes,
+        }
+    report["ok"] = cond1 and cond2 and (
+        push is None or (report["pushforward"]["condition_1"]
+                         and report["pushforward"]["condition_2"]
+                         and report["pushforward"]["factorizes"]))
+    return report

@@ -100,6 +100,30 @@ def diagonal_map(d: AInftyDatum, units) -> MapDatum:
                             for g in d.generators))
 
 
+def all_pairs_datum(l: int, shadows=(), modulus: int = 0) -> AInftyDatum:
+    """Generators g_ij (0 <= i < j <= l) of index j - i with the products
+    g_ij g_jk -> g_ik, all of weight 1: an associative path algebra, so a
+    complex.  Each shadow pair (i, j) adds s_ij of index j - i and z_ij of
+    index j - i - 1, which no structure tensor touches."""
+    gens = [Generator(f"g{i}{j}", i, j, j - i)
+            for i in range(l + 1) for j in range(i + 1, l + 1)]
+    for i, j in shadows:
+        gens += [Generator(f"s{i}{j}", i, j, j - i),
+                 Generator(f"z{i}{j}", i, j, j - i - 1)]
+    tensors = tuple(T([f"g{i}{j}", f"g{j}{k}"], f"g{i}{k}")
+                    for i in range(l + 1) for j in range(i + 1, l + 1)
+                    for k in range(j + 1, l + 1))
+    return AInftyDatum(l=l, generators=tuple(gens), tensors=tensors,
+                       modulus=modulus)
+
+
+def random_units(rng, datum) -> dict:
+    """One invertible monomial +-t^e per generator of ``datum``."""
+    return {g.id: S(f"{rng.choice(('', '-'))}t^{rng.randint(-3, 6)}"
+                    f"/{rng.choice((1, 2, 3))}")
+            for g in datum.generators}
+
+
 def make_augmentation_datum():
     """A two-label datum with a nontrivially cancelling augmentation."""
     gens = (

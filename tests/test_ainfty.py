@@ -72,10 +72,12 @@ from conftest import (
     ONE,
     S,
     T,
+    all_pairs_datum,
     conjugate_datum,
     diagonal_map,
     make_augmentation_datum,
     make_chain_datum,
+    random_units,
 )
 
 
@@ -1239,8 +1241,9 @@ def _assert_sign_rules_match(c, c_prime, h):
     # the fan-in of the one-output components, read on dual words
     components = ainfty._one_output(fmat)
     predicted = {}
+    terms = ainfty._fan_in(components, c_prime._gens)
     for word in c.words:
-        for chain, coeff in ainfty._fan_in(word, components, c_prime._gens):
+        for chain, coeff in terms(word):
             _ref_accumulate(predicted.setdefault(word[::-1], {}), chain[::-1],
                             coeff)
     predicted = {w: row for w, row in predicted.items() if row}
@@ -1310,11 +1313,17 @@ def _flip_entry(a, rng, pick=lambda w, u: True):
     return out
 
 
+def _odd_first_block(real):
+    """``_split_parity`` with a first block of odd arity flipped: one block
+    of arity 1 is signed by -1, so ``ainfty._one_block`` fails on the
+    entries of a diagonal map."""
+    return lambda arities, mus: (real(arities, mus) + arities[0]) % 2
+
+
 def _assert_one_output_checks_match(c0, c1, c2, h01, h12, rng, monkeypatch):
     """A axioms, chain-map reports and the composite equal the reference,
-    also on a hand-broken differential and on a continuation matrix with
-    one entry of two or more outputs negated; returns the reports and the
-    composite."""
+    also on a hand-broken differential and under a sign rule that flips a
+    first block of odd arity; returns the reports and the composite."""
     reports = []
     for c in (c0, c1, c2):
         reports.append(validate_axioms_A(c))
@@ -1327,15 +1336,18 @@ def _assert_one_output_checks_match(c0, c1, c2, h01, h12, rng, monkeypatch):
     for c, cp, h in ((c0, c1, h01), (c1, c2, h12)):
         reports.append(check_chain_map(c, cp, h))
         assert reports[-1] == ainfty_reference.check_chain_map(c, cp, h)
-    real, seed = ainfty.assemble_continuation, rng.random()
     with monkeypatch.context() as m:
-        # both sides assemble, and both must see the same entry negated
-        m.setattr(ainfty, "assemble_continuation",
-                  lambda *args: _flip_entry(real(*args), random.Random(seed),
-                                            lambda w, u: len(u) > 1))
+        # the continuation's one-output components are no longer its
+        # entries: the certificate fails, and F no longer re-expands from
+        # them, as the dual-word reference and the expanding check find
+        m.setattr(ainfty, "_split_parity",
+                  _odd_first_block(ainfty._split_parity))
+        assert not ainfty._one_block(h01.h, c1._gens)
         reports.append(check_chain_map(c0, c1, h01))
         assert not reports[-1]["dual_expansion"]
         assert reports[-1] == ainfty_reference.check_chain_map(c0, c1, h01)
+        assert reports[-1] == ainfty_reference.expanded_check_chain_map(
+            c0, c1, h01)
     composite = compose_continuations(c0, c1, c2, h01, h12)
     assert composite == ainfty_reference.compose_continuations(
         c0, c1, c2, h01, h12)
@@ -2135,12 +2147,299 @@ def test_complex_builds_words_and_differential_on_first_use(
     c = assemble_differential(chain_datum)
     assert check_homotopy(c, c, ident, h1, k)["homotopy"]
     assert built(c) == [False, False]
-    # a continuation reads the words of its target, not the differentials
-    assert check_chain_map(c, cp, diag)["chain_map"]
-    assert built(c, cp) == [True, False, False, False]
+    assert check_chain_map(c, cp, diag) == {
+        "chain_map": True, "dual_expansion": True, "defects": []}
+    assert built(c, cp) == [False] * 4
+    # a passing augmentation, also pushed forward, is read off the tensors
+    datum, aug = make_augmentation_datum()
+    units = {"x": S("-t^0"), "y": S("t^1"), "z": S("-t^2"), "p": ONE}
+    ca, cb = (assemble_differential(d)
+              for d in (datum, conjugate_datum(datum, units)))
+    assert check_augmentation(ca, aug)["ok"]
+    assert check_augmentation(ca, aug, (cb, diagonal_map(datum, units)))["ok"]
+    assert built(ca, cb) == [False] * 4
+    # a failing map composes both differentials on the word basis
+    bad = MapDatum(h=tuple(T(e.inputs, e.output, e.coeff.scale(-1))
+                           if e.output == "g12" else e for e in diag.h))
+    assert not check_chain_map(c, cp, bad)["chain_map"]
+    assert built(c, cp) == [True] * 4
     c0, c1, c2 = (assemble_differential(d)
                   for d in (chain_datum, conjugated_datum, conjugated_datum))
     assert check_composition(c0, c1, c2, diag, ident)["composition"]
     assert built(c0, c1, c2) == [True, False, True, False, False, False]
     assert c0.differential == _ref_differential(chain_datum)
     assert c0.words == enumerate_words(chain_datum)
+
+
+# ---------------------------------------------------------------------------
+# the prefix-extension kernel against the product kernel, and the checks
+# read off the tensors against the expanding chain-map check and the
+# word-basis augmentation check
+
+
+def _listed(m):
+    """A matrix with the insertion order of its rows and entries."""
+    return [(v, list(row.items())) for v, row in m.items()]
+
+
+def _assert_kernel_lists_product_terms(words, h0, h1, k, gens, longest=None):
+    """Every word's continuation and homotopy terms, and both matrices,
+    equal the product kernel's, in the same order."""
+    h0, h1, k = (ainfty._components(x) for x in (h0, h1, k))
+    for frame in ((None, None), (k, h1)):
+        args = (h0, gens, *frame, longest)
+        terms = ainfty._fan_in(*args)
+        for word in words:
+            assert terms(word) == list(
+                ainfty_reference.product_fan_in(word, *args)), word
+        assert _listed(ainfty._fan_in_matrix(words, *args)) == _listed(
+            ainfty_reference.product_fan_in_matrix(words, *args))
+
+
+def test_prefix_kernel_lists_the_product_kernels_terms():
+    rng = random.Random(2200)
+    cancelled = 0
+    for l in (3, 4, 5):
+        for _ in range(2):
+            c0, c1, _, h01, _, h0, h1, k = _random_case(rng, l)
+            cut = [_cut_entries(x, rng) for x in (h01.h, h1.h, k.k)]
+            for h, g1, kk in ((h01.h, h1.h, k.k), cut):
+                for longest in (None, 1, 2, l - 1):
+                    _assert_kernel_lists_product_terms(
+                        c0.words, h, g1, kk, c1._gens, longest)
+            # a sum cancelled to a zero series with a cutoff
+            cancelled += any(
+                not x and x.cutoff is not None
+                for row in ainfty._fan_in_matrix(
+                    c0.words, ainfty._components(cut[0]), c1._gens).values()
+                for x in row.values())
+    # transfers: continuation entries of arity 3 and structure tensors
+    for _ in range(3):
+        c0, c1, h, k, h1 = _transfer_case(rng, 4)
+        _assert_kernel_lists_product_terms(c0.words, h.h, h1.h, k.k,
+                                           c1._gens)
+    assert cancelled
+
+
+def _repeat_entry(entries, rng):
+    """``entries`` with one of them split into two entries of the same
+    inputs and output, of weights x (1 + t) and -x t."""
+    if not entries:
+        return entries
+    i = rng.randrange(len(entries))
+    e = entries[i]
+    return (entries[:i] + (T(e.inputs, e.output, e.coeff * (ONE + S("t^1"))),
+                           T(e.inputs, e.output, e.coeff * S("-t^1")))
+            + entries[i + 1:])
+
+
+def _chain_map_corpus(rng):
+    """(label, modulus, c, c', h): random cases, transfers and all-pairs
+    data, plain, with cutoffs, with repeated (inputs, output) entries,
+    sign mutants and rejected input, under moduli 0-3."""
+    bases = []
+    for l in (3, 4):
+        c0, c1, _, h01, _, _, _, _ = _random_case(rng, l)
+        bases.append((c0.datum, c1.datum, h01.h))
+        c0, c1, h, _, h1 = _transfer_case(rng, l)
+        bases += [(c0.datum, c1.datum, h.h), (c0.datum, c1.datum, h1.h)]
+    for l in (3, 4, 5):
+        d = all_pairs_datum(l, shadows=[(0, 2)])
+        units = random_units(rng, d)
+        bases.append((d, conjugate_datum(d, units), diagonal_map(d, units).h
+                      + (T(["g01", "g12"], "z02", _random_unit(rng)),)))
+        bases.append((d, conjugate_datum(d, units), diagonal_map(d, units).h))
+    for d, dp, h in bases:
+        cases = {
+            "plain": (d, dp, h),
+            "cutoff map": (d, dp, _cut_entries(h, rng)),
+            "cutoff tensors": (replace(d, tensors=_cut_entries(d.tensors, rng)),
+                               dp, h),
+            "repeated": (d, dp, _repeat_entry(_repeat_entry(h, rng), rng)),
+            "doubled": (d, dp, h + h[:1]),
+            "mutant map": (d, dp, _flip_one(h, rng)),
+            "mutant tensors": (d, replace(dp, tensors=_flip_one(dp.tensors,
+                                                                rng)), h),
+            "rejected": (d, dp, h + (T([h[0].inputs[0]], "nowhere"),)),
+        }
+        for modulus in (0, 1, 2, 3):
+            for label, (x, y, entries) in cases.items():
+                yield (label, modulus, *(assemble_differential(
+                    replace(z, modulus=modulus)) for z in (x, y)),
+                    MapDatum(h=entries))
+
+
+def test_chain_map_matches_the_expanding_check():
+    rng = random.Random(2300)
+    seen = {}
+    for label, modulus, c, cp, h in _chain_map_corpus(rng):
+        got = _outcome(check_chain_map, c, cp, h)
+        built = "words" in vars(c) or "words" in vars(cp)
+        assert got == _outcome(ainfty_reference.expanded_check_chain_map,
+                               c, cp, h), (label, modulus)
+        key = ("raised" if isinstance(got, tuple) else
+               "passed" if _passed(got) else "failed")
+        seen[key, label] = seen.get((key, label), 0) + 1
+        if key == "passed" and modulus % 2 == 0 and "cutoff" not in label:
+            # decided on the tensors: no words, no matrix
+            assert not built, (label, modulus)
+    for key in (("raised", "rejected"), ("failed", "mutant map"),
+                ("passed", "cutoff map"), ("passed", "repeated"),
+                ("passed", "doubled"), ("failed", "doubled")):
+        assert seen.get(key), (key, seen)
+
+
+def _augmentation_datum(rng, l, modulus):
+    """An all-pairs datum with shadows, conjugated by units, plus on each
+    pair (i, i+1) generators x_i of index -2 and y_i, z_i of index -1 with
+    the tensors x_i -> y_i and x_i -> z_i."""
+    base = all_pairs_datum(l, [(i, i + 2) for i in range(l - 1)], modulus)
+    d = conjugate_datum(base, random_units(rng, base))
+    gens, tensors = list(d.generators), list(d.tensors)
+    for i in range(l):
+        gens += [Generator(f"x{i}", i, i + 1, -2),
+                 Generator(f"y{i}", i, i + 1, -1),
+                 Generator(f"z{i}", i, i + 1, -1)]
+        tensors += [T([f"x{i}"], f"y{i}", _random_unit(rng)),
+                    T([f"x{i}"], f"z{i}", _random_unit(rng))]
+    return replace(d, generators=tuple(gens), tensors=tuple(tensors))
+
+
+def _augmentation_values(rng, d):
+    """Random units on some g_i,i+1 in the index -1 class, and on y_i, z_i
+    values that cancel through x_i: A(x_i) = 0."""
+    coeff = {(e.inputs[0], e.output): e.coeff for e in d.tensors}
+    gens = {g.id: g for g in d.generators}
+    values = {}
+    for i in range(d.l):
+        g = f"g{i}{i + 1}"
+        if rng.random() < 0.8 and _grade(gens[g].mu + 1, d.modulus) == 0:
+            values[g] = _random_unit(rng)
+        if rng.random() < 0.6:
+            v = _random_unit(rng)
+            values[f"y{i}"] = coeff[(f"x{i}", f"z{i}")] * v
+            values[f"z{i}"] = coeff[(f"x{i}", f"y{i}")] * v.scale(-1)
+    return values
+
+
+def _augmentation_corpus(rng):
+    """(label, modulus, datum, values, push as (domain datum, entries) or
+    None): plain, zero and cut values, a value on a product output, cut
+    tensors and map entries, repeated entries, pushed values that cancel,
+    arity-2 entries into valued and unvalued generators, odd moduli, a
+    domain of another modulus or ring, a given differential and values
+    off the complex or the index -1 class."""
+    for l in (3, 4):
+        for modulus in (2, 0, 1, 3, 4):
+            d = _augmentation_datum(rng, l, modulus)
+            values = _augmentation_values(rng, d)
+            units = random_units(rng, d)
+            dp = conjugate_datum(d, units)
+            diag = diagonal_map(d, units).h
+            one = next(iter(values), None)
+            arity2 = tuple(T([f"g{i}{i + 1}", f"g{i + 1}{i + 2}"], f"z{i}{i + 2}",
+                             _random_unit(rng)) for i in range(l - 1))
+            y0, z0 = values.get("y0"), values.get("z0")
+            cancel = diag if y0 is None else tuple(
+                e for e in diag if e.inputs != ("y0",)) + (
+                T(["y0"], "y0", z0 * units["y0"]),
+                T(["y0"], "z0", y0 * units["y0"].scale(-1)))
+            vals = {
+                "plain": values,
+                "zero": dict(values, **{one: NovikovSeries.zero()})
+                if one else values,
+                "cut value": {g: v.restrict(v.valuation() + 1)
+                              if g == one else v for g, v in values.items()},
+                "product output": dict(values, g03=_random_unit(rng)),
+            }
+            for label, v in vals.items():
+                for push in (None, diag):
+                    yield (label, modulus, d, v, push and (dp, push))
+            maps = {
+                "cut map": _cut_entries(diag, rng),
+                "repeated": _repeat_entry(_repeat_entry(diag, rng), rng),
+                "cancel": cancel,
+                "arity 2 unvalued": diag + arity2,
+            }
+            for label, h in maps.items():
+                yield (label, modulus, d, values, (dp, h))
+            # the arity-2 entries hit valued shadows z_i,i+2 (index 1)
+            shadows = {e.output: _random_unit(rng) for e in arity2
+                       if _grade(2, modulus) == 0}
+            yield ("arity 2", modulus, d, dict(values, **shadows),
+                   (dp, diag + arity2))
+            yield ("cut tensors", modulus,
+                   replace(d, tensors=_cut_entries(d.tensors, rng)), values,
+                   None)
+            yield ("domain modulus", modulus, d, values,
+                   (replace(dp, modulus=modulus + 2), diag))
+            yield ("domain ring", modulus, d, values,
+                   (replace(dp, ring="Q", tensors=tuple(
+                       T(e.inputs, e.output, e.coeff.to_ring("Q"))
+                       for e in dp.tensors)), diag))
+            yield ("given", modulus, d, values, None)
+            yield ("unknown", modulus, d, dict(values, nowhere=ONE), None)
+            yield ("off class", modulus, d, dict(values, x0=ONE), None)
+
+
+def test_augmentation_matches_the_word_basis_check():
+    rng = random.Random(2400)
+    seen = {}
+    for label, modulus, d, values, push in _augmentation_corpus(rng):
+        c = assemble_differential(d)
+        if label == "given":
+            c = FloerComplex(d, c.words, c.differential)
+        args = (c, Augmentation(values=values), push and (
+            assemble_differential(push[0]), MapDatum(h=push[1])))
+        got = _outcome(check_augmentation, *args)
+        built = "words" in vars(c)
+        assert got == _outcome(ainfty_reference.word_basis_check_augmentation,
+                               *args), (label, modulus)
+        key = ("raised" if isinstance(got, tuple) else
+               "passed" if got["ok"] else "failed")
+        seen[key, label] = seen.get((key, label), 0) + 1
+        if (label in ("plain", "repeated", "cancel", "arity 2 unvalued")
+                and modulus % 2 == 0 and key != "raised"):
+            # read off the tensors: no words
+            assert not built, (label, modulus)
+        if label in ("cut value", "cut map", "given") or modulus % 2:
+            assert built or key == "raised", (label, modulus)
+    for key in (("passed", "plain"), ("failed", "product output"),
+                ("passed", "zero"), ("failed", "zero"), ("passed", "cancel"),
+                ("failed", "arity 2"), ("passed", "cut value"),
+                ("raised", "domain ring"), ("raised", "domain modulus"),
+                ("raised", "unknown"), ("raised", "off class")):
+        assert seen.get(key), (key, seen)
+
+
+def _flip_pairs(real):
+    """``_augmentation_parity`` plus one on two or more factors: the
+    extension no longer splits."""
+    return lambda mus: (real(mus) + (len(mus) > 1)) % 2
+
+
+def test_augmentation_parity_splits():
+    # the split identity condition 2 reads, on every parity pattern
+    cases = 0
+    for q in range(1, 9):
+        for mus in itertools.product((0, 1), repeat=q):
+            full = ainfty._augmentation_parity(mus)
+            assert full == sum((q - i) * m for i, m in enumerate(mus, 1)) % 2
+            for cut in range(1, q):
+                cases += 1
+                assert full == (ainfty._augmentation_parity(mus[:cut])
+                                + ainfty._augmentation_parity(mus[cut:])
+                                + (q - cut) * sum(mus[:cut])) % 2, (mus, cut)
+    assert cases == sum(2 ** q * (q - 1) for q in range(1, 9))
+    assert ainfty._splits(8)
+
+
+def test_augmentation_without_split_is_read_on_words(monkeypatch):
+    datum, aug = make_augmentation_datum()
+    monkeypatch.setattr(ainfty, "_augmentation_parity",
+                        _flip_pairs(ainfty._augmentation_parity))
+    assert not ainfty._splits(datum.l)
+    c = assemble_differential(datum)
+    report = check_augmentation(c, aug)
+    assert "words" in vars(c)
+    assert not report["condition_2"] and not report["ok"]

@@ -638,6 +638,39 @@ def test_missing_field_names_object_and_field(tmp_path, command, obj,
         BAD_INPUT, "", f"invalid input: {message}\n")
 
 
+@pytest.mark.parametrize("command,obj,message", [
+    (("maslov", "index"), {"pieces": [{"t0": "0", "A": [[["1"]]]}]},
+     "piece has no field 't1'"),
+    (("maslov", "index"), {"pieces": [{"t0": "0", "t1": "1"}]},
+     "piece has no field 'A'"),
+    (("maslov", "index"), {"pieces": [{"A": [[["1"]]]}]},
+     "piece has no field 'interval'"),
+    (("maslov", "index"), {"pieces": 5}, "pieces must be a list, got 5"),
+    (("maslov", "index"), {"pieces": [5]},
+     "pieces[0] must be a JSON object, got 5"),
+    (("maslov", "index"), [1], "path must be a JSON object, got [1]"),
+    (("maslov", "index"), {"pieces": [{"interval": ["0"], "A": [[["1"]]]}]},
+     "interval must be a list of two ends, got ['0']"),
+    (("maslov", "index"), {"pieces": [{"t0": "0", "t1": "1", "A": 5}]},
+     "A 5 is not a list of matrix rows"),
+    (("maslov", "index"), {"pieces": [{"t0": "0", "t1": "1",
+                                        "matrix": [5]}]},
+     "matrix [5] is not a list of matrix rows"),
+    (("floer", "hf"), {"points": 5, "n": 1}, "points must be a list, got 5"),
+    (("floer", "hf"), {"points": [], "n": 1, "flows": 5},
+     "flows must be a list, got 5"),
+    (("floer", "hf"), {"points": [], "n": 1, "triples": {}},
+     "triples must be a list, got {}")],
+    ids=["t1", "A", "interval", "pieces", "piece", "path", "ends", "rows",
+         "matrix-rows", "points", "flows", "triples"])
+def test_malformed_path_and_morse_fields_are_named(tmp_path, command, obj,
+                                                    message):
+    # these used to print the bare key ('t1') or a Python TypeError
+    # ("'int' object is not iterable")
+    assert run(*command, write(tmp_path, "in.json", obj)) == (
+        BAD_INPUT, "", f"invalid input: {message}\n")
+
+
 def test_ainfty_same_reports_under_optimize(tmp_path, chain_json, conj_json,
                                             diag_entries, ident_entries):
     # no check of the library may vanish under ``python -O``: passing,

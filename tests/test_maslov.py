@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -186,6 +187,17 @@ def test_path_file_n_must_match_the_matrix_size():
         path_from_json(obj)
     assert path_from_json({**obj, "n": 1}).n == 1
     assert path_from_json({"pieces": obj["pieces"]}).n == 1
+
+
+def test_path_objects_may_be_any_mapping_but_not_a_list():
+    piece = {"t0": -1, "t1": 1, "A": [[[0, 1]]]}
+    plain = path_from_json({"pieces": [piece]})
+    assert path_from_json(MappingProxyType(
+        {"pieces": [MappingProxyType(piece)]})) == plain
+    with pytest.raises(ValueError, match="path must be a JSON object"):
+        path_from_json([piece])
+    with pytest.raises(ValueError, match=r"pieces\[0\] must be a JSON object"):
+        path_from_json({"pieces": [[piece]]})
 
 
 # ---------------------------------------------------------------------------
