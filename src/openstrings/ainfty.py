@@ -147,23 +147,21 @@ def _grade(value: int, modulus: int) -> int:
 
 
 def enumerate_words(d: AInftyDatum) -> Tuple[Word, ...]:
-    """All composable chains, shortest first, in a deterministic order."""
-    by_pair: Dict[Tuple[int, int], List[str]] = {}
+    """All composable chains, shortest first, then by label path and ids.
+
+    Level q + 1 extends each chain of level q by the generators that start
+    at its last label, so the cost follows the chains, not the labels."""
+    starts: Dict[int, List[Generator]] = {}
     for g in _gen_map(d).values():
-        by_pair.setdefault((g.i, g.j), []).append(g.id)
-    for ids in by_pair.values():
-        ids.sort()
-    words: List[Tuple[Tuple[int, ...], Word]] = []
-    labels = range(d.l + 1)
-    for q in range(1, d.l + 1):
-        for path in itertools.combinations(labels, q + 1):
-            pairs = [(path[k], path[k + 1]) for k in range(q)]
-            if any(p not in by_pair for p in pairs):
-                continue
-            for choice in itertools.product(*(by_pair[p] for p in pairs)):
-                words.append((path, tuple(choice)))
-    words.sort(key=lambda pw: (len(pw[1]), pw[0], pw[1]))
-    return tuple(w for _, w in words)
+        starts.setdefault(g.i, []).append(g)
+    level = [((g.i, g.j), (g.id,)) for gs in starts.values() for g in gs]
+    words: List[Word] = []
+    while level:
+        level.sort()
+        words.extend(w for _, w in level)
+        level = [(path + (g.j,), w + (g.id,)) for path, w in level
+                 for g in starts.get(path[-1], ())]
+    return tuple(words)
 
 
 def _word_count(gens: Mapping[str, Generator]) -> int:
@@ -182,13 +180,6 @@ def _word_mu(word: Word, gens: Mapping[str, Generator]) -> int:
 def _prefix_mu(word: Word, gens: Mapping[str, Generator]) -> List[int]:
     """Index sums of the first 0 .. len(word) factors of ``word``."""
     return list(itertools.accumulate((gens[g].mu for g in word), initial=0))
-
-
-def _tensor_index(entries: Iterable[TensorEntry]) -> Dict[Word, List[TensorEntry]]:
-    idx: Dict[Word, List[TensorEntry]] = {}
-    for e in entries:
-        idx.setdefault(e.inputs, []).append(e)
-    return idx
 
 
 def _validate_entries(entries, gens, out_gens, shift, modulus, ring, what):
@@ -306,6 +297,12 @@ def _delta_exp(q, w, i, mutation=(1, 1, 1)):
     its three terms, for the certificate's mutation tests."""
     a, b, cc = mutation
     return (a * (q * w) + b * (i * w) + cc * i) % 2
+
+
+def _d_slot(q: int, w: int, s: int) -> int:
+    """``_delta_exp`` of an arity-w tensor spliced into slot s of a word of
+    q factors: the differential's sign on the source of q + w - 1."""
+    return _delta_exp(q + w - 1, w, s)
 
 
 def _a3_left(b_img: int) -> int:
@@ -471,6 +468,34 @@ def _fan_in_matrix(words, components, gens, k=None, after=None,
     return {v: row for v, row in out.items() if row}
 
 
+def _splice(out: Matrix, targets, pieces, gens, slot_exp) -> None:
+    """The Leibniz rule: sum every piece spliced into one slot of each
+    target.
+
+    A target is (word, key, coefficient or None); ``pieces`` lists
+    (input chain, coefficient) per output generator and ``gens`` holds the
+    generators of the words.  A piece listed under ``word[s-1]`` replaces
+    that factor, and the term (the piece's coefficient, times the
+    target's) is summed into [glued chain][key], signed by
+    ``slot_exp(len(word), w, s)`` for a piece of arity w, plus w times
+    the index sum of the factors left of the slot (the graded factor).
+    Each caller passes the certified sign rule of its extension."""
+    for word, key, coeff in targets:
+        q, prefix = len(word), _prefix_mu(word, gens)
+        for s, x in enumerate(word, 1):
+            for inputs, cf in pieces.get(x, ()):
+                w = len(inputs)
+                _acc(out.setdefault(word[:s - 1] + inputs + word[s:], {}), key,
+                     _signed(cf if coeff is None else cf * coeff,
+                             slot_exp(q, w, s) + w * prefix[s - 1]))
+
+
+def _targets(parts):
+    """Components listed per output generator as ``_splice`` targets:
+    (input word, output generator, coefficient)."""
+    return ((u, g, cf) for g, comps in parts.items() for u, cf in comps)
+
+
 # ---------------------------------------------------------------------------
 # one-output defects.  On the bar coalgebra of the words (deconcatenation,
 # Koszul signs) the differential is a coderivation and a continuation F a
@@ -495,39 +520,13 @@ def _on_tensors(*complexes: "FloerComplex") -> bool:
     return all(c.modulus % 2 == 0 and not c._given for c in complexes)
 
 
-def _d_parts(c: "FloerComplex") -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
-    """One-output components of the differential: an arity-m entry U -> g
-    in slot 1 of U, signed by ``_delta_exp(m, m, 1)``."""
-    return {g: [(u, _signed(cf, _delta_exp(len(u), len(u), 1)))
-                for u, cf in parts]
-            for g, parts in _components(c.datum.tensors).items()}
-
-
-def _splice(out: Matrix, parts, c: "FloerComplex", exp: int = 0) -> None:
-    """Sum (-1)^exp (components ``parts``) after d, on one output: each
-    tensor entry of ``c`` with output ``u[s-1]`` spliced into slot s of a
-    component u -> g, signed as ``FloerComplex.differential`` signs it,
-    by ``_delta_exp(q, w, s)`` + w * (index sum of u[:s-1])."""
-    gens, tensors = c._gens, _components(c.datum.tensors)
-    for g, comps in parts.items():
-        for word, coeff in comps:
-            prefix = _prefix_mu(word, gens)
-            for s, x in enumerate(word, 1):
-                for inputs, cf in tensors.get(x, ()):
-                    w = len(inputs)
-                    sign = (exp + _delta_exp(len(word) + w - 1, w, s)
-                            + w * prefix[s - 1])
-                    chain = word[:s - 1] + inputs + word[s:]
-                    _acc(out.setdefault(chain, {}), g, _signed(cf * coeff, sign))
-
-
 def _fan_out(out: Matrix, c: "FloerComplex", gens, components, k=None,
              after=None, exp: int = 0) -> None:
     """Sum (-1)^exp d after (the fan-in of ``components``, framed as in
     ``_fan_in``), on one output: the fan-in over the inputs of each
     one-output component of d, times its coefficient."""
     terms = _fan_in(components, gens, k, after)
-    for g, comps in _d_parts(c).items():
+    for g, comps in c._d_parts.items():
         for word, coeff in comps:
             for chain, cf in terms(word):
                 _acc(out.setdefault(chain, {}), g, _signed(cf * coeff, exp))
@@ -542,7 +541,8 @@ def _chain_defect(c: "FloerComplex", c_prime: "FloerComplex", parts) -> Matrix:
     """One-output component of d F - F d', F the fan-in of ``parts``."""
     out: Matrix = {}
     _fan_out(out, c, c_prime._gens, parts)
-    _splice(out, parts, c_prime, exp=1)
+    _splice(out, _targets(parts), c_prime._parts, c_prime._gens,
+            lambda q, w, s: 1 + _d_slot(q, w, s))
     return out
 
 
@@ -581,32 +581,30 @@ class FloerComplex:
         return {g.id: g for g in self.datum.generators}
 
     @cached_property
+    def _parts(self) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
+        """The structure tensors listed per output generator."""
+        return _components(self.datum.tensors)
+
+    @cached_property
+    def _d_parts(self) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
+        """One-output components of the differential: an arity-m entry
+        U -> g in slot 1 of U, signed by ``_delta_exp(m, m, 1)``."""
+        return {g: [(u, _signed(cf, _delta_exp(len(u), len(u), 1)))
+                    for u, cf in parts]
+                for g, parts in self._parts.items()}
+
+    @cached_property
     def words(self) -> Tuple[Word, ...]:
         return enumerate_words(self.datum)
 
     @cached_property
     def differential(self) -> Matrix:
-        gens = self._gens
-        tindex = _tensor_index(self.datum.tensors)
-        arities = sorted({len(block) for block in tindex})
-        matrix: Matrix = {}
-        for word in self.words:
-            q = len(word)
-            prefix = _prefix_mu(word, gens)
-            row: Dict[Word, NovikovSeries] = {}
-            for w in arities:
-                for i in range(1, q - w + 2):
-                    entries = tindex.get(word[i - 1:i - 1 + w])
-                    if not entries:
-                        continue
-                    exp = _delta_exp(q, w, i) + w * prefix[i - 1]
-                    for entry in entries:
-                        out_word = (word[:i - 1] + (entry.output,)
-                                    + word[i - 1 + w:])
-                        _acc(row, out_word, _signed(entry.coeff, exp))
-            if row:
-                matrix[word] = row
-        return matrix
+        """The tensors spliced into every slot of each word (``_splice``),
+        each word keyed by itself."""
+        out: Matrix = {}
+        _splice(out, ((u, u, None) for u in self.words), self._parts,
+                self._gens, _d_slot)
+        return {v: row for v, row in out.items() if row}
 
 
 def assemble_differential(d: AInftyDatum) -> FloerComplex:
@@ -635,7 +633,7 @@ def check_a_infinity(d: AInftyDatum) -> dict:
     c = assemble_differential(d)
     if _on_tensors(c):
         one: Matrix = {}
-        _splice(one, _d_parts(c), c)
+        _splice(one, _targets(c._d_parts), c._parts, c._gens, _d_slot)
         if _is_zero(one):
             return {"square_zero": True, "words": _word_count(c._gens),
                     "nonzero_entries": []}
@@ -769,18 +767,10 @@ def validate_axioms_A(c: FloerComplex) -> dict:
     # to its left and right) an arity-w component carries
     # (-1)^((Q-i)w + i - 1) (``_a3_right`` and ``_a3_left``) and the graded
     # factor of the block against the factors to its left.
-    components = _one_output(c.differential)
     predicted: Matrix = {}
-    for word in c.words:
-        qq = len(word)
-        prefix = _prefix_mu(word, gens)
-        for i in range(1, qq + 1):
-            for chunk, coeff in components.get(word[i - 1], ()):
-                w = len(chunk)
-                exp = (_a3_right(qq - i, w - 1) + _a3_left(i - 1)
-                       + w * prefix[i - 1])
-                _acc(predicted.setdefault(word[:i - 1] + chunk + word[i:], {}),
-                     word, _signed(coeff, exp))
+    _splice(predicted, ((u, u, None) for u in c.words),
+            _one_output(c.differential), gens,
+            lambda q, w, s: _a3_right(q - s, w - 1) + _a3_left(s - 1))
     defect = _mat_add(c.differential, predicted, sign=-1)
     a3 = _mat_is_zero(defect)
     return {
@@ -834,7 +824,7 @@ def _exact(entries: Iterable[TensorEntry]) -> bool:
 
 def _one_block(entries: Iterable[TensorEntry], gens) -> bool:
     """Certificate that ``_split_parity`` signs each entry, read as the one
-    block of a one-factor target word, by +1: the fan-in of exact entries
+    block of a one-factor target word, by +1: the fan-in of the entries
     then has the entries, summed per (inputs, output), as its one-output
     components."""
     return all(_split_parity((len(e.inputs),), [gens[x].mu for x in e.inputs])
@@ -845,45 +835,34 @@ def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
                     h: MapDatum) -> dict:
     """Verify the assembled continuation intertwines the differentials.
 
-    ``dual_expansion`` compares the continuation F with the fan-in of its
-    one-output components.  When the entries are exact and ``_one_block``
-    holds, those components are the entries, so by multilinearity the
-    fan-in is F and ``dual_expansion`` holds without building either.
-    With both differentials odd, d F - F d' is then decided on its
-    one-output component: the fan-in over the inputs of each structure
-    tensor of ``c``, less the tensors of ``c_prime`` spliced into the
-    entries.  A passing map builds no words and no matrix; a defect builds
-    F once and both composites on the word basis.  Entries with a cutoff
-    read the components off F and compare their fan-in with F: summing
-    truncated entries before or after their products can change a
-    cutoff.
+    ``dual_expansion`` states that the continuation F is the fan-in of its
+    one-output components; it is ``_one_block``.  When that certificate
+    holds, F's one-output components are the entries summed per (inputs,
+    output), and their fan-in is F by multilinearity: exactly, or below
+    every cutoff, since truncated sums and products are sound.  With both
+    differentials odd, d F - F d' is then decided on its one-output
+    component: the fan-in over the inputs of each structure tensor of
+    ``c``, less the tensors of ``c_prime`` spliced into the summed
+    entries.  A passing map builds no words and no matrix; a defect, or a
+    term that cancels to zero with a cutoff, builds F once and both
+    composites on the word basis.
     """
     _validate_maps(c, c_prime, h)
     gens = c_prime._gens
-    expands = _exact(h.h) and _one_block(h.h, gens)
-    if expands:
+    expands = _one_block(h.h, gens)
+    if expands and _on_tensors(c, c_prime):
         one: Matrix = {}
         for e in h.h:
             _acc(one.setdefault(e.inputs, {}), (e.output,), e.coeff)
-        if _on_tensors(c, c_prime) and _is_zero(
-                _chain_defect(c, c_prime, _one_output(one))):
+        if _is_zero(_chain_defect(c, c_prime, _one_output(one))):
             return {"chain_map": True, "dual_expansion": True, "defects": []}
     fmat = _fan_in_matrix(c.words, _components(h.h), gens)
-    expansion: Matrix = {}
-    if not expands:
-        parts = _one_output(fmat)
-        expansion = _mat_add(
-            fmat, _fan_in_matrix(c.words, parts, gens), sign=-1)
-        if (not expansion and _on_tensors(c, c_prime)
-                and _is_zero(_chain_defect(c, c_prime, parts))):
-            return {"chain_map": True, "dual_expansion": True, "defects": []}
-    lhs = _mat_compose(fmat, c.differential)
-    rhs = _mat_compose(c_prime.differential, fmat)
-    defect = _mat_add(lhs, rhs, sign=-1)
+    defect = _mat_add(_mat_compose(fmat, c.differential),
+                      _mat_compose(c_prime.differential, fmat), sign=-1)
     ok = _mat_is_zero(defect)
     return {
         "chain_map": ok,
-        "dual_expansion": _mat_is_zero(expansion),
+        "dual_expansion": expands,
         "defects": [] if ok else _entry_report(defect),
     }
 
@@ -919,7 +898,9 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
     the target words of length at most w only, and builds the rows of
     length at most w only: those are the rows it reads (the words of
     length w and the words their differential reaches), and they read no
-    other target word and only entries of h1 of arity below w.
+    other target word and only entries of h1 of arity below w.  The
+    entries are returned sorted by (inputs, output), as
+    ``compose_continuations`` returns its entries.
     """
     _validate_maps(c, c_prime, h0, k=k)
     gens, d_prime = c_prime._gens, c_prime.differential
@@ -939,7 +920,8 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
             for wout, coeff in want.get(word, {}).items():
                 if len(wout) == 1 and coeff:
                     h1_entries.append(TensorEntry(word, wout[0], coeff))
-    return MapDatum(h=tuple(h1_entries))
+    return MapDatum(h=tuple(sorted(h1_entries,
+                                   key=lambda e: (e.inputs, e.output))))
 
 
 def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
@@ -977,7 +959,7 @@ def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
                 for word, coeff in comps:
                     _acc(one.setdefault(word, {}), g, _signed(coeff, exp))
         _fan_out(one, c, gens, h0_parts, k_parts, h1_parts, exp=1)
-        _splice(one, k_parts, c_prime)
+        _splice(one, _targets(k_parts), c_prime._parts, gens, _d_slot)
         if _is_zero(one):
             return {"homotopy": True, "defects": []}
     f0 = _fan_in_matrix(c.words, h0_parts, gens)
@@ -1582,7 +1564,7 @@ def datum_from_json(obj: Mapping) -> AInftyDatum:
         tensors=tensors,
         modulus=modulus,
         ring=ring,
-        metadata=dict(obj.get("metadata", {})),
+        metadata=dict(_json_object(obj.get("metadata", {}), "metadata")),
     )
 
 
@@ -1617,7 +1599,10 @@ def augmentation_from_json(obj: Mapping, ring: str = "Z") -> Augmentation:
     values = _json_list(_json_object(obj, "augmentation"), "values",
                         "augmentation")
     what = "augmentation value"
-    vals = {_json_id(v, "id", what):
-            parse_series(_json_field(v, "value", what), ring=ring)
-            for v in values}
+    vals: Dict[str, NovikovSeries] = {}
+    for v in values:
+        gid = _json_id(v, "id", what)
+        if gid in vals:
+            raise ValueError(f"duplicate augmentation value on generator {gid!r}")
+        vals[gid] = parse_series(_json_field(v, "value", what), ring=ring)
     return Augmentation(values=vals)

@@ -50,7 +50,24 @@ these copies too.
 - ``word_basis_check_augmentation`` is ``check_augmentation`` as it was
   before it was read off the tensors: the values are extended over every
   word, with the inline exponent sum_i (q-i) mu_i, and composed with the
-  differential and with the continuation matrix."""
+  differential and with the continuation matrix.
+
+These are the versions from before the Leibniz rule had one kernel
+(``ainfty._splice``) and before words were built level by level.
+
+- ``row_differential`` walks each source word's row by arity and slot
+  through the tensors indexed by input chain (``_tensor_index``);
+  ``walked`` gives a complex that differential, in its row order.
+- ``looped_validate_axioms_A`` predicts A3 by its own slot loop.
+- ``two_path_check_chain_map`` sums exact, ``_one_block``-certified
+  entries into the one-output components and reads any other map's
+  components off F, comparing their fan-in with F for
+  ``dual_expansion``.
+- ``unsorted_homotopic_map`` lists the solved entries in the order each
+  pass reads the one-output keys.
+- ``parts_splice`` is the one-output splice of the defects, the tensors
+  listed anew on every call.
+- ``combinations_enumerate_words`` walks every increasing label path."""
 
 from __future__ import annotations
 
@@ -67,6 +84,7 @@ from openstrings.ainfty import (
     _a3_right,
     _acc,
     _components,
+    _delta_exp,
     _dual_transpose,
     _entry_report,
     _grade,
@@ -81,10 +99,18 @@ from openstrings.ainfty import (
     _signed,
     _splice,
     _split_parity,
-    _tensor_index,
+    _targets,
     _validate_maps,
     _word_mu,
 )
+
+
+def _tensor_index(entries):
+    """The entries listed per input chain."""
+    idx = {}
+    for e in entries:
+        idx.setdefault(e.inputs, []).append(e)
+    return idx
 
 
 def product_fan_in(word, components, gens, k=None, after=None, longest=None):
@@ -400,11 +426,12 @@ def expanded_check_chain_map(c, c_prime, h):
     if not expansion and _on_tensors(c, c_prime):
         # the one-output component of d F - F d'
         one = {}
-        for g, comps in ainfty._d_parts(c).items():
+        for g, comps in c._d_parts.items():
             for word, coeff in comps:
                 for chain, cf in product_fan_in(word, parts, c_prime._gens):
                     _acc(one.setdefault(chain, {}), g, cf * coeff)
-        _splice(one, parts, c_prime, exp=1)
+        _splice(one, _targets(parts), c_prime._parts, c_prime._gens,
+                lambda q, w, s: 1 + ainfty._d_slot(q, w, s))
         if _is_zero(one):
             return {"chain_map": True, "dual_expansion": True, "defects": []}
     lhs = _mat_compose(fmat, c.differential)
@@ -494,3 +521,179 @@ def word_basis_check_augmentation(c, a, push=None):
                          and report["pushforward"]["condition_2"]
                          and report["pushforward"]["factorizes"]))
     return report
+
+
+def row_differential(c):
+    """``FloerComplex.differential`` as it was before the tensors were
+    spliced into each target word: each source word's row, walked by
+    arity and slot through the tensors indexed by input chain."""
+    gens = c._gens
+    tindex = _tensor_index(c.datum.tensors)
+    arities = sorted({len(block) for block in tindex})
+    matrix = {}
+    for word in c.words:
+        q = len(word)
+        prefix = _prefix_mu(word, gens)
+        row = {}
+        for w in arities:
+            for i in range(1, q - w + 2):
+                entries = tindex.get(word[i - 1:i - 1 + w])
+                if not entries:
+                    continue
+                exp = _delta_exp(q, w, i) + w * prefix[i - 1]
+                for entry in entries:
+                    out_word = (word[:i - 1] + (entry.output,)
+                                + word[i - 1 + w:])
+                    _acc(row, out_word, _signed(entry.coeff, exp))
+        if row:
+            matrix[word] = row
+    return matrix
+
+
+def looped_validate_axioms_A(c):
+    """``validate_axioms_A`` as it was before A3 was spliced by
+    ``_splice``: the one-output components looped into every slot of each
+    primal word."""
+    gens = c._gens
+    word_set = set(c.words)
+    a1 = True
+    for word in c.words:
+        for lo in range(len(word)):
+            for hi in range(lo + 1, len(word) + 1):
+                if word[lo:hi] not in word_set:
+                    a1 = False
+    a2 = True
+    for win, wout, coeff in _mat_entries(c.differential):
+        w = len(win) - len(wout) + 1
+        delta = _word_mu(wout, gens) - _word_mu(win, gens) - (2 - w)
+        if _grade(delta, c.modulus) != 0:
+            a2 = False
+    components = _one_output(c.differential)
+    predicted = {}
+    for word in c.words:
+        qq = len(word)
+        prefix = _prefix_mu(word, gens)
+        for i in range(1, qq + 1):
+            for chunk, coeff in components.get(word[i - 1], ()):
+                w = len(chunk)
+                exp = (_a3_right(qq - i, w - 1) + _a3_left(i - 1)
+                       + w * prefix[i - 1])
+                _acc(predicted.setdefault(word[:i - 1] + chunk + word[i:], {}),
+                     word, _signed(coeff, exp))
+    defect = _mat_add(c.differential, predicted, sign=-1)
+    a3 = _mat_is_zero(defect)
+    return {
+        "a1": a1,
+        "a2": a2,
+        "a3": a3,
+        "ok": a1 and a2 and a3,
+        "a3_defects": [] if a3 else _entry_report(_dual_transpose(defect)),
+    }
+
+
+def two_path_check_chain_map(c, c_prime, h):
+    """``check_chain_map`` as it was before ``dual_expansion`` was read
+    off ``_one_block``: exact entries certified by ``_one_block`` are
+    summed into the one-output components, and any other map reads its
+    components off F and compares their fan-in with F."""
+    _validate_maps(c, c_prime, h)
+    gens = c_prime._gens
+    expands = (all(e.coeff.cutoff is None for e in h.h)
+               and ainfty._one_block(h.h, gens))
+    if expands:
+        one = {}
+        for e in h.h:
+            _acc(one.setdefault(e.inputs, {}), (e.output,), e.coeff)
+        if _on_tensors(c, c_prime) and _is_zero(
+                ainfty._chain_defect(c, c_prime, _one_output(one))):
+            return {"chain_map": True, "dual_expansion": True, "defects": []}
+    fmat = ainfty._fan_in_matrix(c.words, _components(h.h), gens)
+    expansion = {}
+    if not expands:
+        parts = _one_output(fmat)
+        expansion = _mat_add(
+            fmat, ainfty._fan_in_matrix(c.words, parts, gens), sign=-1)
+        if (not expansion and _on_tensors(c, c_prime)
+                and _is_zero(ainfty._chain_defect(c, c_prime, parts))):
+            return {"chain_map": True, "dual_expansion": True, "defects": []}
+    lhs = _mat_compose(fmat, c.differential)
+    rhs = _mat_compose(c_prime.differential, fmat)
+    defect = _mat_add(lhs, rhs, sign=-1)
+    ok = _mat_is_zero(defect)
+    return {
+        "chain_map": ok,
+        "dual_expansion": _mat_is_zero(expansion),
+        "defects": [] if ok else _entry_report(defect),
+    }
+
+
+def unsorted_homotopic_map(c, c_prime, h0, k):
+    """``homotopic_map`` as it was before its entries were sorted: in the
+    order the one-output keys of each pass are read."""
+    _validate_maps(c, c_prime, h0, k=k)
+    gens, d_prime = c_prime._gens, c_prime.differential
+    h0_parts, k_parts = _components(h0.h), _components(k.k)
+    f0 = ainfty._fan_in_matrix(c.words, h0_parts, gens)
+    h1_entries = []
+    max_arity = max((len(w) for w in c_prime.words), default=0)
+    for w in range(1, max_arity + 1):
+        layer = [word for word in c_prime.words if len(word) == w]
+        kk = ainfty._fan_in_matrix([u for u in c.words if len(u) <= w],
+                                   h0_parts, gens, k_parts,
+                                   _components(h1_entries), longest=w)
+        bracket = _mat_add(
+            _mat_compose({x: kk[x] for x in layer if x in kk}, c.differential),
+            _mat_compose({x: d_prime[x] for x in layer if x in d_prime}, kk))
+        want = _mat_add({x: f0[x] for x in layer if x in f0}, bracket, sign=-1)
+        for word in layer:
+            for wout, coeff in want.get(word, {}).items():
+                if len(wout) == 1 and coeff:
+                    h1_entries.append(TensorEntry(word, wout[0], coeff))
+    return MapDatum(h=tuple(h1_entries))
+
+
+def walked(c):
+    """``c`` with the differential of ``row_differential`` given, in its
+    row order: the complex the reference checks read as it was."""
+    return ainfty.FloerComplex(c.datum, c.words, row_differential(c))
+
+
+def combinations_enumerate_words(d):
+    """``enumerate_words`` as it was before the words were built level by
+    level: every increasing label path of each length, and every choice
+    of generators along it."""
+    by_pair = {}
+    for g in ainfty._gen_map(d).values():
+        by_pair.setdefault((g.i, g.j), []).append(g.id)
+    for ids in by_pair.values():
+        ids.sort()
+    words = []
+    labels = range(d.l + 1)
+    for q in range(1, d.l + 1):
+        for path in itertools.combinations(labels, q + 1):
+            pairs = [(path[k], path[k + 1]) for k in range(q)]
+            if any(p not in by_pair for p in pairs):
+                continue
+            for choice in itertools.product(*(by_pair[p] for p in pairs)):
+                words.append((path, tuple(choice)))
+    words.sort(key=lambda pw: (len(pw[1]), pw[0], pw[1]))
+    return tuple(w for _, w in words)
+
+
+def parts_splice(out, parts, c, exp=0):
+    """The one-output ``_splice`` as it was before it was the one Leibniz
+    kernel: each tensor of ``c`` with output ``u[s-1]`` spliced into slot
+    s of each component u -> g of ``parts``, signed by
+    ``_delta_exp(q, w, s)`` + w * (index sum of u[:s-1]), the tensors
+    listed anew on every call."""
+    gens, tensors = c._gens, _components(c.datum.tensors)
+    for g, comps in parts.items():
+        for word, coeff in comps:
+            prefix = _prefix_mu(word, gens)
+            for s, x in enumerate(word, 1):
+                for inputs, cf in tensors.get(x, ()):
+                    w = len(inputs)
+                    sign = (exp + _delta_exp(len(word) + w - 1, w, s)
+                            + w * prefix[s - 1])
+                    chain = word[:s - 1] + inputs + word[s:]
+                    _acc(out.setdefault(chain, {}), g, _signed(cf * coeff, sign))

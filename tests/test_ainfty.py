@@ -105,7 +105,7 @@ def test_differential_builds_at_most_one_series_per_term(chain_datum,
                                                         monkeypatch):
     # a term's weight is stored as it is, or negated once for an odd sign;
     # no sum starts from 0 and no sign is applied by scaling with +1
-    tindex = ainfty._tensor_index(chain_datum.tensors)
+    tindex = ainfty_reference._tensor_index(chain_datum.tensors)
     terms = sum(len(tindex.get(word[i:i + w], ()))
                 for word in enumerate_words(chain_datum)
                 for w in range(1, len(word) + 1)
@@ -294,14 +294,16 @@ def test_mutated_homotopy_rejected(chain_complex):
 def _ref_homotopic_map(c, c_prime, h0, k):
     """``homotopic_map`` as it was before each pass expanded only the rows
     it reads, on the block walk: every pass re-expands the whole homotopy
-    matrix and composes it with both differentials."""
-    h0_index, k_index = ainfty._tensor_index(h0.h), ainfty._tensor_index(k.k)
+    matrix and composes it with both differentials.  The entries are
+    sorted by (inputs, output), as ``homotopic_map`` returns them."""
+    h0_index = ainfty_reference._tensor_index(h0.h)
+    k_index = ainfty_reference._tensor_index(k.k)
     f0 = ainfty_reference._expand(c_prime, h0_index)
     h1_entries = []
     max_arity = max((len(w) for w in c_prime.words), default=0)
     for w in range(1, max_arity + 1):
         kk = ainfty_reference._expand(c_prime, h0_index, k_index,
-                                      ainfty._tensor_index(h1_entries))
+                                      ainfty_reference._tensor_index(h1_entries))
         bracket = _mat_add(_mat_compose(kk, c.differential),
                            _mat_compose(c_prime.differential, kk))
         want = _mat_add(f0, bracket, sign=-1)
@@ -311,7 +313,8 @@ def _ref_homotopic_map(c, c_prime, h0, k):
             for wout, coeff in want.get(word, {}).items():
                 if len(wout) == 1 and coeff:
                     h1_entries.append(TensorEntry(word, wout[0], coeff))
-    return MapDatum(h=tuple(h1_entries))
+    return MapDatum(h=tuple(sorted(h1_entries,
+                                   key=lambda e: (e.inputs, e.output))))
 
 
 _CHAIN_HOMOTOPIES = (
@@ -1087,7 +1090,7 @@ def _ref_sign(coeff, exp):
 def _ref_differential(d):
     """The differential with the inline exponent q*w + i*(w-1) + w*m."""
     gens = _gen_index(d)
-    tindex = ainfty._tensor_index(d.tensors)
+    tindex = ainfty_reference._tensor_index(d.tensors)
     out = {}
     for word in enumerate_words(d):
         q = len(word)
@@ -2070,7 +2073,8 @@ def test_odd_modulus_square_is_decided_on_words():
                     tensors=(T(["x"], "y"), T(["z"], "w")), modulus=1)
     c = assemble_differential(d)
     one = {}
-    ainfty._splice(one, ainfty._d_parts(c), c)
+    ainfty._splice(one, ainfty._targets(c._d_parts), c._parts, c._gens,
+                   ainfty._d_slot)
     assert ainfty._is_zero(one)
     report = {"square_zero": False, "words": 8, "nonzero_entries": [
         {"in": ["x", "z"], "out": ["y", "w"], "coeff": "2t^0"}]}
@@ -2443,3 +2447,200 @@ def test_augmentation_without_split_is_read_on_words(monkeypatch):
     report = check_augmentation(c, aug)
     assert "words" in vars(c)
     assert not report["condition_2"] and not report["ok"]
+
+
+# ---------------------------------------------------------------------------
+# the Leibniz kernel against the walks it replaced: the row-wise
+# differential, the A3 loop, the two-path chain-map check and the unsorted
+# solver of tests/ainfty_reference.py
+
+
+def _several_outputs_datum():
+    """The chain datum with a second output e02 on (g01, g12), listed after
+    g02 but sorted before it, and a target u02 for a homotopy on e02."""
+    d = make_chain_datum()
+    return replace(d, generators=d.generators + (
+        Generator("e02", 0, 2, 2), Generator("u02", 0, 2, 1)),
+        tensors=d.tensors + (T(["g01", "g12"], "e02", S("-t^1")),))
+
+
+def _leibniz_corpus(rng):
+    """(label, c, c', h, k): fixtures, random cases and random data under
+    moduli 0-3, with cut tensors and maps (a cancelling pair, and repeated
+    cut entries), and a datum where one input chain has two outputs."""
+    chain = make_chain_datum()
+    units = {g.id: _random_unit(rng) for g in chain.generators}
+    several = _several_outputs_datum()
+    bases = [
+        ("fixture", chain, conjugate_datum(chain, units),
+         diagonal_map(chain, units).h + (T(["g01", "g12"], "z02", S("t^4")),),
+         _CHAIN_HOMOTOPIES[1]),
+        ("augmentation", make_augmentation_datum()[0],
+         make_augmentation_datum()[0],
+         tuple(T([g], g) for g in "xyzp"), (T(["y"], "x", S("t^1")),)),
+        ("several outputs", several, several,
+         tuple(T([g.id], g.id) for g in several.generators),
+         (T(["g02"], "z02"), T(["e02"], "u02", S("t^2")))),
+    ]
+    for l in (3, 4):
+        c0, c1, _, h01, _, _, _, k = _random_case(rng, l)
+        bases.append(("random case", c0.datum, c1.datum, h01.h, k.k))
+    for _ in range(4):
+        d = _random_datum(rng, rng.randint(2, 4), 0)
+        units = {g.id: _random_unit(rng) for g in d.generators}
+        k = tuple(T([x.id], y.id, _random_unit(rng)) for x in d.generators
+                  for y in d.generators if (x.i, x.j) == (y.i, y.j)
+                  and y.mu == x.mu - 1 and rng.random() < 0.4)
+        bases.append(("random datum", d, conjugate_datum(d, units),
+                      diagonal_map(d, units).h, k))
+    for label, d, dp, h, k in bases:
+        cases = {
+            "plain": (d, dp, h, k),
+            "cut tensors": (replace(d, tensors=_cut_entries(d.tensors, rng)),
+                            replace(dp, tensors=_cut_entries(dp.tensors, rng)),
+                            h, k),
+            "cut map": (d, dp, _cut_entries(h, rng), _cut_entries(k, rng)),
+            "repeated cut": (d, dp, _cut_entries(_repeat_entry(h, rng), rng),
+                             k),
+            "mutant": (d, replace(dp, tensors=_flip_one(dp.tensors, rng)),
+                       _flip_one(h, rng), k),
+            "rejected": (d, dp, h + (T([h[0].inputs[0]], "nowhere"),),
+                         k + (T([h[0].inputs[0]], "nowhere"),)),
+        }
+        for modulus in (0, 1, 2, 3):
+            for kind, (x, y, hh, kk) in cases.items():
+                yield ((label, kind, modulus),
+                       *(assemble_differential(replace(z, modulus=modulus))
+                         for z in (x, y)),
+                       MapDatum(h=hh), MapDatum(k=kk))
+
+
+def _by_entry(m):
+    return tuple(sorted(m.h, key=lambda e: (e.inputs, e.output)))
+
+
+def _assert_leibniz_matches_parent(c, cp, h, k, rng, monkeypatch):
+    """The differentials, A axioms, one-output d d and chain-map defects,
+    chain-map reports (also under ``_odd_first_block``) and the solved far
+    end of a homotopy equal the reference's; returns the chain-map
+    reports without and with the mutation, the solved map and the
+    parent's unsorted one (or what each raised)."""
+    ref = ainfty_reference
+    for x in (c, cp):
+        assert x.differential == ref.row_differential(x)
+        assert validate_axioms_A(x) == ref.looped_validate_axioms_A(
+            ref.walked(x)) == ref.looped_validate_axioms_A(x)
+        one, old = {}, {}
+        ainfty._splice(one, ainfty._targets(x._d_parts), x._parts, x._gens,
+                       ainfty._d_slot)
+        ref.parts_splice(old, x._d_parts, x)
+        assert _listed(one) == _listed(old)
+    if any(x for row in c.differential.values() for x in row.values()):
+        broken = FloerComplex(c.datum, c.words,
+                              _flip_entry(c.differential, rng))
+        assert validate_axioms_A(broken) == \
+            ref.looped_validate_axioms_A(broken)
+    try:
+        ainfty._validate_maps(c, cp, h)
+    except ValueError:
+        pass
+    else:
+        parts = ainfty._components(h.h)
+        new = ainfty._chain_defect(c, cp, parts)
+        old = {}
+        ainfty._fan_out(old, c, cp._gens, parts)
+        ref.parts_splice(old, parts, cp, exp=1)
+        assert _listed(new) == _listed(old)
+    report = _outcome(check_chain_map, c, cp, h)
+    assert report == _outcome(ref.two_path_check_chain_map, c, cp, h)
+    with monkeypatch.context() as m:
+        m.setattr(ainfty, "_split_parity",
+                  _odd_first_block(ainfty._split_parity))
+        mutated = _outcome(check_chain_map, c, cp, h)
+        assert mutated == _outcome(ref.two_path_check_chain_map, c, cp, h)
+    solved = _outcome(homotopic_map, c, cp, h, k)
+    parent = _outcome(ref.unsorted_homotopic_map, ref.walked(c),
+                      ref.walked(cp), h, k)
+    if isinstance(parent, MapDatum):
+        assert solved == MapDatum(h=_by_entry(parent))
+    else:
+        assert solved == parent
+    return report, mutated, solved, parent
+
+
+def test_leibniz_kernel_matches_the_parent_walks(monkeypatch):
+    rng = random.Random(2500)
+    seen = {}
+
+    def count(key):
+        seen[key] = seen.get(key, 0) + 1
+
+    for (label, kind, modulus), c, cp, h, k in _leibniz_corpus(rng):
+        report, mutated, solved, parent = _assert_leibniz_matches_parent(
+            c, cp, h, k, rng, monkeypatch)
+        if isinstance(report, tuple):
+            count("raised")
+            continue
+        count(("passed" if report["chain_map"] else "failed", kind))
+        count(("mutated dual_expansion", mutated["dual_expansion"]))
+        if "cut" in kind and report["chain_map"] and modulus % 2 == 0:
+            count("cut map passed")
+        if parent.h != solved.h:
+            count(("reordered", label))
+    for key in ("raised", ("passed", "plain"), ("failed", "mutant"),
+                ("passed", "cut map"), ("passed", "repeated cut"),
+                ("mutated dual_expansion", False), "cut map passed",
+                ("reordered", "several outputs")):
+        assert seen.get(key), (key, seen)
+
+
+def test_solved_entries_are_sorted_by_inputs_and_output():
+    # (g01, g12) reaches g02 and e02: the solved entries on that chain come
+    # out of the bracket in the differential's order, and are returned by
+    # (inputs, output)
+    c = assemble_differential(_several_outputs_datum())
+    k = MapDatum(k=(T(["g02"], "z02"), T(["e02"], "u02", S("t^2"))))
+    h1 = homotopic_map(c, c, identity_continuation(c), k)
+    assert h1.h == _by_entry(h1)
+    assert [e.output for e in h1.h if e.inputs == ("g01", "g12")] == [
+        "u02", "z02"]
+    parent = ainfty_reference.unsorted_homotopic_map(
+        *(ainfty_reference.walked(c),) * 2, identity_continuation(c), k)
+    assert [e.output for e in parent.h if e.inputs == ("g01", "g12")] == [
+        "z02", "u02"]
+
+
+def _sparse_datum(rng, labels, n):
+    """``n`` random generators on ``labels`` labels."""
+    gens = []
+    for m in range(n):
+        i = rng.randrange(labels)
+        gens.append(Generator(f"x{m}", i, rng.randint(i + 1, labels),
+                              rng.randint(-2, 2)))
+    return AInftyDatum(l=labels, generators=tuple(gens), tensors=())
+
+
+def test_words_extend_level_by_level_as_the_combinations_list_them():
+    rng = random.Random(2600)
+    datums = [make_chain_datum(), make_augmentation_datum()[0],
+              _several_outputs_datum()]
+    datums += [all_pairs_datum(l, [(0, 2), (1, 3)]) for l in (3, 5, 7)]
+    datums += [_random_datum(rng, rng.randint(1, 6), 0) for _ in range(40)]
+    datums += [_sparse_datum(rng, rng.randint(1, 9), rng.randint(0, 12))
+               for _ in range(150)]
+    for d in datums:
+        assert enumerate_words(d) == \
+            ainfty_reference.combinations_enumerate_words(d)
+    # the cost follows the chains, not the labels: 2^201 label paths here
+    d = AInftyDatum(l=200, generators=(
+        Generator("b", 100, 200, 0), Generator("a", 0, 100, 1),
+        Generator("c", 0, 100, 0)), tensors=())
+    assert enumerate_words(d) == (("a",), ("c",), ("b",), ("a", "b"),
+                                  ("c", "b"))
+    # the same exceptions, from the same generator checks
+    for gens in ((Generator("a", 0, 1, 0), Generator("a", 0, 1, 1)),
+                 (Generator("a", 1, 1, 0),), (Generator("a", 0, 3, 0),)):
+        d = AInftyDatum(l=2, generators=gens, tensors=())
+        assert _outcome(enumerate_words, d) == _outcome(
+            ainfty_reference.combinations_enumerate_words, d)
+        assert isinstance(_outcome(enumerate_words, d), tuple)

@@ -555,6 +555,30 @@ def test_datum_shape_is_checked_at_the_boundary(tmp_path, command, datum,
         BAD_INPUT, "", f"invalid input: {message}\n")
 
 
+@pytest.mark.parametrize("command", [("ainfty", "check"), ("floer", "hf")])
+@pytest.mark.parametrize("metadata", [5, "ab", [["a", 1]]],
+                         ids=["number", "string", "pairs"])
+def test_datum_metadata_must_be_an_object(tmp_path, command, metadata):
+    # a number used to print "'int' object is not iterable", a string a
+    # dict() update-sequence error, and a list of pairs was accepted
+    obj = dict(_small_datum(), metadata=metadata)
+    assert run(*command, write(tmp_path, "bad.json", obj)) == (
+        BAD_INPUT, "",
+        f"invalid input: metadata must be a JSON object, got {metadata!r}\n")
+    ok = dict(_small_datum(), metadata={"source": "hand"})
+    assert run(*command, write(tmp_path, "ok.json", ok))[0] == PASS
+
+
+def test_augmentation_rejects_two_values_on_one_generator(tmp_path):
+    # the last of the two values used to be kept, and the check passed
+    obj = json.loads(json.dumps(AUG_JSON))
+    obj["augmentation"]["values"] = [{"id": "y", "value": "t^0"},
+                                     {"id": "y", "value": "2t^0"}]
+    assert run("ainfty", "augment", write(tmp_path, "aug.json", obj)) == (
+        BAD_INPUT, "",
+        "invalid input: duplicate augmentation value on generator 'y'\n")
+
+
 COND_JSON = {
     "h": {"source": ["a", "b"], "target": ["x", "y", "z"],
           "positions": [0, 1], "images": [0, 1]},
