@@ -24,7 +24,7 @@ def _json_int(obj: Mapping, key: str, what: str) -> int:
 
 
 def _json_id(obj: Mapping, key: str, what: str) -> str:
-    """``obj[key]`` if it is a JSON string (a generator id)."""
+    """``obj[key]`` if it is a JSON string."""
     v = _json_field(obj, key, what)
     if type(v) is not str:
         raise ValueError(f"{key} must be a string, got {v!r}")

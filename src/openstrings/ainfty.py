@@ -520,13 +520,14 @@ def _on_tensors(*complexes: "FloerComplex") -> bool:
     return all(c.modulus % 2 == 0 and not c._given for c in complexes)
 
 
-def _fan_out(out: Matrix, c: "FloerComplex", gens, components, k=None,
+def _fan_out(out: Matrix, outer, gens, components, k=None,
              after=None, exp: int = 0) -> None:
-    """Sum (-1)^exp d after (the fan-in of ``components``, framed as in
-    ``_fan_in``), on one output: the fan-in over the inputs of each
-    one-output component of d, times its coefficient."""
+    """Sum (-1)^exp ``outer`` after (the fan-in of ``components``, framed
+    as in ``_fan_in``), on one output: the fan-in over the inputs of each
+    component of ``outer`` (listed per output generator, as ``c._d_parts``
+    lists d's), times its coefficient."""
     terms = _fan_in(components, gens, k, after)
-    for g, comps in c._d_parts.items():
+    for g, comps in outer.items():
         for word, coeff in comps:
             for chain, cf in terms(word):
                 _acc(out.setdefault(chain, {}), g, _signed(cf * coeff, exp))
@@ -540,7 +541,7 @@ def _is_zero(out: Matrix) -> bool:
 def _chain_defect(c: "FloerComplex", c_prime: "FloerComplex", parts) -> Matrix:
     """One-output component of d F - F d', F the fan-in of ``parts``."""
     out: Matrix = {}
-    _fan_out(out, c, c_prime._gens, parts)
+    _fan_out(out, c._d_parts, c_prime._gens, parts)
     _splice(out, _targets(parts), c_prime._parts, c_prime._gens,
             lambda q, w, s: 1 + _d_slot(q, w, s))
     return out
@@ -958,7 +959,7 @@ def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
             for g, comps in parts.items():
                 for word, coeff in comps:
                     _acc(one.setdefault(word, {}), g, _signed(coeff, exp))
-        _fan_out(one, c, gens, h0_parts, k_parts, h1_parts, exp=1)
+        _fan_out(one, c._d_parts, gens, h0_parts, k_parts, h1_parts, exp=1)
         _splice(one, _targets(k_parts), c_prime._parts, gens, _d_slot)
         if _is_zero(one):
             return {"homotopy": True, "defects": []}
@@ -991,14 +992,11 @@ def compose_continuations(c0: FloerComplex, c1: FloerComplex,
     """
     _validate_maps(c1, c2, h12)
     _validate_maps(c0, c1, h01)
-    terms = _fan_in(_components(h12.h), c2._gens)
-    acc: Dict[Tuple[Word, str], NovikovSeries] = {}
-    for outer in h01.h:
-        for chain, coeff in terms(outer.inputs):
-            _acc(acc, (chain, outer.output), coeff * outer.coeff)
-    entries = tuple(TensorEntry(w, g, c)
-                    for (w, g), c in sorted(acc.items()) if c)
-    return MapDatum(h=entries)
+    out: Matrix = {}
+    _fan_out(out, _components(h01.h), c2._gens, _components(h12.h))
+    return MapDatum(h=tuple(sorted(
+        (TensorEntry(w, g, c) for w, row in out.items()
+         for g, c in row.items() if c), key=lambda e: (e.inputs, e.output))))
 
 
 def check_composition(c0: FloerComplex, c1: FloerComplex, c2: FloerComplex,
@@ -1540,7 +1538,7 @@ def _entry_from_json(obj, ring) -> TensorEntry:
     if "q" in obj and _json_int(obj, "q", "entry") != len(inputs):
         raise ValueError("entry arity disagrees with its inputs")
     return TensorEntry(inputs, _json_id(obj, "output", "entry"),
-                       parse_series(_json_field(obj, "coeff", "entry"),
+                       parse_series(_json_id(obj, "coeff", "entry"),
                                     ring=ring))
 
 
@@ -1604,5 +1602,5 @@ def augmentation_from_json(obj: Mapping, ring: str = "Z") -> Augmentation:
         gid = _json_id(v, "id", what)
         if gid in vals:
             raise ValueError(f"duplicate augmentation value on generator {gid!r}")
-        vals[gid] = parse_series(_json_field(v, "value", what), ring=ring)
+        vals[gid] = parse_series(_json_id(v, "value", what), ring=ring)
     return Augmentation(values=vals)

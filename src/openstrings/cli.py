@@ -37,7 +37,10 @@ def _emit(obj, text: str, as_text: bool) -> None:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _bool(b) -> str:
@@ -181,7 +184,7 @@ def _cmd_ainfty(args) -> int:
         a = _ai.augmentation_from_json(_part(obj, "augmentation"),
                                        ring=c.datum.ring)
         push = None
-        if "map" in obj and "source" in obj:
+        if "map" in obj or "source" in obj:
             push = (_complex(obj, "source"),
                     _entries(obj, "map", c.datum.ring))
         report = _ai.check_augmentation(c, a, push)

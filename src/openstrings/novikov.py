@@ -107,8 +107,9 @@ class NovikovSeries:
     coefficients over Z and ``Fraction`` coefficients over Q.  The
     ``terms`` attribute is a view derived from it, the
     ``(Fraction exponent, coefficient)`` pairs in the same order.  This
-    constructor checks its input; the ring operations keep the form and
-    build their results directly (``_canonical``), without checking again.
+    constructor checks each term and builds the form with ``_series``, as
+    :func:`parse_series` does; the other operations keep it, building
+    from ``pairs`` and checking only the coefficients they make.
     """
 
     __slots__ = ("pairs", "den", "ring", "cutoff")
@@ -117,29 +118,15 @@ class NovikovSeries:
                  ring: str = "Z", cutoff: ExponentLike | None = None):
         _check_ring(ring)
         cut = None if cutoff is None else _as_exponent(cutoff)
-        merged: dict[Fraction, object] = {}
+        triples = []
         for exp, coeff in terms:
             e = _as_exponent(exp)
-            c = _check_coeff(coeff, ring)
-            if e in merged:
-                merged[e] = merged[e] + c
-            else:
-                merged[e] = c
-        clean = []
-        for e in sorted(merged):
-            c = merged[e]
-            if c == 0:
-                continue
-            if cut is not None and e >= cut:
-                continue
-            clean.append((e, c))
-        # the lcm of reduced denominators leaves the numerators coprime to it
-        den = math.lcm(*(e.denominator for e, _ in clean))
-        object.__setattr__(self, "pairs", tuple(
-            (e.numerator * (den // e.denominator), c) for e, c in clean))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "cutoff", cut)
+            triples.append((e.numerator, e.denominator, _check_coeff(coeff, ring)))
+        s = _series(triples, ring, cut)
+        _set_pairs(self, s.pairs)
+        _set_den(self, s.den)
+        _set_ring(self, ring)
+        _set_cutoff(self, cut)
 
     def __setattr__(self, name, value):  # immutability
         raise AttributeError("NovikovSeries is immutable")
@@ -198,12 +185,15 @@ class NovikovSeries:
         cut = _as_exponent(cutoff)
         if self.cutoff is not None:
             cut = min(cut, self.cutoff)
-        return NovikovSeries(self.terms, ring=self.ring, cutoff=cut)
+        return _canonical(_below(self.pairs, self.den, cut), self.den,
+                          self.ring, cut)
 
     def to_ring(self, ring: str) -> "NovikovSeries":
         if ring == self.ring:
             return self
-        return NovikovSeries(self.terms, ring=ring, cutoff=self.cutoff)
+        _check_ring(ring)
+        return _new_series([(n, _check_coeff(c, ring)) for n, c in self.pairs],
+                           self.den, ring, self.cutoff)
 
     # -- ring operations ---------------------------------------------------
 
@@ -330,8 +320,9 @@ class NovikovSeries:
     def scale(self, scalar) -> "NovikovSeries":
         if isinstance(scalar, (int, Fraction)) and scalar in (1, -1):
             return self if scalar == 1 else -self
-        return NovikovSeries(tuple((e, c * scalar) for e, c in self.terms),
-                             ring=self.ring, cutoff=self.cutoff)
+        pairs = [(n, _check_coeff(c * scalar, self.ring)) for n, c in self.pairs]
+        return _canonical([t for t in pairs if t[1]], self.den, self.ring,
+                          self.cutoff)
 
     # -- comparison --------------------------------------------------------
 
@@ -385,6 +376,20 @@ def _canonical(pairs, den: int, ring: str, cutoff) -> NovikovSeries:
             den //= g
             pairs = [(n // g, c) for n, c in pairs]
     return _new_series(pairs, den, ring, cutoff)
+
+
+def _series(terms, ring: str, cutoff) -> NovikovSeries:
+    """The canonical series on ``terms``, a list of (exponent numerator,
+    exponent denominator, coefficient) triples in any order, coefficients
+    in ``ring``: like terms merged, zero sums and exponents at or above
+    ``cutoff`` dropped."""
+    den = math.lcm(*(ed for _, ed, _ in terms))
+    merged: dict[int, object] = {}
+    for en, ed, coeff in terms:
+        n = en * (den // ed)
+        merged[n] = merged.get(n, 0) + coeff
+    pairs = [t for t in sorted(merged.items(), key=itemgetter(0)) if t[1]]
+    return _canonical(_below(pairs, den, cutoff), den, ring, cutoff)
 
 
 def _common(a: NovikovSeries, b: NovikovSeries):
@@ -577,11 +582,4 @@ def parse_series(text: str, ring: str = "Z",
             coeff = Fraction(cn, cd)
         terms.append((en, ed, coeff))
     _check_ring(ring)
-    cut = None if cutoff is None else _as_exponent(cutoff)
-    den = math.lcm(*(ed for _, ed, _ in terms))
-    merged: dict[int, object] = {}
-    for en, ed, coeff in terms:
-        n = en * (den // ed)
-        merged[n] = merged.get(n, 0) + coeff
-    pairs = [t for t in sorted(merged.items(), key=itemgetter(0)) if t[1]]
-    return _canonical(_below(pairs, den, cut), den, ring, cut)
+    return _series(terms, ring, None if cutoff is None else _as_exponent(cutoff))

@@ -2,9 +2,14 @@
 only for the differential tests; the series type and the exceptions are
 the library's own.
 
-- ``add``, ``mul``, ``neg`` and ``scale`` build every result through the
-  validating public constructor, which merges like terms, drops zeros and
-  sorts, as the ring operations did before they built canonical results
+- ``fraction_series`` is the validating constructor from before it
+  shared one integer builder with the parser: it merges like terms on
+  ``Fraction`` exponents, drops zeros and sorts.  Every series below is
+  built through it, so the reference does not run the library's builder.
+- ``restrict`` and ``to_ring`` rebuild the ``Fraction`` terms through it,
+  as the library did before they stayed on integer numerators.
+- ``add``, ``mul``, ``neg`` and ``scale`` build every result through it,
+  as the ring operations did before they built canonical results
   directly.  The one change is the cutoff of a product, which is the
   corrected rule min(C_a + v(b), C_b + v(a)): a series with a cutoff and
   no term below it counts as having valuation at its cutoff, and a
@@ -16,25 +21,65 @@ the library's own.
   ``a.cutoff - 2*valuation(a)``.  It runs on the library's operations.
 - ``parse_series`` and ``format_series`` are the literal parser and
   printer from before series stored integer exponents: every number is
-  read with ``Fraction(str)``, the series is built by the validating
-  constructor, and the literal is printed from the ``Fraction`` terms."""
+  read with ``Fraction(str)``, the series is built by ``fraction_series``,
+  and the literal is printed from the ``Fraction`` terms."""
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
-from openstrings.novikov import NotAUnit, NovikovSeries, ParseError, _as_exponent
+from openstrings.novikov import (NotAUnit, NovikovSeries, ParseError,
+                                 _as_exponent, _check_coeff, _check_ring,
+                                 _new_series)
+
+
+def fraction_series(terms=(), ring: str = "Z", cutoff=None) -> NovikovSeries:
+    _check_ring(ring)
+    cut = None if cutoff is None else _as_exponent(cutoff)
+    merged = {}
+    for exp, coeff in terms:
+        e = _as_exponent(exp)
+        c = _check_coeff(coeff, ring)
+        if e in merged:
+            merged[e] = merged[e] + c
+        else:
+            merged[e] = c
+    clean = []
+    for e in sorted(merged):
+        c = merged[e]
+        if c == 0:
+            continue
+        if cut is not None and e >= cut:
+            continue
+        clean.append((e, c))
+    den = math.lcm(*(e.denominator for e, _ in clean))
+    return _new_series(tuple((e.numerator * (den // e.denominator), c)
+                             for e, c in clean), den, ring, cut)
+
+
+def restrict(a: NovikovSeries, cutoff) -> NovikovSeries:
+    cut = _as_exponent(cutoff)
+    if a.cutoff is not None:
+        cut = min(cut, a.cutoff)
+    return fraction_series(a.terms, ring=a.ring, cutoff=cut)
+
+
+def to_ring(a: NovikovSeries, ring: str) -> NovikovSeries:
+    if ring == a.ring:
+        return a
+    return fraction_series(a.terms, ring=ring, cutoff=a.cutoff)
 
 
 def add(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
-    return NovikovSeries(a.terms + b.terms, ring=a.ring,
-                         cutoff=NovikovSeries._min_cutoff(a, b))
+    return fraction_series(a.terms + b.terms, ring=a.ring,
+                           cutoff=NovikovSeries._min_cutoff(a, b))
 
 
 def neg(a: NovikovSeries) -> NovikovSeries:
-    return NovikovSeries(tuple((e, -c) for e, c in a.terms), ring=a.ring,
-                         cutoff=a.cutoff)
+    return fraction_series(tuple((e, -c) for e, c in a.terms), ring=a.ring,
+                           cutoff=a.cutoff)
 
 
 def mul(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
@@ -43,7 +88,8 @@ def mul(a: NovikovSeries, b: NovikovSeries) -> NovikovSeries:
         for e2, c2 in b.terms:
             e = e1 + e2
             prod[e] = prod.get(e, 0) + c1 * c2
-    return NovikovSeries(prod.items(), ring=a.ring, cutoff=_product_cutoff(a, b))
+    return fraction_series(prod.items(), ring=a.ring,
+                           cutoff=_product_cutoff(a, b))
 
 
 def _product_cutoff(a, b):
@@ -62,8 +108,8 @@ def _product_cutoff(a, b):
 
 
 def scale(a: NovikovSeries, scalar) -> NovikovSeries:
-    return NovikovSeries(tuple((e, c * scalar) for e, c in a.terms),
-                         ring=a.ring, cutoff=a.cutoff)
+    return fraction_series(tuple((e, c * scalar) for e, c in a.terms),
+                           ring=a.ring, cutoff=a.cutoff)
 
 
 def invert(a: NovikovSeries, cutoff) -> NovikovSeries:
@@ -81,7 +127,8 @@ def invert(a: NovikovSeries, cutoff) -> NovikovSeries:
 
     target = cut - v
     body_cut = target - v
-    unit = NovikovSeries(tuple((e - v, c * lc_inv) for e, c in a.terms), ring=a.ring)
+    unit = fraction_series(tuple((e - v, c * lc_inv) for e, c in a.terms),
+                           ring=a.ring)
     r = unit - NovikovSeries.one(a.ring)
     acc = NovikovSeries.one(a.ring)
     power = NovikovSeries.one(a.ring)
@@ -89,14 +136,14 @@ def invert(a: NovikovSeries, cutoff) -> NovikovSeries:
         step = r.valuation()
         k = 1
         while k * step < target:
-            power = NovikovSeries(((-r) * power).terms, ring=a.ring)
+            power = fraction_series(((-r) * power).terms, ring=a.ring)
             acc = acc + power
             k += 1
-    shifted = NovikovSeries(tuple((e - v, c * lc_inv) for e, c in acc.terms),
-                            ring=a.ring)
+    shifted = fraction_series(tuple((e - v, c * lc_inv) for e, c in acc.terms),
+                              ring=a.ring)
     known = None if a.cutoff is None else a.cutoff - 2 * v
-    return NovikovSeries(tuple(t for t in shifted.terms if t[0] < body_cut),
-                         ring=a.ring, cutoff=known)
+    return fraction_series(tuple(t for t in shifted.terms if t[0] < body_cut),
+                           ring=a.ring, cutoff=known)
 
 
 _TERM_RE = re.compile(
@@ -133,7 +180,7 @@ def parse_series(text: str, ring: str = "Z", cutoff=None) -> NovikovSeries:
         raise ParseError("empty series literal", 1, 1)
     compact = "".join(stripped)
     if compact == "0":
-        return NovikovSeries((), ring=ring, cutoff=cutoff)
+        return fraction_series((), ring=ring, cutoff=cutoff)
 
     terms = []
     pos = 0
@@ -169,4 +216,4 @@ def parse_series(text: str, ring: str = "Z", cutoff=None) -> NovikovSeries:
                              1, col_of[min(start, len(col_of) - 1)])
         terms.append((exp, int(coeff) if ring == "Z" else coeff))
         first = False
-    return NovikovSeries(terms, ring=ring, cutoff=cutoff)
+    return fraction_series(terms, ring=ring, cutoff=cutoff)

@@ -2548,7 +2548,7 @@ def _assert_leibniz_matches_parent(c, cp, h, k, rng, monkeypatch):
         parts = ainfty._components(h.h)
         new = ainfty._chain_defect(c, cp, parts)
         old = {}
-        ainfty._fan_out(old, c, cp._gens, parts)
+        ainfty._fan_out(old, c._d_parts, cp._gens, parts)
         ref.parts_splice(old, parts, cp, exp=1)
         assert _listed(new) == _listed(old)
     report = _outcome(check_chain_map, c, cp, h)

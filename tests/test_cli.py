@@ -579,6 +579,68 @@ def test_augmentation_rejects_two_values_on_one_generator(tmp_path):
         "invalid input: duplicate augmentation value on generator 'y'\n")
 
 
+def _identity_on(datum):
+    return [{"inputs": [g["id"]], "output": g["id"], "coeff": "t^0"}
+            for g in datum["generators"]]
+
+
+def test_augment_pushforward_needs_both_keys(tmp_path):
+    # with one of the two keys the pushforward used to be dropped silently,
+    # and the check passed without it
+    push = dict(AUG_JSON, source=AUG_JSON["datum"],
+                map=_identity_on(AUG_JSON["datum"]))
+    code, out, _ = run("ainfty", "augment", write(tmp_path, "push.json", push))
+    assert code == PASS and "pushforward" in json.loads(out)
+    for key, missing in (("source", "map"), ("map", "source")):
+        half = {k: v for k, v in push.items() if k != missing}
+        assert run("ainfty", "augment", write(tmp_path, "half.json", half)) == (
+            BAD_INPUT, "", f"invalid input: bundle has no part {missing!r}\n")
+
+
+@pytest.mark.parametrize("value", [5, None, ["t^1"], {"t": 1}, 1.5],
+                         ids=["number", "null", "list", "object", "float"])
+@pytest.mark.parametrize("action", ["check", "hf", "map", "homotopy",
+                                    "compose", "augment"])
+def test_series_fields_must_be_strings(tmp_path, chain_json, ident_entries,
+                                       action, value):
+    # a coeff or value that is no string used to die in parse_series with
+    # "'int' object has no attribute 'split'" and exit 1
+    entries = json.loads(json.dumps(ident_entries))
+    entries[0]["coeff"] = value
+    datum = _small_datum()
+    datum["tensors"][0]["coeff"] = value
+    bundles = {
+        "check": datum, "hf": datum,
+        "map": {"source": chain_json, "target": chain_json, "map": entries},
+        "homotopy": {"source": chain_json, "target": chain_json,
+                     "h0": ident_entries, "h1": ident_entries,
+                     "k": [dict(entries[0], output="z02")]},
+        "compose": {"c0": chain_json, "c1": chain_json, "c2": chain_json,
+                    "h01": ident_entries, "h12": entries},
+        "augment": json.loads(json.dumps(AUG_JSON)),
+    }
+    bundles["augment"]["augmentation"]["values"][1]["value"] = value
+    command = ("floer" if action == "hf" else "ainfty", action)
+    field = "value" if action == "augment" else "coeff"
+    assert run(*command, write(tmp_path, "bad.json", bundles[action])) == (
+        BAD_INPUT, "", f"invalid input: {field} must be a string, got {value!r}\n")
+
+
+@pytest.mark.parametrize("command", [("ainfty", "check"), ("floer", "hf"),
+                                     ("maslov", "index"),
+                                     ("conductor", "exact")], ids=" ".join)
+@pytest.mark.parametrize("text", ["[" * 200000, '{"a":' * 200000 + "1",
+                                  '{"labels": 2, "generators": '
+                                  + "[" * 5000 + "]" * 5000 + "}"],
+                         ids=["lists", "objects", "closed"])
+def test_deeply_nested_json_is_invalid_input(tmp_path, command, text):
+    # json.load used to raise RecursionError out of main, which exited 1
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert run(*command, str(path)) == (
+        BAD_INPUT, "", f"invalid input: {path}: JSON nested too deeply\n")
+
+
 COND_JSON = {
     "h": {"source": ["a", "b"], "target": ["x", "y", "z"],
           "positions": [0, 1], "images": [0, 1]},
@@ -693,6 +755,97 @@ def test_malformed_path_and_morse_fields_are_named(tmp_path, command, obj,
     # ("'int' object is not iterable")
     assert run(*command, write(tmp_path, "in.json", obj)) == (
         BAD_INPUT, "", f"invalid input: {message}\n")
+
+
+# a seeded sweep over malformed inputs: whatever a file holds, every
+# subcommand that reads one exits 0, 1 or 2 and raises nothing
+
+
+def _sweep_bundles():
+    """(command, bundle): a small valid input, on at most four labels, for
+    every subcommand that reads a file."""
+    chain = datum_to_json(make_chain_datum())
+    ident = _identity_on(chain)
+    aug = AUG_JSON["datum"]
+    return [
+        (("ainfty", "check"), _small_datum()),
+        (("ainfty", "check"), chain),
+        (("floer", "hf"), chain),
+        (("floer", "hf"), MORSE_JSON),
+        (("ainfty", "map"), {"source": chain, "target": chain, "map": ident}),
+        (("ainfty", "homotopy"), {
+            "source": chain, "target": chain, "h0": ident, "h1": ident,
+            "k": [{"inputs": ["ap"], "output": "a", "coeff": "t^0"}]}),
+        (("ainfty", "compose"), {"c0": chain, "c1": chain, "c2": chain,
+                                 "h01": ident, "h12": ident}),
+        (("ainfty", "augment"), AUG_JSON),
+        (("ainfty", "augment"),
+         dict(AUG_JSON, source=aug, map=_identity_on(aug))),
+        (("maslov", "index"), LINE_PATH_JSON),
+        (("conductor", "exact"), COND_JSON),
+    ]
+
+
+def _containers(obj):
+    """``obj`` and every list and object inside it."""
+    yield obj
+    for v in (obj.values() if isinstance(obj, dict) else obj):
+        if isinstance(v, (dict, list)):
+            yield from _containers(v)
+
+
+def _mutated(rng, obj):
+    """A copy of ``obj`` with one or two mutations: a key or list element
+    deleted, a value replaced by None, 5, 1.5, "", [] or {}, or a list
+    element duplicated.  None multiplies a size of the input."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(rng.randint(1, 2)):
+        nodes = [n for n in _containers(obj) if n]
+        if not nodes:
+            break
+        node = rng.choice(nodes)
+        key = rng.choice(list(node) if isinstance(node, dict)
+                         else range(len(node)))
+        op = rng.randrange(3)
+        if op == 0:
+            del node[key]
+        elif op == 1 and isinstance(node, list):
+            node.insert(key, json.loads(json.dumps(node[key])))
+        else:
+            node[key] = rng.choice((None, 5, 1.5, "", [], {}))
+    return obj
+
+
+def _sweep(seed, count, folder):
+    """Run ``main`` in-process on ``count`` seeded mutations of each bundle
+    of ``_sweep_bundles``, written to a file in ``folder``.  Returns the
+    number of runs per exit code and the runs that raised or gave another
+    code.  Asserts nothing, so that a larger sweep can call it."""
+    rng = random.Random(seed)
+    path = os.path.join(folder, "mutated.json")
+    codes, escaped = {}, []
+    for command, bundle in _sweep_bundles():
+        for _ in range(count):
+            obj = _mutated(rng, bundle)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            try:
+                code = run(*command, path)[0]
+            except Exception as exc:
+                escaped.append((command, obj, repr(exc)))
+                continue
+            codes[code] = codes.get(code, 0) + 1
+            if code not in (PASS, FAIL, BAD_INPUT):
+                escaped.append((command, obj, code))
+    return codes, escaped
+
+
+def test_malformed_inputs_exit_0_1_or_2(tmp_path):
+    # a coeff or value that is no string used to escape main as an
+    # AttributeError
+    codes, escaped = _sweep(seed=25, count=100, folder=tmp_path)
+    assert escaped == []
+    assert codes[PASS] > 20 and codes[FAIL] > 5, codes
 
 
 def test_ainfty_same_reports_under_optimize(tmp_path, chain_json, conj_json,

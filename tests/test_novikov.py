@@ -349,6 +349,99 @@ def test_bool_rejected_at_the_boundary():
             invert(NovikovSeries.one(ring=ring), True)
 
 
+# the constructor, restrict, to_ring and scale against the Fraction-keyed
+# constructor they replaced (ref.fraction_series)
+
+_BAD_TERMS = ((True, 1), (1, True), (False, 2), (2, False), (0.5, 1),
+              (1, 0.5), (1, Fraction(1, 2)), ("1", 1), (1, "2"), (None, 1),
+              (1,))
+
+
+def _exponent(rng):
+    """An int or a Fraction exponent; Fraction(4, 2) and the like equal an
+    int."""
+    if rng.random() < 0.4:
+        return rng.randint(-4, 6)
+    return Fraction(rng.randint(-8, 12), rng.choice((1, 2, 3, 4, 6)))
+
+
+def _coefficient(rng, ring):
+    if ring == "Q" and rng.random() < 0.5:
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+    c = rng.randint(-5, 5)
+    return Fraction(c) if rng.random() < 0.2 else c
+
+
+def _term_list(rng, ring):
+    """A term list with repeated exponents (written as an int or as a
+    Fraction), cancelling and zero coefficients, and sometimes one invalid
+    term."""
+    terms = []
+    for _ in range(rng.randint(0, 7)):
+        if terms and rng.random() < 0.35:
+            e, c = rng.choice(terms)
+            if type(e) is int:
+                e = Fraction(e)
+            elif e.denominator == 1:
+                e = int(e)
+            terms.append((e, -c if rng.random() < 0.5 else
+                          _coefficient(rng, ring)))
+        else:
+            terms.append((_exponent(rng), _coefficient(rng, ring)))
+    if rng.random() < 0.2:
+        terms.insert(rng.randint(0, len(terms)), rng.choice(_BAD_TERMS))
+    return terms
+
+
+def _built(build):
+    """``build()`` as (pairs, den, ring, cutoff, coefficient types), or the
+    type and message of the exception it raises."""
+    try:
+        s = build()
+    except (TypeError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    return (s.pairs, s.den, s.ring, s.cutoff, [type(c) for _, c in s.pairs])
+
+
+def test_constructor_and_unary_transforms_match_the_fraction_reference():
+    rng = random.Random(25)
+    seen = {"series": 0, "TypeError": 0, "ValueError": 0}
+    merged = truncated = reduced = 0
+    cutoffs = (None, None, 0, 2, Fraction(1, 2), Fraction(-5, 6), True, 0.5)
+    for _ in range(4000):
+        ring = rng.choice(("Z", "Q", "Z", "Q", "R"))
+        terms, cutoff = _term_list(rng, ring), rng.choice(cutoffs)
+        got = _built(lambda: NovikovSeries(terms, ring=ring, cutoff=cutoff))
+        want = _built(lambda: ref.fraction_series(terms, ring=ring,
+                                                  cutoff=cutoff))
+        assert got == want, (terms, ring, cutoff)
+        kind = got[0] if isinstance(got[0], str) else "series"
+        seen[kind] += 1
+        if kind != "series":
+            continue
+        s = NovikovSeries(terms, ring=ring, cutoff=cutoff)
+        assert_canonical(s)
+        exps = {Fraction(e) for e, _ in terms}
+        merged += len(exps) < len(terms)
+        truncated += cutoff is not None and any(e >= cutoff for e in exps)
+        cut = rng.choice((0, 3, Fraction(1, 3), Fraction(-7, 4), False, 1.0))
+        target = rng.choice(("Z", "Q", "R", s.ring))
+        scalar = rng.choice((0, 1, -1, 2, -3, Fraction(1, 2), Fraction(4, 2),
+                             Fraction(-1), True, False, 2.0, "x"))
+        for got, want in (
+                (_built(lambda: s.restrict(cut)),
+                 _built(lambda: ref.restrict(s, cut))),
+                (_built(lambda: s.to_ring(target)),
+                 _built(lambda: ref.to_ring(s, target))),
+                (_built(lambda: s.scale(scalar)),
+                 _built(lambda: ref.scale(s, scalar)))):
+            assert got == want, (s, cut, target, scalar)
+            if not isinstance(got[0], str):
+                reduced += got[1] < s.den
+    assert min(seen.values()) > 200, seen
+    assert min(merged, truncated, reduced) > 100, (merged, truncated, reduced)
+
+
 # the literal parser against the Fraction-based one it replaced
 
 _MALFORMED = ("t^", "t^^2", "2t", "t^1/", "x", "t^1t^2", "3//4", "t^1/2/3",
