@@ -19,6 +19,7 @@ from . import maslov as _mas
 from . import morse as _mor
 from . import novikov as _nov
 from . import polytopes as _pol
+from ._json import _json_list, _json_object
 
 PASS = 0
 FAIL = 1
@@ -129,7 +130,7 @@ def _cmd_maslov(args) -> int:
 def _part(bundle, key: str):
     """``bundle[key]``; a bundle that is no JSON object or lacks the part is
     invalid input that names it."""
-    if key not in _ai._json_object(bundle, "bundle"):
+    if key not in _json_object(bundle, "bundle"):
         raise ValueError(f"bundle has no part {key!r}")
     return bundle[key]
 
@@ -141,7 +142,7 @@ def _complex(bundle, key: str) -> "_ai.FloerComplex":
 def _entries(bundle, key: str, ring: str, kind: str = "H") -> "_ai.MapDatum":
     """The map whose ``kind`` entries are the bundle's list ``key``."""
     _part(bundle, key)
-    return _ai.map_from_json({kind: _ai._json_list(bundle, key, "bundle")},
+    return _ai.map_from_json({kind: _json_list(bundle, key, "bundle")},
                              ring=ring)
 
 
@@ -250,8 +251,8 @@ def _cmd_sft(args) -> int:
 
 def _cmd_conductor(args) -> int:
     obj = _load_json(args.file)
-    h = _cond.continuation_from_json(_ai._json_object(_part(obj, "h"), "h"))
-    k = _cond.continuation_from_json(_ai._json_object(_part(obj, "k"), "k"))
+    h = _cond.continuation_from_json(_json_object(_part(obj, "h"), "h"))
+    k = _cond.continuation_from_json(_json_object(_part(obj, "k"), "k"))
     exact = _cond.is_exact(h, k)
     overlap = len(set(h.images) & set(k.positions))
     out = {

@@ -45,7 +45,7 @@ from functools import reduce
 from itertools import combinations, count
 from typing import Dict, List, Optional, Tuple
 
-from ._json import _json_field, _json_list, _json_object
+from ._json import _json_field, _json_int, _json_list, _json_object
 from ._poly import (InexactDivision, IntPoly, _exact_div, degree, derivative,
                     det, gcd, matrix_at, mul, neg_prem, sign_at, sub)
 
@@ -134,23 +134,23 @@ def _sign_changes(chain: List[IntPoly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_count(p: IntPoly, lo: Fraction, hi: Fraction,
-                 chain: Optional[List[IntPoly]] = None) -> int:
-    """Distinct roots of p in (lo, hi]; requires p(lo) != 0."""
-    if sign_at(p, lo) == 0:
+def _sturm_count(chain: List[IntPoly], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots in (lo, hi] of the polynomial ``chain[0]`` whose
+    Sturm chain is ``chain``; requires chain[0](lo) != 0."""
+    if sign_at(chain[0], lo) == 0:
         raise AssertionError("sturm count with root at left endpoint")
-    if chain is None:
-        chain = _sturm_chain(p)
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
-def _isolate_roots(f: IntPoly, lo: Fraction, hi: Fraction) -> List[Tuple[Fraction, Fraction]]:
-    """Isolating intervals (l, h] for the roots of squarefree f strictly
-    inside (lo, hi); requires f(lo) != 0 and f(hi) != 0."""
-    chain = _sturm_chain(f)
+def _isolate_roots(chain: List[IntPoly], lo: Fraction,
+                   hi: Fraction) -> List[Tuple[Fraction, Fraction]]:
+    """Isolating intervals (l, h] for the roots strictly inside (lo, hi)
+    of the squarefree f = chain[0], given its Sturm chain; requires
+    f(lo) != 0 and f(hi) != 0."""
+    f = chain[0]
 
     def rec(a: Fraction, b: Fraction) -> List[Tuple[Fraction, Fraction]]:
-        k = _sturm_count(f, a, b, chain)
+        k = _sturm_count(chain, a, b)
         if k == 0:
             return []
         if k == 1:
@@ -330,21 +330,22 @@ def _reference_matrix(reference, n: int) -> List[List[Fraction]]:
     return B
 
 
-def _signature_jump(P: List[List[IntPoly]], f: IntPoly, lo: Fraction,
-                    hi: Fraction, sqf_chain: List[IntPoly]) -> int:
+def _signature_jump(P: List[List[IntPoly]], chain: List[IntPoly],
+                    lo: Fraction, hi: Fraction,
+                    sqf_chain: List[IntPoly]) -> int:
     """Signature of the crossing form at a regular crossing t*, the one
-    root of the squarefree factor f in (lo, hi]: half the jump of the
-    signature of P across a bracket of t* shrunk until it holds no other
-    root of det P, whose squarefree part has the Sturm chain ``sqf_chain``.
+    root in (lo, hi] of the squarefree factor f = chain[0] (``chain`` its
+    Sturm chain): half the jump of the signature of P across a bracket of
+    t* shrunk until it holds no other root of det P, whose squarefree part
+    is sqf_chain[0].
     """
-    sqf = sqf_chain[0]
-    chain = _sturm_chain(f)
+    f, sqf = chain[0], sqf_chain[0]
     while not (sign_at(sqf, lo) and sign_at(sqf, hi)
-               and _sturm_count(sqf, lo, hi, sqf_chain) == 1):
+               and _sturm_count(sqf_chain, lo, hi) == 1):
         mid = (lo + hi) / 2
         if sign_at(f, mid) == 0:
             lo = (lo + mid) / 2
-        elif _sturm_count(f, lo, mid, chain) == 1:
+        elif _sturm_count(chain, lo, mid) == 1:
             hi = mid
         else:
             lo = mid
@@ -352,12 +353,12 @@ def _signature_jump(P: List[List[IntPoly]], f: IntPoly, lo: Fraction,
     return (after - before) // 2
 
 
-def _interior_crossing(P: List[List[IntPoly]], f: IntPoly, m: int,
+def _interior_crossing(P: List[List[IntPoly]], chain: List[IntPoly], m: int,
                        lo: Fraction, hi: Fraction,
                        sqf_chain: List[IntPoly]) -> int:
     """Signature of the crossing form at a root t* inside a piece: the
-    root of the squarefree factor f isolated in (lo, hi], of order m in
-    det P.
+    root isolated in (lo, hi] of the squarefree factor f = chain[0]
+    (``chain`` its Sturm chain), of order m in det P.
 
     The crossing is regular iff its kernel dimension k equals m.  A
     symmetric matrix has rank r iff some principal r x r minor is nonzero
@@ -368,13 +369,13 @@ def _interior_crossing(P: List[List[IntPoly]], f: IntPoly, m: int,
     if m > n:
         raise DegenerateCrossing("singular crossing form")
     if m > 1:
-        g = f
+        g = chain[0]
         for size in range(n - m + 1, n):
             for idx in combinations(range(n), size):
                 g = gcd(g, det([[P[i][j] for j in idx] for i in idx]))
-        if _sturm_count(g, lo, hi) != 1:
+        if _sturm_count(_sturm_chain(g), lo, hi) != 1:
             raise DegenerateCrossing("singular crossing form")
-    return _signature_jump(P, f, lo, hi, sqf_chain)
+    return _signature_jump(P, chain, lo, hi, sqf_chain)
 
 
 def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
@@ -393,25 +394,27 @@ def rs_index_report(reference, path: LagrangianPath) -> CrossingReport:
             raise DegenerateCrossing(
                 "determinant vanishes identically on a piece")
         factors = _yun_squarefree(d)
-        sqf_chain = _sturm_chain(reduce(mul, (f for f, _m in factors), {0: 1}))
-        for t0 in (piece.start, piece.end):
-            if sign_at(d, t0) == 0:
-                m = next(i for f, i in factors if sign_at(f, t0) == 0)
-                if _inertia(matrix_at(P, t0)[0])[1] != m:
-                    raise DegenerateCrossing("singular crossing form")
-                sig = _signature_jump(P, _linear(t0), t0 - 1, t0 + 1,
-                                      sqf_chain)
-                boundary.setdefault(t0, []).append((m, sig))
-        for factor, mult in factors:
-            f = factor
+        sqf = reduce(mul, (f for f, _m in factors), {0: 1})
+        sqf_chain = _sturm_chain(sqf)
+        # one pass over the factors: a factor vanishing at the start or
+        # end of the piece gives that boundary crossing, of its order m,
+        # and the rest of it is isolated inside the piece
+        for f, m in factors:
             for t0 in (piece.start, piece.end):
                 if sign_at(f, t0) == 0:
-                    f = _exact_div(f, _linear(t0))
+                    if _inertia(matrix_at(P, t0)[0])[1] != m:
+                        raise DegenerateCrossing("singular crossing form")
+                    t0_line = _linear(t0)
+                    sig = _signature_jump(P, _sturm_chain(t0_line), t0 - 1,
+                                          t0 + 1, sqf_chain)
+                    boundary.setdefault(t0, []).append((m, sig))
+                    f = _exact_div(f, t0_line)
             if degree(f) < 1:
                 continue
-            for lo, hi in _isolate_roots(f, piece.start, piece.end):
-                sig = _interior_crossing(P, f, mult, lo, hi, sqf_chain)
-                crossings.append(Crossing(lo, hi, "interior", mult,
+            chain = sqf_chain if f == sqf else _sturm_chain(f)
+            for lo, hi in _isolate_roots(chain, piece.start, piece.end):
+                sig = _interior_crossing(P, chain, m, lo, hi, sqf_chain)
+                crossings.append(Crossing(lo, hi, "interior", m,
                                           ((Fraction(1), sig),)))
 
     half = Fraction(1, 2)
@@ -491,10 +494,7 @@ def path_from_json(obj) -> LagrangianPath:
         pieces.append(make_piece(a, b, matrix))
     path = make_path(pieces)
     if "n" in obj:
-        n = obj["n"]
-        # a JSON integer, as in datum files: no bool, no 1.0
-        if type(n) is not int:
-            raise ValueError(f"n must be an integer, got {n!r}")
+        n = _json_int(obj, "n", "path")
         if n != path.n:
             raise ChartMismatch(f"the path file gives n = {n!r} but its "
                                 f"matrices are {path.n} x {path.n}")

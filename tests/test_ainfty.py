@@ -133,6 +133,19 @@ def test_axioms_hold_on_fixture(chain_complex):
     assert rep["ok"], rep
 
 
+def test_axioms_fail_on_given_words_and_differential(chain_complex):
+    # a basis that drops a letter of longer words breaks A1; an entry
+    # w -> w keeps the cardinality but not the index shift, which breaks A2
+    c = chain_complex
+    words = tuple(w for w in c.words if w != ("g12",))
+    rep = validate_axioms_A(FloerComplex(c.datum, words, c.differential))
+    assert (rep["a1"], rep["a2"], rep["ok"]) == (False, True, False)
+    bad = {w: dict(row) for w, row in c.differential.items()}
+    bad.setdefault(c.words[0], {})[c.words[0]] = ONE
+    rep = validate_axioms_A(FloerComplex(c.datum, c.words, bad))
+    assert (rep["a1"], rep["a2"], rep["ok"]) == (True, False, False)
+
+
 def test_word_enumeration_properties(chain_datum):
     words = enumerate_words(chain_datum)
     assert len(words) == 59
@@ -534,6 +547,14 @@ def test_broken_augmentation_reported():
     rep = check_augmentation(c, bad)
     assert not rep["condition_1"]
     assert not rep["ok"]
+    # a given basis without the letter ("p",): the extension has no value
+    # on that factor of ("y", "p") and ("z", "p"), so condition 2 fails
+    datum, aug = make_augmentation_datum()
+    cut = FloerComplex(datum, tuple(w for w in c.words if w != ("p",)),
+                       c.differential)
+    assert check_augmentation(cut, aug) == {
+        "condition_1": True, "condition_2": False, "supported_words": 4,
+        "ok": False}
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +571,8 @@ def test_cohomology_field_ranks(chain_complex):
 def test_cohomology_non_unit_pivot(chain_complex):
     with pytest.raises(NonUnitPivot):
         cohomology(chain_complex, ring="Z")
+    with pytest.raises(ValueError, match="ring must be 'Z' or 'Q'"):
+        cohomology(chain_complex, ring="R")
 
 
 def test_cohomology_invariant_under_diagonal_change(
@@ -670,6 +693,12 @@ def test_entry_validation():
         assemble_differential(AInftyDatum(
             l=1, generators=gens,
             tensors=(T(["y"], "x"),), modulus=0))
+    # x ends at label 1 and y starts at label 0
+    with pytest.raises(ValueError, match=r"structure tensor inputs "
+                                         r"\('x', 'y'\) are not composable"):
+        assemble_differential(AInftyDatum(
+            l=1, generators=gens,
+            tensors=(T(["x", "y"], "x"),), modulus=0))
 
 
 # ---------------------------------------------------------------------------

@@ -742,13 +742,31 @@ def test_missing_field_names_object_and_field(tmp_path, command, obj,
     (("maslov", "index"), {"pieces": [{"t0": "0", "t1": "1",
                                         "matrix": [5]}]},
      "matrix [5] is not a list of matrix rows"),
+    # the ChartMismatch checks of make_piece, the path and the reference
+    (("maslov", "index"), {"pieces": [{"t0": "0", "t1": "1",
+                                        "A": [[["1"], ["0", "1"]],
+                                              [["0"], ["1"]]]}]},
+     "matrix is not symmetric"),
+    (("maslov", "index"), {"pieces": [
+        {"t0": "0", "t1": "1", "A": [[["1"]]]},
+        {"t0": "1", "t1": "2", "A": [[["1"], ["0"]], [["0"], ["1"]]]}]},
+     "pieces have different matrix sizes"),
+    (("maslov", "index"), {"pieces": [
+        {"t0": "0", "t1": "1", "A": [[["1"]]]},
+        {"t0": "1", "t1": "2", "A": [[["2"]]]}]},
+     "path is discontinuous at a junction"),
+    (("maslov", "index"), {"pieces": [
+        {"t0": "0", "t1": "1", "A": [[["1"], ["0"]], [["0"], ["1"]]]}],
+        "reference": [["1", "2"], ["0", "1"]]},
+     "reference matrix is not symmetric"),
     (("floer", "hf"), {"points": 5, "n": 1}, "points must be a list, got 5"),
     (("floer", "hf"), {"points": [], "n": 1, "flows": 5},
      "flows must be a list, got 5"),
     (("floer", "hf"), {"points": [], "n": 1, "triples": {}},
      "triples must be a list, got {}")],
     ids=["t1", "A", "interval", "pieces", "piece", "path", "ends", "rows",
-         "matrix-rows", "points", "flows", "triples"])
+         "matrix-rows", "asymmetric", "sizes", "discontinuous",
+         "asymmetric-reference", "points", "flows", "triples"])
 def test_malformed_path_and_morse_fields_are_named(tmp_path, command, obj,
                                                     message):
     # these used to print the bare key ('t1') or a Python TypeError

@@ -9,6 +9,7 @@ from types import MappingProxyType
 
 import pytest
 
+from openstrings import maslov
 from openstrings._poly import InexactDivision
 from openstrings.maslov import (
     ChartMismatch,
@@ -155,6 +156,22 @@ def test_chart_mismatch():
         make_piece(0, 1, [[(1,), (0,)]])
     with pytest.raises(ChartMismatch):
         rs_index([[1, 0], [0, 1]], line_path())
+    with pytest.raises(ChartMismatch, match="^matrix is not symmetric$"):
+        make_piece(0, 1, [[(1,), (0, 1)], [(0,), (1,)]])
+    square = make_piece(1, 2, [[(1,), ()], [(), (1,)]])
+    with pytest.raises(ChartMismatch,
+                       match="^pieces have different matrix sizes$"):
+        make_path([make_piece(0, 1, [[(1,)]]), square])
+    with pytest.raises(ChartMismatch,
+                       match="^path is discontinuous at a junction$"):
+        make_path([make_piece(0, 1, [[(1,)]]), make_piece(1, 2, [[(2,)]])])
+    with pytest.raises(ChartMismatch,
+                       match="^reference matrix is not symmetric$"):
+        rs_index([[1, 2], [0, 1]], make_path([square]))
+    for t in (Fraction(-2), Fraction(3, 2)):
+        with pytest.raises(ValueError,
+                           match="^parameter outside the path domain$"):
+            line_path().value(t)
 
 
 @pytest.mark.parametrize("entry", ["01", 1, None, (1, "2"), [True], [[1]]])
@@ -344,6 +361,26 @@ def test_double_root_with_split_signature():
     (c,) = rep.crossings
     assert (c.location, c.kernel_dimension, c.parts) == (
         "interior", 2, ((Fraction(1), 0),))
+
+
+def test_each_sturm_chain_is_built_once(monkeypatch):
+    # diag(t (2t - 1)(2t - 3), (2t - 1)(t^2 - 2)) on [0, 2]: det has the
+    # squarefree factors t (2t - 3)(t^2 - 2), of order 1 with a boundary
+    # root at 0, and 2t - 1 of order 2
+    path = _diag_path([(0, 3, -8, 4), (2, -4, -1, 2)], 0, 2)
+    built = []
+    real = maslov._sturm_chain
+    monkeypatch.setattr(maslov, "_sturm_chain",
+                        lambda p: built.append(p) or real(p))
+    rep = rs_index_report(_zero(2), path)
+    assert [(c.location, c.kernel_dimension) for c in rep.crossings] == [
+        ("start", 1), ("interior", 2), ("interior", 1), ("interior", 1)]
+    # the squarefree part; t at the boundary point; (2t - 3)(t^2 - 2), the
+    # rest of the first factor; 2t - 1; and the gcd of the order-2 root
+    # with the 1 x 1 minors, which is 2t - 1 again
+    assert built == [{1: -6, 2: 16, 3: -5, 4: -8, 5: 4}, {1: 1},
+                     {0: 6, 1: -4, 2: -3, 3: 2}, {0: -1, 1: 2},
+                     {0: -1, 1: 2}]
 
 
 # each singular crossing at 0 inside the piece, at the start, at the end

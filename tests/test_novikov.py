@@ -88,6 +88,11 @@ class TestRingAxioms:
             b = random_series(rng, ring="Q")
             assert a * b == b * a
             assert (a - b) + b == a
+        # an int minus a series, through __rsub__; rings do not mix
+        a = parse_series("3t^1/2 - t^2", ring="Z")
+        assert 5 - a == parse_series("5 - 3t^1/2 + t^2", ring="Z")
+        with pytest.raises(ValueError, match="mixed coefficient rings: Z vs Q"):
+            a + a.to_ring("Q")
 
 
 def test_valuation_additive():
@@ -217,6 +222,12 @@ class TestLiterals:
         assert format_series(a) == "7t^0 + 3t^1/2 - t^2"
         assert format_series(NovikovSeries.zero(ring="Z")) == "0"
         assert valuation(a) == 0
+        assert str(a) == "7t^0 + 3t^1/2 - t^2"
+        assert repr(a) == "NovikovSeries('7t^0 + 3t^1/2 - t^2', ring='Z')"
+        q = parse_series("3/2t^1/2 - t^2", ring="Q", cutoff=3)
+        assert str(q) == "3/2t^1/2 - t^2"
+        assert repr(q) == ("NovikovSeries('3/2t^1/2 - t^2', ring='Q', "
+                           "cutoff=3)")
 
     def test_negative_exponents(self):
         a = parse_series("t^-2 + 1", ring="Z")
@@ -248,6 +259,21 @@ def test_terms_sorted_and_leading():
     exps = [e for e, _ in a.terms]
     assert exps == sorted(exps)
     assert a.terms[0] == (Fraction(0), 5)
+    assert a.leading_coefficient() == 5
+    # a present exponent gives its coefficient, an absent one the ring's 0
+    assert [(type(c), c) for c in (a.coefficient(Fraction(1, 2)),
+                                   a.coefficient(3), a.coefficient(1))] == [
+        (int, -2), (int, 1), (int, 0)]
+    q = a.to_ring("Q").scale(Fraction(1, 3))
+    assert [(type(c), c) for c in (q.coefficient(0),
+                                   q.coefficient(Fraction(1, 2)),
+                                   q.coefficient(2))] == [
+        (Fraction, Fraction(5, 3)), (Fraction, Fraction(-2, 3)),
+        (Fraction, 0)]
+    with pytest.raises(ValueError, match="zero series has no leading"):
+        NovikovSeries.zero(ring="Z").leading_coefficient()
+    with pytest.raises(AttributeError, match="NovikovSeries is immutable"):
+        a.pairs = ()
 
 
 

@@ -22,7 +22,7 @@ from openstrings._poly import (
     sign_at,
     sub,
 )
-from openstrings.maslov import _sturm_count
+from openstrings.maslov import _sturm_chain, _sturm_count
 
 
 def _random_poly(rng, max_degree=3, span=4):
@@ -160,7 +160,8 @@ def test_sturm_counts_equal_the_distinct_roots_of_products():
         if sign_at(p, lo) == 0 or lo == hi:
             continue
         expected = len({r for r in roots if lo < r <= hi})
-        assert _sturm_count(p, lo, hi) == expected, (roots, extra, lo, hi)
+        assert _sturm_count(_sturm_chain(p), lo, hi) == expected, (
+            roots, extra, lo, hi)
 
 
 def test_gcd_of_products_is_their_common_primitive_factor():

@@ -151,6 +151,12 @@ class TestSignConventions:
             ("multi_upper", (2, (1, 2)), 1),
             ("multi_upper", (2, (2, 1)), -1),
         ]
+        # below l = 2, K has no facets and J only its two interval ends
+        for l in (0, 1):
+            assert facets_with_signs("K", l) == []
+            assert [(f.kind, f.params, f.orientation_sign, f.face)
+                    for f in facets_with_signs("J", l)] == [
+                ("multi_end", (0,), -1, "[0]"), ("multi_end", (1,), 1, "[1]")]
 
     def test_facet_signs_match_helpers(self):
         for f in facets_with_signs("K", 6):
