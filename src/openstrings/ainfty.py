@@ -299,10 +299,37 @@ def _delta_exp(q, w, i, mutation=(1, 1, 1)):
     return (a * (q * w) + b * (i * w) + cc * i) % 2
 
 
-def _d_slot(q: int, w: int, s: int) -> int:
+def _d_slot(q: int, w: int, s: int, m: int = 0) -> int:
     """``_delta_exp`` of an arity-w tensor spliced into slot s of a word of
-    q factors: the differential's sign on the source of q + w - 1."""
+    q factors: the differential's sign on the source of q + w - 1.  The
+    index sum m left of the slot enters only through ``_splice``."""
     return _delta_exp(q + w - 1, w, s)
+
+
+def _dd_slot(q: int, w: int, s: int, m: int) -> int:
+    """Slot exponent of an arity-w entry of d d's one-output component D1
+    spliced into slot s of a word of q factors, with index sum m left of
+    the slot: ``_d_slot(q, w, s)`` + q + m.  With ``_splice``'s w*m, the
+    spliced D1 is d d on the word basis when d is odd.
+
+    Proof.  A composite of d d is an arity-w2 tensor in slot i2 of a word
+    of Q factors, then an arity-w1 tensor in slot s of the result.  When
+    the blocks are disjoint the two orders cancel (the disjoint pairs of
+    ``symbolic_delta_squared``; each graded factor moves by the parity of
+    the other block's arity, since a block's output index is its inputs'
+    sum plus 2 - w, which an odd d keeps mod 2).  Otherwise the inner
+    block sits at j = i2 - s + 1 inside the outer one, and the composite
+    is the D1 term of the outer tensor (signed by ``_delta_exp(w1, w1,
+    1)`` = 1) with the inner one in its slot j (``_d_slot(w1, w2, j)``
+    plus w2 times the index sum m' left of j in the block), spliced into
+    slot s as an arity-L piece, L = w1 + w2 - 1, q = Q - L + 1.  Its word
+    basis exponent is ``_d_slot(Q - w2 + 1, w2, i2)`` + w2 (m + m') +
+    ``_d_slot(q, w1, s)`` + w1 m, and with ``_delta_exp`` = qw + i(w - 1)
+    both ``_d_slot`` sums reduce to Q(w1 + w2) + s(w1 + w2) + w1 + w2
+    mod 2: the word basis exponent is the D1 term's plus
+    ``_d_slot(q, L, s)`` + q + m + L m.  Nested composites and D1 terms
+    correspond one to one, so the extension sums the same products."""
+    return _d_slot(q, w, s) + q + m
 
 
 def _a3_left(b_img: int) -> int:
@@ -343,6 +370,35 @@ def _homotopy_parity(arities, mus, p) -> int:
             + sum(mus[:width])) % 2
 
 
+def _pair_parity(arities, mus, p, q) -> int:
+    """Exponent of a fan-in term with two odd blocks, ``p`` < ``q`` (from
+    0), among blocks of the given arities on a chain with factor indices
+    ``mus``: ``_split_parity`` plus, for each of the two, the sum of
+    (w_j - 1) over the blocks to its left and the index sum of the
+    factors to its left, the part of ``_homotopy_parity`` a placed block
+    adds (its r is added twice)."""
+    at = list(itertools.accumulate(arities, initial=0))
+    return (_split_parity(arities, mus) + at[p] - p + sum(mus[:at[p]])
+            + at[q] - q + sum(mus[:at[q]])) % 2
+
+
+def _defect_parity(arities, mus, p) -> int:
+    """Exponent of a term of d F - F d' on a chain with factor indices
+    ``mus`` cut into blocks of the given arities, F the fan-in of a
+    continuation's components and d, d' odd: block ``p`` an entry of the
+    one-output component D1 (``_chain_defect``), the others components of
+    F.  It is ``_homotopy_parity`` + 1: d F - F d' is an odd coderivation
+    along F, as the homotopy fan-in framed by F is, and that fan-in signs
+    a block on its own output by ``_homotopy_parity([w], ., 0)`` = 1,
+    where the defect keeps D1 as it is.  So d F - F d' is the fan-in of
+    -D1 framed by F, as ``check_chain_map`` builds it.  Each term of F
+    then d (an arity-m tensor on m consecutive outputs of F) and of d'
+    then F (a tensor inside one block of F) is one such term, and the
+    exponents agree on every cut and index pattern (an exhaustive
+    test)."""
+    return (_homotopy_parity(arities, mus, p) + 1) % 2
+
+
 # ---------------------------------------------------------------------------
 # one-output components: a continuation is the product-rule extension of
 # its entries with one output generator, the differential the Leibniz one
@@ -369,7 +425,8 @@ def _one_output(a: Matrix) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
     return out
 
 
-def _fan_in(components, gens, k=None, after=None, longest=None):
+def _fan_in(components, gens, k=None, after=None, longest=None, *,
+            then=None, last=None, odd=True):
     """Every way to produce a word with one component per factor: returns
     ``terms(word)``, a list of (glued input chain, coefficient).
 
@@ -382,19 +439,25 @@ def _fan_in(components, gens, k=None, after=None, longest=None):
     its left components of ``components`` and those to its right
     components of ``after``, signed by ``_homotopy_parity``; terms are
     listed by the position of that factor, then as ``itertools.product``
-    lists the choices.  A glued chain longer than ``longest`` is skipped.
+    lists the choices.  With ``then`` and ``last`` a second such factor,
+    right of the first, takes a component of ``then`` and the factors
+    right of it components of ``last``, signed by ``_pair_parity``.  With
+    ``odd`` false the one ``k`` block is signed as a continuation block,
+    by ``_split_parity``.  A glued chain longer than ``longest`` is
+    skipped.
 
     A word's terms extend its prefix's by the last factor's components:
     one product per term, shared by every word with that prefix, whose
-    terms are kept until a word two factors longer is read.  A homotopy
-    prefix's terms without the k block are built only where the next
-    factor has a k component.  A partial term carries its sign exponent,
-    its number r of blocks and the index sum M of its chain: appending an
-    arity-a block to a chain of length L adds L - r, and M when a is
-    even, to ``_split_parity``, which signs the first block itself.
-    Placing the k block adds the fixed part L - r + M of
-    ``_homotopy_parity`` (its width - p and the index sum to its left);
-    the final r is added when the term is read."""
+    terms are kept until a word two factors longer is read.  A prefix's
+    terms with fewer special blocks placed are built only where the next
+    factor has a component of the next special block.  A partial term
+    carries its sign exponent, its number r of blocks and the index sum M
+    of its chain: appending an arity-a block to a chain of length L adds
+    L - r, and M when a is even, to ``_split_parity``, which signs the
+    first block itself.  Placing an odd special block adds the fixed part
+    L - r + M of ``_homotopy_parity`` (its width - p and the index sum to
+    its left); r is added once per special block when the term is
+    read."""
     def annotated(table):
         """(inputs, coefficient, arity odd, index sum) of each component,
         per output generator."""
@@ -413,54 +476,56 @@ def _fan_in(components, gens, k=None, after=None, longest=None):
         for chain, coeff, exp, r, m in partials:
             n = len(chain)
             step = exp + n - r + (n - r + m if placing else 0)
-            for inputs, cf, odd, s in parts:
+            for inputs, cf, odd_block, s in parts:
                 if longest is not None and n + len(inputs) > longest:
                     continue
                 out.append((chain + inputs, coeff * cf,
-                            step if odd else step + m, r + 1, m + s))
+                            step if odd_block else step + m, r + 1, m + s))
         return out
 
-    hs, ks, afters = (annotated(t) if t is not None else None
-                      for t in (components, k, after))
+    regions = [annotated(t) for t in (components, after, last)
+               if t is not None]
+    specials = [annotated(t) for t in (k, then) if t is not None]
+    top = len(specials)
+    # the tables a word's first factor reads with no or one block placed
+    starts = regions[:1] + specials[:1]
     # memo[q]: the partial terms of the words of length q built so far
-    memo: Dict[int, Dict[Tuple[bool, Word], list]] = {}
+    memo: Dict[int, Dict[Tuple[int, Word], list]] = {}
 
-    def partial(word, placed=False):
-        """The terms of ``components`` alone on ``word``, or with
-        ``placed`` those with the k block placed."""
+    def partial(word, placed=0):
+        """The terms on ``word`` with the first ``placed`` special blocks
+        placed."""
         level = memo.setdefault(len(word), {})
         got = level.get((placed, word))
         if got is None:
             g, prefix = word[-1], word[:-1]
             if not prefix:
-                got = first((ks if placed else hs).get(g, ()))
-            elif not placed:
-                got = extend(partial(prefix), hs.get(g, ()))
+                got = first(starts[placed].get(g, ()) if placed < 2 else ())
             else:
-                got = extend(partial(prefix, True), afters.get(g, ()))
-                if ks.get(g):
-                    got += extend(partial(prefix), ks[g], placing=True)
+                got = extend(partial(prefix, placed),
+                             regions[placed].get(g, ()))
+                if placed and specials[placed - 1].get(g):
+                    got += extend(partial(prefix, placed - 1),
+                                  specials[placed - 1][g], placing=odd)
             level[placed, word] = got
         return got
 
     def terms(word):
         for q in [q for q in memo if q < len(word) - 1]:
             del memo[q]
-        if ks is None:
-            return [(chain, _signed(coeff, exp))
-                    for chain, coeff, exp, _, _ in partial(word)]
-        return [(chain, _signed(coeff, exp + r))
-                for chain, coeff, exp, r, _ in partial(word, True)]
+        return [(chain, _signed(coeff, exp + r * top if odd else exp))
+                for chain, coeff, exp, r, _ in partial(word, top)]
 
     return terms
 
 
 def _fan_in_matrix(words, components, gens, k=None, after=None,
-                   longest=None) -> Matrix:
-    """The fan-in (``_fan_in``) over the target ``words`` as a matrix: a
-    term producing ``u`` from the chain ``v`` is summed into [v][u], and a
-    chain with no term left has no row."""
-    terms = _fan_in(components, gens, k, after, longest)
+                   longest=None, **frame) -> Matrix:
+    """The fan-in (``_fan_in``, with ``frame`` its keyword arguments) over
+    the target ``words`` as a matrix: a term producing ``u`` from the
+    chain ``v`` is summed into [v][u], and a chain with no term left has
+    no row."""
+    terms = _fan_in(components, gens, k, after, longest, **frame)
     out: Matrix = {}
     for word in words:
         for chain, coeff in terms(word):
@@ -477,17 +542,18 @@ def _splice(out: Matrix, targets, pieces, gens, slot_exp) -> None:
     generators of the words.  A piece listed under ``word[s-1]`` replaces
     that factor, and the term (the piece's coefficient, times the
     target's) is summed into [glued chain][key], signed by
-    ``slot_exp(len(word), w, s)`` for a piece of arity w, plus w times
-    the index sum of the factors left of the slot (the graded factor).
+    ``slot_exp(len(word), w, s, m)`` for a piece of arity w, m the index
+    sum of the factors left of the slot, plus w m (the graded factor).
     Each caller passes the certified sign rule of its extension."""
     for word, key, coeff in targets:
         q, prefix = len(word), _prefix_mu(word, gens)
         for s, x in enumerate(word, 1):
+            m = prefix[s - 1]
             for inputs, cf in pieces.get(x, ()):
                 w = len(inputs)
                 _acc(out.setdefault(word[:s - 1] + inputs + word[s:], {}), key,
                      _signed(cf if coeff is None else cf * coeff,
-                             slot_exp(q, w, s) + w * prefix[s - 1]))
+                             slot_exp(q, w, s, m) + w * m))
 
 
 def _targets(parts):
@@ -507,9 +573,17 @@ def _targets(parts):
 # d d (F0 = F1 = 1), d F - F d' (F0 = F1 = F) and F0 - F1 - [d, K] are
 # such maps when the differentials are odd (``_on_tensors``) and, for the
 # last one, F0 and F1 are chain maps (see ``check_homotopy``).  The checks
-# decide on these components, summed from the tensors, and build the word
-# basis only for a defect: one left nonzero, or one that cancels to zero
-# with a cutoff, since a truncated zero is not decided by its components.
+# decide on these components, summed from the tensors.  A failing check
+# on exact data extends its components over the words, with no composite
+# and no differential: d d is its component D1 spliced into every slot
+# (``_dd_slot``), d F - F d' the fan-in of -D1 framed by F
+# (``_defect_parity``), and F0 - F1 - [d, K] the fan-in of its D1 framed
+# by F0 and F1 plus the two-block terms of K and the chain-map defects
+# (``_pair_parity``).  The word basis and its composites are built for
+# the rest: an odd modulus, a given differential, a cutoff on any entry
+# (a truncated zero is not decided by its components, and a sum taken in
+# another order can keep another cutoff), and a map that fails
+# ``_one_block``.
 
 
 def _on_tensors(*complexes: "FloerComplex") -> bool:
@@ -538,12 +612,23 @@ def _is_zero(out: Matrix) -> bool:
     return not any(out.values())
 
 
+def _by_output(one: Matrix, exp: int = 0):
+    """A one-output component, keyed [input chain][output generator],
+    listed per output generator as ``_components`` lists entries, each
+    coefficient signed by (-1)^exp."""
+    out: Dict[str, List[Tuple[Word, NovikovSeries]]] = {}
+    for v, row in one.items():
+        for g, cf in row.items():
+            out.setdefault(g, []).append((v, _signed(cf, exp)))
+    return out
+
+
 def _chain_defect(c: "FloerComplex", c_prime: "FloerComplex", parts) -> Matrix:
     """One-output component of d F - F d', F the fan-in of ``parts``."""
     out: Matrix = {}
     _fan_out(out, c._d_parts, c_prime._gens, parts)
     _splice(out, _targets(parts), c_prime._parts, c_prime._gens,
-            lambda q, w, s: 1 + _d_slot(q, w, s))
+            lambda q, w, s, m: 1 + _d_slot(q, w, s))
     return out
 
 
@@ -626,10 +711,13 @@ def assemble_differential(d: AInftyDatum) -> FloerComplex:
 def check_a_infinity(d: AInftyDatum) -> dict:
     """Report whether the assembled differential squares to zero.
 
-    Decided on the one-output component of d d, the tensors spliced into
-    the tensors, when d is odd (Z or an even modulus); a passing report
-    counts its words without listing them (``_word_count``).  An odd
-    modulus or a defect in that component builds d d on the word basis.
+    Decided on the one-output component D1 of d d, the tensors spliced
+    into the tensors, when d is odd (Z or an even modulus); a passing
+    report counts its words without listing them (``_word_count``).  A
+    failing one on exact tensors splices D1 into every slot of each word
+    (``_dd_slot``), which is d d, and builds no differential.  An odd
+    modulus, or a defect with a cutoff on any tensor, composes d with
+    itself on the word basis.
     """
     c = assemble_differential(d)
     if _on_tensors(c):
@@ -638,7 +726,12 @@ def check_a_infinity(d: AInftyDatum) -> dict:
         if _is_zero(one):
             return {"square_zero": True, "words": _word_count(c._gens),
                     "nonzero_entries": []}
-    dd = _mat_compose(c.differential, c.differential)
+    if _on_tensors(c) and _exact(d.tensors):
+        dd: Matrix = {}
+        _splice(dd, ((u, u, None) for u in c.words), _by_output(one),
+                c._gens, _dd_slot)
+    else:
+        dd = _mat_compose(c.differential, c.differential)
     ok = _mat_is_zero(dd)
     return {
         "square_zero": ok,
@@ -771,7 +864,7 @@ def validate_axioms_A(c: FloerComplex) -> dict:
     predicted: Matrix = {}
     _splice(predicted, ((u, u, None) for u in c.words),
             _one_output(c.differential), gens,
-            lambda q, w, s: _a3_right(q - s, w - 1) + _a3_left(s - 1))
+            lambda q, w, s, m: _a3_right(q - s, w - 1) + _a3_left(s - 1))
     defect = _mat_add(c.differential, predicted, sign=-1)
     a3 = _mat_is_zero(defect)
     return {
@@ -844,22 +937,32 @@ def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
     differentials odd, d F - F d' is then decided on its one-output
     component: the fan-in over the inputs of each structure tensor of
     ``c``, less the tensors of ``c_prime`` spliced into the summed
-    entries.  A passing map builds no words and no matrix; a defect, or a
-    term that cancels to zero with a cutoff, builds F once and both
-    composites on the word basis.
+    entries.  A passing map builds no words and no matrix.  A defect D1 on
+    exact entries and tensors is extended over the words: d F - F d' is
+    the fan-in of -D1 framed by F (``_defect_parity``), with no
+    composite and no differential.  Any other defect, or a term that
+    cancels to zero with a cutoff, builds F once and both composites on
+    the word basis.
     """
     _validate_maps(c, c_prime, h)
     gens = c_prime._gens
     expands = _one_block(h.h, gens)
+    defect = None
     if expands and _on_tensors(c, c_prime):
         one: Matrix = {}
         for e in h.h:
             _acc(one.setdefault(e.inputs, {}), (e.output,), e.coeff)
-        if _is_zero(_chain_defect(c, c_prime, _one_output(one))):
+        parts = _one_output(one)
+        d1 = _chain_defect(c, c_prime, parts)
+        if _is_zero(d1):
             return {"chain_map": True, "dual_expansion": True, "defects": []}
-    fmat = _fan_in_matrix(c.words, _components(h.h), gens)
-    defect = _mat_add(_mat_compose(fmat, c.differential),
-                      _mat_compose(c_prime.differential, fmat), sign=-1)
+        if _exact(h.h + c.datum.tensors + c_prime.datum.tensors):
+            defect = _fan_in_matrix(c.words, parts, gens, _by_output(d1, 1),
+                                    parts)
+    if defect is None:
+        fmat = _fan_in_matrix(c.words, _components(h.h), gens)
+        defect = _mat_add(_mat_compose(fmat, c.differential),
+                          _mat_compose(c_prime.differential, fmat), sign=-1)
     ok = _mat_is_zero(defect)
     return {
         "chain_map": ok,
@@ -937,23 +1040,28 @@ def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
                        + ((d F0 - F0 d') (x) K - K (x) (d F1 - F1 d')) Delta,
 
     so D = F0 - F1 - [d, K] is of the same kind, and zero iff its
-    one-output component is, once F0 and F1 are chain maps.  The check
+    one-output component D1 is, once F0 and F1 are chain maps.  The check
     therefore decides on tensors when both differentials are odd and the
-    one-output chain-map defects of h0 and h1 both vanish: D's component
-    is the h0 entries, less the h1 entries, less the homotopy fan-in over
-    the inputs of each structure tensor of ``c``, plus the tensors of
+    one-output chain-map defects E0 of h0 and E1 of h1 both vanish: D1 is
+    the h0 entries, less the h1 entries, less the homotopy fan-in over the
+    inputs of each structure tensor of ``c``, plus the tensors of
     ``c_prime`` spliced into the k entries (a k entry u -> g is K's entry
     at [u][(g,)] signed by ``_homotopy_parity([w], ., 0)`` = 1, and K d'
-    is subtracted).  Otherwise, or for a defect, D is built on the word
-    basis.
+    is subtracted).  Any other report on exact entries and tensors peels
+    D's first factor off the identity above: D is the fan-in of D1 framed
+    by h0 and h1 as an even block (``_split_parity``), plus the fan-ins of
+    k then -E1 and of E0 then k, framed by h0, h1 between and h1
+    (``_pair_parity``), with no composite and no differential.  With a
+    cutoff on any entry, or an odd or given differential, D is built on
+    the word basis.
     """
     _validate_maps(c, c_prime, h0, h1, k=k)
     gens = c_prime._gens
     h0_parts, h1_parts = _components(h0.h), _components(h1.h)
     k_parts = _components(k.k)
-    if (_on_tensors(c, c_prime)
-            and _is_zero(_chain_defect(c, c_prime, h0_parts))
-            and _is_zero(_chain_defect(c, c_prime, h1_parts))):
+    defect = None
+    if _on_tensors(c, c_prime):
+        e0, e1 = (_chain_defect(c, c_prime, p) for p in (h0_parts, h1_parts))
         one: Matrix = {}
         for parts, exp in ((h0_parts, 0), (h1_parts, 1)):
             for g, comps in parts.items():
@@ -961,14 +1069,25 @@ def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
                     _acc(one.setdefault(word, {}), g, _signed(coeff, exp))
         _fan_out(one, c._d_parts, gens, h0_parts, k_parts, h1_parts, exp=1)
         _splice(one, _targets(k_parts), c_prime._parts, gens, _d_slot)
-        if _is_zero(one):
+        if _is_zero(e0) and _is_zero(e1) and _is_zero(one):
             return {"homotopy": True, "defects": []}
-    f0 = _fan_in_matrix(c.words, h0_parts, gens)
-    f1 = _fan_in_matrix(c.words, h1_parts, gens)
-    kk = _fan_in_matrix(c.words, h0_parts, gens, k_parts, h1_parts)
-    bracket = _mat_add(_mat_compose(kk, c.differential),
-                       _mat_compose(c_prime.differential, kk))
-    defect = _mat_add(_mat_add(f0, f1, sign=-1), bracket, sign=-1)
+        if _exact(h0.h + h1.h + k.k + c.datum.tensors
+                  + c_prime.datum.tensors):
+            defect = _fan_in_matrix(c.words, h0_parts, gens, _by_output(one),
+                                    h1_parts, odd=False)
+            for first, between, then in (
+                    (k_parts, h1_parts, _by_output(e1, 1)),
+                    (_by_output(e0), h0_parts, k_parts)):
+                defect = _mat_add(defect, _fan_in_matrix(
+                    c.words, h0_parts, gens, first, between, then=then,
+                    last=h1_parts))
+    if defect is None:
+        f0 = _fan_in_matrix(c.words, h0_parts, gens)
+        f1 = _fan_in_matrix(c.words, h1_parts, gens)
+        kk = _fan_in_matrix(c.words, h0_parts, gens, k_parts, h1_parts)
+        bracket = _mat_add(_mat_compose(kk, c.differential),
+                           _mat_compose(c_prime.differential, kk))
+        defect = _mat_add(_mat_add(f0, f1, sign=-1), bracket, sign=-1)
     ok = _mat_is_zero(defect)
     return {
         "homotopy": ok,

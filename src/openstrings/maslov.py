@@ -129,17 +129,20 @@ def _sturm_chain(p: IntPoly) -> List[IntPoly]:
     return [c for c in chain if c]
 
 
-def _sign_changes(chain: List[IntPoly], x: Fraction) -> int:
-    signs = [s for s in (sign_at(p, x) for p in chain) if s]
+def _sign_changes(signs: List[int]) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def _sturm_count(chain: List[IntPoly], lo: Fraction, hi: Fraction) -> int:
     """Distinct roots in (lo, hi] of the polynomial ``chain[0]`` whose
-    Sturm chain is ``chain``; requires chain[0](lo) != 0."""
-    if sign_at(chain[0], lo) == 0:
+    Sturm chain is ``chain``; requires chain[0](lo) != 0.  Each member of
+    the chain is evaluated once at each end."""
+    at_lo = [sign_at(p, lo) for p in chain]
+    if at_lo[0] == 0:
         raise AssertionError("sturm count with root at left endpoint")
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+    at_hi = [sign_at(p, hi) for p in chain]
+    return _sign_changes(at_lo) - _sign_changes(at_hi)
 
 
 def _isolate_roots(chain: List[IntPoly], lo: Fraction,

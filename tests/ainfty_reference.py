@@ -40,9 +40,10 @@ these copies too.
   as it was before each word's terms extended its prefix's: every choice
   of one component per factor (``itertools.product``), its coefficients
   multiplied left to right and its sign read off the whole chain by
-  ``ainfty._split_parity`` or ``ainfty._homotopy_parity``, looked up on
-  the module when called, so a test that patches a sign rule patches this
-  kernel too.  The ``word_basis_*`` checks fan in through it.
+  ``ainfty._split_parity``, ``ainfty._homotopy_parity`` or
+  ``ainfty._pair_parity``, looked up on the module when called, so a test
+  that patches a sign rule patches this kernel too.  The
+  ``word_basis_*`` checks fan in through it.
 - ``expanded_check_chain_map`` is ``check_chain_map`` as it was before a
   passing map was decided without the continuation matrix: it expands F
   over every target word, reads its one-output components off F and
@@ -113,17 +114,31 @@ def _tensor_index(entries):
     return idx
 
 
-def product_fan_in(word, components, gens, k=None, after=None, longest=None):
+def product_fan_in(word, components, gens, k=None, after=None, longest=None,
+                   then=None, last=None, odd=True):
     """Every way to produce ``word`` with one component per factor, as
     (glued input chain, signed coefficient product); with ``k`` and
-    ``after`` the homotopy terms, by the position of the k factor."""
+    ``after`` the homotopy terms, by the position of the k factor, signed
+    by ``_homotopy_parity`` (``_split_parity`` when not ``odd``); with
+    ``then`` and ``last`` too the terms with a second special factor, by
+    its position and then the k factor's, signed by ``_pair_parity``."""
+    def table(t, g):
+        return t.get(g, ())
+
     if k is None:
-        slots = [(None, [components.get(g, ()) for g in word])]
-    else:
-        slots = [(p, [components.get(g, ()) for g in word[:p]]
-                  + [k.get(word[p], ())]
-                  + [after.get(g, ()) for g in word[p + 1:]])
+        slots = [(None, [table(components, g) for g in word])]
+    elif then is None:
+        slots = [(p, [table(components, g) for g in word[:p]]
+                  + [table(k, word[p])]
+                  + [table(after, g) for g in word[p + 1:]])
                  for p in range(len(word))]
+    else:
+        slots = [((p, q), [table(components, g) for g in word[:p]]
+                  + [table(k, word[p])]
+                  + [table(after, g) for g in word[p + 1:q]]
+                  + [table(then, word[q])]
+                  + [table(last, g) for g in word[q + 1:]])
+                 for q in range(len(word)) for p in range(q)]
     for p, factors in slots:
         for choice in itertools.product(*factors):
             chain = tuple(x for inputs, _ in choice for x in inputs)
@@ -131,17 +146,21 @@ def product_fan_in(word, components, gens, k=None, after=None, longest=None):
                 continue
             arities = [len(inputs) for inputs, _ in choice]
             mus = [gens[x].mu for x in chain]
-            exp = (ainfty._split_parity(arities, mus) if p is None
-                   else ainfty._homotopy_parity(arities, mus, p))
+            if p is None or not odd:
+                exp = ainfty._split_parity(arities, mus)
+            elif then is None:
+                exp = ainfty._homotopy_parity(arities, mus, p)
+            else:
+                exp = ainfty._pair_parity(arities, mus, *p)
             yield chain, _signed(reduce(mul, (cf for _, cf in choice)), exp)
 
 
 def product_fan_in_matrix(words, components, gens, k=None, after=None,
-                          longest=None):
+                          longest=None, **frame):
     out = {}
     for word in words:
         for chain, coeff in product_fan_in(word, components, gens, k, after,
-                                           longest):
+                                           longest, **frame):
             _acc(out.setdefault(chain, {}), word, coeff)
     return {v: row for v, row in out.items() if row}
 
@@ -431,7 +450,7 @@ def expanded_check_chain_map(c, c_prime, h):
                 for chain, cf in product_fan_in(word, parts, c_prime._gens):
                     _acc(one.setdefault(chain, {}), g, cf * coeff)
         _splice(one, _targets(parts), c_prime._parts, c_prime._gens,
-                lambda q, w, s: 1 + ainfty._d_slot(q, w, s))
+                lambda q, w, s, m: 1 + ainfty._d_slot(q, w, s))
         if _is_zero(one):
             return {"chain_map": True, "dual_expansion": True, "defects": []}
     lhs = _mat_compose(fmat, c.differential)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import replace
@@ -2006,18 +2007,18 @@ _REJECTED = {"square": "structure tensor", "chain": "continuation tensor",
 
 
 def _expect_decided_on_tensors(results, cutoff=False):
-    """A failing report, and any report under an odd modulus, composed on
-    words; a passing report on Z or an even modulus, without cutoffs,
-    composed nothing, except a homotopy whose ends need not be chain
-    maps.  Rejected input raises before either."""
+    """Any report under an odd modulus, and a failing report with cutoffs,
+    composed on words; on Z or an even modulus, a report without cutoffs,
+    passing or failing, composed nothing.  Rejected input raises before
+    either."""
     raised = 0
     for kind, modulus, got, composed in results:
         if isinstance(got, tuple):
             raised += 1
             assert got[1] == f"{_REJECTED[kind]} outputs unknown generator 'nowhere'"
-        elif modulus % 2 or not _passed(got):
+        elif modulus % 2 or not _passed(got) and cutoff:
             assert composed, (kind, got)
-        elif not cutoff and kind != "homotopy":
+        elif not cutoff:
             assert not composed, (kind, got)
     assert raised == 3
 
@@ -2165,6 +2166,378 @@ def test_given_differential_is_read_on_words(chain_datum, conjugated_datum,
         assert composed and not _passed(got)
 
 
+# ---------------------------------------------------------------------------
+# failing reports extended from the one-output defect: the slot and frame
+# sign rules certified term by term, and the reports against the word basis
+
+
+def _dd_slot_failures(rule, q_max=7):
+    """Nested composites of d d whose word-basis exponent differs from the
+    exponent of their D1 term spliced by ``rule``: (cases, failures).
+
+    On a word of Q factors with index parities ``mus``, an arity-w2 tensor
+    in slot i2 gives a word of q1 = Q - w2 + 1 factors, and an arity-w1
+    tensor in slot s of that word holds the first one's output in its slot
+    j = i2 - s + 1.  Each ``_splice`` term carries its slot rule plus w
+    times the index sum left of the slot; the D1 term is the outer tensor
+    (signed by ``_delta_exp(w1, w1, 1)`` as a one-output component of d)
+    with the inner one in slot j, spliced as an arity-L piece into slot s
+    of the word of q = q1 - w1 + 1 factors."""
+    cases = failures = 0
+    for big in range(1, q_max + 1):
+        for mus in itertools.product((0, 1), repeat=big):
+            left = list(itertools.accumulate(mus, initial=0))
+            for w2 in range(1, big + 1):
+                q1 = big - w2 + 1
+                for i2 in range(1, q1 + 1):
+                    for w1 in range(1, q1 + 1):
+                        for s in range(max(1, i2 - w1 + 1),
+                                       min(i2, q1 - w1 + 1) + 1):
+                            q, L, m = q1 - w1 + 1, w1 + w2 - 1, left[s - 1]
+                            word = (ainfty._d_slot(q1, w2, i2)
+                                    + w2 * left[i2 - 1]
+                                    + ainfty._d_slot(q, w1, s) + w1 * m)
+                            d1 = (ainfty._delta_exp(w1, w1, 1)
+                                  + ainfty._d_slot(w1, w2, i2 - s + 1)
+                                  + w2 * (left[i2 - 1] - m))
+                            cases += 1
+                            failures += (word - d1 - rule(q, L, s, m)
+                                         - L * m) % 2
+    return cases, failures
+
+
+def test_dd_slot_is_the_sign_of_every_nested_composite(monkeypatch):
+    cases, failures = _dd_slot_failures(ainfty._dd_slot)
+    assert cases > 10000 and failures == 0
+    for mutant in (lambda q, w, s, m: ainfty._d_slot(q, w, s),
+                   lambda q, w, s, m: ainfty._d_slot(q, w, s) + q,
+                   lambda q, w, s, m: ainfty._d_slot(q, w, s) + m,
+                   lambda q, w, s, m: ainfty._dd_slot(q, w, s, m) + w,
+                   lambda q, w, s, m: ainfty._dd_slot(q, w, s, m) + s):
+        assert _dd_slot_failures(mutant)[1] > 0
+    # the check splices by the rule it names: a mutant in its place
+    # changes the report of a failing datum
+    (d,), = itertools.islice(
+        (args for kind, args in _all_pairs_mutants(4, random.Random(9300))
+         if kind == "square"), 1)
+    report = check_a_infinity(d)
+    assert report == ainfty_reference.word_basis_check_a_infinity(d)
+    with monkeypatch.context() as mp:
+        mp.setattr(ainfty, "_dd_slot",
+                   lambda q, w, s, m: ainfty._d_slot(q, w, s) + m)
+        assert check_a_infinity(d) != report
+
+
+def _defect_parity_failures(rule, n_max=6):
+    """Terms of d F - F d' whose word-basis exponent differs from
+    ``rule`` plus the exponent of their one-output term: (cases,
+    failures), over every cut of a chain of up to ``n_max`` factors and
+    every pattern of index parities ``mus`` (an even modulus fixes each
+    output's parity: F's arity-b entry shifts the index by 1 - b, d's
+    arity-a tensor by 2 - a).
+
+    F then d: F's blocks give the word x, and an arity-m tensor of d in
+    slot s of its image takes x's factors s .. s + m - 1.  The term's D1
+    part is d's one-output component (``_delta_exp(m, m, 1)``) after the
+    fan-in of those m blocks.  d' then F: an arity-a tensor of d' in slot
+    t gives the chain y, and F's block p of y holds its output.  The D1
+    part is that block with the tensor in its own slot, signed as
+    ``_chain_defect`` splices it, and the word-basis term is subtracted."""
+    split, d_slot = ainfty._split_parity, ainfty._d_slot
+    cases = failures = 0
+    for n in range(1, n_max + 1):
+        for mus in itertools.product((0, 1), repeat=n):
+            for cut in _ref_compositions(n):
+                at = list(itertools.accumulate(cut, initial=0))
+                outs = [sum(mus[a:b]) + 1 - (b - a)
+                        for a, b in zip(at, at[1:])]
+                for m in range(1, len(cut) + 1):
+                    for s in range(1, len(cut) - m + 2):
+                        block = cut[s - 1:s - 1 + m]
+                        lo, hi = at[s - 1], at[s - 1 + m]
+                        word = (split(cut, mus) + m * sum(outs[:s - 1])
+                                + d_slot(len(cut) - m + 1, m, s))
+                        d1 = (ainfty._delta_exp(m, m, 1)
+                              + split(block, mus[lo:hi]))
+                        arities = cut[:s - 1] + (hi - lo,) + cut[s - 1 + m:]
+                        cases += 1
+                        failures += (word - d1 - rule(arities, mus, s - 1)) % 2
+            for a in range(1, n + 1):
+                for t in range(1, n - a + 2):
+                    ymus = (mus[:t - 1] + (sum(mus[t - 1:t - 1 + a]) + 2 - a,)
+                            + mus[t - 1 + a:])
+                    tensor = d_slot(n - a + 1, a, t) + a * sum(mus[:t - 1])
+                    for cut in _ref_compositions(n - a + 1):
+                        at = list(itertools.accumulate(cut, initial=0))
+                        p = next(i for i, b in enumerate(at[1:]) if t <= b)
+                        word = 1 + tensor + split(cut, ymus)
+                        d1 = (1 + d_slot(cut[p], a, t - at[p])
+                              + a * sum(mus[at[p]:t - 1]))
+                        arities = cut[:p] + (cut[p] + a - 1,) + cut[p + 1:]
+                        cases += 1
+                        failures += (word - d1 - rule(arities, mus, p)) % 2
+    return cases, failures
+
+
+def test_defect_parity_is_the_sign_of_every_chain_map_term():
+    cases, failures = _defect_parity_failures(ainfty._defect_parity)
+    assert cases > 40000 and failures == 0
+    hp, dp = ainfty._homotopy_parity, ainfty._defect_parity
+    for mutant in (hp,
+                   lambda ar, mus, p: dp(ar, mus, p) + p,
+                   lambda ar, mus, p: dp(ar, mus, p) + len(ar),
+                   lambda ar, mus, p: dp(ar, mus, p) + sum(mus[:sum(ar[:p])]),
+                   lambda ar, mus, p: ainfty._split_parity(ar, mus)):
+        assert _defect_parity_failures(mutant, n_max=4)[1] > 0
+
+
+def _homotopy_rule_failures(even, pair, n_max=6):
+    """Terms of D = F0 - F1 - [d, K] whose word-basis exponent differs
+    from their extension's: (cases, failures), over every cut of a chain
+    of up to ``n_max`` factors, every position of the k block and every
+    pattern of index parities ``mus`` (an even modulus fixes each
+    output's parity).  F0 - F1 is the fan-in of h0 - h1 framed by h0 and
+    h1 as an even block, a telescoping sum with ``_split_parity`` on both
+    sides.  A term of [d, K] (subtracted) is K then an arity-m tensor of d
+    on m consecutive outputs of K, or an arity-a tensor of d' then K.
+    When the tensor meets the k block the term is a D1 term (as
+    ``check_homotopy`` sums it) in an ``even`` block; right of it, a term
+    of the one-output defect E1 of h1 (as ``_chain_defect`` sums it,
+    negated) after k, and left of it a term of E0 before k, both signed
+    by ``pair``."""
+    split, hp = ainfty._split_parity, ainfty._homotopy_parity
+    d_slot, d_part = ainfty._d_slot, ainfty._delta_exp
+    cases = failures = 0
+
+    def check(word, rule):
+        nonlocal cases, failures
+        cases += 1
+        failures += (word - rule) % 2
+
+    for n in range(1, n_max + 1):
+        for mus in itertools.product((0, 1), repeat=n):
+            for cut in _ref_compositions(n):
+                at = list(itertools.accumulate(cut, initial=0))
+                for p in range(len(cut)):
+                    # index parities of K's outputs: a k entry shifts by -w
+                    outs = [sum(mus[a:b]) + (b - a) + (j != p)
+                            for j, (a, b) in enumerate(zip(at, at[1:]))]
+                    for m in range(1, len(cut) + 1):
+                        for s in range(1, len(cut) - m + 2):
+                            word = (1 + hp(cut, mus, p) + m * sum(outs[:s - 1])
+                                    + d_slot(len(cut) - m + 1, m, s))
+                            lo, hi = at[s - 1], at[s - 1 + m]
+                            inner = cut[s - 1:s - 1 + m]
+                            merged = cut[:s - 1] + (hi - lo,) + cut[s - 1 + m:]
+                            # d's one-output part, after K's blocks
+                            part = d_part(m, m, 1) + (
+                                hp(inner, mus[lo:hi], p - s + 1)
+                                if s - 1 <= p <= s + m - 2
+                                else split(inner, mus[lo:hi]))
+                            if s - 1 <= p <= s + m - 2:
+                                check(word, even(merged, mus) + 1 + part)
+                            elif s - 1 > p:
+                                check(word, pair(merged, mus, p, s - 1)
+                                      + 1 + part)
+                            else:
+                                check(word, pair(merged, mus, s - 1,
+                                                 p - m + 1) + part)
+            for a in range(1, n + 1):
+                for t in range(1, n - a + 2):
+                    ymus = (mus[:t - 1] + (sum(mus[t - 1:t - 1 + a]) + 2 - a,)
+                            + mus[t - 1 + a:])
+                    tensor = d_slot(n - a + 1, a, t) + a * sum(mus[:t - 1])
+                    for cut in _ref_compositions(n - a + 1):
+                        at = list(itertools.accumulate(cut, initial=0))
+                        b = next(i for i, x in enumerate(at[1:]) if t <= x)
+                        merged = cut[:b] + (cut[b] + a - 1,) + cut[b + 1:]
+                        spliced = (d_slot(cut[b], a, t - at[b])
+                                   + a * sum(mus[at[b]:t - 1]))
+                        for p in range(len(cut)):
+                            word = 1 + tensor + hp(cut, ymus, p)
+                            if b == p:
+                                check(word, even(merged, mus) + spliced)
+                            elif b > p:
+                                check(word, pair(merged, mus, p, b) + spliced)
+                            else:
+                                check(word,
+                                      pair(merged, mus, b, p) + 1 + spliced)
+    return cases, failures
+
+
+def test_pair_parity_signs_every_two_block_homotopy_term():
+    cases, failures = _homotopy_rule_failures(ainfty._split_parity,
+                                              ainfty._pair_parity)
+    assert cases > 150000 and failures == 0
+    split, pair = ainfty._split_parity, ainfty._pair_parity
+    hp = ainfty._homotopy_parity
+    for even, odd in (
+            (lambda ar, mus: split(ar, mus) + 1, pair),
+            (lambda ar, mus: hp(ar, mus, 0), pair),
+            (split, lambda ar, mus, p, q: pair(ar, mus, p, q) + 1),
+            (split, lambda ar, mus, p, q: pair(ar, mus, p, q) + sum(ar[:p])),
+            (split, lambda ar, mus, p, q: pair(ar, mus, p, q) + sum(ar[:q])),
+            (split, lambda ar, mus, p, q: pair(ar, mus, p, q) + len(ar)),
+            (split, lambda ar, mus, p, q: hp(ar, mus, q))):
+        assert _homotopy_rule_failures(even, odd, n_max=4)[1] > 0
+
+
+def _extended(kind, args, monkeypatch):
+    """The library's outcome of a check, asserted equal to the word-basis
+    oracle's; whether the library composed matrices on the word basis, and
+    whether a complex it read built its differential."""
+    check, oracle = _WORD_BASIS[kind]
+    composed, made = [], [x for x in args if isinstance(x, FloerComplex)]
+    compose, assemble = ainfty._mat_compose, ainfty.assemble_differential
+    with monkeypatch.context() as m:
+        m.setattr(ainfty, "_mat_compose",
+                  lambda a, b: composed.append(1) or compose(a, b))
+        m.setattr(ainfty, "assemble_differential",
+                  lambda d: made.append(assemble(d)) or made[-1])
+        got = _outcome(check, *args)
+    built = any("differential" in vars(x) for x in made)
+    assert got == _outcome(oracle, *args), (kind, got)
+    return got, bool(composed), built
+
+
+def _flip_product_unit(h, g):
+    """The map ``h`` with the weight of its entries on ``g`` negated."""
+    return MapDatum(h=tuple(T(e.inputs, e.output, e.coeff.scale(-1))
+                            if e.output == g else e for e in h.h))
+
+
+def _all_pairs_mutants(l, rng):
+    """All-pairs data on labels 0..l, conjugated by random units: one
+    (kind, args) per flipped product sign, checked as a datum, and per
+    flipped unit of a product generator in the diagonal map, with and
+    without an arity-2 entry onto a shadow generator, and as either end
+    of a homotopy on the shadow generators."""
+    base = all_pairs_datum(l, [(0, 2), (l - 2, l)],
+                           modulus=2 * rng.randint(0, 1))
+    d = conjugate_datum(base, random_units(rng, base))
+    units = random_units(rng, d)
+    dp = conjugate_datum(d, units)
+    for e in d.tensors:
+        tensors = tuple(replace(x, coeff=x.coeff.scale(-1)) if x is e else x
+                        for x in d.tensors)
+        yield "square", (replace(d, tensors=tensors),)
+    diag = diagonal_map(d, units)
+    arity2 = MapDatum(h=diag.h + (T(["g01", "g12"], "z02", S("3t^1")),))
+    k = MapDatum(k=(T(["s02"], "z02", S("t^1 - 2t^6")),
+                    T([f"s{l - 2}{l}"], f"z{l - 2}{l}", S("-t^2/3"))))
+    for g in sorted({e.output for e in d.tensors}):
+        for h in (diag, arity2):
+            yield "chain", (assemble_differential(d),
+                            assemble_differential(dp),
+                            _flip_product_unit(h, g))
+        flip = _flip_product_unit(diag, g)
+        for ends in ((diag, flip), (flip, diag)):
+            yield "homotopy", (assemble_differential(d),
+                               assemble_differential(dp), *ends, k)
+
+
+def assert_all_pairs_mutants_extend(l, seed, monkeypatch,
+                                    kinds=("square", "chain", "homotopy")):
+    """Every flipped product sign and every flipped product unit on
+    all-pairs data at ``l`` fails with the word-basis report, on Z or
+    modulus 2, without composing or building a differential; returns the
+    number of reports of the given kinds."""
+    count = 0
+    for kind, args in _all_pairs_mutants(l, random.Random(seed)):
+        if kind not in kinds:
+            continue
+        got, composed, built = _extended(kind, args, monkeypatch)
+        assert not _passed(got) and not composed and not built, (kind, got)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("l", [4, 5, 6])
+def test_all_pairs_mutants_extend_the_one_output_defect(l, monkeypatch):
+    products = (l + 1) * l // 2 - l
+    assert assert_all_pairs_mutants_extend(l, 9100 + l, monkeypatch) == (
+        math.comb(l + 1, 3) + 4 * products)
+
+
+def test_failing_reports_extend_the_one_output_defect(monkeypatch):
+    # failing square, chain and homotopy reports on exact data over Z or
+    # an even modulus extend their one-output defects over the words: the
+    # oracle's report, no composite and no differential; odd moduli and
+    # cutoffs compose, and rejected input raises the oracle's error
+    rng = random.Random(9200)
+    seen = {}
+
+    def run(kind, args, exact=True):
+        got, composed, built = _extended(kind, args, monkeypatch)
+        modulus = args[0].modulus
+        if isinstance(got, tuple):
+            key = "raised"
+        elif _passed(got):
+            key = "passed"
+        elif modulus % 2 or not exact:
+            assert composed and built, (kind, got)
+            key = "odd" if modulus % 2 else "cut"
+        else:
+            assert not composed and not built, (kind, got)
+            key = "extended"
+        seen[kind, key] = seen.get((kind, key), 0) + 1
+
+    for modulus in (0, 1, 2, 3):
+        for _ in range(20):
+            d = _random_datum(rng, rng.randint(2, 5), modulus)
+            run("square", (d,))
+            if d.tensors:
+                cut = replace(d, tensors=_cut_entries(d.tensors, rng))
+                run("square", (cut,), exact=False)
+    for _ in range(12):
+        c0, c1, _, h01, _, h0, _, _ = _random_case(rng, rng.randint(2, 5))
+        diag = MapDatum(h=tuple(e for e in h0.h if e.arity == 1))
+        for modulus in (0, 1, 2, 3):
+            c, cp = (replace(x.datum, modulus=modulus) for x in (c0, c1))
+
+            def fresh():
+                return assemble_differential(c), assemble_differential(cp)
+
+            for h in (h01, MapDatum(h=_flip_one(h01.h, rng)),
+                      MapDatum(h=_flip_one(diag.h, rng))):
+                run("chain", (*fresh(), h))
+            run("chain", (*fresh(), MapDatum(h=_cut_entries(h01.h, rng))),
+                exact=False)
+            run("chain", (*fresh(), MapDatum(
+                h=h01.h + (T(h01.h[0].inputs, "nowhere"),))))
+    for _ in range(4):
+        # homotopies with entries of arities 1-2 from each a_ij and each
+        # product a_ij a_jk onto b, between ends that need not be chain maps
+        c0, c1, h, _, _ = _transfer_case(rng, rng.randint(3, 4))
+        ids = {g.id for g in c0.datum.generators}
+        k = MapDatum(k=tuple(
+            T(e.inputs, "b" + e.output[1:], _random_unit(rng))
+            for e in h.h if e.arity <= 2 and e.output.startswith("a")
+            and "b" + e.output[1:] in ids and rng.random() < 0.7))
+        for modulus in (0, 1, 2, 3):
+            c, cp = (replace(x.datum, modulus=modulus) for x in (c0, c1))
+
+            def fresh():
+                return assemble_differential(c), assemble_differential(cp)
+
+            h1 = homotopic_map(*fresh(), h, k)
+            for ends in ((h, h1), (h, MapDatum(h=_flip_one(h1.h, rng))),
+                         (MapDatum(h=_flip_one(h.h, rng)), h1),
+                         (MapDatum(h=_flip_one(h.h, rng)),
+                          MapDatum(h=_flip_one(h1.h, rng)))):
+                run("homotopy", (*fresh(), *ends, k))
+            run("homotopy", (*fresh(), MapDatum(h=_flip_one(h.h, rng)), h1,
+                             MapDatum(k=_cut_entries(k.k, rng))), exact=False)
+            run("homotopy", (*fresh(), h, h1, MapDatum(
+                k=k.k + (T(k.k[0].inputs, "nowhere"),))))
+    for kind, args in itertools.islice(_all_pairs_mutants(4, rng), 0, None, 3):
+        run(kind, args)
+    for key in itertools.product(("square", "chain", "homotopy"),
+                                 ("extended", "odd", "cut", "passed")):
+        assert seen.get(key), (key, seen)
+    assert seen.get(("chain", "raised")) and seen.get(("homotopy", "raised"))
+
+
 def test_complex_builds_words_and_differential_on_first_use(
         chain_datum, conjugated_datum, chain_units):
     def built(*cs):
@@ -2191,10 +2564,20 @@ def test_complex_builds_words_and_differential_on_first_use(
     assert check_augmentation(ca, aug)["ok"]
     assert check_augmentation(ca, aug, (cb, diagonal_map(datum, units)))["ok"]
     assert built(ca, cb) == [False] * 4
-    # a failing map composes both differentials on the word basis
+    # a failing exact map extends its one-output defect over the target
+    # words: no differential, and no words of the source
     bad = MapDatum(h=tuple(T(e.inputs, e.output, e.coeff.scale(-1))
                            if e.output == "g12" else e for e in diag.h))
     assert not check_chain_map(c, cp, bad)["chain_map"]
+    assert built(c, cp) == [True, False, False, False]
+    # and so does a failing exact homotopy whose far end is no chain map
+    assert not check_homotopy(c, cp, diag, bad, k)["homotopy"]
+    assert built(c, cp) == [True, False, False, False]
+    # a failing map with a cutoff composes both differentials on the word
+    # basis
+    cut = MapDatum(h=bad.h[:-1] + (T(bad.h[-1].inputs, bad.h[-1].output,
+                                     bad.h[-1].coeff.restrict(9)),))
+    assert not check_chain_map(c, cp, cut)["chain_map"]
     assert built(c, cp) == [True] * 4
     c0, c1, c2 = (assemble_differential(d)
                   for d in (chain_datum, conjugated_datum, conjugated_datum))
@@ -2216,17 +2599,21 @@ def _listed(m):
 
 
 def _assert_kernel_lists_product_terms(words, h0, h1, k, gens, longest=None):
-    """Every word's continuation and homotopy terms, and both matrices,
-    equal the product kernel's, in the same order."""
+    """Every word's continuation and homotopy terms, those of k as an even
+    block and those of two special blocks (k then h0, h0 then k), and
+    their matrices, equal the product kernel's, in the same order."""
     h0, h1, k = (ainfty._components(x) for x in (h0, h1, k))
-    for frame in ((None, None), (k, h1)):
+    for frame, more in (((None, None), {}), ((k, h1), {}),
+                        ((k, h1), {"odd": False}),
+                        ((k, h1), {"then": h0, "last": h1}),
+                        ((h0, h0), {"then": k, "last": h1})):
         args = (h0, gens, *frame, longest)
-        terms = ainfty._fan_in(*args)
+        terms = ainfty._fan_in(*args, **more)
         for word in words:
             assert terms(word) == list(
-                ainfty_reference.product_fan_in(word, *args)), word
-        assert _listed(ainfty._fan_in_matrix(words, *args)) == _listed(
-            ainfty_reference.product_fan_in_matrix(words, *args))
+                ainfty_reference.product_fan_in(word, *args, **more)), word
+        assert _listed(ainfty._fan_in_matrix(words, *args, **more)) == _listed(
+            ainfty_reference.product_fan_in_matrix(words, *args, **more))
 
 
 def test_prefix_kernel_lists_the_product_kernels_terms():

@@ -383,6 +383,31 @@ def test_each_sturm_chain_is_built_once(monkeypatch):
                      {0: -1, 1: 2}]
 
 
+def test_each_sturm_sign_is_taken_once(monkeypatch):
+    # the path above: each Sturm count evaluates every member of the chain
+    # once at each end, the left-endpoint guard included
+    path = _diag_path([(0, 3, -8, 4), (2, -4, -1, 2)], 0, 2)
+    calls, counts = [], []
+    real_sign, real_count = maslov.sign_at, maslov._sturm_count
+
+    def counted(chain, lo, hi):
+        before = len(calls)
+        out = real_count(chain, lo, hi)
+        counts.append((len(chain), len(calls) - before))
+        return out
+
+    monkeypatch.setattr(maslov, "sign_at",
+                        lambda p, x: calls.append(1) or real_sign(p, x))
+    monkeypatch.setattr(maslov, "_sturm_count", counted)
+    rep = rs_index_report(_zero(2), path)
+    assert [(c.location, c.kernel_dimension) for c in rep.crossings] == [
+        ("start", 1), ("interior", 2), ("interior", 1), ("interior", 1)]
+    assert len(counts) == 19
+    assert all(n == 2 * size for size, n in counts), counts
+    # 160 inside the 19 counts, which took 179 with the guard's repeat
+    assert len(calls) == 187
+
+
 # each singular crossing at 0 inside the piece, at the start, at the end
 # and at a junction
 _SINGULAR = [("order-above-n", ORDER_ABOVE_N), ("tangential", TANGENTIAL),
