@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -579,11 +579,16 @@ def _targets(parts):
 # (``_dd_slot``), d F - F d' the fan-in of -D1 framed by F
 # (``_defect_parity``), and F0 - F1 - [d, K] the fan-in of its D1 framed
 # by F0 and F1 plus the two-block terms of K and the chain-map defects
-# (``_pair_parity``).  The word basis and its composites are built for
-# the rest: an odd modulus, a given differential, a cutoff on any entry
-# (a truncated zero is not decided by its components, and a sum taken in
-# another order can keep another cutoff), and a map that fails
-# ``_one_block``.
+# (``_pair_parity``).  ``homotopic_map`` solves its far end from the
+# one-output component of F0 - [d, K], read term by term off the same
+# sums under any modulus, and ``check_composition`` decides F(h12 h01) =
+# F(h12) F(h01) on a certificate of its sign identity
+# (``_composition_certified``); neither builds words.  The word basis and
+# its composites are built for the rest: an odd modulus (for the
+# composition, of the middle complex), a given basis or differential, a
+# cutoff on any entry (a truncated zero is not decided by its components,
+# and a sum taken in another order can keep another cutoff), and a map
+# that fails ``_one_block``.
 
 
 def _on_tensors(*complexes: "FloerComplex") -> bool:
@@ -644,14 +649,14 @@ class FloerComplex:
     datum on first use and kept, so a check decided on the structure
     tensors builds neither.  ``FloerComplex(datum, words, differential)``
     takes the basis and the matrix as given, unchecked; the checks read a
-    given differential on the word basis only.
+    given basis or differential on the word basis only.
     """
 
     def __init__(self, datum: AInftyDatum,
                  words: Optional[Tuple[Word, ...]] = None,
                  differential: Optional[Matrix] = None):
         self.datum = datum
-        self._given = differential is not None
+        self._given = words is not None or differential is not None
         if words is not None:
             self.words = words
         if differential is not None:
@@ -925,6 +930,12 @@ def _one_block(entries: Iterable[TensorEntry], gens) -> bool:
                == 0 for e in entries)
 
 
+def _sorted_map(entries: Iterable[TensorEntry]) -> MapDatum:
+    """The entries as a map, sorted by (inputs, output)."""
+    return MapDatum(h=tuple(sorted(entries,
+                                   key=lambda e: (e.inputs, e.output))))
+
+
 def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
                     h: MapDatum) -> dict:
     """Verify the assembled continuation intertwines the differentials.
@@ -996,19 +1007,63 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
     """Solve for the map on the far end of a homotopy.
 
     Builds the elementary tensors of h1 so that the homotopy identity
-    has a chance to hold: its arity-w entries are forced by the
-    one-output components on words of length w, which only involve lower
-    arities of h1.  h0 is fanned in once; pass w fans the homotopy in over
-    the target words of length at most w only, and builds the rows of
-    length at most w only: those are the rows it reads (the words of
-    length w and the words their differential reaches), and they read no
-    other target word and only entries of h1 of arity below w.  The
-    entries are returned sorted by (inputs, output), as
-    ``compose_continuations`` returns its entries.
+    has a chance to hold: its arity-w entries are the one-output
+    component of F0 - [d, K] on the chains of length w, which reads only
+    entries of h1 of arity below w, so pass w solves arity w.  With both
+    complexes assembled from their data, exact entries and tensors and
+    ``_one_block`` for h0 and k, that component is summed from the
+    tensors, as ``check_homotopy`` sums it: the h0 entries, less the
+    homotopy fan-in (framed by h0 and the h1 entries solved so far) over
+    the inputs of each structure tensor of ``c``, plus the tensors of
+    ``c_prime`` spliced into the k entries.  These are the one-output
+    entries of the composites by the definition of the product (K's
+    one-output entries are the k entries negated), so no parity argument
+    enters and any modulus is read this way; no words and no matrix are
+    built.
+    Otherwise pass w fans the homotopy in over the target words of length
+    at most w and composes on the word basis.  The entries are returned
+    sorted by (inputs, output), as ``compose_continuations`` returns its
+    entries.
     """
     _validate_maps(c, c_prime, h0, k=k)
-    gens, d_prime = c_prime._gens, c_prime.differential
+    gens = c_prime._gens
     h0_parts, k_parts = _components(h0.h), _components(k.k)
+    if (c._given or c_prime._given or not _one_block(h0.h + k.k, gens)
+            or not _exact(h0.h + k.k + c.datum.tensors
+                          + c_prime.datum.tensors)):
+        return _sorted_map(_word_basis_h1(c, c_prime, h0_parts, k_parts))
+    # what no pass changes: the h0 entries less K d' on one output, the
+    # tensors of c_prime spliced into the k entries
+    fixed: Matrix = {}
+    for e in h0.h:
+        _acc(fixed.setdefault(e.inputs, {}), e.output, e.coeff)
+    _splice(fixed, _targets(k_parts), c_prime._parts, gens, _d_slot)
+    h1_parts: Dict[str, List[Tuple[Word, NovikovSeries]]] = {}
+    h1_entries: List[TensorEntry] = []
+    for w in range(1, c_prime.datum.l + 1):
+        want = {v: dict(row) for v, row in fixed.items() if len(v) == w}
+        terms = _fan_in(h0_parts, gens, k_parts, h1_parts, longest=w)
+        for g, comps in c._d_parts.items():
+            for word, coeff in comps:
+                for chain, cf in terms(word):
+                    if len(chain) == w:
+                        _acc(want.setdefault(chain, {}), g,
+                             _signed(cf * coeff, 1))
+        for v, row in want.items():
+            for g, cf in row.items():
+                h1_entries.append(TensorEntry(v, g, cf))
+                h1_parts.setdefault(g, []).append((v, cf))
+    return _sorted_map(h1_entries)
+
+
+def _word_basis_h1(c, c_prime, h0_parts, k_parts) -> List[TensorEntry]:
+    """The entries ``homotopic_map`` solves, on the word basis.  h0 is
+    fanned in once; pass w fans the homotopy in over the target words of
+    length at most w only, and builds the rows of length at most w only:
+    those are the rows it reads (the words of length w and the words
+    their differential reaches), and they read no other target word and
+    only entries of h1 of arity below w."""
+    gens, d_prime = c_prime._gens, c_prime.differential
     f0 = _fan_in_matrix(c.words, h0_parts, gens)
     h1_entries: List[TensorEntry] = []
     max_arity = max((len(w) for w in c_prime.words), default=0)
@@ -1024,8 +1079,7 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
             for wout, coeff in want.get(word, {}).items():
                 if len(wout) == 1 and coeff:
                     h1_entries.append(TensorEntry(word, wout[0], coeff))
-    return MapDatum(h=tuple(sorted(h1_entries,
-                                   key=lambda e: (e.inputs, e.output))))
+    return h1_entries
 
 
 def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
@@ -1113,26 +1167,112 @@ def compose_continuations(c0: FloerComplex, c1: FloerComplex,
     _validate_maps(c0, c1, h01)
     out: Matrix = {}
     _fan_out(out, _components(h01.h), c2._gens, _components(h12.h))
-    return MapDatum(h=tuple(sorted(
-        (TensorEntry(w, g, c) for w, row in out.items()
-         for g, c in row.items() if c), key=lambda e: (e.inputs, e.output))))
+    return _sorted_map(TensorEntry(w, g, c) for w, row in out.items()
+                       for g, c in row.items() if c)
 
 
 def check_composition(c0: FloerComplex, c1: FloerComplex, c2: FloerComplex,
                       h01: MapDatum, h12: MapDatum) -> dict:
-    """Verify contravariant functoriality of tensor expansion."""
+    """Verify contravariant functoriality of tensor expansion: F of the
+    composite equals F(h12) then F(h01).
+
+    Each term of F(composite) on a chain is a term of the composite of
+    the matrices, the same product of coefficients, one for one: an h01
+    entry per output factor, an h12 entry per factor of its inputs.  In
+    F(composite) it is signed by ``_split_parity`` of the glued blocks
+    (one composite entry each) plus, per composite entry, that of the h12
+    blocks it glues; in the composite of the matrices, by that of the h12
+    blocks on the chain plus that of the h01 blocks on the mid-level chain
+    of their outputs.  ``composition_sign_identity`` is the equality of
+    the two.  With exact entries and ``c1`` assembled from its datum and
+    graded by Z or an even modulus (so its words are every chain and a
+    mid-level index has the parity the identity gives it), the check
+    decides on the certificate that the identity holds on every chain
+    (``_composition_certified``) and on ``_one_block`` for h01, h12 and
+    the composite, and builds no words.  Otherwise, or when the
+    certificate fails, both sides are built on the word basis and
+    compared.  The composite is validated against ``c0`` and ``c2``
+    either way, and each input map once.
+    """
     composite = compose_continuations(c0, c1, c2, h01, h12)
-    lhs = assemble_continuation(c0, c2, composite)
-    f01 = assemble_continuation(c0, c1, h01)
-    f12 = assemble_continuation(c1, c2, h12)
-    rhs = _mat_compose(f12, f01)
-    defect = _mat_add(lhs, rhs, sign=-1)
-    ok = _mat_is_zero(defect)
-    return {
-        "composition": ok,
-        "entries": len(composite.h),
-        "defects": [] if ok else _entry_report(defect),
-    }
+    _validate_maps(c0, c2, composite)
+    defects: List[dict] = []
+    ok = (_on_tensors(c1) and _exact(h01.h + h12.h)
+          and _one_block(h01.h, c1._gens)
+          and _one_block(h12.h + composite.h, c2._gens)
+          and _composition_certified(_split_parity))
+    if not ok:
+        lhs = _fan_in_matrix(c0.words, _components(composite.h), c2._gens)
+        f01 = _fan_in_matrix(c0.words, _components(h01.h), c1._gens)
+        f12 = _fan_in_matrix(c1.words, _components(h12.h), c2._gens)
+        defect = _mat_add(lhs, _mat_compose(f12, f01), sign=-1)
+        ok = _mat_is_zero(defect)
+        defects = [] if ok else _entry_report(defect)
+    return {"composition": ok, "entries": len(composite.h), "defects": defects}
+
+
+def _composition_holds(rule, inner, grouping, mus) -> bool:
+    """Whether the sign rule ``rule`` signs a chain with factor indices
+    ``mus`` cut into blocks of the ``inner`` arities, grouped by
+    ``grouping``, alike both ways: the inner blocks, then the groups on the
+    mid-level chain (a block's output index is its inputs' sum plus
+    1 - w), or the glued groups, then each group's own blocks."""
+    cuts = list(itertools.accumulate(grouping, initial=0))
+    shapes = [inner[a:b] for a, b in zip(cuts, cuts[1:])]
+    glued = [sum(shape) for shape in shapes]
+    inner_at = list(itertools.accumulate(inner, initial=0))
+    glued_at = list(itertools.accumulate(glued, initial=0))
+    mid_mu = [sum(mus[a:b]) + 1 - (b - a)
+              for a, b in zip(inner_at, inner_at[1:])]
+    lhs = rule(inner, mus) + rule(grouping, mid_mu)
+    rhs = rule(glued, mus) + sum(
+        rule(shape, mus[a:b])
+        for shape, a, b in zip(shapes, glued_at, glued_at[1:]))
+    return lhs % 2 == rhs % 2
+
+
+# fifteen cases of ``composition_sign_identity`` at q <= 4 that decide
+# every q, each as inner arities/grouping/factor indices (one string, which
+# compiles faster than the nested tuples)
+_COMPOSITION_CASES = ("2/1/01 2/1/00 11/11/11 11/11/10 11/11/01 11/11/00 "
+                      "112/21/0001 112/21/0000 211/12/0100 211/12/0101 "
+                      "211/12/0000 211/12/0001 112/12/0001 121/21/0011 "
+                      "121/21/0010")
+
+
+def _composition_cases() -> List[Tuple[Tuple[int, ...], ...]]:
+    """``_COMPOSITION_CASES`` as (inner, grouping, mus) tuples."""
+    return [tuple(tuple(map(int, part)) for part in case.split("/"))
+            for case in _COMPOSITION_CASES.split()]
+
+
+@lru_cache(maxsize=None)
+def _composition_certified(rule) -> bool:
+    """Certificate that ``composition_sign_identity`` holds for the sign
+    rule ``rule`` on every chain: it holds on ``_COMPOSITION_CASES``.
+
+    Proof.  ``_split_parity`` is a sum over pairs j < k of blocks of a
+    term P(b_j, b_k), b a block's kind: its arity parity and index-sum
+    parity.  (r - j)(w_j - 1) is w_j - 1 once per block after j, and the
+    graded factor of an even block k is mu_j (w_k - 1) once per block j
+    before it.  Take any rule sum_j U(b_j) + sum_{j<k} P(b_j, b_k).  A
+    case is inner blocks cut into groups; a group's glued block and its
+    mid-level factor (index sum + 1 - w per inner block) have kinds fixed
+    by how many of its inner blocks have each of the four kinds, mod 2.
+    The U terms of the inner blocks and the pairs of inner blocks in one
+    group appear on both sides and cancel, so the difference of the two
+    sides is sum_J u(J) + sum_{J<J'} t(J, J'), with u and t functions of
+    those count vectors.  Hence the identity holds on every case iff it
+    holds on the cases of one and of two groups whose groups hold one
+    block of each kind counted odd (two equal blocks when none is), of
+    arity 1 or 2: 16 + 256 cases.  The difference is linear over GF(2) in
+    the 20 values of U and P; as linear forms in them, the differences of
+    those 272 cases span a space of dimension 15, and those of the
+    fifteen listed cases span it too (a rank test).  So a rule of this
+    shape that passes them passes every case, at every q.  The result is
+    cached per rule."""
+    return all(_composition_holds(rule, *case)
+               for case in _composition_cases())
 
 
 def composition_sign_identity(q_max: int = 4) -> dict:
@@ -1141,7 +1281,9 @@ def composition_sign_identity(q_max: int = 4) -> dict:
     Splitting a chain twice (inner arities grouped under outer blocks)
     must produce the same total sign whether the grouping signs are
     accumulated level by level or read off the glued partition,
-    including the graded evaluation factors for every index pattern.
+    including the graded evaluation factors for every index pattern
+    (``_composition_holds``).  q_max = 4 already decides every q
+    (``_composition_certified``).
     """
     failures = []
     cases = 0
@@ -1150,23 +1292,10 @@ def composition_sign_identity(q_max: int = 4) -> dict:
             s = len(inner)
             for grouping in (c for n in range(1, s + 1)
                              for c in _compositions(s, n)):
-                # split the inner arities by the outer grouping
-                cuts = list(itertools.accumulate(grouping, initial=0))
-                shapes = [inner[a:b] for a, b in zip(cuts, cuts[1:])]
-                glued = [sum(shape) for shape in shapes]
-                inner_at = list(itertools.accumulate(inner, initial=0))
-                glued_at = list(itertools.accumulate(glued, initial=0))
                 for mus in itertools.product((0, 1), repeat=q):
                     cases += 1
-                    # indices of the mid-level outputs
-                    mid_mu = [sum(mus[a:b]) + 1 - (b - a)
-                              for a, b in zip(inner_at, inner_at[1:])]
-                    lhs = (_split_parity(inner, mus)
-                           + _split_parity(grouping, mid_mu))
-                    rhs = _split_parity(glued, mus) + sum(
-                        _split_parity(shape, mus[a:b])
-                        for shape, a, b in zip(shapes, glued_at, glued_at[1:]))
-                    if lhs % 2 != rhs % 2:
+                    if not _composition_holds(_split_parity, inner,
+                                              grouping, mus):
                         failures.append({"inner": list(inner),
                                          "grouping": list(grouping),
                                          "mus": list(mus)})

@@ -343,8 +343,17 @@ def _signature_jump(P: List[List[IntPoly]], chain: List[IntPoly],
     is sqf_chain[0].
     """
     f, sqf = chain[0], sqf_chain[0]
-    while not (sign_at(sqf, lo) and sign_at(sqf, hi)
-               and _sturm_count(sqf_chain, lo, hi) == 1):
+
+    def signs(first, t):
+        # the Sturm count's signs at t, sqf's own (``first``) taken once
+        return [first] + [sign_at(p, t) for p in sqf_chain[1:]]
+
+    while True:
+        s_lo = sign_at(sqf, lo)
+        s_hi = s_lo and sign_at(sqf, hi)
+        if s_hi and _sign_changes(signs(s_lo, lo)) - _sign_changes(
+                signs(s_hi, hi)) == 1:
+            break
         mid = (lo + hi) / 2
         if sign_at(f, mid) == 0:
             lo = (lo + mid) / 2

@@ -29,8 +29,10 @@ on the primal word basis and glued by fan-in.
 
 The ``word_basis_*`` checks are the library's ``check_a_infinity``,
 ``check_chain_map`` and ``check_homotopy`` as they were before they were
-decided on one-output defects: every check builds its composites on the
-word basis.  They are the oracle for the one-output checks, and read the
+decided on one-output defects, and ``check_composition`` and
+``homotopic_map`` as they were before the composition was decided on a
+sign certificate and the far end solved on one-output components: every
+check builds its composites on the word basis.  They are the oracle for the one-output checks, and read the
 complexes' words and differentials and call
 ``ainfty.assemble_differential`` and ``ainfty.assemble_continuation`` as
 the library does, so a test that patches the library's assembler patches
@@ -434,6 +436,29 @@ def word_basis_check_homotopy(c, c_prime, h0, h1, k):
         "homotopy": ok,
         "defects": [] if ok else _entry_report(defect),
     }
+
+
+def word_basis_check_composition(c0, c1, c2, h01, h12):
+    composite = ainfty.compose_continuations(c0, c1, c2, h01, h12)
+    lhs = ainfty.assemble_continuation(c0, c2, composite)
+    f01 = ainfty.assemble_continuation(c0, c1, h01)
+    f12 = ainfty.assemble_continuation(c1, c2, h12)
+    rhs = _mat_compose(f12, f01)
+    defect = _mat_add(lhs, rhs, sign=-1)
+    ok = _mat_is_zero(defect)
+    return {
+        "composition": ok,
+        "entries": len(composite.h),
+        "defects": [] if ok else _entry_report(defect),
+    }
+
+
+def word_basis_homotopic_map(c, c_prime, h0, k):
+    """``unsorted_homotopic_map`` with its entries sorted by (inputs,
+    output)."""
+    solved = unsorted_homotopic_map(c, c_prime, h0, k)
+    return MapDatum(h=tuple(sorted(solved.h,
+                                   key=lambda e: (e.inputs, e.output))))
 
 
 def expanded_check_chain_map(c, c_prime, h):

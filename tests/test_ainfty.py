@@ -344,11 +344,12 @@ _CHAIN_HOMOTOPIES = (
 
 def test_homotopic_map_expands_only_the_rows_each_pass_reads(chain_complex,
                                                               monkeypatch):
-    # h0 is fanned in once over every target word; pass w fans the homotopy
-    # in over the target words of length at most w, with h1 entries of
-    # arity below w only, and builds no row longer than w: 59 + (14 + 41 +
-    # 59) target words here
-    c = chain_complex
+    # on the word basis (a given differential), h0 is fanned in once over
+    # every target word; pass w fans the homotopy in over the target words
+    # of length at most w, with h1 entries of arity below w only, and
+    # builds no row longer than w: 59 + (14 + 41 + 59) target words here
+    c = FloerComplex(chain_complex.datum, chain_complex.words,
+                     chain_complex.differential)
     calls = []
     real = ainfty._fan_in_matrix
 
@@ -381,6 +382,12 @@ def test_homotopic_map_expands_only_the_rows_each_pass_reads(chain_complex,
         homotopic_map(c, c, identity_continuation(c), MapDatum(k=entries))
         assert all(longest_row <= w
                    for w, (_, _, _, longest_row) in enumerate(calls[1:], 1))
+    # the assembled complex is solved on one-output components: no fan-in
+    # over words, and the same entries
+    calls.clear()
+    assert homotopic_map(chain_complex, chain_complex,
+                         identity_continuation(c), k) == h1
+    assert calls == []
 
 
 def test_homotopic_map_matches_full_re_expansion(chain_datum,
@@ -1863,6 +1870,9 @@ _WORD_BASIS = {
     "chain": (check_chain_map, ainfty_reference.word_basis_check_chain_map),
     "homotopy": (check_homotopy,
                  ainfty_reference.word_basis_check_homotopy),
+    "compose": (check_composition,
+                ainfty_reference.word_basis_check_composition),
+    "solve": (homotopic_map, ainfty_reference.word_basis_homotopic_map),
 }
 
 
@@ -2581,7 +2591,11 @@ def test_complex_builds_words_and_differential_on_first_use(
     assert built(c, cp) == [True] * 4
     c0, c1, c2 = (assemble_differential(d)
                   for d in (chain_datum, conjugated_datum, conjugated_datum))
+    # an exact composition is decided on the certificate and builds no
+    # words; with a cutoff it is built on the words of c0 and c1
     assert check_composition(c0, c1, c2, diag, ident)["composition"]
+    assert built(c0, c1, c2) == [False] * 6
+    assert check_composition(c0, c1, c2, cut, ident)["composition"]
     assert built(c0, c1, c2) == [True, False, True, False, False, False]
     assert c0.differential == _ref_differential(chain_datum)
     assert c0.words == enumerate_words(chain_datum)
@@ -3060,3 +3074,323 @@ def test_words_extend_level_by_level_as_the_combinations_list_them():
         assert _outcome(enumerate_words, d) == _outcome(
             ainfty_reference.combinations_enumerate_words, d)
         assert isinstance(_outcome(enumerate_words, d), tuple)
+
+
+# ---------------------------------------------------------------------------
+# the composition certificate and the far end of a homotopy on one-output
+# components against the word-basis oracles
+
+
+_KINDS = ((1, 0), (1, 1), (0, 0), (0, 1))
+
+
+def _pair_rule(table):
+    """The sign rule sum_j U(b_j) + sum_{j<k} P(b_j, b_k) of
+    ``_composition_certified``'s proof, b a block's arity parity and
+    index-sum parity: ``table`` maps b to U(b) and (b, b') to P(b, b'),
+    missing keys reading 0."""
+    def rule(arities, mus):
+        kinds, pos = [], 0
+        for w in arities:
+            kinds.append((w % 2, sum(mus[pos:pos + w]) % 2))
+            pos += w
+        return (sum(table.get(b, 0) for b in kinds)
+                + sum(table.get((b, b2), 0) for i, b in enumerate(kinds)
+                      for b2 in kinds[i + 1:])) % 2
+    return rule
+
+
+def _reduced_cases():
+    """The cases of one and of two groups, each group one block of each
+    kind counted odd (or two equal blocks), of arity 1 or 2."""
+    blocks = dict(zip(_KINDS, ((1, (0,)), (1, (1,)), (2, (0, 0)),
+                               (2, (0, 1)))))
+    groups = [[blocks[b] for b, on in zip(_KINDS, v) if on]
+              or [blocks[_KINDS[0]]] * 2
+              for v in itertools.product((0, 1), repeat=4)]
+    for cfg in [[g] for g in groups] + [[g, h] for g in groups
+                                        for h in groups]:
+        yield (tuple(w for g in cfg for w, _ in g), tuple(map(len, cfg)),
+               tuple(m for g in cfg for _, ms in g for m in ms))
+
+
+def _gf2_rank(rows):
+    """Rank over GF(2) of 0/1 rows, by elimination on the leading bit."""
+    pivots = {}
+    for row in rows:
+        x = int("".join(map(str, row)), 2)
+        while x and x.bit_length() in pivots:
+            x ^= pivots[x.bit_length()]
+        if x:
+            pivots[x.bit_length()] = x
+    return len(pivots)
+
+
+def test_listed_cases_decide_the_composition_identity():
+    # the rank test of _composition_certified's proof: over the 20 basis
+    # rules of the pair shape, the differences of the 272 reduced cases
+    # span a space of dimension 15, and the listed cases span it too
+    tables = [{b: 1} for b in _KINDS] + [{(b, b2): 1} for b in _KINDS
+                                         for b2 in _KINDS]
+    rules = [_pair_rule(t) for t in tables]
+
+    def row(case):
+        return [int(not ainfty._composition_holds(r, *case)) for r in rules]
+
+    reduced = [row(case) for case in _reduced_cases()]
+    listed = [row(case) for case in ainfty._composition_cases()]
+    assert len(reduced) == 272 and len(listed) == 15
+    assert _gf2_rank(reduced) == _gf2_rank(listed) == \
+        _gf2_rank(reduced + listed) == 15
+    # every case of composition_sign_identity(4) lies in that span, and
+    # those at q <= 3 do not span it
+    exhaustive = {3: [], 4: []}
+    for q in range(1, 5):
+        for inner in (c for n in range(1, q + 1) for c in _compositions(q, n)):
+            for grouping in (c for n in range(1, len(inner) + 1)
+                             for c in _compositions(len(inner), n)):
+                for mus in itertools.product((0, 1), repeat=q):
+                    for top in exhaustive:
+                        if q <= top:
+                            exhaustive[top].append(row((inner, grouping, mus)))
+    assert _gf2_rank(exhaustive[3]) < 15
+    assert _gf2_rank(exhaustive[4]) == _gf2_rank(exhaustive[4] + listed) == 15
+    assert all(sum(inner) <= 4 for inner, _, _ in ainfty._composition_cases())
+    # _split_parity has the pair shape: U = 0 and P(b, b') = (w - 1) +
+    # (w' - 1) mu, with w, w' the arities and mu the index sum of b
+    real = _pair_rule({(b, b2): (b[0] + 1 + (b2[0] + 1) * b[1]) % 2
+                       for b in _KINDS for b2 in _KINDS})
+    for q in range(1, 7):
+        for parts in _ref_compositions(q):
+            for mus in itertools.product((0, 1), repeat=q):
+                assert ainfty._split_parity(parts, mus) == real(parts, mus)
+
+
+def _graded_factor_dropped(arities, mus):
+    """``_split_parity`` without the graded factor of even blocks."""
+    r = len(arities)
+    return sum((r - j) * (w - 1) for j, w in enumerate(arities, 1)) % 2
+
+
+def _j_for_r_minus_j(arities, mus):
+    """``_split_parity`` with j in place of r - j."""
+    exp = left = pos = 0
+    for j, w in enumerate(arities, 1):
+        exp += j * (w - 1)
+        if w % 2 == 0:
+            exp += left
+        left += sum(mus[pos:pos + w])
+        pos += w
+    return exp % 2
+
+
+def test_composition_certificate_is_cheap_and_cached():
+    calls = []
+    real = ainfty._split_parity
+
+    def rule(arities, mus):
+        calls.append(1)
+        return real(arities, mus)
+
+    assert ainfty._composition_certified(rule)
+    # three calls per case and one per group: 15 cases, 28 groups
+    assert len(calls) == 3 * 15 + 28
+    assert ainfty._composition_certified(rule)
+    assert len(calls) == 73
+
+
+_MUTANTS = {"graded factor dropped": _graded_factor_dropped,
+            "j for r - j": _j_for_r_minus_j,
+            "odd first block": _odd_first_block(ainfty._split_parity)}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTANTS))
+def test_split_parity_mutants_fail_the_composition_certificate(
+        name, chain_datum, conjugated_datum, chain_units, monkeypatch):
+    # each mutant fails the certificate (and the exhaustive identity at
+    # q = 4); the check then composes on the word basis, and its report
+    # is the oracle's
+    rule = _MUTANTS[name]
+    assert ainfty._composition_certified(ainfty._split_parity)
+    assert not ainfty._composition_certified(rule)
+    rng = random.Random(2950)
+    c0, c1 = (assemble_differential(d)
+              for d in (chain_datum, conjugated_datum))
+    h01 = MapDatum(h=diagonal_map(chain_datum, chain_units).h + (
+        T(["g01", "g12"], "z02", S("t^4")),))
+    cases = [(c0, c1, c1, h01, identity_continuation(c1))]
+    for _ in range(3):
+        cases.append(_random_case(rng, rng.randint(2, 4))[:5])
+    with monkeypatch.context() as m:
+        m.setattr(ainfty, "_split_parity", rule)
+        assert not composition_sign_identity(4)["holds"]
+        for args in cases:
+            got, composed = _against_word_basis("compose", args, monkeypatch)
+            assert composed and isinstance(got, dict), (name, got)
+
+
+def _mixed_moduli(d, units, v):
+    """Complexes c0 over Z, c1 = d conjugated by ``units`` mod 2 and c2 =
+    c1 conjugated by ``v``, with the index of its first generator raised
+    by 2, mod 2; the diagonal maps c1 -> c0 and c2 -> c1 validate, and
+    their composite breaks its index shift over Z."""
+    d = replace(d, modulus=0)
+    d1 = replace(conjugate_datum(d, units), modulus=2)
+    first = d.generators[0]
+    d2 = replace(conjugate_datum(d1, v), generators=(
+        replace(first, mu=first.mu + 2),) + d.generators[1:])
+    return ((assemble_differential(x) for x in (d, d1, d2)),
+            diagonal_map(d, units), diagonal_map(d1, v))
+
+
+def _composition_corpus(rng, l):
+    """(label, kind, args) on all-pairs data at ``l`` on Z or modulus 2:
+    diagonal maps, arity-2 entries and cut entries composed and solved for
+    the far end of a shadow homotopy, and one mixed-moduli case of each."""
+    base = all_pairs_datum(l, [(0, 2), (l - 2, l)],
+                           modulus=2 * rng.randint(0, 1))
+    d = conjugate_datum(base, random_units(rng, base))
+    units, v = random_units(rng, d), random_units(rng, d)
+    d1 = conjugate_datum(d, units)
+    diag, diag12 = diagonal_map(d, units).h, diagonal_map(d1, v).h
+    arity2 = diag + (T(["g01", "g12"], "z02", S("3t^1")),)
+    arity2_12 = diag12 + (T([f"g{l - 2}{l - 1}", f"g{l - 1}{l}"],
+                            f"z{l - 2}{l}", S("-t^2/3")),)
+    cut = tuple(T(e.inputs, e.output, e.coeff.restrict(e.coeff.valuation() + 1))
+                for e in diag)
+    k = MapDatum(k=(T(["s02"], "z02", S("t^1 - 2t^6")),
+                    T([f"s{l - 2}{l}"], f"z{l - 2}{l}", S("-t^2/3"))))
+
+    def fresh():
+        return [assemble_differential(x)
+                for x in (d, d1, conjugate_datum(d1, v))]
+
+    for label, h01, h12 in (("diagonal", diag, diag12),
+                            ("arity 2", arity2, arity2_12),
+                            ("cut", cut, diag12)):
+        yield label, "compose", (*fresh(), MapDatum(h=h01), MapDatum(h=h12))
+        yield label, "solve", (*fresh()[:2], MapDatum(h=h01), k)
+    (c0, c1, c2), h01, h12 = _mixed_moduli(d, units, v)
+    yield "mixed", "compose", (c0, c1, c2, h01, h12)
+    yield "mixed", "solve", (c0, c2, MapDatum(h=h01.h), k)
+
+
+def assert_composition_and_far_end_match(l, seed, monkeypatch):
+    """``check_composition`` and ``homotopic_map`` on all-pairs data at
+    ``l`` equal the word-basis oracles: exact data composes nothing, cut
+    entries compose, and the mixed-moduli cases raise the oracles'
+    ``DegreeViolation``; returns the number of outcomes compared."""
+    count = 0
+    for label, kind, args in _composition_corpus(random.Random(seed), l):
+        got, composed = _against_word_basis(kind, args, monkeypatch)
+        if label == "mixed":
+            assert got[0] is DegreeViolation, (label, kind, got)
+        else:
+            assert composed == (label == "cut"), (label, kind)
+            assert kind == "solve" or got["composition"], (label, got)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("l", [4, 5])
+def test_composition_and_far_end_match_on_all_pairs(l, monkeypatch):
+    assert assert_composition_and_far_end_match(l, 2900 + l, monkeypatch) == 8
+
+
+def test_composition_and_far_end_match_the_word_basis(
+        chain_datum, conjugated_datum, chain_units, monkeypatch):
+    # reports, sorted entries and exceptions equal the word-basis oracles'
+    # on the fixtures, on random cases under moduli 0-3 (arity-2 entries),
+    # on cut entries, on mixed moduli and on given differentials; exact
+    # data composes only under an odd intermediate modulus
+    rng = random.Random(2900)
+    seen = {}
+
+    def run(label, kind, *args):
+        got, composed = _against_word_basis(kind, args, monkeypatch)
+        key = "raised" if isinstance(got, tuple) else composed
+        seen[label, kind, key] = seen.get((label, kind, key), 0) + 1
+        return composed
+
+    diag = diagonal_map(chain_datum, chain_units)
+    h01 = MapDatum(h=diag.h + (T(["g01", "g12"], "z02", S("t^4")),
+                               T(["g12", "g23"], "z13", S("-t^1"))))
+    h12 = MapDatum(h=tuple(T([g.id], g.id, ONE)
+                           for g in chain_datum.generators) + (
+        T(["g12", "g23"], "z13", S("-2t^1")),))
+    for modulus in (0, 1, 2):
+        c0, c1 = (assemble_differential(replace(d, modulus=modulus))
+                  for d in (chain_datum, conjugated_datum))
+        assert run("fixture", "compose", c0, c1, c1, h01, h12) == \
+            bool(modulus % 2)
+        for entries in _CHAIN_HOMOTOPIES:
+            assert not run("fixture", "solve", c0, c1, diag,
+                           MapDatum(k=entries))
+    for _ in range(8):
+        c0, c1, c2, h01, h12, h0, _, k = _random_case(rng, rng.randint(2, 5))
+        assert any(e.arity == 2 for e in h01.h + h12.h)
+        for moduli in ((0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3),
+                       (0, 2, 1), (3, 0, 2)):
+            def fresh():
+                return [assemble_differential(replace(x.datum, modulus=m))
+                        for x, m in zip((c0, c1, c2), moduli)]
+
+            assert run("random", "compose", *fresh(), h01, h12) == \
+                bool(moduli[1] % 2)
+            assert not run("random", "solve", *fresh()[:2], h0, k)
+            assert run("cut", "compose", *fresh(),
+                       MapDatum(h=_cut_entries(h01.h, rng)), h12)
+            assert run("cut", "solve", *fresh()[:2],
+                       MapDatum(h=_cut_entries(h0.h, rng)), k)
+        x, y, z = fresh()
+        given = [FloerComplex(w.datum, w.words, w.differential)
+                 for w in (x, y)]
+        assert run("given", "compose", x, given[1], z, h01, h12)
+        assert run("given", "solve", given[0], y, h0, k)
+        assert run("given", "solve", x, given[1], h0, k)
+        # a given basis without its longer words, and no differential
+        short = FloerComplex(y.datum, tuple(w for w in y.words if len(w) < 2))
+        assert run("given", "compose", x, short, z, h01, h12)
+        assert _against_word_basis("chain", (x, short, h01), monkeypatch)[1]
+        (m0, m1, m2), m01, m12 = _mixed_moduli(
+            c0.datum, *(random_units(rng, c0.datum) for _ in range(2)))
+        run("mixed", "compose", m0, m1, m2, m01, m12)
+        run("mixed", "solve", m0, m2, m01, k)
+    for key in (("random", "compose", False), ("random", "compose", True),
+                ("random", "solve", False), ("cut", "compose", True),
+                ("cut", "solve", True), ("given", "solve", True),
+                ("mixed", "compose", "raised"), ("mixed", "solve", "raised")):
+        assert seen.get(key), (key, seen)
+
+
+def test_exact_composition_and_far_end_build_no_words(
+        chain_datum, conjugated_datum, chain_units, monkeypatch):
+    # with every word-basis builder raising, exact compositions and far
+    # ends are still decided, and no complex keeps words or a differential
+    rng = random.Random(2960)
+    cases = []
+    for modulus in (0, 2):
+        c0, c1 = (replace(d, modulus=modulus)
+                  for d in (chain_datum, conjugated_datum))
+        h = diagonal_map(chain_datum, chain_units)
+        cases.append(((c0, c1, c1), h, identity_continuation(
+            assemble_differential(c1)), MapDatum(k=_CHAIN_HOMOTOPIES[3])))
+    for _ in range(4):
+        c0, c1, c2, h01, h12, h0, _, k = _random_case(rng, rng.randint(2, 5))
+        cases.append(((c0.datum, c1.datum, c2.datum), h01, h12, k))
+    for label, kind, args in _composition_corpus(rng, 4):
+        if label in ("diagonal", "arity 2") and kind == "compose":
+            cases.append(((*(c.datum for c in args[:3]),), *args[3:],
+                          MapDatum(k=(T(["s02"], "z02", S("t^1")),))))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("word basis")
+
+    for name in ("_mat_compose", "_fan_in_matrix", "enumerate_words"):
+        monkeypatch.setattr(ainfty, name, boom)
+    for datums, h01, h12, k in cases:
+        cs = [assemble_differential(d) for d in datums]
+        assert check_composition(*cs, h01, h12)["composition"]
+        assert homotopic_map(cs[0], cs[1], h01, k).h
+        assert not any(name in vars(x) for x in cs
+                       for name in ("words", "differential"))

@@ -385,10 +385,13 @@ def test_each_sturm_chain_is_built_once(monkeypatch):
 
 def test_each_sturm_sign_is_taken_once(monkeypatch):
     # the path above: each Sturm count evaluates every member of the chain
-    # once at each end, the left-endpoint guard included
+    # once at each end, the left-endpoint guard included, and each bracket
+    # test of a signature jump takes the squarefree part's signs at each
+    # end once, its guard's included
     path = _diag_path([(0, 3, -8, 4), (2, -4, -1, 2)], 0, 2)
-    calls, counts = [], []
-    real_sign, real_count = maslov.sign_at, maslov._sturm_count
+    calls, counts, jumps = [], [], []
+    real_sign = maslov.sign_at
+    real_count, real_jump = maslov._sturm_count, maslov._signature_jump
 
     def counted(chain, lo, hi):
         before = len(calls)
@@ -396,16 +399,25 @@ def test_each_sturm_sign_is_taken_once(monkeypatch):
         counts.append((len(chain), len(calls) - before))
         return out
 
+    def jumped(P, chain, lo, hi, sqf_chain):
+        before = len(calls)
+        out = real_jump(P, chain, lo, hi, sqf_chain)
+        jumps.append(len(calls) - before)
+        return out
+
     monkeypatch.setattr(maslov, "sign_at",
                         lambda p, x: calls.append(1) or real_sign(p, x))
     monkeypatch.setattr(maslov, "_sturm_count", counted)
+    monkeypatch.setattr(maslov, "_signature_jump", jumped)
     rep = rs_index_report(_zero(2), path)
     assert [(c.location, c.kernel_dimension) for c in rep.crossings] == [
         ("start", 1), ("interior", 2), ("interior", 1), ("interior", 1)]
-    assert len(counts) == 19
+    assert len(counts) == 13
     assert all(n == 2 * size for size, n in counts), counts
-    # 160 inside the 19 counts, which took 179 with the guard's repeat
-    assert len(calls) == 187
+    # the jumps took 48, 14, 14 and 22 with the bracket test's repeats of
+    # the squarefree part's signs at both ends, 187 calls in all
+    assert jumps == [42, 12, 12, 20]
+    assert len(calls) == 175
 
 
 # each singular crossing at 0 inside the piece, at the start, at the end
