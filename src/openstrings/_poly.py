@@ -1,10 +1,23 @@
 """Integer polynomials {exponent: nonzero int} (zero is {}), Laurent in
 ``ainfty.cohomology``, ordinary in ``maslov`` and as face-counting
-polynomials in ``polytopes``: Bareiss determinants,
-exact division (exact in Z[t] by Gauss's lemma for primitive divisors),
-sign-preserving primitive pseudo-remainders, and signs and integer
-matrices at rationals by one homogeneous Horner evaluation, all without
-leaving Z."""
+polynomials in ``polytopes``: Bareiss determinants and ranks on
+Kronecker-packed big ints, exact division (exact in Z[t] by Gauss's
+lemma for primitive divisors), sign-preserving primitive
+pseudo-remainders, and signs and integer matrices at rationals by one
+homogeneous Horner evaluation, all without leaving Z.
+
+Kronecker packing (``_pack_block``) shifts a matrix of Laurent
+polynomials to nonnegative exponents and reads each entry as one Python
+int, its value at s = 2^b.  Evaluation at 2^b is a ring map, so a
+Bareiss step (p a - x y) / prev (``_packed_entry``) is one big-int
+``divmod``.  Every Bareiss entry is a minor, whose coefficients are
+bounded by H = prod over rows of max(1, sum of the row's |coefficients|),
+and p a - x y has coefficients of at most 2 H^2; with 2^(b-1) above that,
+each packed entry is read back as balanced digits in (-2^(b-1), 2^(b-1)):
+its valuation is its trailing zero bits // b and its leading
+coefficient its lowest digit.  The dict kernel (``_bareiss_entry``)
+stays for blocks whose exponents are too sparse to pack.
+"""
 
 from __future__ import annotations
 
@@ -65,12 +78,88 @@ def _bareiss_entry(p: dict, a: dict, x: dict, y: dict, prev: dict) -> dict:
     return _exact_div(out, prev) if out else out
 
 
+# The widest block (b times the exponent span a minor can reach) that
+# ``ainfty._rank`` packs.  Blocks with sparse exponents run faster on
+# dicts above about 5k to 40k bits (3 to 8 rows): packed ints grow with
+# the span, and Python divides them in quadratic time.  Dense blocks pack
+# faster at every width measured.
+_PACK_CAP = 1 << 15
+
+
+def _pack_block(rows, capped=True):
+    """(packed rows, b, shift, g) for a matrix of Laurent polynomials in
+    s: exponent e is packed as (e - shift) / g, shift the least exponent
+    and g the gcd of the differences, so a minor of size m is
+    s^(m shift) times a polynomial in s^g and valuations keep their order
+    within a size.  With ``capped``, None when the packed width, b times
+    the exponent span a minor can reach, exceeds ``_PACK_CAP``."""
+    exps = {e for row in rows for p in row for e in p}
+    low = min(exps, default=0)
+    g = math.gcd(*(e - low for e in exps)) or 1
+    span = sum(max((e for p in row for e in p), default=low) - low
+               for row in rows) // g + 1
+    h = 1
+    for row in rows:
+        h *= max(1, sum(abs(c) for p in row for c in p.values()))
+    b = (2 * h * h).bit_length() + 1
+    if capped and b * span > _PACK_CAP:
+        return None
+    return [[sum(c << (b * ((e - low) // g)) for e, c in p.items())
+             for p in row] for row in rows], b, low, g
+
+
+def _valuation(v: int, b: int) -> int:
+    """The valuation of a nonzero packed entry."""
+    return ((v & -v).bit_length() - 1) // b
+
+
+def _lead(v: int, b: int) -> int:
+    """The leading (lowest) coefficient of a nonzero packed entry."""
+    d = (v >> (_valuation(v, b) * b)) & ((1 << b) - 1)
+    return d - (d >> (b - 1) << b)
+
+
+def _unpack(v: int, b: int) -> IntPoly:
+    """The polynomial of a packed entry."""
+    out = {}
+    e = 0
+    while v:
+        d = v & ((1 << b) - 1)
+        d -= d >> (b - 1) << b
+        if d:
+            out[e] = d
+        v = (v - d) >> b
+        e += 1
+    return out
+
+
+def _packed_entry(p: int, a: int, x: int, y: int, prev: int) -> int:
+    """(p*a - x*y) / prev on packed entries."""
+    q, rem = divmod(p * a - x * y, prev)
+    if rem:
+        raise InexactDivision("Bareiss step left a remainder")
+    return q
+
+
+def _bareiss_rows(rows, k: int, pc: int, prev, cols,
+                  entry=_packed_entry) -> None:
+    """One Bareiss step: below row k, each entry a in a column j of
+    ``cols`` becomes ``entry(p, a, x, y, prev)``, (p a - x y) / prev with
+    p = rows[k][pc], x the row's entry in column pc and y = rows[k][j]."""
+    prow = rows[k]
+    p = prow[pc]
+    for row in rows[k + 1:]:
+        x = row[pc]
+        for j in cols:
+            row[j] = entry(p, row[j], x, prow[j], prev)
+
+
 def det(M: List[List[IntPoly]]) -> IntPoly:
-    """Determinant by Bareiss elimination, swapping in a row with a
+    """Determinant by packed Bareiss elimination, swapping in a row with a
     nonzero entry (and flipping the sign) when a pivot vanishes."""
-    A = [list(row) for row in M]
-    n = len(A)
-    sign, prev = 1, {0: 1}
+    n = len(M)
+    A, b, low, g = _pack_block(M, capped=False)
+    sign, prev = 1, 1
     for k in range(n):
         piv = next((r for r in range(k, n) if A[r][k]), None)
         if piv is None:
@@ -78,13 +167,9 @@ def det(M: List[List[IntPoly]]) -> IntPoly:
         if piv != k:
             A[k], A[piv] = A[piv], A[k]
             sign = -sign
-        p = A[k][k]
-        for row in A[k + 1:]:
-            x = row[k]
-            for j in range(k + 1, n):
-                row[j] = _bareiss_entry(p, row[j], x, A[k][j], prev)
-        prev = p
-    return {e: sign * c for e, c in prev.items()}
+        _bareiss_rows(A, k, k, prev, range(k + 1, n))
+        prev = A[k][k]
+    return {n * low + g * e: c for e, c in _unpack(sign * prev, b).items()}
 
 
 def degree(p: IntPoly) -> int:

@@ -19,7 +19,9 @@ from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ._json import _json_field, _json_id, _json_int, _json_list, _json_object
-from ._poly import InexactDivision, _bareiss_entry  # noqa: F401
+from ._poly import InexactDivision  # noqa: F401
+from ._poly import (_bareiss_entry, _bareiss_rows, _lead, _pack_block,
+                    _packed_entry, _valuation)
 from .novikov import NovikovSeries, _check_ring, format_series, parse_series
 from .polytopes import _compositions, assoc_facet_parity
 
@@ -425,8 +427,16 @@ def _one_output(a: Matrix) -> Dict[str, List[Tuple[Word, NovikovSeries]]]:
     return out
 
 
+def _annotated(table, gens):
+    """(inputs, coefficient, arity odd, index sum) of each component, per
+    output generator: a table as ``_fan_in`` reads it."""
+    return {g: [(inputs, cf, len(inputs) % 2,
+                 sum(gens[x].mu for x in inputs)) for inputs, cf in comps]
+            for g, comps in table.items()}
+
+
 def _fan_in(components, gens, k=None, after=None, longest=None, *,
-            then=None, last=None, odd=True):
+            then=None, last=None, odd=True, annotated=False):
     """Every way to produce a word with one component per factor: returns
     ``terms(word)``, a list of (glued input chain, coefficient).
 
@@ -444,7 +454,8 @@ def _fan_in(components, gens, k=None, after=None, longest=None, *,
     right of it components of ``last``, signed by ``_pair_parity``.  With
     ``odd`` false the one ``k`` block is signed as a continuation block,
     by ``_split_parity``.  A glued chain longer than ``longest`` is
-    skipped.
+    skipped.  With ``annotated`` the tables are given as ``_annotated``
+    returns them.
 
     A word's terms extend its prefix's by the last factor's components:
     one product per term, shared by every word with that prefix, whose
@@ -458,13 +469,6 @@ def _fan_in(components, gens, k=None, after=None, longest=None, *,
     L - r + M of ``_homotopy_parity`` (its width - p and the index sum to
     its left); r is added once per special block when the term is
     read."""
-    def annotated(table):
-        """(inputs, coefficient, arity odd, index sum) of each component,
-        per output generator."""
-        return {g: [(inputs, cf, len(inputs) % 2,
-                     sum(gens[x].mu for x in inputs)) for inputs, cf in comps]
-                for g, comps in table.items()}
-
     def first(parts):
         return [(inputs, cf, _split_parity((len(inputs),),
                                            [gens[x].mu for x in inputs]), 1, s)
@@ -483,9 +487,11 @@ def _fan_in(components, gens, k=None, after=None, longest=None, *,
                             step if odd_block else step + m, r + 1, m + s))
         return out
 
-    regions = [annotated(t) for t in (components, after, last)
-               if t is not None]
-    specials = [annotated(t) for t in (k, then) if t is not None]
+    def read(table):
+        return table if annotated else _annotated(table, gens)
+
+    regions = [read(t) for t in (components, after, last) if t is not None]
+    specials = [read(t) for t in (k, then) if t is not None]
     top = len(specials)
     # the tables a word's first factor reads with no or one block placed
     starts = regions[:1] + specials[:1]
@@ -1038,21 +1044,25 @@ def homotopic_map(c: FloerComplex, c_prime: FloerComplex,
     for e in h0.h:
         _acc(fixed.setdefault(e.inputs, {}), e.output, e.coeff)
     _splice(fixed, _targets(k_parts), c_prime._parts, gens, _d_slot)
-    h1_parts: Dict[str, List[Tuple[Word, NovikovSeries]]] = {}
+    # h0 and k annotated once; h1 grows by each pass's entries
+    h0_read, k_read = _annotated(h0_parts, gens), _annotated(k_parts, gens)
+    h1_read: Dict[str, list] = {}
     h1_entries: List[TensorEntry] = []
     for w in range(1, c_prime.datum.l + 1):
         want = {v: dict(row) for v, row in fixed.items() if len(v) == w}
-        terms = _fan_in(h0_parts, gens, k_parts, h1_parts, longest=w)
+        terms = _fan_in(h0_read, gens, k_read, h1_read, longest=w,
+                        annotated=True)
         for g, comps in c._d_parts.items():
             for word, coeff in comps:
                 for chain, cf in terms(word):
                     if len(chain) == w:
                         _acc(want.setdefault(chain, {}), g,
                              _signed(cf * coeff, 1))
-        for v, row in want.items():
-            for g, cf in row.items():
-                h1_entries.append(TensorEntry(v, g, cf))
-                h1_parts.setdefault(g, []).append((v, cf))
+        solved = _by_output(want)
+        for g, comps in _annotated(solved, gens).items():
+            h1_read.setdefault(g, []).extend(comps)
+        h1_entries += [TensorEntry(v, g, cf)
+                       for g, comps in solved.items() for v, cf in comps]
     return _sorted_map(h1_entries)
 
 
@@ -1635,11 +1645,13 @@ def euler_characteristic(c: FloerComplex) -> int:
 
 # Boundary blocks are eliminated over Laurent polynomials {int: int} in
 # s = t^(1/N), N the common denominator of the block's exponents, by
-# Bareiss's fraction-free step (``_poly._bareiss_entry``), which keeps every
-# entry a polynomial: after k pivots an entry below them is the (k+1)-minor
+# Bareiss's fraction-free step on Kronecker-packed entries
+# (``_poly._bareiss_rows``), or on dicts (``_poly._bareiss_entry``) when
+# the exponents are too sparse to pack.  It keeps every entry a
+# polynomial: after k pivots an entry below them is the (k+1)-minor
 # through it, i.e. the field entry of plain elimination times the k-th
-# pivot p_k, so valuations and pivot choices are those of elimination over
-# the fraction field.
+# pivot p_k, so valuations and pivot choices are those of elimination
+# over the fraction field.
 
 
 def _laurent_block(src, dst, differential):
@@ -1671,16 +1683,25 @@ def _rank(rows, scales, integral: bool, src, dst, g: int) -> int:
     With ``integral`` the field pivot p_k / p_(k-1) must have a unit
     leading coefficient: lead(p_k) = +-lead(p_(k-1)), p_0 = 1, where the
     minors p_k are taken before the row scales (so every accepted minor
-    has leading coefficient +-1).
+    has leading coefficient +-1).  Entries are Kronecker-packed
+    (``_poly._pack_block``) unless the block's exponents are too sparse,
+    which changes neither the pivots nor the messages.
     """
     ncols = len(dst)
+    packed = _pack_block(rows)
+    if packed is None:
+        val, prev, entry = min, {0: 1}, _bareiss_entry
+        lead_of = lambda e: e[min(e)]  # noqa: E731
+    else:
+        rows, b = packed[:2]
+        val, prev, entry = (lambda v: _valuation(v, b)), 1, _packed_entry
+        lead_of = lambda v: _lead(v, b)  # noqa: E731
     order = list(range(len(rows)))
     used = [False] * ncols
-    prev = {0: 1}
     prev_lead = Fraction(1)
     scale = 1
     for step in range(len(rows)):
-        best = min(((min(e), r, j) for r in range(step, len(rows))
+        best = min(((val(e), r, j) for r in range(step, len(rows))
                     for j, e in enumerate(rows[r]) if e and not used[j]),
                    default=None)
         if best is None:
@@ -1688,10 +1709,9 @@ def _rank(rows, scales, integral: bool, src, dst, g: int) -> int:
         _, pr, pc = best
         rows[step], rows[pr] = rows[pr], rows[step]
         order[step], order[pr] = order[pr], order[step]
-        prow = rows[step]
-        p = prow[pc]
+        p = rows[step][pc]
         scale *= scales[order[step]]
-        lead = Fraction(p[min(p)], scale)
+        lead = Fraction(lead_of(p), scale)
         if integral and abs(lead) != abs(prev_lead):
             raise NonUnitPivot(
                 "pivot with non-invertible leading coefficient; "
@@ -1699,13 +1719,9 @@ def _rank(rows, scales, integral: bool, src, dst, g: int) -> int:
                 f"(grading class {g}, step {step + 1}, source word "
                 f"{src[order[step]]}, target word {dst[pc]}, "
                 f"lead(p_{step + 1}) = {lead}, lead(p_{step}) = {prev_lead})")
-        for row in rows[step + 1:]:
-            x = row[pc]
-            for j in range(ncols):
-                if not used[j] and j != pc:
-                    row[j] = _bareiss_entry(p, row[j], x, prow[j], prev)
-            row[pc] = {}
         used[pc] = True
+        _bareiss_rows(rows, step, pc, prev,
+                      [j for j in range(ncols) if not used[j]], entry)
         prev, prev_lead = p, lead
     return len(rows)
 

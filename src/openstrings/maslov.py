@@ -2,9 +2,10 @@
 
 A path is given in a fixed chart as a piecewise-polynomial family A(t) of
 symmetric n x n matrices with rational coefficients (the path of graphs
-{(x, A(t)x)}).  Denominators are cleared once, in ``make_piece``: a piece
-holds A(t) as integer polynomials over the least common denominator of
-its coefficients.  The index of a path relative to a constant reference
+{(x, A(t)x)}).  Denominators are cleared once, by the piece builder
+``make_piece`` and ``path_from_json`` share: a piece holds A(t) as
+integer polynomials over the least common denominator of its
+coefficients.  The index of a path relative to a constant reference
 B is computed from crossings, the parameters t* with det(A(t*) - B) = 0:
 
 * the crossing form is A'(t*) restricted to ker(A(t*) - B),
@@ -21,15 +22,15 @@ crossing).
 Crossings are handled exactly.  On each piece A(t) - B is scaled to an
 integer polynomial matrix P by one positive integer; its determinant and
 principal minors are taken by fraction-free Bareiss elimination over
-Z[t], the kernel ``ainfty.cohomology`` uses, roots are isolated by Sturm
-chains of sign-preserving primitive remainders over Z, and inertia is
-taken on integer matrices, that of P(a/b) on b^D P(a/b) (D the largest
-entry degree).  Every crossing is decided by one rule (Robbin-Salamon):
-at a root of det P of order m the kernel dimension is at most m, with
-equality exactly when the crossing form is nonsingular, and the
-signature of a regular crossing form is half the jump of the signature
-of P between rational points on either side with no other root of det P
-in between.
+Z[t] on Kronecker-packed big ints, the kernel ``ainfty.cohomology`` uses,
+roots are isolated by Sturm chains of sign-preserving primitive
+remainders over Z, and inertia is taken on integer matrices, that of
+P(a/b) on b^D P(a/b) (D the largest entry degree).  Every crossing is
+decided by one rule (Robbin-Salamon): at a root of det P of order m the
+kernel dimension is at most m, with equality exactly when the crossing
+form is nonsingular, and the signature of a regular crossing form is
+half the jump of the signature of P between rational points on either
+side with no other root of det P in between.
 
 A crossing is rejected (``DegenerateCrossing``) when det(A(t) - B)
 vanishes identically on a piece, or when its crossing form is singular.
@@ -223,29 +224,33 @@ class PathPiece:
         return [[Fraction(x, scale * self.den) for x in row] for row in M]
 
 
-def _coefficients(entry) -> List[Fraction]:
+def _coefficients(entry) -> List[Tuple[int, int]]:
     if not (isinstance(entry, (list, tuple)) and all(
             isinstance(c, numbers.Real) and not isinstance(c, bool)
             for c in entry)):
         raise ChartMismatch(f"matrix entry {entry!r} is not a list of numbers")
-    return [Fraction(c) for c in entry]
+    return [(f.numerator, f.denominator) for f in map(Fraction, entry)]
 
 
-def make_piece(start, end, matrix) -> PathPiece:
-    a, b = Fraction(start), Fraction(end)
+def _piece(a: Fraction, b: Fraction, matrix, coefficients) -> PathPiece:
+    """The piece on [a, b] of ``matrix``, each entry read by
+    ``coefficients`` into reduced (numerator, denominator) pairs."""
     if not a < b:
         raise ValueError("piece interval must have positive length")
-    rows = [[_coefficients(e) for e in row] for row in matrix]
+    rows = [[coefficients(e) for e in row] for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ChartMismatch("matrix is not square")
-    den = math.lcm(*(c.denominator for row in rows for e in row for c in e))
-    num = tuple(tuple({k: c.numerator * (den // c.denominator)
-                       for k, c in enumerate(e) if c} for e in row)
-                for row in rows)
+    den = math.lcm(*(q for row in rows for e in row for _, q in e))
+    num = tuple(tuple({k: p * (den // q) for k, (p, q) in enumerate(e) if p}
+                      for e in row) for row in rows)
     if any(num[i][j] != num[j][i] for i in range(n) for j in range(i)):
         raise ChartMismatch("matrix is not symmetric")
     return PathPiece(a, b, num, den)
+
+
+def make_piece(start, end, matrix) -> PathPiece:
+    return _piece(Fraction(start), Fraction(end), matrix, _coefficients)
 
 
 @dataclass(frozen=True)
@@ -262,7 +267,12 @@ class LagrangianPath:
         for left, right in zip(self.pieces, self.pieces[1:]):
             if left.end != right.start:
                 raise ChartMismatch("pieces are not contiguous")
-            if left.value(left.end) != right.value(right.start):
+            # num / (scale den) on either side, compared across
+            (ml, sl), (mr, sr) = (matrix_at(left.num, left.end),
+                                  matrix_at(right.num, right.start))
+            kl, kr = sr * right.den, sl * left.den
+            if any(x * kl != y * kr for rl, rr in zip(ml, mr)
+                   for x, y in zip(rl, rr)):
                 raise ChartMismatch("path is discontinuous at a junction")
 
     @property
@@ -482,6 +492,30 @@ def _rational(value, what: str) -> Fraction:
         raise ChartMismatch(f"{what} {value!r} has a zero denominator") from None
 
 
+def _pair(value, what: str) -> Tuple[int, int]:
+    """A JSON coefficient as a reduced (numerator, denominator) pair: an
+    int, or a string of ASCII digits ``a`` or ``a/b`` with a leading minus
+    at most, is read directly; anything else through ``_rational``."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        den = den if slash else "1"
+        if (num.removeprefix("-").isdigit() and den.isdigit()
+                and den.strip("0")):
+            p, q = int(num), int(den)
+            g = math.gcd(p, q)
+            return p // g, q // g
+    f = _rational(value, what)
+    return f.numerator, f.denominator
+
+
+def _read_entry(entry):
+    """A list ``path_from_json`` has read into pairs, as it is; any other
+    entry is checked by ``_coefficients``."""
+    return entry if isinstance(entry, list) else _coefficients(entry)
+
+
 def path_from_json(obj) -> LagrangianPath:
     pieces = []
     for p in _json_list(_json_object(obj, "path"), "pieces", "path"):
@@ -499,11 +533,11 @@ def path_from_json(obj) -> LagrangianPath:
         if not (isinstance(raw, list)
                 and all(isinstance(row, list) for row in raw)):
             raise ValueError(f"{key} {raw!r} is not a list of matrix rows")
-        # an entry that is not a list is left for make_piece to reject
-        matrix = [[[_rational(c, "matrix entry coefficient") for c in entry]
+        # an entry that is not a list is left for _piece to reject
+        matrix = [[[_pair(c, "matrix entry coefficient") for c in entry]
                    if isinstance(entry, list) else entry for entry in row]
                   for row in raw]
-        pieces.append(make_piece(a, b, matrix))
+        pieces.append(_piece(a, b, matrix, _read_entry))
     path = make_path(pieces)
     if "n" in obj:
         n = _json_int(obj, "n", "path")

@@ -70,18 +70,30 @@ These are the versions from before the Leibniz rule had one kernel
   pass reads the one-output keys.
 - ``parts_splice`` is the one-output splice of the defects, the tensors
   listed anew on every call.
-- ``combinations_enumerate_words`` walks every increasing label path."""
+- ``combinations_enumerate_words`` walks every increasing label path.
+
+These are the elimination kernels from before entries were packed into
+big ints (``_poly._pack_block``): Bareiss's step on dict polynomials.
+
+- ``dict_bareiss_entry`` is the fraction-free update of one entry.
+- ``dict_rank`` is ``ainfty._rank`` on dict entries: the pivot of least
+  (valuation, row, column) first, and the unit test over Z.
+- ``dict_det`` is ``_poly.det`` on dict entries, swapping in a row when
+  a pivot vanishes."""
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
 from openstrings import ainfty
+from openstrings._poly import _exact_div
 from openstrings.ainfty import (
     Augmentation,
     MapDatum,
+    NonUnitPivot,
     TensorEntry,
     _a3_left,
     _a3_right,
@@ -741,3 +753,76 @@ def parts_splice(out, parts, c, exp=0):
                             + w * prefix[s - 1])
                     chain = word[:s - 1] + inputs + word[s:]
                     _acc(out.setdefault(chain, {}), g, _signed(cf * coeff, sign))
+
+
+def dict_bareiss_entry(p, a, x, y, prev):
+    """(p*a - x*y) / prev on dict polynomials."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in a.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) - c1 * c2
+    out = {e: c for e, c in out.items() if c}
+    return _exact_div(out, prev) if out else out
+
+
+def dict_rank(rows, scales, integral, src, dst, g):
+    """``ainfty._rank`` on dict entries, with its exceptions."""
+    ncols = len(dst)
+    order = list(range(len(rows)))
+    used = [False] * ncols
+    prev = {0: 1}
+    prev_lead = Fraction(1)
+    scale = 1
+    for step in range(len(rows)):
+        best = min(((min(e), r, j) for r in range(step, len(rows))
+                    for j, e in enumerate(rows[r]) if e and not used[j]),
+                   default=None)
+        if best is None:
+            return step
+        _, pr, pc = best
+        rows[step], rows[pr] = rows[pr], rows[step]
+        order[step], order[pr] = order[pr], order[step]
+        prow = rows[step]
+        p = prow[pc]
+        scale *= scales[order[step]]
+        lead = Fraction(p[min(p)], scale)
+        if integral and abs(lead) != abs(prev_lead):
+            raise NonUnitPivot(
+                "pivot with non-invertible leading coefficient; "
+                "run the elimination over rational coefficients "
+                f"(grading class {g}, step {step + 1}, source word "
+                f"{src[order[step]]}, target word {dst[pc]}, "
+                f"lead(p_{step + 1}) = {lead}, lead(p_{step}) = {prev_lead})")
+        for row in rows[step + 1:]:
+            x = row[pc]
+            for j in range(ncols):
+                if not used[j] and j != pc:
+                    row[j] = dict_bareiss_entry(p, row[j], x, prow[j], prev)
+            row[pc] = {}
+        used[pc] = True
+        prev, prev_lead = p, lead
+    return len(rows)
+
+
+def dict_det(M):
+    """``_poly.det`` on dict entries."""
+    A = [list(row) for row in M]
+    n = len(A)
+    sign, prev = 1, {0: 1}
+    for k in range(n):
+        piv = next((r for r in range(k, n) if A[r][k]), None)
+        if piv is None:
+            return {}
+        if piv != k:
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        p = A[k][k]
+        for row in A[k + 1:]:
+            x = row[k]
+            for j in range(k + 1, n):
+                row[j] = dict_bareiss_entry(p, row[j], x, A[k][j], prev)
+        prev = p
+    return {e: sign * c for e, c in prev.items()}

@@ -7,23 +7,35 @@ the crossing form built on it.  Also the symmetric Gaussian elimination
 over Q that the library's fraction-free ``_inertia`` replaced.  Kept only
 as a reference for the differential tests; the path data and the
 exceptions are the library's own, and ``fraction_matrix`` gives the
-Fraction view of a piece that this copy reads."""
+Fraction view of a piece that this copy reads.
+
+``fraction_path_from_json`` is ``maslov.path_from_json`` as it was before
+coefficients were read into integer (numerator, denominator) pairs: every
+coefficient a ``Fraction`` through ``str``, each piece built from Fraction
+lists, and junctions compared on Fraction matrices.  It returns each
+piece's (start, end, num, den)."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from openstrings._json import _json_field, _json_int, _json_list, _json_object
+from openstrings._poly import matrix_at
 from openstrings.maslov import (
     CROSSING_SIGN,
+    ChartMismatch,
     Crossing,
     CrossingReport,
     DegenerateCrossing,
     LagrangianPath,
     NonTransverseEndpoints,
     PathPiece,
+    _rational,
     _reference_matrix,
 )
 
@@ -502,3 +514,74 @@ def _string_index(path: LagrangianPath,
         raise AssertionError("index of a transverse path must be an integer")
     return int(total)
 
+
+
+def _fraction_piece(a, b, matrix):
+    if not a < b:
+        raise ValueError("piece interval must have positive length")
+    rows = []
+    for row in matrix:
+        out = []
+        for entry in row:
+            if not (isinstance(entry, (list, tuple)) and all(
+                    isinstance(c, numbers.Real) and not isinstance(c, bool)
+                    for c in entry)):
+                raise ChartMismatch(
+                    f"matrix entry {entry!r} is not a list of numbers")
+            out.append([Fraction(c) for c in entry])
+        rows.append(out)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ChartMismatch("matrix is not square")
+    den = math.lcm(*(c.denominator for row in rows for e in row for c in e))
+    num = tuple(tuple({k: c.numerator * (den // c.denominator)
+                       for k, c in enumerate(e) if c} for e in row)
+                for row in rows)
+    if any(num[i][j] != num[j][i] for i in range(n) for j in range(i)):
+        raise ChartMismatch("matrix is not symmetric")
+    return a, b, num, den
+
+
+def _fraction_value(piece, t):
+    _, _, num, den = piece
+    M, scale = matrix_at(num, t)
+    return [[Fraction(x, scale * den) for x in row] for row in M]
+
+
+def fraction_path_from_json(obj):
+    pieces = []
+    for p in _json_list(_json_object(obj, "path"), "pieces", "path"):
+        if "t0" in p:
+            a = _rational(p["t0"], "t0")
+            b = _rational(_json_field(p, "t1", "piece"), "t1")
+        else:
+            ends = _json_field(p, "interval", "piece")
+            if not (isinstance(ends, list) and len(ends) == 2):
+                raise ValueError(
+                    f"interval must be a list of two ends, got {ends!r}")
+            a, b = (_rational(v, "interval end") for v in ends)
+        key = "matrix" if "matrix" in p and "A" not in p else "A"
+        raw = _json_field(p, key, "piece")
+        if not (isinstance(raw, list)
+                and all(isinstance(row, list) for row in raw)):
+            raise ValueError(f"{key} {raw!r} is not a list of matrix rows")
+        matrix = [[[_rational(c, "matrix entry coefficient") for c in entry]
+                   if isinstance(entry, list) else entry for entry in row]
+                  for row in raw]
+        pieces.append(_fraction_piece(a, b, matrix))
+    if not pieces:
+        raise ValueError("path needs at least one piece")
+    n = len(pieces[0][2])
+    if any(len(p[2]) != n for p in pieces):
+        raise ChartMismatch("pieces have different matrix sizes")
+    for left, right in zip(pieces, pieces[1:]):
+        if left[1] != right[0]:
+            raise ChartMismatch("pieces are not contiguous")
+        if _fraction_value(left, left[1]) != _fraction_value(right, right[0]):
+            raise ChartMismatch("path is discontinuous at a junction")
+    if "n" in obj:
+        k = _json_int(obj, "n", "path")
+        if k != n:
+            raise ChartMismatch(f"the path file gives n = {k!r} but its "
+                                f"matrices are {n} x {n}")
+    return tuple(pieces)

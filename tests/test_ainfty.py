@@ -56,7 +56,8 @@ from openstrings.ainfty import (
     _mat_is_zero,
     _word_mu,
 )
-from openstrings._poly import _exact_div
+from openstrings import _poly
+from openstrings._poly import _exact_div, _pack_block
 from openstrings.polytopes import _compositions
 from openstrings.morse import (
     CriticalPoint,
@@ -427,6 +428,30 @@ def test_homotopic_map_matches_full_re_expansion(chain_datum,
         assert h1 == _ref_homotopic_map(c, c, h0, k)
         found += len(h1.h)
     assert found > 100
+
+
+def test_homotopic_map_annotates_h0_and_k_once(monkeypatch):
+    # pass w reads h0, k and the h1 entries of arity below w: h0 and k are
+    # annotated once per call and each solved h1 entry once, so the
+    # components annotated do not grow with the number of passes (l)
+    real = ainfty._annotated
+    sizes = []
+    monkeypatch.setattr(ainfty, "_annotated", lambda table, gens: sizes.append(
+        sum(map(len, table.values()))) or real(table, gens))
+    rng = random.Random(3030)
+    for l in (3, 5, 7):
+        d = all_pairs_datum(l, [(0, 2), (l - 2, l)])
+        units = random_units(rng, d)
+        c, cp = assemble_differential(d), assemble_differential(
+            conjugate_datum(d, units))
+        h0 = diagonal_map(d, units)
+        k = MapDatum(k=(T(["s02"], "z02", S("t^1")),
+                        T([f"s{l - 2}{l}"], f"z{l - 2}{l}", S("-2t^0"))))
+        sizes.clear()
+        h1 = homotopic_map(c, cp, h0, k)
+        assert sum(sizes) == len(h0.h) + len(k.k) + len(h1.h), l
+        assert len(sizes) == 2 + l
+        assert h1 == ainfty_reference.word_basis_homotopic_map(c, cp, h0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -1858,6 +1883,177 @@ def test_rank_deficient_ten_by_eleven_block():
     assert _rank_at(rows, 11, Fraction(2)) == 9
     coh = cohomology(_block_complex(rows, 11), ring="Q")
     assert coh["ranks"] == {"0": 1, "1": 2}
+
+
+# ---------------------------------------------------------------------------
+# packed elimination against the dict kernel of tests/ainfty_reference.py
+
+
+def _rank_outcome(rank, block):
+    """``rank`` on a copy of ``block``: the rank, or the type and text of
+    the exception it raised."""
+    rows, *rest = block
+    try:
+        return rank([list(row) for row in rows], *rest)
+    except (NonUnitPivot, InexactDivision) as err:
+        return type(err).__name__, str(err)
+
+
+def _cohomology_blocks(c, monkeypatch):
+    """The arguments of every ``_rank`` call ``cohomology`` makes on ``c``
+    in both modes, up to a NonUnitPivot."""
+    blocks = []
+    real = ainfty._rank
+
+    def capture(rows, *rest):
+        blocks.append(([list(row) for row in rows], *rest))
+        return real(rows, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(ainfty, "_rank", capture)
+        for ring in ("Z", "Q"):
+            try:
+                cohomology(c, ring=ring)
+            except NonUnitPivot:
+                pass
+    return blocks
+
+
+def _laurent(rng, lo=-4, hi=4):
+    """A random Laurent polynomial with up to three terms, zero included,
+    leading coefficients 1, 2 and 3."""
+    return {e: rng.choice((1, -1)) * rng.choice((1, 1, 2, 3))
+            for e in rng.sample(range(lo, hi + 1), rng.randint(0, 3))}
+
+
+def _random_block(rng):
+    """Rows of Laurent polynomials for ``_rank``: zero rows and columns,
+    rows that are combinations of earlier rows, and row scales, so that Z
+    mode meets unit and non-unit pivots."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    dead = {j for j in range(ncols) if rng.random() < 0.15}
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            row = [{} for _ in range(ncols)]
+        elif kind < 0.3 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            u, v = _laurent(rng, -2, 2), _laurent(rng, -2, 2)
+            row = [_poly.add(_poly.mul(x, u), _poly.mul(y, v))
+                   for x, y in zip(a, b)]
+        else:
+            row = [{} if j in dead or rng.random() < 0.3 else _laurent(rng)
+                   for j in range(ncols)]
+        rows.append(row)
+    scales = [rng.choice((1, 1, 2, 3, 6)) for _ in rows]
+    src = [(f"x{i}",) for i in range(nrows)]
+    dst = [(f"y{j}",) for j in range(ncols)]
+    return rows, scales, rng.random() < 0.5, src, dst, rng.randint(0, 3)
+
+
+def assert_packed_rank_and_det_match(seed, count):
+    """``_rank`` and ``_poly.det`` against ``dict_rank`` and ``dict_det``
+    on ``count`` seeded blocks and matrices; returns what was seen."""
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(count):
+        block = _random_block(rng)
+        want = _rank_outcome(ainfty_reference.dict_rank, block)
+        assert _rank_outcome(ainfty._rank, block) == want, block
+        assert _pack_block(block[0]) is not None
+        seen.add(want if isinstance(want, tuple) else "rank")
+        n = rng.randint(1, 6)
+        M = [[_laurent(rng, 0 if rng.random() < 0.8 else -2, 4)
+              if rng.random() < 0.7 else {} for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 0.5:
+            M[0][0] = {}
+        if n > 1 and rng.random() < 0.2:
+            M[-1] = list(M[0])
+        d = _poly.det(M)
+        assert d == ainfty_reference.dict_det(M), M
+        seen.add("det" if d else "singular")
+    return {x[0] if isinstance(x, tuple) else x for x in seen}
+
+
+def test_packed_rank_matches_dict_kernel_on_fixtures(
+        chain_datum, conjugated_datum, monkeypatch):
+    aug_datum, _ = make_augmentation_datum()
+    datums = [chain_datum, conjugated_datum, aug_datum, _morse_fixture()]
+    datums += [pair_subcomplex(d, 0, 1) for d in datums]
+    for n in (2, 3, 4, 5):
+        datums += [sphere_fixture(n), pair_subcomplex(sphere_fixture(n), 0, 1)]
+    complexes = [assemble_differential(d) for d in datums]
+    rng = random.Random(5151)
+    complexes += [_corpus_complex(rng) for _ in range(60)]
+    outcomes = set()
+    for c in complexes:
+        for block in _cohomology_blocks(c, monkeypatch):
+            want = _rank_outcome(ainfty_reference.dict_rank, block)
+            assert _rank_outcome(ainfty._rank, block) == want
+            # the dict kernel in ``_rank``, for blocks too sparse to pack
+            with monkeypatch.context() as m:
+                m.setattr(_poly, "_PACK_CAP", 0)
+                assert _rank_outcome(ainfty._rank, block) == want
+            outcomes.add(type(want))
+    assert outcomes == {int, tuple}
+
+
+def test_packed_rank_and_det_match_dict_kernel_on_random_corpus():
+    assert assert_packed_rank_and_det_match(3030, 300) == {
+        "rank", "NonUnitPivot", "det", "singular"}
+
+
+def test_packed_step_rejects_remainders():
+    # 7 is not (p a - x y) / prev for prev = 2: the step names the remainder
+    rows = [[3, 1], [2, 3]]
+    with pytest.raises(InexactDivision, match="left a remainder"):
+        _poly._bareiss_rows(rows, 0, 0, 2, [1])
+    _poly._bareiss_rows(rows, 0, 0, 1, [1])
+    assert rows == [[3, 1], [2, 7]]
+
+
+def test_sparse_coprime_denominators_take_the_dict_kernel():
+    # exponents 1/997, 1/991, 2/989 beside 1000: N = 997 * 991 * 989, and
+    # packing would need ints of about 10^13 digits; the dict kernel takes
+    # about 0.08 s
+    rng = random.Random(997)
+    exps = [Fraction(1, 997), Fraction(1, 991), Fraction(1000),
+            Fraction(500, 3), Fraction(2, 989), Fraction(0)]
+    rows = [{j: NovikovSeries([(e, rng.choice((1, -1)) * rng.randint(1, 3))
+                               for e in rng.sample(exps, 2)], ring="Q")
+             for j in range(7) if rng.random() < 0.8} for _ in range(6)]
+    c = _block_complex(rows, 7)
+    src = [(f"x{i}",) for i in range(6)]
+    dst = [(f"y{j}",) for j in range(7)]
+    assert _pack_block(ainfty._laurent_block(src, dst, c.differential)[0]) \
+        is None
+    start = time.perf_counter()
+    coh = cohomology(c, ring="Q")
+    elapsed = time.perf_counter() - start
+    assert coh["ranks"] == {"0": 0, "1": 1}
+    assert elapsed < 1.0, elapsed
+
+
+def test_cohomology_on_wide_exponent_spread_is_fast():
+    # a dense 9 x 9 block of ten-term entries with exponents in [0, 24]:
+    # packed ints of about 30000 bits, 0.07 s; the dict kernel takes 0.5 s
+    rng = random.Random(5)
+    rows = [{j: NovikovSeries([(e, rng.choice((1, -1)) * rng.randint(1, 3))
+                               for e in rng.sample(range(25), 10)], ring="Q")
+             for j in range(9)} for _ in range(9)]
+    assert _rank_at(rows, 9, Fraction(2)) == 9
+    c = _block_complex(rows, 9)
+    src = [(f"x{i}",) for i in range(9)]
+    dst = [(f"y{j}",) for j in range(9)]
+    assert _pack_block(ainfty._laurent_block(src, dst, c.differential)[0]) \
+        is not None
+    start = time.perf_counter()
+    coh = cohomology(c, ring="Q")
+    elapsed = time.perf_counter() - start
+    assert coh["total_rank"] == 0
+    assert elapsed < 0.3, elapsed
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from openstrings._poly import InexactDivision
 from openstrings.maslov import (
     ChartMismatch,
     DegenerateCrossing,
+    LagrangianPath,
     NonTransverseEndpoints,
     dual_path,
     make_path,
@@ -196,6 +197,91 @@ def test_equal_matrices_written_differently_give_equal_pieces():
     assert make_piece(0, 1, [[(Fraction(2, 4), 1, 0)]]) == make_piece(
         0, 1, [[[Fraction(1, 2), Fraction(3, 3)]]])
     assert make_piece(0, 1, [[()]]) == make_piece(0, 1, [[(0, 0)]])
+
+
+# coefficients a reader may meet: plain ints and "a"/"a/b" strings, read
+# directly, and everything else, read through Fraction(str(value))
+_COEFFICIENTS = [
+    0, 5, -12, 10 ** 30, "3", "-3", "+3", "007", "-0", "0/5", "6/4", "-6/4",
+    "6/-4", "1/0", "0/0", "3/", "/3", "", "-", " 3", "1_000", "\u0661",
+    "\u00b2", "3.5", "1e3", "-1/00", "1/007", True, None, 2.5, [1], "abc",
+    "1" * 5000, "1/" + "2" * 5000]
+
+
+def _reader_outcome(read, obj):
+    try:
+        out = read(obj)
+    except (ValueError, TypeError) as err:
+        return type(err).__name__, str(err)
+    if isinstance(out, LagrangianPath):
+        out = tuple((p.start, p.end, p.num, p.den) for p in out.pieces)
+    return out
+
+
+def _random_path_json(rng):
+    """A path file of one to three pieces, continuous or not, with faults
+    drawn independently: bad or reversed intervals, coefficients of every
+    kind in ``_COEFFICIENTS``, entries that are not lists, rows of the
+    wrong length, asymmetric matrices and a wrong ``n``."""
+    n = rng.randint(1, 3)
+    ends = sorted(rng.sample(range(-6, 7), rng.randint(2, 4)))
+    at = rng.choice(("0", "1/2", "-3"))
+    pieces = []
+    for t0, t1 in zip(ends, ends[1:]):
+        m = [[[rng.choice(("1", "-2", "1/3", 4, "6/4", "0"))
+               for _ in range(rng.randint(0, 2))] for _ in range(n)]
+             for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                m[i][j] = list(m[j][i])
+            for j in range(n):
+                # one value at every junction, so continuity holds
+                m[i][j][:1] = [at] if rng.random() < 0.9 else ["5"]
+                if m[i][j][1:]:
+                    m[i][j] = [at, "0"]
+        ends_json = [str(t0), str(t1)]
+        if rng.random() < 0.1:
+            ends_json.reverse()
+        if rng.random() < 0.05:
+            ends_json[0] = rng.choice(("1/0", "x", True))
+        if rng.random() < 0.15:
+            i, j = rng.randrange(n), rng.randrange(n)
+            m[i][j] = rng.choice((list(m[i][j]) + [rng.choice(_COEFFICIENTS)],
+                                  rng.choice(("1", 1, None, (1, 2)))))
+        if rng.random() < 0.05:
+            m[rng.randrange(n)].append(["1"])
+        if rng.random() < 0.05 and n > 1:
+            m[0][1] = [at, "7"]
+        piece = ({"interval": ends_json, "matrix": m} if rng.random() < 0.5
+                 else {"t0": ends_json[0], "t1": ends_json[1], "A": m})
+        pieces.append(piece)
+    obj = {"pieces": pieces}
+    if rng.random() < 0.2:
+        obj["n"] = rng.choice((n, n + 1))
+    return obj
+
+
+def test_pair_reader_matches_fraction_reader_on_coefficients():
+    for c in _COEFFICIENTS:
+        for entry in ([c], [c, "1/2"], ["1/2", c]):
+            obj = {"n": 1, "pieces": [{"t0": "0", "t1": "1", "A": [[entry]]}]}
+            assert _reader_outcome(path_from_json, obj) == _reader_outcome(
+                ref.fraction_path_from_json, obj), c
+
+
+def test_pair_reader_matches_fraction_reader_on_random_paths():
+    rng = random.Random(4040)
+    seen = set()
+    for _ in range(600):
+        obj = _random_path_json(rng)
+        want = _reader_outcome(ref.fraction_path_from_json, obj)
+        assert _reader_outcome(path_from_json, obj) == want, obj
+        seen.add(want[1] if isinstance(want[0], str) else "path")
+    assert {"path", "piece interval must have positive length",
+            "matrix is not square", "matrix is not symmetric",
+            "path is discontinuous at a junction"} <= seen
+    assert any("is not a list of numbers" in x for x in seen)
+    assert any("zero denominator" in x for x in seen)
 
 
 def test_path_file_n_must_match_the_matrix_size():
