@@ -9,7 +9,9 @@ structural instead of lazy, and keeps equality decidable.  A sum carries
 the minimum of the operand cutoffs and a product min(C_a + v(b),
 C_b + v(a)), so products of truncated series do not depend on their
 grouping.  A series stores its exponents as integer numerators over their
-least common denominator, so its arithmetic runs on Python ints.
+least common denominator, so its arithmetic runs on Python ints;
+:func:`invert` sums its geometric series on one table of integer
+numerators, scaled by D^K, and forms one ``Fraction`` per output term.
 
 The coefficient ring is a parameter: ``ring="Z"`` stores ints, ``ring="Q"``
 stores Fractions.  Rank computations downstream use Q; unit-pivot
@@ -446,7 +448,17 @@ def invert(a: NovikovSeries, cutoff: ExponentLike) -> NovikovSeries:
     unit of the coefficient ring (+-1 over Z, any nonzero rational over Q).
     If ``a`` is known only below its cutoff C, then ``b`` is known only
     below C - 2*valuation(a), and that is the cutoff ``b`` carries.
+
+    With a = lc t^v (1 + r), the geometric series sum (-r)^k runs
+    fraction-free on one table of integer numerators: -r is R / D, D the
+    lcm of its coefficients' denominators (1 over Z), and the k-th power
+    is kept as Q_k = R Q_(k-1) / D, an exact division, from Q_0 = D^K,
+    K the last power below the target.  Each output coefficient is one
+    ``Fraction``, over D^K lc.
     """
+    if not isinstance(a, NovikovSeries):
+        raise TypeError(
+            f"invert takes a NovikovSeries, got {type(a).__name__} {a!r}")
     cut = _as_exponent(cutoff)
     if a.is_zero():
         raise NotAUnit("cannot invert the zero series")
@@ -459,36 +471,43 @@ def invert(a: NovikovSeries, cutoff: ExponentLike) -> NovikovSeries:
     else:
         lc_inv = Fraction(1) / Fraction(lc)
 
-    # a = lc * t^v * (1 + r) with valuation(r) > 0; invert the unit part by
-    # the geometric series, which stabilizes below any fixed precision.
-    # Every term of r has a positive exponent, so a term of a power at or
-    # above the target only feeds terms at or above it: drop them at once.
     target = cut - v          # product must be 1 below this exponent
     body_cut = target - v     # equivalently: b's support lives below cut - 2v
-    one = NovikovSeries.one(a.ring)
-    n0 = a.pairs[0][0]
-    r = _canonical([(n - n0, c * lc_inv) for n, c in a.pairs], a.den,
-                   a.ring, None) - one
-    acc = power = one
-    if not r.is_zero():
-        minus_r = -r
-        step = r.valuation()
-        k = 1
-        while k * step < target:
-            p = minus_r * power
-            power = _canonical(_below(p.pairs, p.den, target), p.den,
-                               a.ring, None)
-            acc = acc + power
-            k += 1
+    # exponents are numerators over a.den; those below the target are
+    # the ones below lim
+    den, n0 = a.den, a.pairs[0][0]
+    lim = -(-target.numerator * den // target.denominator)
+    # -r = r_num / d; every term of r has a positive exponent, so a term
+    # of a power at or above the target only feeds terms at or above it:
+    # drop them at once, and stop after the last power below it (K)
+    minus_r = [(n - n0, -c * lc_inv) for n, c in a.pairs[1:]]
+    d = math.lcm(*(c.denominator for _, c in minus_r))
+    r_num = [(n, c.numerator * (d // c.denominator)) for n, c in minus_r]
+    last = max(0, (lim - 1) // r_num[0][0]) if r_num else 0
+    scale = d ** last
+    power = {0: scale}
+    acc = dict(power)
+    for _ in range(last):
+        prod: dict[int, int] = {}
+        for n2, c2 in power.items():
+            for n1, c1 in r_num:
+                n = n1 + n2
+                if n >= lim:
+                    break
+                prod[n] = prod.get(n, 0) + c1 * c2
+        power = {n: c // d for n, c in prod.items() if c}
+        for n, c in power.items():
+            acc[n] = acc.get(n, 0) + c
     # a is known below a.cutoff, so 1 + r below a.cutoff - v, and b below
     # a.cutoff - 2v
     known = None if a.cutoff is None else a.cutoff - 2 * v
     bound = body_cut if known is None else min(body_cut, known)
-    # b = t^-v acc / lc over a.den: the exponents of r, so those of acc,
-    # are multiples of 1/a.den
-    scale = a.den // acc.den
-    terms = [(n * scale - n0, c * lc_inv) for n, c in acc.pairs]
-    return _canonical(_below(terms, a.den, bound), a.den, a.ring, known)
+    # b = t^-v acc / (D^K lc)
+    num, dnm = lc_inv.numerator, scale * lc_inv.denominator
+    pairs = sorted((n - n0, c * num) for n, c in acc.items() if c)
+    if a.ring == "Q":
+        pairs = [(n, Fraction(c, dnm)) for n, c in pairs]
+    return _canonical(_below(pairs, den, bound), den, a.ring, known)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,11 @@ the library's own.
   terms at or above the target are dropped only at the end.  The one
   change is the cutoff of the result, which is the corrected rule
   ``a.cutoff - 2*valuation(a)``.  It runs on the library's operations.
+- ``truncated_invert`` is the version from before the geometric series
+  ran on one integer numerator table: every power is a
+  ``NovikovSeries``, with ``Fraction`` coefficients over Q, cut at the
+  target and canonicalized at each step.  It runs on the library's
+  operations and builders.
 - ``parse_series`` and ``format_series`` are the literal parser and
   printer from before series stored integer exponents: every number is
   read with ``Fraction(str)``, the series is built by ``fraction_series``,
@@ -31,8 +36,8 @@ import re
 from fractions import Fraction
 
 from openstrings.novikov import (NotAUnit, NovikovSeries, ParseError,
-                                 _as_exponent, _check_coeff, _check_ring,
-                                 _new_series)
+                                 _as_exponent, _below, _canonical,
+                                 _check_coeff, _check_ring, _new_series)
 
 
 def fraction_series(terms=(), ring: str = "Z", cutoff=None) -> NovikovSeries:
@@ -145,6 +150,42 @@ def invert(a: NovikovSeries, cutoff) -> NovikovSeries:
     return fraction_series(tuple(t for t in shifted.terms if t[0] < body_cut),
                            ring=a.ring, cutoff=known)
 
+
+def truncated_invert(a: NovikovSeries, cutoff) -> NovikovSeries:
+    cut = _as_exponent(cutoff)
+    if a.is_zero():
+        raise NotAUnit("cannot invert the zero series")
+    v = a.valuation()
+    lc = a.leading_coefficient()
+    if a.ring == "Z":
+        if lc not in (1, -1):
+            raise NotAUnit(f"leading coefficient {lc} is not a unit of Z")
+        lc_inv = lc
+    else:
+        lc_inv = Fraction(1) / Fraction(lc)
+
+    target = cut - v
+    body_cut = target - v
+    one = NovikovSeries.one(a.ring)
+    n0 = a.pairs[0][0]
+    r = _canonical([(n - n0, c * lc_inv) for n, c in a.pairs], a.den,
+                   a.ring, None) - one
+    acc = power = one
+    if not r.is_zero():
+        minus_r = -r
+        step = r.valuation()
+        k = 1
+        while k * step < target:
+            p = minus_r * power
+            power = _canonical(_below(p.pairs, p.den, target), p.den,
+                               a.ring, None)
+            acc = acc + power
+            k += 1
+    known = None if a.cutoff is None else a.cutoff - 2 * v
+    bound = body_cut if known is None else min(body_cut, known)
+    scale = a.den // acc.den
+    terms = [(n * scale - n0, c * lc_inv) for n, c in acc.pairs]
+    return _canonical(_below(terms, a.den, bound), a.den, a.ring, known)
 
 _TERM_RE = re.compile(
     r"(?P<coeff>\d+(?:/\d+)?)?t\^(?P<exp>-?\d+(?:/\d+)?)$|(?P<const>\d+(?:/\d+)?)$"

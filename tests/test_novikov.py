@@ -206,6 +206,106 @@ class TestInversion:
         assert len(inv.terms) == 391
         assert elapsed < 1.0, elapsed
 
+    def test_invert_over_q_is_fraction_free_fast(self):
+        # the heaviest Q shape of the combinatorics deck: 29 powers of r,
+        # whose coefficient denominators multiply up at every step
+        a = parse_series("3t^1/2 - t^17/30 + 2t^5/6 - 3t^5/4", ring="Q")
+        cutoff = Fraction(5, 2)
+        start = time.perf_counter()
+        inv = invert(a, cutoff)
+        elapsed = time.perf_counter() - start
+        window = cutoff - valuation(a)
+        assert all(e >= window for e, _ in (a * inv - 1).terms)
+        assert elapsed < 0.25, elapsed
+
+    @pytest.mark.parametrize("value", ["t^0", 1, None])
+    def test_invert_takes_a_series(self, value):
+        with pytest.raises(TypeError) as exc:
+            invert(value, 2)
+        assert str(exc.value) == (f"invert takes a NovikovSeries, got "
+                                  f"{type(value).__name__} {value!r}")
+
+    def test_invert_matches_truncated_reference(self):
+        seen = assert_invert_matches_reference(0, 400)
+        assert seen == _INVERT_CASES, seen
+
+
+# invert against the truncated geometric series on NovikovSeries powers
+# that it replaced (ref.truncated_invert)
+
+_INVERT_CASES = {"Z", "Q", "series", "monomial", "zero", "cut", "low target",
+                 "coprime", "inverse", "NotAUnit"}
+_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _invert_case(rng):
+    """A seeded (series, cutoff) for invert and the case labels it covers:
+    negative and fractional valuations, non-unit leads over Z, the zero
+    series, monomials, cutoffs on the series, targets at or below the
+    valuation and, over Q, coefficients with pairwise coprime
+    denominators."""
+    ring = rng.choice(("Z", "Q"))
+    labels = {ring}
+    v = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6)))
+    kind = rng.randrange(12)
+    if kind == 0:
+        a = NovikovSeries.zero(ring=ring)
+        labels.add("zero")
+    else:
+        if ring == "Z":
+            lead = rng.choice((2, -3, 4) if kind == 1 else (1, -1))
+        else:
+            lead = Fraction(rng.choice((1, -1)) * rng.randint(1, 9),
+                            rng.randint(1, 7))
+        gaps = sorted({Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4, 6, 12)))
+                       for _ in range(0 if kind == 2 else rng.randint(1, 5))})
+        labels.add("monomial" if not gaps else "series")
+        if ring == "Q" and gaps and rng.random() < 0.3:
+            dens = rng.sample(_PRIMES, len(gaps))
+            labels.add("coprime")
+        else:
+            dens = [rng.randint(1, 7) if ring == "Q" else 1 for _ in gaps]
+        terms = [(v, lead)] + [
+            (v + g, Fraction(rng.choice((1, -1)) * rng.randint(1, 9), q))
+            for g, q in zip(gaps, dens)]
+        if ring == "Z":
+            terms = [(e, int(c)) for e, c in terms]
+        a = NovikovSeries(terms, ring=ring)
+    if rng.random() < 0.3:
+        a = a.restrict(v + Fraction(rng.randint(0, 12), 4))
+        labels.add("cut")
+    if rng.random() < 0.15:
+        cutoff = v + Fraction(rng.randint(-8, 0), 4)
+        labels.add("low target")
+    else:
+        cutoff = v + Fraction(rng.randint(1, 16), 4)
+    return a, cutoff, labels
+
+
+def _inverted(fn, a, cutoff):
+    """``fn(a, cutoff)`` as (pairs, den, cutoff, coefficient types), or the
+    text of the NotAUnit it raises."""
+    try:
+        b = fn(a, cutoff)
+    except NotAUnit as exc:
+        return ("NotAUnit", str(exc))
+    return (b.pairs, b.den, b.ring, b.cutoff, [type(c) for _, c in b.pairs])
+
+
+def assert_invert_matches_reference(seed, n):
+    """Check invert against ref.truncated_invert on ``n`` seeded series:
+    equal pairs, denominators, cutoffs, coefficient types and NotAUnit
+    texts.  Returns the case labels drawn and the outcomes seen."""
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(n):
+        a, cutoff, labels = _invert_case(rng)
+        got = _inverted(invert, a, cutoff)
+        assert got == _inverted(ref.truncated_invert, a, cutoff), (
+            repr(a), cutoff)
+        seen |= labels | {"NotAUnit" if got[0] == "NotAUnit" else "inverse"}
+    return seen
+
 
 class TestLiterals:
     def test_round_trip_random(self):
