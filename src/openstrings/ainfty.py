@@ -23,7 +23,6 @@ from ._poly import InexactDivision  # noqa: F401
 from ._poly import (_bareiss_entry, _bareiss_rows, _lead, _pack_block,
                     _packed_entry, _valuation)
 from .novikov import NovikovSeries, _check_ring, format_series, parse_series
-from .polytopes import _compositions, assoc_facet_parity
 
 __all__ = [
     "DegreeViolation",
@@ -767,6 +766,8 @@ def symbolic_delta_squared(l: int, q_max: int,
     perturbs the three factors of the sign exponent q*w + i*w + i; any
     zeroed factor has to be reported as a failure.
     """
+    from .polytopes import assoc_facet_parity
+
     disjoint_pairs: Dict[tuple, list] = {}
     nested_groups: Dict[tuple, list] = {}
     for q0 in range(2, q_max + 1):
@@ -1295,6 +1296,8 @@ def composition_sign_identity(q_max: int = 4) -> dict:
     (``_composition_holds``).  q_max = 4 already decides every q
     (``_composition_certified``).
     """
+    from .polytopes import _compositions
+
     failures = []
     cases = 0
     for q in range(1, q_max + 1):

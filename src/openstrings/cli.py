@@ -5,6 +5,10 @@ prints one report.  Reports are canonical JSON by default (sorted keys,
 no whitespace) so identical inputs give byte-identical output; ``--text``
 switches to a short human-readable rendering.  Exit status is 0 for a
 passing report, 1 for a failing report, and 2 for input errors.
+
+Every call is a fresh interpreter, so each handler imports only the
+library modules it runs: ``import openstrings.cli`` itself loads
+``_json``, ``argparse`` and ``json``, and no library module.
 """
 
 from __future__ import annotations
@@ -13,12 +17,6 @@ import argparse
 import json
 import sys
 
-from . import ainfty as _ai
-from . import conductors as _cond
-from . import maslov as _mas
-from . import morse as _mor
-from . import novikov as _nov
-from . import polytopes as _pol
 from ._json import _json_list, _json_object
 
 PASS = 0
@@ -58,6 +56,7 @@ def _report_ok(report: dict) -> bool:
 
 
 def _cmd_polytope(args) -> int:
+    from . import polytopes as _pol
     family = _FAMILY[args.family]
     if args.faces:
         faces = _pol.enumerate_faces(family, args.l)
@@ -92,6 +91,7 @@ def _cmd_polytope(args) -> int:
 
 
 def _cmd_novikov(args) -> int:
+    from . import novikov as _nov
     cutoff = None if args.cutoff is None else _nov._rational(args.cutoff, "cutoff")
     a = _nov.parse_series(args.expr, ring=args.ring, cutoff=cutoff)
     val = str(_nov.valuation(a)) if a else None
@@ -101,6 +101,7 @@ def _cmd_novikov(args) -> int:
 
 
 def _cmd_maslov(args) -> int:
+    from . import maslov as _mas
     obj = _load_json(args.file)
     path = _mas.path_from_json(obj)
     if "reference" in obj:
@@ -135,17 +136,6 @@ def _part(bundle, key: str):
     return bundle[key]
 
 
-def _complex(bundle, key: str) -> "_ai.FloerComplex":
-    return _ai.assemble_differential(_ai.datum_from_json(_part(bundle, key)))
-
-
-def _entries(bundle, key: str, ring: str, kind: str = "H") -> "_ai.MapDatum":
-    """The map whose ``kind`` entries are the bundle's list ``key``."""
-    _part(bundle, key)
-    return _ai.map_from_json({kind: _json_list(bundle, key, "bundle")},
-                             ring=ring)
-
-
 def _kv_text(report: dict) -> str:
     parts = []
     for k in sorted(report):
@@ -158,45 +148,58 @@ def _kv_text(report: dict) -> str:
 
 
 def _cmd_ainfty(args) -> int:
+    from . import ainfty as _ai
     obj = _load_json(args.file)
+
+    def _complex(key: str) -> "_ai.FloerComplex":
+        return _ai.assemble_differential(_ai.datum_from_json(_part(obj, key)))
+
+    def _entries(key: str, ring: str, kind: str = "H") -> "_ai.MapDatum":
+        """The map whose ``kind`` entries are the bundle's list ``key``."""
+        _part(obj, key)
+        return _ai.map_from_json({kind: _json_list(obj, key, "bundle")},
+                                 ring=ring)
+
     if args.action == "check":
         report = _ai.check_a_infinity(_ai.datum_from_json(obj))
     elif args.action == "map":
-        source = _complex(obj, "source")
-        target = _complex(obj, "target")
-        h = _entries(obj, "map", source.datum.ring)
+        source = _complex("source")
+        target = _complex("target")
+        h = _entries("map", source.datum.ring)
         report = _ai.check_chain_map(target, source, h)
     elif args.action == "homotopy":
-        source = _complex(obj, "source")
-        target = _complex(obj, "target")
+        source = _complex("source")
+        target = _complex("target")
         ring = source.datum.ring
         report = _ai.check_homotopy(
-            target, source, _entries(obj, "h0", ring),
-            _entries(obj, "h1", ring), _entries(obj, "k", ring, kind="K"))
+            target, source, _entries("h0", ring),
+            _entries("h1", ring), _entries("k", ring, kind="K"))
     elif args.action == "compose":
-        c0 = _complex(obj, "c0")
-        c1 = _complex(obj, "c1")
-        c2 = _complex(obj, "c2")
+        c0 = _complex("c0")
+        c1 = _complex("c1")
+        c2 = _complex("c2")
         ring = c0.datum.ring
         report = _ai.check_composition(
-            c0, c1, c2, _entries(obj, "h01", ring), _entries(obj, "h12", ring))
+            c0, c1, c2, _entries("h01", ring), _entries("h12", ring))
     else:  # augment
-        c = _complex(obj, "datum")
+        c = _complex("datum")
         a = _ai.augmentation_from_json(_part(obj, "augmentation"),
                                        ring=c.datum.ring)
         push = None
         if "map" in obj or "source" in obj:
-            push = (_complex(obj, "source"),
-                    _entries(obj, "map", c.datum.ring))
+            push = (_complex("source"),
+                    _entries("map", c.datum.ring))
         report = _ai.check_augmentation(c, a, push)
     _emit(report, _kv_text(report), args.text)
     return PASS if _report_ok(report) else FAIL
 
 
 def _cmd_floer_hf(args) -> int:
+    from . import ainfty as _ai
     obj = _load_json(args.file)
     ring = "Q" if args.rational else "Z"
     if isinstance(obj, dict) and "points" in obj:
+        from . import morse as _mor
         datum = _mor.build_floer_complex(_mor.morse_datum_from_json(obj))
     else:
         datum = _ai.datum_from_json(obj)
@@ -208,6 +211,7 @@ def _cmd_floer_hf(args) -> int:
 
 
 def _cmd_floer_sphere(args) -> int:
+    from . import ainfty as _ai, morse as _mor, novikov as _nov
     datum = _mor.sphere_fixture(args.n)
     sub = _ai.pair_subcomplex(datum, 0, 1)
     coh = _ai.cohomology(_ai.assemble_differential(sub), ring="Z")
@@ -237,6 +241,7 @@ def _cmd_floer_sphere(args) -> int:
 
 
 def _cmd_sft(args) -> int:
+    from . import morse as _mor
     try:
         m = tuple(int(x) for x in args.m.split(","))
     except ValueError:
@@ -250,6 +255,7 @@ def _cmd_sft(args) -> int:
 
 
 def _cmd_conductor(args) -> int:
+    from . import conductors as _cond
     obj = _load_json(args.file)
     h = _cond.continuation_from_json(_json_object(_part(obj, "h"), "h"))
     k = _cond.continuation_from_json(_json_object(_part(obj, "k"), "k"))
@@ -408,6 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _parse_error():
+    """``novikov.ParseError``, or no class at all while ``novikov`` is not
+    loaded: only a loaded ``novikov`` raises one, and ``main`` need not
+    import it to tell."""
+    nov = sys.modules.get("openstrings.novikov")
+    return () if nov is None else nov.ParseError
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _read(argv) or build_parser().parse_args(argv)
@@ -417,7 +431,7 @@ def main(argv=None) -> int:
         sys.stderr.write(
             f"parse error at line {e.lineno}, column {e.colno}: {e.msg}\n")
         return BAD_INPUT
-    except _nov.ParseError as e:
+    except _parse_error() as e:
         sys.stderr.write(f"parse error: {e}\n")
         return BAD_INPUT
     except OSError as e:

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ._json import _json_field, _json_id, _json_int, _json_list, _json_object
-from .ainfty import AInftyDatum, Generator, TensorEntry
 from .novikov import NovikovSeries, _rational
+
+if TYPE_CHECKING:  # imported at run time by build_floer_complex only
+    from .ainfty import AInftyDatum
 
 __all__ = [
     "NotAComplex",
@@ -119,6 +122,8 @@ def build_floer_complex(d: MorseDatum) -> AInftyDatum:
     datum has three labels and every point appears once per pair, with
     the triples as the products between the (0,1) and (1,2) copies.
     """
+    from .ainfty import AInftyDatum, Generator, TensorEntry
+
     pts = _point_map(d)
     _check_square_zero(d, pts)
     actions = [pts[f.src].value - pts[f.dst].value for f in d.flows]

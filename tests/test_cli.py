@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -1367,3 +1368,173 @@ def test_module_entry_point():
          "--l", "5"], capture_output=True, text=True)
     assert proc.returncode == PASS
     assert proc.stdout == "[14,21,9]\n"
+
+
+# ---------------------------------------------------------------------------
+# fresh processes: every call is a new interpreter, so each subcommand
+# imports only the library modules it runs
+
+
+_BASE_MODULES = {"openstrings", "openstrings.cli", "openstrings._json"}
+
+_AINFTY_MODULES = {"ainfty", "novikov", "_poly"}
+# what a command that reads a file loads besides ``_BASE_MODULES``;
+# ``floer hf`` loads ``morse`` too on points
+_FILE_LOADS = {"maslov": {"maslov", "_poly"}, "ainfty": _AINFTY_MODULES,
+               "floer": _AINFTY_MODULES, "conductor": {"conductors"}}
+
+
+def _one_request_each(folder):
+    """(argv, modules): one well-formed request per subcommand, and
+    ``floer hf`` on a datum and on points, with the ``openstrings`` modules
+    one run of it loads.  A command that reads a file runs on its first
+    bundle of ``_sweep_bundles``, written to ``folder``."""
+    requests = [
+        (("polytope", "assoc", "--l", "5", "--boundary-check"),
+         {"polytopes", "_poly"}),
+        (("novikov", "eval", "2t^1/2 - t^3", "--ring", "Q"), {"novikov"}),
+        (("floer", "sphere", "--n", "3"), {"morse"} | _AINFTY_MODULES),
+        (("sft", "bound", "--n", "5", "--g", "3", "--v", "4",
+          "--m", "2,1,3,1"), {"morse", "novikov"}),
+    ]
+    seen = set()
+    for k, (command, bundle) in enumerate(_sweep_bundles()):
+        points = "points" in bundle
+        if (command, points) in seen:
+            continue
+        seen.add((command, points))
+        path = write(folder, f"{k}.json", bundle)
+        # over Z the chain datum meets a non-unit pivot
+        rational = ("--rational",) if command == ("floer", "hf") else ()
+        requests.append(((*command, path, *rational),
+                         _FILE_LOADS[command[0]] | (
+                             {"morse"} if points else set())))
+    return [(argv, _BASE_MODULES | {f"openstrings.{m}" for m in modules})
+            for argv, modules in requests]
+
+
+_LOADED_BY = """\
+import contextlib, io, json, sys
+argv = sys.argv[1:]
+import openstrings.cli
+code = None
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = openstrings.cli.main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] == "openstrings")]))
+"""
+
+
+def _fresh_loaded(*argv):
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv],
+                          env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    return code, set(modules)
+
+
+def test_import_of_cli_loads_no_library_module():
+    assert _fresh_loaded() == (None, _BASE_MODULES)
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path):
+    requests = _one_request_each(tmp_path)
+    assert len(requests) == 13  # every leaf, and floer hf on both inputs
+    for argv, expected in requests:
+        code, modules = _fresh_loaded(*argv)
+        assert code in (PASS, FAIL), argv
+        assert modules == expected, argv
+
+
+_NO_IMPORTS = """\
+import contextlib, io, json, sys
+from fractions import Fraction
+# LAYER_MODULES of bench/run.py, which imports them before it forks a job
+from openstrings import (ainfty, cli, conductors, maslov, morse, novikov,
+                         polytopes)
+with open(sys.argv[1], encoding="utf-8") as fh:
+    argvs, bundle = json.load(fh)
+before = set(sys.modules)
+codes = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+c, cp = (ainfty.assemble_differential(ainfty.datum_from_json(bundle[key]))
+         for key in ("target", "source"))
+h1 = ainfty.homotopic_map(c, cp, ainfty.map_from_json({"H": bundle["h0"]}),
+                          ainfty.map_from_json({"K": bundle["k"]}))
+inverse = novikov.invert(novikov.parse_series("3 - t^1/2", ring="Q"),
+                         Fraction(4))
+print(json.dumps([codes, len(h1.h), novikov.format_series(inverse),
+                  sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_no_job_imports_a_module(tmp_path):
+    # a process that has imported every layer module, as the benchmark
+    # does before it forks, imports nothing more (stdlib included) to run
+    # any subcommand, homotopic_map or invert
+    homotopy = dict(_sweep_bundles())[("ainfty", "homotopy")]
+    path = write(tmp_path, "jobs.json", [
+        [argv for argv, _ in _one_request_each(tmp_path)], homotopy])
+    proc = subprocess.run([sys.executable, "-c", _NO_IMPORTS, path],
+                          env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, entries, inverse, added = json.loads(proc.stdout)
+    assert len(codes) == 13 and set(codes) <= {PASS, FAIL}, codes
+    assert entries > 0 and inverse.startswith("1/3")
+    assert added == []
+
+
+def _fresh_cases(rng, n, folder):
+    """(argv, note) for ``assert_fresh_process_matches``: each bundle of
+    ``_sweep_bundles`` and ``n`` mutations of it, then the error paths."""
+    cases = []
+    for k, (command, bundle) in enumerate(_sweep_bundles()):
+        for m, obj in enumerate([bundle] + [_mutated(rng, bundle)
+                                            for _ in range(n)]):
+            cases.append(((*command, write(folder, f"{k}-{m}.json", obj)),
+                          obj))
+    bad_series = dict(_sweep_bundles())[("ainfty", "check")]
+    bad_series = dict(bad_series, tensors=[
+        dict(bad_series["tensors"][0], coeff="2 + t"),
+        *bad_series["tensors"][1:]])
+    malformed = folder / "malformed.json"
+    malformed.write_text('{"labels": ')
+    return cases + [
+        (("ainfty", "check", write(folder, "series.json", bad_series)),
+         "parse error"),
+        (("novikov", "eval", "t^1/0"), "zero denominator"),
+        (("polytope", "assoc", "--l", "-1"), "negative l"),
+        (("conductor", "exact", str(folder / "missing.json")), "missing file"),
+        (("floer", "hf", str(malformed)), "invalid JSON"),
+        (("--help",), "help"),
+        (("polytope", "assoc", "--l", "5", "--bogus"), "unknown option")]
+
+
+def assert_fresh_process_matches(seed, n):
+    """``python -m openstrings.cli`` in a fresh interpreter gives the
+    (exit code, stdout, stderr) of the in-process ``run`` on every bundle
+    of ``_sweep_bundles``, ``n`` seeded mutations of each and the error
+    paths of ``_fresh_cases``.  Returns the exit codes seen."""
+    rng = random.Random(seed)
+    codes = set()
+    # argparse wraps help and usage to the terminal: one width for both
+    with tempfile.TemporaryDirectory() as folder, \
+            pytest.MonkeyPatch.context() as mp:
+        width = {"COLUMNS": "80", "LINES": "24"}
+        for key, value in width.items():
+            mp.setenv(key, value)
+        for argv, note in _fresh_cases(rng, n, Path(folder)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "openstrings.cli", *argv],
+                env=child_env(**width), capture_output=True, text=True)
+            fresh = (proc.returncode, proc.stdout, proc.stderr)
+            assert fresh == run(*argv), (argv, note)
+            codes.add(fresh[0])
+    return codes
+
+
+def test_fresh_process_matches_in_process_run():
+    assert assert_fresh_process_matches(seed=0, n=2) == {PASS, FAIL, BAD_INPUT}
