@@ -11,6 +11,7 @@ __all__ = [
     "polytopes",
     "maslov",
     "ainfty",
+    "signs",
     "morse",
     "conductors",
     "cli",

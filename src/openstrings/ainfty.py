@@ -4,9 +4,8 @@ Complexes are spanned by composable chains of generators with Novikov
 series coefficients.  The differential is assembled from structure
 tensors with explicit combinatorial signs; evaluation of a tensor block
 acting inside a chain follows the graded (Koszul) rule, each block
-picking up the parity of the indices to its left.  The module also
-carries the symbolic side: exponent-arithmetic certificates that the
-sign conventions the concrete code calls cancel as the checks assume.
+picking up the parity of the indices to its left.  The certificates
+that these sign rules cancel as the checks assume are in ``signs``.
 """
 from __future__ import annotations
 
@@ -36,7 +35,6 @@ __all__ = [
     "Augmentation",
     "assemble_differential",
     "check_a_infinity",
-    "symbolic_delta_squared",
     "validate_axioms_A",
     "identity_continuation",
     "assemble_continuation",
@@ -46,9 +44,6 @@ __all__ = [
     "check_homotopy",
     "compose_continuations",
     "check_composition",
-    "composition_sign_identity",
-    "check_consistency_continuation",
-    "check_consistency_homotopy",
     "extend_augmentation",
     "check_augmentation",
     "euler_characteristic",
@@ -289,7 +284,7 @@ def _entry_report(a: Matrix, limit: int = 16) -> List[dict]:
 
 # ---------------------------------------------------------------------------
 # sign rules: each exponent is stated once, here, and both the assemblers
-# and the symbolic certificates call it
+# and the symbolic certificates (``signs``) call it
 
 
 def _delta_exp(q, w, i, mutation=(1, 1, 1)):
@@ -316,14 +311,15 @@ def _dd_slot(q: int, w: int, s: int, m: int) -> int:
     Proof.  A composite of d d is an arity-w2 tensor in slot i2 of a word
     of Q factors, then an arity-w1 tensor in slot s of the result.  When
     the blocks are disjoint the two orders cancel (the disjoint pairs of
-    ``symbolic_delta_squared``; each graded factor moves by the parity of
-    the other block's arity, since a block's output index is its inputs'
-    sum plus 2 - w, which an odd d keeps mod 2).  Otherwise the inner
-    block sits at j = i2 - s + 1 inside the outer one, and the composite
-    is the D1 term of the outer tensor (signed by ``_delta_exp(w1, w1,
-    1)`` = 1) with the inner one in its slot j (``_d_slot(w1, w2, j)``
-    plus w2 times the index sum m' left of j in the block), spliced into
-    slot s as an arity-L piece, L = w1 + w2 - 1, q = Q - L + 1.  Its word
+    ``signs.symbolic_delta_squared``; each graded factor moves by the
+    parity of the other block's arity, since a block's output index is
+    its inputs' sum plus 2 - w, which an odd d keeps mod 2).  Otherwise
+    the inner block sits at j = i2 - s + 1 inside the outer one, and the
+    composite is the D1 term of the outer tensor (signed by
+    ``_delta_exp(w1, w1, 1)`` = 1) with the inner one in its slot j
+    (``_d_slot(w1, w2, j)`` plus w2 times the index sum m' left of j in
+    the block), spliced into slot s as an arity-L piece, L = w1 + w2 - 1,
+    q = Q - L + 1.  Its word
     basis exponent is ``_d_slot(Q - w2 + 1, w2, i2)`` + w2 (m + m') +
     ``_d_slot(q, w1, s)`` + w1 m, and with ``_delta_exp`` = qw + i(w - 1)
     both ``_d_slot`` sums reduce to Q(w1 + w2) + s(w1 + w2) + w1 + w2
@@ -358,46 +354,6 @@ def _split_parity(arities, mus) -> int:
         left += sum(mus[pos:pos + w])
         pos += w
     return exp % 2
-
-
-def _homotopy_parity(arities, mus, p) -> int:
-    """Exponent of a homotopy term on a chain with factor indices ``mus``
-    cut into blocks of the given arities (w_1 .. w_r), block ``p`` (from 0)
-    a homotopy block and the others continuation blocks:
-    r + ``_split_parity`` + sum_{j<p} (w_j-1) + the index sum of the
-    factors left of block ``p``."""
-    width = sum(arities[:p])
-    return (len(arities) + _split_parity(arities, mus) + width - p
-            + sum(mus[:width])) % 2
-
-
-def _pair_parity(arities, mus, p, q) -> int:
-    """Exponent of a fan-in term with two odd blocks, ``p`` < ``q`` (from
-    0), among blocks of the given arities on a chain with factor indices
-    ``mus``: ``_split_parity`` plus, for each of the two, the sum of
-    (w_j - 1) over the blocks to its left and the index sum of the
-    factors to its left, the part of ``_homotopy_parity`` a placed block
-    adds (its r is added twice)."""
-    at = list(itertools.accumulate(arities, initial=0))
-    return (_split_parity(arities, mus) + at[p] - p + sum(mus[:at[p]])
-            + at[q] - q + sum(mus[:at[q]])) % 2
-
-
-def _defect_parity(arities, mus, p) -> int:
-    """Exponent of a term of d F - F d' on a chain with factor indices
-    ``mus`` cut into blocks of the given arities, F the fan-in of a
-    continuation's components and d, d' odd: block ``p`` an entry of the
-    one-output component D1 (``_chain_defect``), the others components of
-    F.  It is ``_homotopy_parity`` + 1: d F - F d' is an odd coderivation
-    along F, as the homotopy fan-in framed by F is, and that fan-in signs
-    a block on its own output by ``_homotopy_parity([w], ., 0)`` = 1,
-    where the defect keeps D1 as it is.  So d F - F d' is the fan-in of
-    -D1 framed by F, as ``check_chain_map`` builds it.  Each term of F
-    then d (an arity-m tensor on m consecutive outputs of F) and of d'
-    then F (a tensor inside one block of F) is one such term, and the
-    exponents agree on every cut and index pattern (an exhaustive
-    test)."""
-    return (_homotopy_parity(arities, mus, p) + 1) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +402,16 @@ def _fan_in(components, gens, k=None, after=None, longest=None, *,
     glued chain.  With ``k`` and ``after`` (a homotopy framed by two
     continuations) one factor takes a component of ``k``, the factors to
     its left components of ``components`` and those to its right
-    components of ``after``, signed by ``_homotopy_parity``; terms are
-    listed by the position of that factor, then as ``itertools.product``
-    lists the choices.  With ``then`` and ``last`` a second such factor,
-    right of the first, takes a component of ``then`` and the factors
-    right of it components of ``last``, signed by ``_pair_parity``.  With
-    ``odd`` false the one ``k`` block is signed as a continuation block,
-    by ``_split_parity``.  A glued chain longer than ``longest`` is
-    skipped.  With ``annotated`` the tables are given as ``_annotated``
-    returns them.
+    components of ``after``, signed by the homotopy exponent (its closed
+    form is ``signs._homotopy_parity``); terms are listed by the position
+    of that factor, then as ``itertools.product`` lists the choices.  With
+    ``then`` and ``last`` a second such factor, right of the first, takes
+    a component of ``then`` and the factors right of it components of
+    ``last``, signed by the two-block exponent (its closed form is
+    ``signs._pair_parity``).  With ``odd`` false the one ``k`` block is
+    signed as a continuation block, by ``_split_parity``.  A glued chain
+    longer than ``longest`` is skipped.  With ``annotated`` the tables are
+    given as ``_annotated`` returns them.
 
     A word's terms extend its prefix's by the last factor's components:
     one product per term, shared by every word with that prefix, whose
@@ -465,8 +422,8 @@ def _fan_in(components, gens, k=None, after=None, longest=None, *,
     of its chain: appending an arity-a block to a chain of length L adds
     L - r, and M when a is even, to ``_split_parity``, which signs the
     first block itself.  Placing an odd special block adds the fixed part
-    L - r + M of ``_homotopy_parity`` (its width - p and the index sum to
-    its left); r is added once per special block when the term is
+    L - r + M of the homotopy exponent (its width - p and the index sum
+    to its left); r is added once per special block when the term is
     read."""
     def first(parts):
         return [(inputs, cf, _split_parity((len(inputs),),
@@ -582,12 +539,13 @@ def _targets(parts):
 # on exact data extends its components over the words, with no composite
 # and no differential: d d is its component D1 spliced into every slot
 # (``_dd_slot``), d F - F d' the fan-in of -D1 framed by F
-# (``_defect_parity``), and F0 - F1 - [d, K] the fan-in of its D1 framed
-# by F0 and F1 plus the two-block terms of K and the chain-map defects
-# (``_pair_parity``).  ``homotopic_map`` solves its far end from the
-# one-output component of F0 - [d, K], read term by term off the same
-# sums under any modulus, and ``check_composition`` decides F(h12 h01) =
-# F(h12) F(h01) on a certificate of its sign identity
+# (the sign whose closed form is ``signs._defect_parity``), and
+# F0 - F1 - [d, K] the fan-in of its D1 framed by F0 and F1 plus the
+# two-block terms of K and the chain-map defects (the sign whose closed
+# form is ``signs._pair_parity``).  ``homotopic_map`` solves its far
+# end from the one-output component of F0 - [d, K], read term by term off
+# the same sums under any modulus, and ``check_composition`` decides
+# F(h12 h01) = F(h12) F(h01) on a certificate of its sign identity
 # (``_composition_certified``); neither builds words.  The word basis and
 # its composites are built for the rest: an odd modulus (for the
 # composition, of the middle complex), a given basis or differential, a
@@ -751,90 +709,6 @@ def check_a_infinity(d: AInftyDatum) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# symbolic certificate for the squared differential
-
-
-def symbolic_delta_squared(l: int, q_max: int,
-                           mutation: Tuple[int, int, int] = (1, 1, 1)) -> dict:
-    """Expand the squared differential over formal arity symbols.
-
-    Ordered composites with disjoint supports must cancel in pairs once
-    the graded commutation factor (-1)^(w1*w2) is applied; nested
-    composites group by (source cardinality, outer slot, composite
-    arity) and, after dividing out the facet parity of the composite's
-    boundary cell, must all carry one uniform group sign.  ``mutation``
-    perturbs the three factors of the sign exponent q*w + i*w + i; any
-    zeroed factor has to be reported as a failure.
-    """
-    from .polytopes import assoc_facet_parity
-
-    disjoint_pairs: Dict[tuple, list] = {}
-    nested_groups: Dict[tuple, list] = {}
-    for q0 in range(2, q_max + 1):
-        for w2 in range(1, min(l, q0) + 1):
-            q1 = q0 - w2 + 1
-            for i2 in range(1, q1 + 1):
-                inner_exp = _delta_exp(q0, w2, i2, mutation)
-                for w1 in range(1, min(l, q1) + 1):
-                    for i1 in range(1, q1 - w1 + 2):
-                        exp = (inner_exp + _delta_exp(q1, w1, i1, mutation)) % 2
-                        if i1 <= i2 <= i1 + w1 - 1:
-                            j = i2 - i1 + 1
-                            key = (q0, i1, w1 + w2 - 1)
-                            nested_groups.setdefault(key, []).append(
-                                (w1, w2, j, exp))
-                        else:
-                            # outer slot in source coordinates
-                            orig = i1 + (w2 - 1 if i2 < i1 else 0)
-                            blocks = tuple(sorted([(orig, w1), (i2, w2)]))
-                            disjoint_pairs.setdefault((q0, blocks), []).append(
-                                (w1, w2, exp, i2 >= i1 + w1))
-    failures: List[dict] = []
-    for (q0, blocks), members in sorted(disjoint_pairs.items()):
-        if len(members) != 2:
-            failures.append({"kind": "disjoint", "key": [q0, list(blocks)],
-                             "reason": f"expected 2 composites, got {len(members)}"})
-            continue
-        (w1a, w2a, expa, _), (w1b, w2b, expb, _) = members
-        # the two orders name the same block arities
-        swap = (w1a * w2a) % 2
-        if (expa + expb + swap + 1) % 2 != 0:
-            failures.append({"kind": "disjoint", "key": [q0, list(blocks)],
-                             "reason": "orders fail to cancel"})
-    group_count = 0
-    for (q0, i1, bigl), members in sorted(nested_groups.items()):
-        group_count += 1
-        expected = ((q0 + i1 + 1) * (bigl + 1) - 1) % 2
-        want = set()
-        for w1 in range(max(1, bigl + 1 - l), min(l, bigl) + 1):
-            w2 = bigl + 1 - w1
-            for j in range(1, w1 + 1):
-                want.add((w1, w2, j))
-        got = set()
-        for w1, w2, j, exp in members:
-            got.add((w1, w2, j))
-            normalized = (exp + assoc_facet_parity(w1, w2, j)) % 2
-            if normalized != expected:
-                failures.append({
-                    "kind": "nested", "key": [q0, i1, bigl],
-                    "member": [w1, w2, j],
-                    "reason": "sign disagrees with boundary orientation",
-                })
-        if got != want:
-            failures.append({"kind": "nested", "key": [q0, i1, bigl],
-                             "reason": "member multiset incomplete"})
-    return {
-        "l": l,
-        "q_max": q_max,
-        "mutation": list(mutation),
-        "disjoint_pairs": len(disjoint_pairs),
-        "nested_groups": group_count,
-        "cancels": not failures,
-        "failures": failures[:16],
-    }
-
-
-# ---------------------------------------------------------------------------
 # axioms A on an assembled complex
 
 
@@ -957,10 +831,10 @@ def check_chain_map(c: FloerComplex, c_prime: FloerComplex,
     ``c``, less the tensors of ``c_prime`` spliced into the summed
     entries.  A passing map builds no words and no matrix.  A defect D1 on
     exact entries and tensors is extended over the words: d F - F d' is
-    the fan-in of -D1 framed by F (``_defect_parity``), with no
-    composite and no differential.  Any other defect, or a term that
-    cancels to zero with a cutoff, builds F once and both composites on
-    the word basis.
+    the fan-in of -D1 framed by F (the sign whose closed form is
+    ``signs._defect_parity``), with no composite and no differential.
+    Any other defect, or a term that cancels to zero with a cutoff, builds
+    F once and both composites on the word basis.
     """
     _validate_maps(c, c_prime, h)
     gens = c_prime._gens
@@ -999,9 +873,10 @@ def assemble_homotopy(c: FloerComplex, c_prime: FloerComplex,
 
     Terms have one arity-w block from ``k`` (index shift -w) framed by
     blocks of ``h0`` on its left and ``h1`` on its right (continuation
-    entries, index shift 1-w), with sign (-1)^_homotopy_parity:
-    r + sum_j (r-j)(w_j-1) + sum_{j<i} (w_j-1) on r blocks with the k
-    block i-th, and the graded evaluation factors.
+    entries, index shift 1-w), with sign (-1)^e for
+    e = r + sum_j (r-j)(w_j-1) + sum_{j<i} (w_j-1) on r blocks with the k
+    block i-th, and the graded evaluation factors (the closed form of e
+    is ``signs._homotopy_parity``).
     """
     _validate_maps(c, c_prime, k=k)
     _validate_maps(c, c_prime, h0, h1)
@@ -1111,14 +986,16 @@ def check_homotopy(c: FloerComplex, c_prime: FloerComplex, h0: MapDatum,
     the h0 entries, less the h1 entries, less the homotopy fan-in over the
     inputs of each structure tensor of ``c``, plus the tensors of
     ``c_prime`` spliced into the k entries (a k entry u -> g is K's entry
-    at [u][(g,)] signed by ``_homotopy_parity([w], ., 0)`` = 1, and K d'
-    is subtracted).  Any other report on exact entries and tensors peels
-    D's first factor off the identity above: D is the fan-in of D1 framed
-    by h0 and h1 as an even block (``_split_parity``), plus the fan-ins of
-    k then -E1 and of E0 then k, framed by h0, h1 between and h1
-    (``_pair_parity``), with no composite and no differential.  With a
-    cutoff on any entry, or an odd or given differential, D is built on
-    the word basis.
+    at [u][(g,)] signed by the homotopy exponent of one block, which is 1
+    (its closed form ``signs._homotopy_parity([w], ., 0)``), and K d' is
+    subtracted).  Any other report on exact entries and tensors
+    peels D's first factor off the identity above: D is the fan-in of D1
+    framed by h0 and h1 as an even block (``_split_parity``), plus the
+    fan-ins of k then -E1 and of E0 then k, framed by h0, h1 between and
+    h1 (the sign whose closed form is ``signs._pair_parity``), with no
+    composite and no differential.
+    With a cutoff on any entry, or an odd or given differential, D is
+    built on the word basis.
     """
     _validate_maps(c, c_prime, h0, h1, k=k)
     gens = c_prime._gens
@@ -1172,7 +1049,7 @@ def compose_continuations(c0: FloerComplex, c1: FloerComplex,
     Each entry of ``h01`` is glued onto the entries of ``h12`` by fan-in:
     one ``h12`` entry per input factor, with sign (-1)^_split_parity of
     their arities (k_1 .. k_r) on the glued chain, the exponent
-    ``composition_sign_identity`` composes.
+    ``signs.composition_sign_identity`` composes.
     """
     _validate_maps(c1, c2, h12)
     _validate_maps(c0, c1, h01)
@@ -1194,13 +1071,13 @@ def check_composition(c0: FloerComplex, c1: FloerComplex, c2: FloerComplex,
     (one composite entry each) plus, per composite entry, that of the h12
     blocks it glues; in the composite of the matrices, by that of the h12
     blocks on the chain plus that of the h01 blocks on the mid-level chain
-    of their outputs.  ``composition_sign_identity`` is the equality of
-    the two.  With exact entries and ``c1`` assembled from its datum and
-    graded by Z or an even modulus (so its words are every chain and a
-    mid-level index has the parity the identity gives it), the check
-    decides on the certificate that the identity holds on every chain
-    (``_composition_certified``) and on ``_one_block`` for h01, h12 and
-    the composite, and builds no words.  Otherwise, or when the
+    of their outputs.  ``signs.composition_sign_identity`` is the
+    equality of the two.  With exact entries and ``c1`` assembled from its
+    datum and graded by Z or an even modulus (so its words are every
+    chain and a mid-level index has the parity the identity gives it), the
+    check decides on the certificate that the identity holds on every
+    chain (``_composition_certified``) and on ``_one_block`` for h01, h12
+    and the composite, and builds no words.  Otherwise, or when the
     certificate fails, both sides are built on the word basis and
     compared.  The composite is validated against ``c0`` and ``c2``
     either way, and each input map once.
@@ -1242,7 +1119,7 @@ def _composition_holds(rule, inner, grouping, mus) -> bool:
     return lhs % 2 == rhs % 2
 
 
-# fifteen cases of ``composition_sign_identity`` at q <= 4 that decide
+# fifteen cases of ``signs.composition_sign_identity`` at q <= 4 that decide
 # every q, each as inner arities/grouping/factor indices (one string, which
 # compiles faster than the nested tuples)
 _COMPOSITION_CASES = ("2/1/01 2/1/00 11/11/11 11/11/10 11/11/01 11/11/00 "
@@ -1259,8 +1136,8 @@ def _composition_cases() -> List[Tuple[Tuple[int, ...], ...]]:
 
 @lru_cache(maxsize=None)
 def _composition_certified(rule) -> bool:
-    """Certificate that ``composition_sign_identity`` holds for the sign
-    rule ``rule`` on every chain: it holds on ``_COMPOSITION_CASES``.
+    """Certificate that ``signs.composition_sign_identity`` holds for the
+    sign rule ``rule`` on every chain: it holds on ``_COMPOSITION_CASES``.
 
     Proof.  ``_split_parity`` is a sum over pairs j < k of blocks of a
     term P(b_j, b_k), b a block's kind: its arity parity and index-sum
@@ -1284,154 +1161,6 @@ def _composition_certified(rule) -> bool:
     cached per rule."""
     return all(_composition_holds(rule, *case)
                for case in _composition_cases())
-
-
-def composition_sign_identity(q_max: int = 4) -> dict:
-    """Exponent identity behind composing tensor expansions.
-
-    Splitting a chain twice (inner arities grouped under outer blocks)
-    must produce the same total sign whether the grouping signs are
-    accumulated level by level or read off the glued partition,
-    including the graded evaluation factors for every index pattern
-    (``_composition_holds``).  q_max = 4 already decides every q
-    (``_composition_certified``).
-    """
-    from .polytopes import _compositions
-
-    failures = []
-    cases = 0
-    for q in range(1, q_max + 1):
-        for inner in (c for n in range(1, q + 1) for c in _compositions(q, n)):
-            s = len(inner)
-            for grouping in (c for n in range(1, s + 1)
-                             for c in _compositions(s, n)):
-                for mus in itertools.product((0, 1), repeat=q):
-                    cases += 1
-                    if not _composition_holds(_split_parity, inner,
-                                              grouping, mus):
-                        failures.append({"inner": list(inner),
-                                         "grouping": list(grouping),
-                                         "mus": list(mus)})
-    return {"q_max": q_max, "cases": cases, "holds": not failures,
-            "failures": failures[:8]}
-
-
-# ---------------------------------------------------------------------------
-# symbolic consistency of the dual-side axioms
-
-
-def _b2_prefactor(a: int, l2: int) -> int:
-    # product rule prefactor for splitting a map across a dual word (a, b)
-    return (a * l2) % 2
-
-
-def _c2_first(a: int, b: int, l2: int) -> int:
-    return (b + (a + 1) * l2) % 2
-
-
-def _c2_second(a: int, l2: int) -> int:
-    return (a * (l2 + 1)) % 2
-
-
-def _swap(p1: int, p2: int) -> int:
-    return (p1 * p2) % 2
-
-
-def _lemma_cases(q_max: int, drop_max: int, families) -> dict:
-    """Run ``families(a, b, q, l1, l2)``, a list of sign checks, on every
-    two-part dual word (a, b) with a + b <= ``q_max`` and every drop
-    q, l1, l2 <= ``drop_max``; a case fails when any check is false."""
-    failures = []
-    cases = 0
-    for a in range(q_max + 1):
-        for b in range(q_max + 1 - a):
-            for q, l1, l2 in itertools.product(range(drop_max + 1), repeat=3):
-                cases += 1
-                if not all(families(a, b, q, l1, l2)):
-                    failures.append({"a": a, "b": b, "q": q,
-                                     "l1": l1, "l2": l2})
-    return {"q_max": q_max, "cases": cases, "consistent": not failures,
-            "failures": failures[:8]}
-
-
-def check_consistency_continuation(q_max: int = 6, drop_max: int = 6) -> dict:
-    """Product rule against the Leibniz rule, dual side.
-
-    Expands both composition orders of the differential with a
-    continuation over a two-part dual word and checks that the four
-    term families agree pairwise, so the chain-map property propagates
-    from elementary strings to all strings.
-    """
-    def families(a, b, q, l1, l2):
-        # differential after the continuation
-        dh1 = (_b2_prefactor(a, l2) + _a3_left(b + l2)) % 2
-        dh2 = (_b2_prefactor(a, l2) + _a3_right(a + l1, q)
-               + _swap(q + 1, l1)) % 2
-        # continuation after the differential
-        hd1 = (_a3_left(b) + _b2_prefactor(a + q, l2)
-               + _swap(q + 1, l2)) % 2
-        hd2 = (_a3_right(a, q) + _b2_prefactor(a, l2)) % 2
-        # printed forms of the two expansions
-        disp_dh1 = (a * l2 + b + l2) % 2
-        disp_dh2 = (a * l2 + a * (q + 1)) % 2
-        disp_hd1 = (b + (a + 1) * l2) % 2
-        disp_hd2 = (a * (q + 1 + l2)) % 2
-        return [
-            dh1 == disp_dh1, dh2 == disp_dh2,
-            hd1 == disp_hd1, hd2 == disp_hd2,
-            dh1 == hd1, dh2 == hd2,
-        ]
-
-    return _lemma_cases(q_max, drop_max, families)
-
-
-def check_consistency_homotopy(q_max: int = 6, drop_max: int = 6) -> dict:
-    """Homotopy axioms against the Leibniz rule, dual side.
-
-    The eight term families of the two composition orders must pair up:
-    equal coefficients on the families that assemble the commutator's
-    elementary values, opposite uniform coefficients on the families
-    that cancel through the chain-map property of the framing map.
-    """
-    def families(a, b, q, l1, l2):
-        # differential after the homotopy
-        t1 = (_c2_first(a, b, l2) + _a3_left(b + l2)) % 2
-        t2 = (_c2_first(a, b, l2) + _a3_right(a + l1, q)
-              + _swap(q + 1, l1 + 1)) % 2
-        t3 = (_c2_second(a, l2) + _a3_left(b + l2)) % 2
-        t4 = (_c2_second(a, l2) + _a3_right(a + l1, q)
-              + _swap(q + 1, l1)) % 2
-        # homotopy after the differential
-        s1 = (_a3_left(b) + _c2_first(a + q, b, l2)
-              + _swap(q + 1, l2)) % 2
-        s2 = (_a3_left(b) + _c2_second(a + q, l2)
-              + _swap(q + 1, l2 + 1)) % 2
-        s3 = (_a3_right(a, q) + _c2_first(a, b + q, l2)) % 2
-        s4 = (_a3_right(a, q) + _c2_second(a, l2)) % 2
-        # printed forms
-        disp_t1 = (b + (a + 1) * l2 + b + l2) % 2
-        disp_t2 = (b + (a + 1) * l2 + (a + 1) * (q + 1)) % 2
-        disp_t3 = (a * (l2 + 1) + b + l2) % 2
-        disp_t4 = (a * (l2 + 1) + a * (q + 1)) % 2
-        disp_s1 = (b + b + a * l2) % 2
-        disp_s2 = (b + (a + 1) * (l2 + 1)) % 2
-        disp_s3 = (a * (q + 1) + b + q + (a + 1) * l2) % 2
-        disp_s4 = (a * (q + 1) + a * (l2 + 1)) % 2
-        return [
-            t1 == disp_t1, t2 == disp_t2, t3 == disp_t3,
-            t4 == disp_t4, s1 == disp_s1, s2 == disp_s2,
-            s3 == disp_s3, s4 == disp_s4,
-            # commutator families assemble with the product rule coefficients
-            t1 == s1, t1 == (a * l2) % 2,
-            t4 == s4, t4 == (a * (q + l2)) % 2,
-            # cross families cancel through the chain-map property:
-            # opposite and uniform in q
-            t2 == (s3 + 1) % 2,
-            t2 == (b + (a + 1) * (q + l2 + 1)) % 2,
-            t3 == (s2 + 1) % 2,
-        ]
-
-    return _lemma_cases(q_max, drop_max, families)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,11 @@ these copies too.
   as it was before each word's terms extended its prefix's: every choice
   of one component per factor (``itertools.product``), its coefficients
   multiplied left to right and its sign read off the whole chain by
-  ``ainfty._split_parity``, ``ainfty._homotopy_parity`` or
-  ``ainfty._pair_parity``, looked up on the module when called, so a test
-  that patches a sign rule patches this kernel too.  The
+  ``ainfty._split_parity`` or by the closed forms
+  ``signs._homotopy_parity`` and ``signs._pair_parity``, each looked up on
+  its module when called (and the closed forms read
+  ``ainfty._split_parity`` when they run), so a test that patches a sign
+  rule patches this kernel too.  The
   ``word_basis_*`` checks fan in through it.
 - ``expanded_check_chain_map`` is ``check_chain_map`` as it was before a
   passing map was decided without the continuation matrix: it expands F
@@ -88,7 +90,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
-from openstrings import ainfty
+from openstrings import ainfty, signs
 from openstrings._poly import _exact_div
 from openstrings.ainfty import (
     Augmentation,
@@ -163,9 +165,9 @@ def product_fan_in(word, components, gens, k=None, after=None, longest=None,
             if p is None or not odd:
                 exp = ainfty._split_parity(arities, mus)
             elif then is None:
-                exp = ainfty._homotopy_parity(arities, mus, p)
+                exp = signs._homotopy_parity(arities, mus, p)
             else:
-                exp = ainfty._pair_parity(arities, mus, *p)
+                exp = signs._pair_parity(arities, mus, *p)
             yield chain, _signed(reduce(mul, (cf for _, cf in choice)), exp)
 
 

@@ -28,17 +28,13 @@ from openstrings.ainfty import (
     check_a_infinity,
     check_chain_map,
     check_composition,
-    check_consistency_continuation,
-    check_consistency_homotopy,
     check_homotopy,
     cohomology,
     compose_continuations,
-    composition_sign_identity,
     euler_characteristic,
     homotopic_map,
     identity_continuation,
     pair_subcomplex,
-    symbolic_delta_squared,
 )
 from openstrings.maslov import (
     DegenerateCrossing,
@@ -61,6 +57,12 @@ from openstrings.polytopes import (
     enumerate_faces,
     f_vector,
     face_dimension,
+)
+from openstrings.signs import (
+    check_consistency_continuation,
+    check_consistency_homotopy,
+    composition_sign_identity,
+    symbolic_delta_squared,
 )
 
 from conftest import CHAIN_UNITS, ONE, S, T, conjugate_datum, diagonal_map, \

@@ -33,12 +33,9 @@ from openstrings.ainfty import (
     check_augmentation,
     check_chain_map,
     check_composition,
-    check_consistency_continuation,
-    check_consistency_homotopy,
     check_homotopy,
     cohomology,
     compose_continuations,
-    composition_sign_identity,
     datum_from_json,
     datum_to_json,
     enumerate_words,
@@ -48,7 +45,6 @@ from openstrings.ainfty import (
     identity_continuation,
     map_from_json,
     pair_subcomplex,
-    symbolic_delta_squared,
     validate_axioms_A,
     _grade,
     _mat_add,
@@ -56,9 +52,15 @@ from openstrings.ainfty import (
     _mat_is_zero,
     _word_mu,
 )
-from openstrings import _poly
+from openstrings import _poly, polytopes, signs
 from openstrings._poly import _exact_div, _pack_block
 from openstrings.polytopes import _compositions
+from openstrings.signs import (
+    check_consistency_continuation,
+    check_consistency_homotopy,
+    composition_sign_identity,
+    symbolic_delta_squared,
+)
 from openstrings.morse import (
     CriticalPoint,
     Flow,
@@ -203,6 +205,58 @@ def test_consistency_identities():
 def test_composition_sign_identity_small():
     rep = composition_sign_identity(3)
     assert rep["holds"] and rep["cases"] > 10
+
+
+def _homotopy_parities():
+    """``signs._homotopy_parity`` on every cut, k block and index pattern
+    of up to four factors."""
+    return [signs._homotopy_parity(parts, mus, p)
+            for q in range(1, 5) for parts in _ref_compositions(q)
+            for p in range(len(parts))
+            for mus in itertools.product((0, 1), repeat=q)]
+
+
+def _mutant(name, rule):
+    """A broken copy of the sign rule ``name``."""
+    if name == "_split_parity":
+        return _odd_first_block(rule)
+    if name == "_delta_exp":
+        # the i term of q*w + i*w + i zeroed (flipping every exponent
+        # would only negate d)
+        return lambda q, w, i, mutation=(1, 1, 1): rule(q, w, i, (1, 1, 0))
+    return lambda *args: (rule(*args) + 1) % 2
+
+
+@pytest.mark.parametrize("module, name", [
+    (ainfty, "_a3_left"), (ainfty, "_a3_right"), (ainfty, "_delta_exp"),
+    (polytopes, "assoc_facet_parity"), (ainfty, "_split_parity")],
+    ids=["_a3_left", "_a3_right", "_delta_exp", "assoc_facet_parity",
+         "_split_parity"])
+def test_a_patched_rule_reaches_the_checks_and_the_certificates(
+        module, name, chain_datum, monkeypatch):
+    # ``signs`` reads each rule off its home module when it runs, so one
+    # rule patched there is the rule both the checks and the certificates
+    # see; a certificate that bound its rules at import would still pass
+    def seen():
+        if name == "_split_parity":
+            return tuple(_homotopy_parities())
+        if name == "assoc_facet_parity":
+            return (symbolic_delta_squared(6, 6)["cancels"],)
+        if name == "_delta_exp":
+            return (check_a_infinity(chain_datum)["square_zero"],
+                    symbolic_delta_squared(6, 6)["cancels"])
+        return (validate_axioms_A(assemble_differential(chain_datum))["a3"],
+                check_consistency_continuation(4, 4)["consistent"],
+                check_consistency_homotopy(4, 4)["consistent"])
+
+    before = seen()
+    with monkeypatch.context() as m:
+        m.setattr(module, name, _mutant(name, getattr(module, name)))
+        after = seen()
+    if name == "_split_parity":
+        assert before != after
+    else:
+        assert all(before) and not any(after), (before, after)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,7 +1107,7 @@ def test_homotopy_parity_is_the_walk_sum():
             for p in range(len(parts)):
                 for mus in itertools.product((0, 1), repeat=q):
                     cases += 1
-                    assert ainfty._homotopy_parity(parts, mus, p) == \
+                    assert signs._homotopy_parity(parts, mus, p) == \
                         _walk_homotopy_exponent(parts, mus, p), (parts, p, mus)
     assert cases == sum(2 ** q * sum(len(c) for c in _ref_compositions(q))
                         for q in range(1, 7))
@@ -2486,9 +2540,9 @@ def _defect_parity_failures(rule, n_max=6):
 
 
 def test_defect_parity_is_the_sign_of_every_chain_map_term():
-    cases, failures = _defect_parity_failures(ainfty._defect_parity)
+    cases, failures = _defect_parity_failures(signs._defect_parity)
     assert cases > 40000 and failures == 0
-    hp, dp = ainfty._homotopy_parity, ainfty._defect_parity
+    hp, dp = signs._homotopy_parity, signs._defect_parity
     for mutant in (hp,
                    lambda ar, mus, p: dp(ar, mus, p) + p,
                    lambda ar, mus, p: dp(ar, mus, p) + len(ar),
@@ -2511,7 +2565,7 @@ def _homotopy_rule_failures(even, pair, n_max=6):
     of the one-output defect E1 of h1 (as ``_chain_defect`` sums it,
     negated) after k, and left of it a term of E0 before k, both signed
     by ``pair``."""
-    split, hp = ainfty._split_parity, ainfty._homotopy_parity
+    split, hp = ainfty._split_parity, signs._homotopy_parity
     d_slot, d_part = ainfty._d_slot, ainfty._delta_exp
     cases = failures = 0
 
@@ -2573,10 +2627,10 @@ def _homotopy_rule_failures(even, pair, n_max=6):
 
 def test_pair_parity_signs_every_two_block_homotopy_term():
     cases, failures = _homotopy_rule_failures(ainfty._split_parity,
-                                              ainfty._pair_parity)
+                                              signs._pair_parity)
     assert cases > 150000 and failures == 0
-    split, pair = ainfty._split_parity, ainfty._pair_parity
-    hp = ainfty._homotopy_parity
+    split, pair = ainfty._split_parity, signs._pair_parity
+    hp = signs._homotopy_parity
     for even, odd in (
             (lambda ar, mus: split(ar, mus) + 1, pair),
             (lambda ar, mus: hp(ar, mus, 0), pair),

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from openstrings import cli, maslov
+from openstrings import ainfty, cli, maslov, signs
 from openstrings.ainfty import (
     MapDatum,
     TensorEntry,
@@ -1414,20 +1414,22 @@ def _one_request_each(folder):
 
 
 _LOADED_BY = """\
-import contextlib, io, json, sys
-argv = sys.argv[1:]
-import openstrings.cli
+import contextlib, importlib, io, json, sys
+name, *argv = sys.argv[1:]
+module = importlib.import_module(name)
 code = None
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = openstrings.cli.main(argv)
+        code = module.main(argv)
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.split(".")[0] == "openstrings")]))
 """
 
 
-def _fresh_loaded(*argv):
-    proc = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv],
+def _fresh_loaded(*argv, module="openstrings.cli"):
+    """(exit code, ``openstrings`` modules loaded) of a fresh interpreter
+    that imports ``module`` and, given ``argv``, runs ``cli.main(argv)``."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY, module, *argv],
                           env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
@@ -1436,6 +1438,18 @@ def _fresh_loaded(*argv):
 
 def test_import_of_cli_loads_no_library_module():
     assert _fresh_loaded() == (None, _BASE_MODULES)
+
+
+def test_ainfty_imports_neither_signs_nor_polytopes():
+    # the request path's import graph has no edge to ``signs`` or
+    # ``polytopes``, and the certificates live in ``signs`` alone, which
+    # reads its rules off both
+    library = {"openstrings", "openstrings._json"} | {
+        f"openstrings.{m}" for m in _AINFTY_MODULES}
+    assert _fresh_loaded(module="openstrings.ainfty") == (None, library)
+    assert _fresh_loaded(module="openstrings.signs") == (
+        None, library | {"openstrings.signs", "openstrings.polytopes"})
+    assert not set(signs.__all__) & set(dir(ainfty))
 
 
 def test_each_subcommand_loads_only_its_modules(tmp_path):
